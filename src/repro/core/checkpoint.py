@@ -3,36 +3,31 @@
 A long refinement run loses everything when its worker dies -- OOM
 kill, hard deadline, a pulled plug -- even though every certified
 module it already produced is an independently checkable artifact.
-This module persists the certified module decomposition after each
-round so an interrupted analysis warm-starts instead of recomputing:
+A checkpoint keeps them: it is one job's own certified-module records
+(:mod:`repro.core.library` defines the record, its writer and its
+decoder), in the append-only log ``<dir>/checkpoint_<key>.jsonl``.
 
-- **what is saved**: the modules only -- automaton, ranking function,
-  rank certificate, provenance word -- serialized as portable dicts
-  (Fractions as ``[num, den]`` pairs, states renumbered to ints,
-  symbols as their ``str()`` over the program alphabet).  The
-  uncertified *remainder* is deliberately **not** saved: it is exactly
-  the part of the analysis state that carries trust, and it is cheap
-  to rebuild by re-subtracting the restored modules from the freshly
-  constructed program automaton.
-- **how it is saved**: write-to-temp + flush + fsync + atomic rename,
-  so a crash mid-save leaves either the previous checkpoint or a
-  stray ``*.tmp`` -- never a torn file a reader could half-trust.
-  The ``checkpoint.write`` fault site (:mod:`repro.faults`) simulates
-  both torn-final-file and orphaned-tmp crashes for chaos testing.
+- **what is saved**: the modules only, one record each, appended as
+  the run adds them and fsynced before :meth:`Checkpointer.save`
+  returns.  The uncertified *remainder* is deliberately **not** saved:
+  it is exactly the part of the analysis state that carries trust, and
+  it is cheap to rebuild by re-subtracting the restored modules from
+  the freshly constructed program automaton.  Restored modules are
+  not written again.
+- **crashes**: a crash mid-append tears the last record only; the
+  reader drops it and the next writer ends the torn line before
+  appending.  The ``checkpoint.write`` fault site (:mod:`repro.faults`)
+  leaves exactly that shape for chaos testing.
 - **how it is keyed**: by the corpus store's job key (sha256 of
   program, config, code version; see :func:`repro.runner.store.job_key`),
-  so a checkpoint is reused only while program, configuration, and
-  analysis version all match.
-- **the trust model**: a checkpoint is *untrusted input*.  On restore
-  every module is re-validated against the Definition 3.1 obligations
-  (:func:`repro.core.module.validate_module`) with fault injection
-  suspended and the budget cleared -- the verdict-firewall discipline.
-  Any module that fails (or any decode error, version/alphabet
-  mismatch, torn file) rejects the whole checkpoint and the analysis
-  cold-starts with a structured ``checkpoint.rejected`` incident.
-  A forged checkpoint can therefore cost work, never soundness: a
-  module that passes Definition 3.1 is sound to subtract regardless
-  of where it came from.
+  carried in every record, so a checkpoint is reused only while
+  program, configuration, and analysis version all match.
+- **the trust model**: a checkpoint is *untrusted input*.  Every record
+  must decode, carry this job's key, bind to the program's alphabet,
+  and pass :func:`repro.core.module.recheck`; if any one fails, the
+  whole checkpoint is rejected and the analysis cold-starts with a
+  structured ``checkpoint.rejected`` incident.  A forged checkpoint
+  can therefore cost work, never soundness.
 """
 
 from __future__ import annotations
@@ -42,86 +37,11 @@ import os
 from typing import Iterable
 
 import repro.faults as _faults
-from repro.core.budget import use_budget
-# The portable-dict serialization lives in the shared module codec
-# (also used by the cross-program library, repro.core.library); the
-# re-exports keep this module the stable import surface for
-# checkpoint-layer users.
-from repro.core.codec import (  # noqa: F401 - re-exported codec surface
-    CodecError,
-    atom_from_dict,
-    atom_to_dict,
-    conj_from_dict,
-    conj_to_dict,
-    frac_from_dict,
-    frac_to_dict,
-    gba_from_dict,
-    gba_to_dict,
-    module_from_dict,
-    module_to_dict,
-    pred_from_dict,
-    pred_to_dict,
-    symbol_table,
-    term_from_dict,
-    term_to_dict,
-    word_from_dict,
-    word_to_dict,
-)
-from repro.core.module import CertifiedModule, validate_module
+from repro.core.codec import CodecError
+from repro.core.library import (append_lines, binding, decode_record,
+                                encode_record)
+from repro.core.module import CertifiedModule, recheck
 from repro.obs import metrics as _metrics
-
-#: Bump on any incompatible change to the checkpoint layout; a version
-#: mismatch rejects the checkpoint (cold start) instead of guessing.
-CHECKPOINT_VERSION = 1
-
-#: A checkpoint failing to decode is the codec's error; the historical
-#: name stays importable for checkpoint-layer callers and tests.
-CheckpointError = CodecError
-
-
-# -- the checkpoint file --------------------------------------------------------
-
-def encode_checkpoint(key: str, program: str, alphabet: Iterable,
-                      modules: list[CertifiedModule]) -> dict | None:
-    """The JSON-ready checkpoint payload; None if the alphabet's
-    symbols do not stringify uniquely (checkpointing disabled)."""
-    table = symbol_table(alphabet)
-    if table is None:
-        return None
-    ordered, index = table
-    return {"version": CHECKPOINT_VERSION, "key": key, "program": program,
-            "alphabet": [str(sym) for sym in ordered],
-            "rounds": len(modules),
-            "modules": [module_to_dict(m, index) for m in modules]}
-
-
-def decode_checkpoint(data, key: str, alphabet: Iterable,
-                      ) -> list[CertifiedModule]:
-    """Deserialize ``data`` against the *fresh* program alphabet.
-
-    Purely structural: Definition 3.1 re-validation is the caller's job
-    (see :meth:`Checkpointer.restore`).  Raises :class:`CheckpointError`
-    on any mismatch.
-    """
-    if not isinstance(data, dict):
-        raise CheckpointError("checkpoint is not a JSON object")
-    if data.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"checkpoint version {data.get('version')!r} != {CHECKPOINT_VERSION}")
-    if key and data.get("key") != key:
-        raise CheckpointError(
-            f"checkpoint key {data.get('key')!r} does not match {key!r}")
-    table = symbol_table(alphabet)
-    if table is None:
-        raise CheckpointError("program alphabet is ambiguous under str()")
-    ordered, _index = table
-    names = [str(sym) for sym in ordered]
-    if data.get("alphabet") != names:
-        raise CheckpointError("checkpoint alphabet does not match the program")
-    modules_data = data.get("modules")
-    if not isinstance(modules_data, list):
-        raise CheckpointError("checkpoint without a module list")
-    return [module_from_dict(m, ordered) for m in modules_data]
 
 
 def _sanitize(key: str) -> str:
@@ -129,10 +49,10 @@ def _sanitize(key: str) -> str:
 
 
 class Checkpointer:
-    """One job's durable checkpoint: atomic save, firewall-style restore.
+    """One job's durable checkpoint: append-only save, checked restore.
 
     Bound to a ``(directory, key)`` pair; the file is
-    ``<directory>/checkpoint_<key>.json``.  All failure modes are
+    ``<directory>/checkpoint_<key>.jsonl``.  All failure modes are
     contained: a failed save never interrupts the analysis, a bad
     checkpoint never seeds it.  The instance keeps counters
     (:meth:`summary`) so the harness can report what happened without
@@ -144,8 +64,8 @@ class Checkpointer:
         self.key = str(key)
         self.program = program
         self.path = os.path.join(self.directory,
-                                 f"checkpoint_{_sanitize(self.key)}.json")
-        #: successful atomic saves this run
+                                 f"checkpoint_{_sanitize(self.key)}.jsonl")
+        #: successful saves (rounds that reached the log) this run
         self.saved = 0
         #: saves lost to injected/real write failures
         self.save_failures = 0
@@ -153,119 +73,95 @@ class Checkpointer:
         self.restored_rounds = 0
         #: why the checkpoint was rejected (None = not rejected)
         self.rejected: str | None = None
+        #: modules this run appended to the log
+        self._appended = 0
 
     # -- save -------------------------------------------------------------------
 
-    def save(self, alphabet: Iterable, modules: list[CertifiedModule]) -> bool:
-        """Atomically persist the decomposition; returns success.
+    def save(self, modules: list[CertifiedModule]) -> bool:
+        """Append the modules of the decomposition not yet in the log.
 
-        Never raises: serialization bugs, full disks, and injected
-        ``checkpoint.write`` faults all degrade to "no new checkpoint"
-        (the previous one, if any, stays intact thanks to the
-        write-tmp-then-rename protocol).
+        ``modules`` is the run's decomposition: the
+        :attr:`restored_rounds` modules seeded from this log, then the
+        modules the run added, in order.  Returns success and never
+        raises: serialization bugs, full disks, and injected
+        ``checkpoint.write`` faults all degrade to "not saved yet" --
+        the next save retries the same modules.
         """
+        pending = modules[self.restored_rounds + self._appended:]
+        if not pending:
+            return True
         try:
-            data = encode_checkpoint(self.key, self.program, alphabet, modules)
-            if data is None:
-                self.save_failures += 1
-                return False
-            text = json.dumps(data, sort_keys=True)
-            os.makedirs(self.directory, exist_ok=True)
-            tmp = self.path + ".tmp"
+            lines = []
+            for module in pending:
+                record = encode_record(module, key=self.key,
+                                       program=self.program)
+                if record is None:
+                    return self._failed()
+                lines.append(json.dumps(record, sort_keys=True) + "\n")
             try:
                 _faults.perturb("checkpoint.write")
             except _faults.InjectedFault:
-                self._simulate_crash(text, tmp)
-                self.save_failures += 1
-                _metrics.inc("checkpoint.save_failures")
-                return False
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(text)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
-        except OSError:
-            self.save_failures += 1
-            _metrics.inc("checkpoint.save_failures")
-            return False
+                # The crash shape of an append: a torn last record.
+                append_lines(self.path, lines[0][:len(lines[0]) // 2])
+                return self._failed()
+            append_lines(self.path, "".join(lines), sync=True)
+        except (OSError, TypeError, ValueError):
+            return self._failed()
+        self._appended += len(pending)
         self.saved += 1
         _metrics.inc("checkpoint.saves")
         return True
 
-    def _simulate_crash(self, text: str, tmp: str) -> None:
-        """The ``checkpoint.write`` fault: reproduce the two on-disk
-        shapes a real crash leaves, alternating deterministically --
-        a torn file at the *final* path (died mid-write before the
-        rename protocol existed / direct-write bugs), and an orphaned
-        complete tmp (died between fsync and rename)."""
-        try:
-            if self.save_failures % 2 == 0:
-                with open(self.path, "w", encoding="utf-8") as fh:
-                    fh.write(text[:max(1, len(text) // 2)])
-            else:
-                with open(tmp, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-        except OSError:
-            pass
+    def _failed(self) -> bool:
+        self.save_failures += 1
+        _metrics.inc("checkpoint.save_failures")
+        return False
 
     # -- restore ----------------------------------------------------------------
 
     def restore(self, alphabet: Iterable) -> list[CertifiedModule]:
-        """Load, decode, and *re-validate* the checkpointed modules.
+        """Load, decode, and *re-check* the checkpointed modules.
 
-        Returns the validated modules (possibly empty: no checkpoint on
-        disk is a normal cold start, not a rejection).  Every other
-        failure -- torn file, bad JSON, version/alphabet/key mismatch,
-        any module failing the Definition 3.1 re-check or no longer
-        accepting its source word -- rejects the *whole* checkpoint:
-        ``self.rejected`` carries the reason and the caller cold-starts.
-        Validation runs with fault injection suspended and the budget
-        cleared, exactly like the verdict firewall: the checker must
-        see honest solver answers and cannot be starved by the budget
-        that may have killed the previous attempt.
+        Returns the checked modules in log order (possibly empty: no
+        checkpoint on disk is a normal cold start, not a rejection).  A
+        torn last record is dropped.  Any other failure -- a record that
+        does not decode, carries another key, names a symbol outside
+        the program alphabet, or fails :func:`recheck` -- rejects the
+        *whole* checkpoint: ``self.rejected`` carries the reason and
+        the caller cold-starts.
         """
+        from repro.runner.store import read_rows
         self.rejected = None
         try:
-            with open(self.path, "rb") as fh:
-                raw = fh.read()
-        except FileNotFoundError:
-            return []
+            records = list(read_rows(self.path))
         except OSError as exc:
-            self._reject(f"unreadable checkpoint: {exc}")
+            return self._reject(f"unreadable checkpoint: {exc}")
+        if not records:
             return []
-        try:
-            data = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            self._reject("torn or corrupt checkpoint file")
-            return []
-        try:
-            modules = decode_checkpoint(data, self.key, alphabet)
-        except CheckpointError as exc:
-            self._reject(str(exc))
-            return []
-        except Exception as exc:  # noqa: BLE001 - untrusted input
-            self._reject(f"{type(exc).__name__}: {exc}")
-            return []
-        with _faults.suspended(), use_budget(None):
-            for index, module in enumerate(modules):
-                try:
-                    issues = validate_module(module)
-                except Exception as exc:  # noqa: BLE001 - untrusted input
-                    issues = [f"{type(exc).__name__}: {exc}"]
-                if issues:
-                    self._reject(f"module {index} ({module.stage}) failed "
-                                 f"re-validation: {issues[0]}")
-                    return []
-                if (module.source_word is not None
-                        and not module.language_contains(module.source_word)):
-                    self._reject(f"module {index} ({module.stage}) rejects "
-                                 f"its source word")
-                    return []
+        bound = binding(alphabet)
+        if bound is None:
+            return self._reject("program alphabet is ambiguous under str()")
+        modules = []
+        for index, record in enumerate(records):
+            if record.get("key") != self.key:
+                return self._reject(f"checkpoint key {record.get('key')!r} "
+                                    f"does not match {self.key!r}")
+            try:
+                module = decode_record(record, bound)
+            except CodecError as exc:
+                return self._reject(f"record {index}: {exc}")
+            problem = recheck(module)
+            if problem:
+                return self._reject(f"module {index} ({module.stage}) failed "
+                                    f"re-validation: {problem}")
+            modules.append(module)
         return modules
 
-    def _reject(self, reason: str) -> None:
+    def _reject(self, reason: str) -> list:
         self.rejected = reason
         _metrics.inc("checkpoint.rejections")
+        return []
 
     # -- reporting --------------------------------------------------------------
 

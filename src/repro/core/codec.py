@@ -1,27 +1,19 @@
 """The module codec: portable-dict serialization of certified modules.
 
-Two persistence layers share this codec and its trust discipline:
+The certified-module store (:mod:`repro.core.library`) wraps this
+codec in its one record format, which both the cross-program module
+library and per-job checkpoints persist.  Everything read back is
+*untrusted input*: the codec validates shapes strictly and raises
+:class:`CodecError` on anything that is not exactly the expected
+layout ("almost the right shape" must reject, not half-load), while
+semantic re-validation against Definition 3.1
+(:func:`repro.core.module.recheck`) stays the caller's job.
 
-- the **durable checkpoint** layer (:mod:`repro.core.checkpoint`),
-  which snapshots one job's certified decomposition after every round,
-- the **cross-program module library** (:mod:`repro.core.library`),
-  which republishes certified modules corpus-wide for reuse before
-  synthesis.
-
-Both persist the same artifact -- a certified module ``(A_M, f_M,
-I_M)`` of Definition 3.1 plus its provenance word -- and both treat
-everything they read back as *untrusted input*: the codec validates
-shapes strictly and raises :class:`CodecError` on anything that is not
-exactly the expected layout ("almost the right shape" must reject, not
-half-load), while semantic re-validation against Definition 3.1 stays
-the caller's job.
-
-Layout choices (shared so the two layers stay wire-compatible):
-Fractions become ``[numerator, denominator]`` pairs, terms / atoms /
-conjunctions / predicates nest as plain dicts and lists, automaton
-states are renumbered to dense ints, and symbols -- program statements,
-which are not JSON values -- are referenced by index into a sorted
-``str(symbol)`` table carried next to the payload (see
+Layout: fractions become ``[numerator, denominator]`` pairs, terms /
+atoms / conjunctions / predicates nest as plain dicts and lists,
+automaton states are renumbered to dense ints, and symbols -- program
+statements, which are not JSON values -- are referenced by index into
+a sorted ``str(symbol)`` table carried next to the payload (see
 :func:`symbol_table`).
 """
 

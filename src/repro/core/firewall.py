@@ -6,12 +6,13 @@ configuration disables the firewall).  The screen re-derives each
 verdict from first principles, using only machinery *outside* the
 refinement loop's trust base:
 
-- **TERMINATING** -- every certified module is re-checked against the
-  Definition 3.1 obligations (:func:`repro.core.module.validate_module`:
-  certificate coverage, ``oldrnk``-at-infinity initials, rank decrease
-  at accepting states, all Hoare triples), each module must still accept
-  the counterexample word it was built from, and the final uncertified
-  remainder is re-searched for an accepting lasso.
+- **TERMINATING** -- every certified module goes through
+  :func:`repro.core.module.recheck`, the same gate checkpoint restore
+  and library reuse use: the Definition 3.1 obligations (certificate
+  coverage, ``oldrnk``-at-infinity initials, rank decrease at accepting
+  states, all Hoare triples) and acceptance of the counterexample word
+  it was built from.  The final uncertified remainder is re-searched
+  for an accepting lasso.
 - **NONTERMINATING** -- the recorded witness state is replayed through
   the concrete interpreter (:func:`repro.program.interp.run_word`): it
   must be integral, reachable through the stem, and keep the loop alive;
@@ -36,7 +37,7 @@ from fractions import Fraction
 import repro.faults as faults
 from repro.automata.emptiness import ExplorationTimeout, find_accepting_lasso
 from repro.core.budget import use_budget
-from repro.core.module import validate_module
+from repro.core.module import recheck
 from repro.core.refinement import TerminationResult, Verdict
 from repro.core.stats import Incident
 from repro.logic.terms import var
@@ -100,17 +101,10 @@ def _check_terminating(result: TerminationResult,
         if time.perf_counter() > deadline:
             _metrics.inc("firewall.truncated")
             break
-        issues = validate_module(module)
-        if issues:
-            problems.append((
-                "firewall.certificate",
-                f"module {index} ({module.stage}): {issues[0]}"))
-            continue
-        if (module.source_word is not None
-                and not module.language_contains(module.source_word)):
-            problems.append((
-                "firewall.certificate",
-                f"module {index} ({module.stage}) rejects its source word"))
+        problem = recheck(module)
+        if problem:
+            problems.append(("firewall.certificate",
+                             f"module {index} ({module.stage}): {problem}"))
     if result.remainder is not None:
         try:
             lasso = find_accepting_lasso(result.remainder, deadline=deadline)

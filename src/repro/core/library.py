@@ -1,55 +1,49 @@
-"""Cross-program certified-module library: reuse before synthesis.
+"""The certified-module store: one record format, one writer, one reader.
 
-Corpus programs share loop shapes -- ``benchgen`` families are scaled
-copies of each other, and real corpora repeat idioms -- yet the
-refinement loop pays ranking synthesis (Farkas/LP), generalization,
-and complementation from scratch for every job.  Heizmann et al.
-(arXiv 1405.4189) observed that certified modules are reusable
-artifacts, not per-program scratch work: a module that satisfies the
-Definition 3.1 obligations is sound to subtract from *any* program
-over a compatible alphabet, regardless of which program it was
-learned on.  This module is the corpus-wide realization of that idea,
-the cross-run analogue of the in-run subtraction cache and the
-per-job durable checkpoint.
+A certified module that meets Definition 3.1 is a reusable artifact
+(Heizmann et al., arXiv 1405.4189): it is sound to subtract from *any*
+program over a compatible alphabet, whichever run certified it.  So
+the repository keeps exactly one on-disk form of a module, the
+**record** defined here, and two stores of records:
 
-**The file.**  One append-only JSONL file shared by every pool worker.
-Each record is a self-contained entry: the codec payload
+- the corpus-wide **module library** (:class:`ModuleLibrary`), shared
+  by every pool worker and queried before synthesis, and
+- one job's **checkpoint** (:class:`repro.core.checkpoint.Checkpointer`),
+  which is nothing but that job's own records, replayed on restart.
+
+**The record.**  One JSON line: the codec payload
 (:func:`repro.core.codec.module_to_dict`) over the module's
-*used*-symbol table (so an entry published from a small program stays
-reusable by any larger sibling), the ``str(symbol)`` table itself,
-the publishing ``code_version``, provenance, and a content id.
-Writers append with a single ``os.write`` on an ``O_APPEND`` fd --
-POSIX guarantees the atomicity we need for same-filesystem appends of
-small records -- and readers use the result store's torn-tail-tolerant
-:func:`repro.runner.store.read_rows`, so a record half-written at the
-moment of a crash or a concurrent read costs that record only, never
-the file.
+*used*-symbol table -- so an entry from a small program stays
+reusable by any larger sibling -- the ``str(symbol)`` table itself,
+the store's scope (``code_version`` for the library, ``key`` for a
+checkpoint), provenance, and a content id.  :func:`encode_record`
+builds it, :func:`decode_record` binds it to the *reading* program's
+own statement objects.
 
-**The query path.**  On each fresh counterexample lasso the engine
-asks the library first (:meth:`ModuleLibrary.match`): an
-alphabet-compatibility prefilter (entry symbols must be a subset of
-the program's, by ``str``), then "does the candidate accept the
-counterexample word", and only then -- on the one entry about to be
-used -- the full Definition 3.1 re-validation with fault injection
-suspended and the budget cleared, exactly like checkpoint restore.  A
-validated hit is subtracted with **zero** synthesis/LP work.
+**One writer.**  :func:`append_lines` appends whole records with a
+single ``os.write`` on an ``O_APPEND`` fd (concurrent workers
+interleave lines, never bytes) after ending a torn last line, so a
+record never glues onto a crash's fragment.  Checkpoints fsync before
+``save`` returns.  Readers use the result store's torn-tail-tolerant
+:func:`repro.runner.store.read_rows`: a record torn by a crash costs
+that record only.
 
-**The trust model.**  Published entries are untrusted input, exactly
-like checkpoints: every reuse re-validates the certificate against
-the *reading* program's own statement objects, a failed validation
-rejects only that entry (with a structured reason, and the entry is
-skipped for the rest of the run), and the uncertified remainder is
-never serialized at all.  A forged or corrupted entry -- including
-the deliberate corruption injected by the ``library.publish`` chaos
-fault -- can therefore cost work, never soundness.
+**The trust rule.**  Every record read back is untrusted input and
+passes :func:`repro.core.module.recheck` before it is subtracted.  A
+failing library entry is skipped for the rest of the run; any failing
+checkpoint record rejects the whole checkpoint (cold start).  A forged
+or corrupted record can cost work, never soundness.
 
-**Freshness.**  Entries are keyed by ``code_version``: a library file
-survives analysis-code changes, but entries published by a different
-version are invisible (certificates encode the exact obligations the
-running checker enforces).  An in-process index caches the parsed
-file and refreshes only when the file's ``(size, mtime)`` changes, so
-a worker polling the library every round pays one ``stat`` per round,
-not one parse.
+**Faults.**  ``library.publish`` appends a *tampered* record (one
+certificate predicate dropped) instead of the honest one;
+``checkpoint.write`` leaves a *torn* record, the only crash shape an
+append has.
+
+**Freshness.**  Library entries are keyed by ``code_version``: entries
+published by a different version are invisible.  An in-process index
+caches the parsed file and refreshes only when the file's ``(size,
+mtime)`` changes, so a worker polling the library every round pays
+one ``stat`` per round, not one parse.
 """
 
 from __future__ import annotations
@@ -59,15 +53,14 @@ import json
 import os
 
 import repro.faults as _faults
-from repro.core.budget import use_budget
 from repro.core.codec import (CodecError, module_from_dict, module_symbols,
                               module_to_dict, symbol_table)
-from repro.core.module import CertifiedModule, validate_module
+from repro.core.module import CertifiedModule, recheck
 from repro.obs import metrics as _metrics
 
-#: Bump on any incompatible change to the entry layout; mismatched
-#: records are skipped on read (old libraries degrade, never break).
-LIBRARY_VERSION = 1
+#: Bump on any incompatible change to the record layout; mismatched
+#: records are skipped by the library and reject a checkpoint.
+RECORD_VERSION = 1
 
 #: Structured rejection reasons kept per run (the full stream also
 #: lands in the ``library.rejected`` counter); bounded so a hostile
@@ -76,13 +69,84 @@ _MAX_REJECTIONS = 8
 
 
 def entry_id(record: dict) -> str:
-    """Content id of an entry: a short digest over the parts that
+    """Content id of a record: a short digest over the parts that
     determine reuse behavior (symbol table + codec payload), so the
     same module republished by any worker dedupes to one record."""
     payload = json.dumps({"alphabet": record.get("alphabet"),
                           "module": record.get("module")},
                          sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+
+
+def encode_record(module: CertifiedModule, **scope) -> dict | None:
+    """The record of ``module`` with the store's ``scope`` fields; None
+    if the module's symbols do not stringify uniquely."""
+    table = symbol_table(module_symbols(module))
+    if table is None:
+        return None
+    ordered, index = table
+    record = {"v": RECORD_VERSION, **scope, "stage": module.stage,
+              "alphabet": [str(sym) for sym in ordered],
+              "module": module_to_dict(module, index)}
+    record["id"] = entry_id(record)
+    return record
+
+
+def binding(alphabet) -> tuple[dict, list] | None:
+    """``(str(symbol) -> symbol, sorted alphabet)`` of a reading
+    program, the input of :func:`decode_record`; None if ambiguous."""
+    table = symbol_table(alphabet)
+    if table is None:
+        return None
+    ordered, _index = table
+    return {str(sym): sym for sym in ordered}, ordered
+
+
+def decode_record(record: dict, bound: tuple[dict, list]) -> CertifiedModule:
+    """Rebuild a record's module over the reading program's ``bound``
+    alphabet (see :func:`binding`).  Purely structural -- the caller
+    runs :func:`~repro.core.module.recheck`.  Raises
+    :class:`~repro.core.codec.CodecError` on any mismatch."""
+    if record.get("v") != RECORD_VERSION:
+        raise CodecError(f"record version {record.get('v')!r} "
+                         f"!= {RECORD_VERSION}")
+    names = record.get("alphabet")
+    if not isinstance(names, list):
+        raise CodecError("record without a symbol table")
+    by_str, ordered = bound
+    try:
+        symbols = [by_str[str(name)] for name in names]
+    except KeyError as exc:
+        raise CodecError(f"symbol {exc} is not in the program alphabet") \
+            from exc
+    try:
+        return module_from_dict(record.get("module"), symbols,
+                                alphabet=ordered)
+    except CodecError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CodecError(f"{type(exc).__name__}: {exc}") from exc
+
+
+def append_lines(path: str, text: str, sync: bool = False) -> None:
+    """Append ``text`` to a record file with one ``O_APPEND`` write.
+
+    A torn last line (a writer died mid-record) is ended first, so the
+    new records start clean and only the torn one stays lost.
+    ``sync`` fsyncs before returning.
+    """
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
+    try:
+        size = os.fstat(fd).st_size
+        if size and os.pread(fd, 1, size - 1) != b"\n":
+            data = b"\n" + data
+        os.write(fd, data)
+        if sync:
+            os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 class _Entry:
@@ -100,7 +164,7 @@ class _Entry:
 class ModuleLibrary:
     """One process's handle on a shared certified-module library file.
 
-    All failure modes are contained, mirroring :class:`Checkpointer`:
+    All failure modes are contained, mirroring the checkpoint store:
     a failed publish never interrupts the analysis, a bad entry never
     seeds it -- ``match`` and ``publish`` do not raise.  Counters
     (:meth:`summary`) let the harness report what happened without
@@ -150,9 +214,7 @@ class ModuleLibrary:
         entries: list[_Entry] = []
         ids: set[str] = set()
         for record in read_rows(self.path):
-            if not isinstance(record, dict):
-                continue
-            if record.get("v") != LIBRARY_VERSION:
+            if record.get("v") != RECORD_VERSION:
                 continue
             if record.get("code_version") != self.code_version:
                 continue
@@ -192,12 +254,10 @@ class ModuleLibrary:
         return hit
 
     def _match(self, word, alphabet) -> CertifiedModule | None:
-        table = symbol_table(alphabet)
-        if table is None:  # ambiguous str(): the codec cannot rebind
+        bound = binding(alphabet)
+        if bound is None:  # ambiguous str(): the codec cannot rebind
             return None
-        ordered, _index = table
-        by_str = {str(sym): sym for sym in ordered}
-        names = frozenset(by_str)
+        names = frozenset(bound[0])
         if names != self._bound:
             # The caches hold modules rebound to a *specific* program
             # alphabet; a different program means a clean slate.
@@ -208,23 +268,20 @@ class ModuleLibrary:
         for entry in self._entries:
             if entry.id in self._bad or not entry.symbols <= names:
                 continue
-            module = self._decode(entry, by_str, ordered)
+            module = self._decode(entry, bound)
             if module is None or not module.language_contains(word):
                 continue
             if self._validate(entry, module):
                 return module
         return None
 
-    def _decode(self, entry: _Entry, by_str: dict,
-                alphabet: list) -> CertifiedModule | None:
+    def _decode(self, entry: _Entry, bound) -> CertifiedModule | None:
         module = self._decoded.get(entry.id)
         if module is not None:
             return module
         try:
-            symbols = [by_str[str(name)] for name in entry.data["alphabet"]]
-            module = module_from_dict(entry.data["module"], symbols,
-                                      alphabet=alphabet)
-        except (CodecError, KeyError, TypeError) as exc:
+            module = decode_record(entry.data, bound)
+        except CodecError as exc:
             self._reject(entry, f"decode failed: {exc}")
             return None
         self._decoded[entry.id] = module
@@ -233,20 +290,9 @@ class ModuleLibrary:
     def _validate(self, entry: _Entry, module: CertifiedModule) -> bool:
         if entry.id in self._validated:
             return True
-        # The firewall discipline, exactly like checkpoint restore:
-        # honest solver answers (faults suspended) and no budget -- the
-        # re-check must not be starved by the deadline that pressured
-        # the round into querying the library in the first place.
-        with _faults.suspended(), use_budget(None):
-            try:
-                issues = validate_module(module)
-            except Exception as exc:  # noqa: BLE001 - untrusted input
-                issues = [f"{type(exc).__name__}: {exc}"]
-            if (not issues and module.source_word is not None
-                    and not module.language_contains(module.source_word)):
-                issues = ["module rejects its source word"]
-        if issues:
-            self._reject(entry, f"failed re-validation: {issues[0]}")
+        problem = recheck(module)
+        if problem:
+            self._reject(entry, f"failed re-validation: {problem}")
             return False
         self._validated.add(entry.id)
         return True
@@ -266,23 +312,15 @@ class ModuleLibrary:
 
         Never raises: serialization problems, full disks, and injected
         ``library.publish`` faults all degrade to "not published".
-        Entries are serialized over the module's *used* symbols (see
-        :func:`repro.core.codec.module_symbols`) and deduplicated by
-        content id against everything already in the file.
+        Records are deduplicated by content id against everything
+        already in the file.
         """
         try:
-            table = symbol_table(module_symbols(module))
-            if table is None:
+            record = encode_record(module, code_version=self.code_version,
+                                   program=program)
+            if record is None:
                 self.publish_failures += 1
                 return False
-            ordered, index = table
-            record = {"v": LIBRARY_VERSION,
-                      "code_version": self.code_version,
-                      "program": program,
-                      "stage": module.stage,
-                      "alphabet": [str(sym) for sym in ordered],
-                      "module": module_to_dict(module, index)}
-            record["id"] = entry_id(record)
             self.refresh()
             if record["id"] in self._ids:
                 return False  # someone (maybe us) already published it
@@ -293,7 +331,7 @@ class ModuleLibrary:
                 self.publish_failures += 1
                 _metrics.inc("library.publish_failures")
                 return False
-            self._append(json.dumps(record, sort_keys=True) + "\n")
+            append_lines(self.path, json.dumps(record, sort_keys=True) + "\n")
         except (OSError, TypeError, ValueError):
             self.publish_failures += 1
             _metrics.inc("library.publish_failures")
@@ -305,17 +343,6 @@ class ModuleLibrary:
         # query instead of trusting bookkeeping.
         self._stat = None
         return True
-
-    def _append(self, line: str) -> None:
-        parent = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(parent, exist_ok=True)
-        # One O_APPEND write per record: concurrent workers interleave
-        # whole lines, never bytes (same-filesystem POSIX semantics).
-        fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-        try:
-            os.write(fd, line.encode("utf-8"))
-        finally:
-            os.close(fd)
 
     def _publish_tampered(self, record: dict) -> None:
         """The ``library.publish`` fault: instead of the honest entry,
@@ -330,7 +357,8 @@ class ModuleLibrary:
             if certificate:
                 certificate.pop(sorted(certificate)[0])
             tampered["id"] = entry_id(tampered)
-            self._append(json.dumps(tampered, sort_keys=True) + "\n")
+            append_lines(self.path,
+                         json.dumps(tampered, sort_keys=True) + "\n")
         except (OSError, KeyError, TypeError, ValueError):
             pass
 

@@ -9,15 +9,19 @@ the ranking function below the remembered ``oldrnk``.
 
 ``validate_module`` mechanically discharges all Definition 3.1
 obligations; every stage construction in :mod:`repro.core.stages` is
-validated in the test suite against it.
+validated in the test suite against it.  ``recheck`` is the one gate
+for modules that come from outside the running refinement loop --
+the verdict firewall, checkpoint restore, and library reuse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import repro.faults as faults
 from repro.automata.gba import GBA, State
 from repro.automata.words import UPWord, accepts
+from repro.core.budget import use_budget
 from repro.logic.atoms import atom_le
 from repro.logic.linconj import TRUE
 from repro.logic.predicates import OLDRNK, Pred
@@ -86,3 +90,25 @@ def validate_module(module: CertifiedModule) -> list[str]:
                     f"triple invalid: {{{cert[q]}}} {stmt} {{{cert[target]}}}"
                     f"  ({q} -> {target}{' with oldrnk update' if update else ''})")
     return problems
+
+
+def recheck(module: CertifiedModule) -> str | None:
+    """Re-check an untrusted module; returns the first problem or None.
+
+    Definition 3.1 (:func:`validate_module`) plus "still accepts its
+    source word", run with fault injection suspended and the budget
+    cleared: the checker must see honest solver answers and must not be
+    starved by the budget that pressured the run.  A crash inside the
+    check is reported as the problem, never raised.
+    """
+    with faults.suspended(), use_budget(None):
+        try:
+            issues = validate_module(module)
+            if issues:
+                return issues[0]
+            if (module.source_word is not None
+                    and not module.language_contains(module.source_word)):
+                return "rejects its source word"
+        except Exception as exc:  # noqa: BLE001 - untrusted input
+            return f"{type(exc).__name__}: {exc}"
+    return None

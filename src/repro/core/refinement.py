@@ -20,11 +20,16 @@ Resource discipline: every run owns a :class:`~repro.core.budget.Budget`
 configuration) scoped via ``use_budget``, so the solver and automata
 layers can poll it without parameter threading.  Cap overruns surface as
 typed :class:`~repro.core.budget.ResourceExhausted` errors caught here
-at round boundaries: a deadline always ends the run (UNKNOWN/timeout),
-while a state or constraint blowup first walks the *degradation ladder*
--- the same proof re-generalized at structurally cheaper stages -- and
-only becomes UNKNOWN when every rung blows up too.  Each fallback is
-recorded as an ``Incident`` on the run's stats.
+at round boundaries: a deadline always ends the run (UNKNOWN/timeout,
+in one handler), while a state or constraint blowup first walks the
+*degradation ladder* -- the same proof re-generalized at structurally
+cheaper stages -- and only becomes UNKNOWN when every rung blows up
+too.  Each fallback is recorded as an ``Incident`` on the run's stats.
+
+Every module joins the decomposition through one step, whichever of
+the three sources it came from -- a re-checked checkpoint record, a
+re-checked library hit, or fresh synthesis: subtract, observe, append,
+publish if fresh, save, and stop as TERMINATING on an empty remainder.
 
 Each run is observed end to end: an ``analysis`` span wraps the loop,
 every iteration gets a ``round`` span (with ``lasso-search``,
@@ -130,9 +135,9 @@ class RefinementEngine:
         self._cfg = cfg
         self._config = config or AnalysisConfig()
         self._collector = collector or StatsCollector()
-        #: Optional :class:`repro.core.checkpoint.Checkpointer`: the
-        #: certified decomposition is persisted after every round and
-        #: re-validated modules seed the run before the first one.
+        #: Optional :class:`repro.core.checkpoint.Checkpointer`: every
+        #: round's new modules are appended to the job's log, and
+        #: re-checked modules seed the run before the first round.
         self._checkpoint = checkpoint
         #: Optional :class:`repro.core.library.ModuleLibrary`: each
         #: fresh counterexample queries it before synthesis (a
@@ -153,7 +158,6 @@ class RefinementEngine:
 
     def _run(self, tracer, registry: MetricsRegistry) -> TerminationResult:
         config = self._config
-        collector = self._collector
         deadline = (time.perf_counter() + config.timeout
                     if config.timeout is not None else None)
         budget = Budget(deadline=deadline,
@@ -168,12 +172,17 @@ class RefinementEngine:
                 deadline: float | None) -> TerminationResult:
         config = self._config
         collector = self._collector
+        name = self._cfg.name
         program_gba: GBA = self._cfg.to_gba()
         alphabet = program_gba.alphabet
         current = program_gba
         modules: list[CertifiedModule] = []
         round_start = time.perf_counter()
+        # The round in flight once it has a RefinementRound; the
+        # deadline handler records it before ending the run.
+        round_stats: RefinementRound | None = None
         library = self._library
+        checkpoint = self._checkpoint
         # Deltas, not absolutes: one ModuleLibrary handle may serve
         # several runs (a sequential portfolio shares its index cache),
         # so each run's stats report only its own traffic.
@@ -182,7 +191,7 @@ class RefinementEngine:
 
         def finish(verdict: Verdict, *, witness=None, word=None,
                    reason: str | None = None) -> TerminationResult:
-            stats = collector.finish(self._cfg.name, config.describe(), reason)
+            stats = collector.finish(name, config.describe(), reason)
             stats.metrics = registry.snapshot()
             if library is not None:
                 stats.library_hits = library.hits - library_base[0]
@@ -199,7 +208,8 @@ class RefinementEngine:
             registry.histogram("round.seconds").observe(round_stats.seconds)
             collector.stats.record_round(round_stats)
 
-        def note(kind: str, component: str, detail: str, index: int) -> None:
+        def note(kind: str, component: str, detail: str,
+                 index: int | None) -> None:
             collector.stats.record_incident(
                 Incident(kind, component, detail, round=index))
             registry.counter(f"incidents.{kind}").inc()
@@ -245,10 +255,8 @@ class RefinementEngine:
                         proof, (stage,), alphabet,
                         state_budget=config.stage_state_budget,
                         interpolants=False)
-                except DeadlineExceeded:
-                    raise
                 except ResourceExhausted as gen_exc:
-                    last = gen_exc
+                    last = _unless_deadline(gen_exc)
                     continue
                 if candidate.stage in tried:
                     continue
@@ -259,87 +267,114 @@ class RefinementEngine:
                 registry.counter("budget.degradations").inc()
                 try:
                     return candidate, subtract(current, candidate)
-                except DeadlineExceeded:
-                    raise
                 except ResourceExhausted as retry_exc:
-                    last = retry_exc
+                    last = _unless_deadline(retry_exc)
             return None, last
 
-        checkpoint = self._checkpoint
-
-        def save_checkpoint() -> None:
-            if checkpoint is not None:
-                checkpoint.save(alphabet, modules)
-
-        if checkpoint is not None:
-            # Warm start: re-validate the persisted decomposition
-            # (Definition 3.1, firewall-style -- inside restore()) and
-            # re-subtract each surviving module from the fresh program
-            # automaton.  Only the *validated modules* come from disk;
-            # the remainder is rebuilt here, so the checkpoint never
-            # enters the trust base.  A rejected checkpoint costs
-            # nothing but the cold start it degrades to.
-            restored = checkpoint.restore(alphabet)
-            if checkpoint.rejected:
-                note("checkpoint.rejected", "checkpoint",
-                     checkpoint.rejected, None)
-            for module in restored:
-                try:
-                    result = subtract(current, module)
-                except DeadlineExceeded:
-                    return finish(Verdict.UNKNOWN, reason="timeout")
-                except ResourceExhausted as exc:
-                    # The re-subtraction itself blew a cap: keep the
-                    # modules already seeded (each was sound on its
-                    # own) and let the refinement loop take it from
-                    # the remainder built so far.
-                    note("budget.degraded", "checkpoint",
-                         f"restore stopped after "
-                         f"{checkpoint.restored_rounds} rounds: "
-                         f"{exc.resource}", None)
-                    break
-                current = result.automaton
-                modules.append(module)
+        def admit(module: CertifiedModule, result,
+                  round_stats: RefinementRound | None = None, *,
+                  fresh: bool = False, companion=None) -> bool:
+            """The one step every module takes into the decomposition,
+            whatever its source: a restored module (no ``round_stats``:
+            no round of this run), a library hit, or a fresh module
+            (with its same-round ``(companion, subtraction)``, if any).
+            ``result`` is its subtraction from the remainder.  Observe,
+            take the new remainder, append, publish if fresh, save;
+            True when the remainder is empty."""
+            nonlocal current
+            current = result.automaton
+            added = [module]
+            if round_stats is None:
                 collector.stats.modules_by_stage[module.stage] += 1
-                checkpoint.restored_rounds += 1
-                collector.stats.restored_rounds += 1
-                registry.counter("checkpoint.rounds_restored").inc()
-            if modules and not current.initial_states():
-                return finish(Verdict.TERMINATING)
+            else:
+                if result.kind in (ComplementKind.SDBA_ORIGINAL,
+                                   ComplementKind.SDBA_LAZY):
+                    # the Figure 4 corpus: every SDBA sent to NCSB
+                    collector.observe_sdba(module.automaton)
+                collector.observe_difference(round_stats, result)
+                if companion is not None:
+                    extra_module, extra = companion
+                    collector.stats.modules_by_stage[extra_module.stage] += 1
+                    # Fold the companion subtraction into the round's
+                    # counters: it is real effort of this round, and the
+                    # round's remainder size is the post-companion one
+                    # (a companion emptying the remainder must show).
+                    collector.observe_companion(round_stats, extra,
+                                                extra_module.stage)
+                    current = extra.automaton
+                    added.insert(0, extra_module)
+                record(round_stats)
+            modules.extend(added)
+            if fresh and library is not None:
+                # Library hits are already in the file; restored
+                # modules were published by the run that earned them.
+                for new in added:
+                    library.publish(new, program=name)
+            if checkpoint is not None and round_stats is not None:
+                # (a restored module is already in the log)
+                checkpoint.save(modules)
+            return not current.initial_states()
 
-        for index in range(config.max_refinements):
-            if deadline is not None and time.perf_counter() > deadline:
-                return finish(Verdict.UNKNOWN, reason="timeout")
-            round_start = time.perf_counter()
-            with tracer.span("round", index=index) as round_span:
-                # The budget is checked *inside* the long explorations
-                # too (lasso search here, Algorithm 1 in difference, the
-                # FM combination step in the solver), so one oversized
-                # round cannot blow far past the deadline.
-                try:
+        try:
+            if checkpoint is not None:
+                # Warm start: the persisted modules come back re-checked
+                # (Definition 3.1, inside restore()) and are re-subtracted
+                # from the fresh program automaton.  The remainder is
+                # rebuilt here, so the checkpoint never enters the trust
+                # base; a rejected one costs only the cold start.
+                restored = checkpoint.restore(alphabet)
+                if checkpoint.rejected:
+                    note("checkpoint.rejected", "checkpoint",
+                         checkpoint.rejected, None)
+                for module in restored:
+                    try:
+                        result = subtract(current, module)
+                    except ResourceExhausted as exc:
+                        # Keep the modules already seeded (each is sound
+                        # on its own); the loop continues from there.
+                        _unless_deadline(exc)
+                        note("budget.degraded", "checkpoint",
+                             f"restore stopped after "
+                             f"{checkpoint.restored_rounds} rounds: "
+                             f"{exc.resource}", None)
+                        break
+                    checkpoint.restored_rounds += 1
+                    collector.stats.restored_rounds += 1
+                    registry.counter("checkpoint.rounds_restored").inc()
+                    if admit(module, result):
+                        return finish(Verdict.TERMINATING)
+
+            for index in range(config.max_refinements):
+                round_stats = None
+                if deadline is not None and time.perf_counter() > deadline:
+                    raise DeadlineExceeded("refinement", deadline)
+                round_start = time.perf_counter()
+                with tracer.span("round", index=index) as round_span:
+                    # The budget is checked *inside* the long
+                    # explorations too (lasso search here, Algorithm 1 in
+                    # difference, the FM combination step in the solver),
+                    # so one oversized round cannot blow far past the
+                    # deadline.
                     with tracer.span("lasso-search"):
                         word = find_accepting_lasso(current, deadline=deadline)
-                except DeadlineExceeded:
-                    return finish(Verdict.UNKNOWN, reason="timeout")
-                if word is None:
-                    return finish(Verdict.TERMINATING)
-                round_span.set(word=str(word))
+                    if word is None:
+                        return finish(Verdict.TERMINATING)
+                    round_span.set(word=str(word))
 
-                if library is not None:
-                    # Reuse before synthesis: a published module that
-                    # accepts this counterexample and survives the
-                    # Definition 3.1 re-check is subtracted with zero
-                    # prover/LP work.  The library is advisory -- any
-                    # failure below just falls through to synthesis.
                     hit: CertifiedModule | None = None
-                    try:
-                        with tracer.span("library-lookup") as lib_span:
-                            hit = library.match(word, alphabet)
-                            lib_span.set(hit=hit is not None)
-                    except Exception as exc:  # noqa: BLE001 - advisory layer
-                        note("library.error", "library",
-                             f"{type(exc).__name__}: {exc}", index)
-                        hit = None
+                    if library is not None:
+                        # Reuse before synthesis: a published module that
+                        # accepts this counterexample and passes the
+                        # re-check is subtracted with zero prover/LP
+                        # work.  The library is advisory -- any failure
+                        # below just falls through to synthesis.
+                        try:
+                            with tracer.span("library-lookup") as lib_span:
+                                hit = library.match(word, alphabet)
+                                lib_span.set(hit=hit is not None)
+                        except Exception as exc:  # noqa: BLE001 - advisory
+                            note("library.error", "library",
+                                 f"{type(exc).__name__}: {exc}", index)
                     if hit is not None:
                         round_stats = RefinementRound(
                             word=str(word), proof_kind="library",
@@ -348,166 +383,139 @@ class RefinementEngine:
                         round_span.set(library=True, stage=hit.stage)
                         try:
                             result = subtract(current, hit)
-                        except DeadlineExceeded:
-                            record(round_stats)
-                            return finish(Verdict.UNKNOWN, reason="timeout")
                         except ResourceExhausted as exc:
                             # A reused module blowing a cap is a miss in
                             # disguise: synthesize fresh, which can walk
                             # the degradation ladder stage by stage.
+                            _unless_deadline(exc)
                             note("library.degraded", "library",
                                  f"reused {hit.stage} module blew "
                                  f"{exc.resource}; synthesizing fresh",
                                  index)
-                            hit = None
-                    if hit is not None:
-                        if result.kind in (ComplementKind.SDBA_ORIGINAL,
-                                           ComplementKind.SDBA_LAZY):
-                            collector.observe_sdba(hit.automaton)
-                        collector.observe_difference(round_stats, result)
-                        current = result.automaton
-                        record(round_stats)
-                        modules.append(hit)
-                        save_checkpoint()
-                        if not current.initial_states():
-                            return finish(Verdict.TERMINATING)
-                        continue
+                            round_stats = None
+                        else:
+                            if admit(hit, result, round_stats):
+                                return finish(Verdict.TERMINATING)
+                            continue
 
-                lasso = Lasso.from_word(word)
-                try:
-                    with tracer.span("prove-lasso") as proof_span:
-                        proof = prove_lasso(
-                            lasso,
-                            check_nontermination=config.check_nontermination)
-                        proof_span.set(kind=proof.kind.value)
-                except DeadlineExceeded:
-                    return finish(Verdict.UNKNOWN, reason="timeout")
-                except ResourceExhausted as exc:
-                    note("budget.exhausted", "prove-lasso",
-                         f"{exc.resource}: {exc.detail}", index)
-                    return finish(Verdict.UNKNOWN,
-                                  reason=f"resource exhausted: {exc.resource}")
-                round_span.set(proof=proof.kind.value)
-                round_stats = RefinementRound(word=str(word),
-                                              proof_kind=proof.kind.value)
-                if proof.kind is ProofKind.NONTERMINATING:
-                    record(round_stats)
-                    # Report the canonicalized lasso's word, not the sampled
-                    # one: Lasso.from_word may rotate the period, and the
-                    # nontermination witness state is a loop-head state of
-                    # the *rotated* loop -- replaying the sampled period from
-                    # it could block at the rotated-away guard.
-                    return finish(Verdict.NONTERMINATING,
-                                  witness=proof.witness, word=lasso.word())
-                if not proof.is_terminating:
-                    record(round_stats)
-                    return finish(Verdict.UNKNOWN, word=word,
-                                  reason=f"lasso not provable: {word}")
-
-                if deadline is not None and time.perf_counter() > deadline:
-                    record(round_stats)
-                    return finish(Verdict.UNKNOWN, reason="timeout")
-                try:
-                    with tracer.span("generalize") as gen_span:
-                        module = generalize(
-                            proof, config.stages, alphabet,
-                            state_budget=config.stage_state_budget,
-                            interpolants=config.interpolant_modules)
-                        gen_span.set(stage=module.stage,
-                                     states=len(module.automaton.states))
-                except DeadlineExceeded:
-                    record(round_stats)
-                    return finish(Verdict.UNKNOWN, reason="timeout")
-                except ResourceExhausted as exc:
-                    # Re-generalize at the cheap end of the ladder: the
-                    # finite/lasso modules exist for every proof and
-                    # need no powerset construction or solver calls.
-                    note("budget.degraded", "generalize",
-                         f"{exc.resource} -> fallback module", index)
-                    registry.counter("budget.degradations").inc()
+                    lasso = Lasso.from_word(word)
                     try:
-                        module = generalize(
-                            proof, (Stage.FINITE, Stage.LASSO), alphabet,
-                            state_budget=config.stage_state_budget,
-                            interpolants=False)
-                    except DeadlineExceeded:
-                        record(round_stats)
-                        return finish(Verdict.UNKNOWN, reason="timeout")
-                    except ResourceExhausted as exc2:
-                        record(round_stats)
-                        note("budget.exhausted", "generalize",
-                             f"{exc2.resource}: {exc2.detail}", index)
+                        with tracer.span("prove-lasso") as proof_span:
+                            proof = prove_lasso(lasso, check_nontermination=(
+                                config.check_nontermination))
+                            proof_span.set(kind=proof.kind.value)
+                    except ResourceExhausted as exc:
+                        _unless_deadline(exc)
+                        note("budget.exhausted", "prove-lasso",
+                             f"{exc.resource}: {exc.detail}", index)
                         return finish(
                             Verdict.UNKNOWN,
-                            reason=f"resource exhausted: {exc2.resource}")
-                round_stats.stage = module.stage
-                round_stats.module_states = len(module.automaton.states)
-                round_span.set(stage=module.stage)
-                # With interpolant modules on, the O(1)-complement finite
-                # module still comes for free: subtract it in the same round
-                # so coverage is a strict superset of the stage-1 path.
-                companion: CertifiedModule | None = None
-                if (config.interpolant_modules
-                        and proof.kind is ProofKind.STEM_INFEASIBLE
-                        and module.stage != Stage.FINITE.value):
-                    companion = build_finite_module(proof, alphabet)
-                try:
-                    result = subtract(current, module)
-                except DeadlineExceeded:
-                    record(round_stats)
-                    return finish(Verdict.UNKNOWN, reason="timeout")
-                except ResourceExhausted as exc:
+                            reason=f"resource exhausted: {exc.resource}")
+                    round_span.set(proof=proof.kind.value)
+                    round_stats = RefinementRound(word=str(word),
+                                                  proof_kind=proof.kind.value)
+                    if proof.kind is ProofKind.NONTERMINATING:
+                        record(round_stats)
+                        # Report the canonicalized lasso's word, not the
+                        # sampled one: Lasso.from_word may rotate the
+                        # period, and the nontermination witness state is
+                        # a loop-head state of the *rotated* loop --
+                        # replaying the sampled period from it could
+                        # block at the rotated-away guard.
+                        return finish(Verdict.NONTERMINATING,
+                                      witness=proof.witness, word=lasso.word())
+                    if not proof.is_terminating:
+                        record(round_stats)
+                        return finish(Verdict.UNKNOWN, word=word,
+                                      reason=f"lasso not provable: {word}")
+
+                    if deadline is not None and time.perf_counter() > deadline:
+                        raise DeadlineExceeded("refinement", deadline)
                     try:
-                        module, result = degrade(module, proof, exc, index)
-                    except DeadlineExceeded:
-                        record(round_stats)
-                        return finish(Verdict.UNKNOWN, reason="timeout")
-                    if module is None:
-                        last = result  # (None, last_exc) from degrade
-                        record(round_stats)
-                        note("budget.exhausted", "difference",
-                             f"{last.resource}: {last.detail}", index)
-                        reason = ("difference state limit"
-                                  if last.resource == "difference-states"
-                                  else f"resource exhausted: {last.resource}")
-                        return finish(Verdict.UNKNOWN, reason=reason)
+                        with tracer.span("generalize") as gen_span:
+                            module = generalize(
+                                proof, config.stages, alphabet,
+                                state_budget=config.stage_state_budget,
+                                interpolants=config.interpolant_modules)
+                            gen_span.set(stage=module.stage,
+                                         states=len(module.automaton.states))
+                    except ResourceExhausted as exc:
+                        # Re-generalize at the cheap end of the ladder:
+                        # the finite/lasso modules exist for every proof
+                        # and need no powerset construction or solver
+                        # calls.
+                        _unless_deadline(exc)
+                        note("budget.degraded", "generalize",
+                             f"{exc.resource} -> fallback module", index)
+                        registry.counter("budget.degradations").inc()
+                        try:
+                            module = generalize(
+                                proof, (Stage.FINITE, Stage.LASSO), alphabet,
+                                state_budget=config.stage_state_budget,
+                                interpolants=False)
+                        except ResourceExhausted as exc2:
+                            _unless_deadline(exc2)
+                            record(round_stats)
+                            note("budget.exhausted", "generalize",
+                                 f"{exc2.resource}: {exc2.detail}", index)
+                            return finish(
+                                Verdict.UNKNOWN,
+                                reason=f"resource exhausted: {exc2.resource}")
                     round_stats.stage = module.stage
                     round_stats.module_states = len(module.automaton.states)
-                    round_span.set(stage=module.stage, degraded=True)
-                if result.kind in (ComplementKind.SDBA_ORIGINAL,
-                                   ComplementKind.SDBA_LAZY):
-                    # the Figure 4 corpus: every SDBA sent to NCSB
-                    collector.observe_sdba(module.automaton)
-                collector.observe_difference(round_stats, result)
-                current = result.automaton
-                if companion is not None and not result.is_empty:
+                    round_span.set(stage=module.stage)
+                    # With interpolant modules on, the O(1)-complement
+                    # finite module still comes for free: subtract it in
+                    # the same round so coverage is a strict superset of
+                    # the stage-1 path.
+                    companion: CertifiedModule | None = None
+                    if (config.interpolant_modules
+                            and proof.kind is ProofKind.STEM_INFEASIBLE
+                            and module.stage != Stage.FINITE.value):
+                        companion = build_finite_module(proof, alphabet)
                     try:
-                        extra = subtract(current, companion)
-                    except ResourceExhausted:
-                        # Includes deadline overruns: the companion is an
-                        # optional extra subtraction, and the next round's
-                        # deadline check ends the run if time is truly up.
-                        extra = None
-                    if extra is not None:
-                        modules.append(companion)
-                        if library is not None:
-                            library.publish(companion, program=self._cfg.name)
-                        collector.stats.modules_by_stage[companion.stage] += 1
-                        # Fold the companion subtraction into the round's
-                        # counters: it is real effort of this round, and the
-                        # round's remainder size is the post-companion one
-                        # (a companion emptying the remainder must show).
-                        collector.observe_companion(round_stats, extra,
-                                                    companion.stage)
-                        current = extra.automaton
+                        result = subtract(current, module)
+                    except ResourceExhausted as exc:
+                        _unless_deadline(exc)
+                        module, result = degrade(module, proof, exc, index)
+                        if module is None:
+                            last = result  # (None, last_exc) from degrade
+                            record(round_stats)
+                            note("budget.exhausted", "difference",
+                                 f"{last.resource}: {last.detail}", index)
+                            reason = ("difference state limit"
+                                      if last.resource == "difference-states"
+                                      else f"resource exhausted: "
+                                           f"{last.resource}")
+                            return finish(Verdict.UNKNOWN, reason=reason)
+                        round_stats.stage = module.stage
+                        round_stats.module_states = len(
+                            module.automaton.states)
+                        round_span.set(stage=module.stage, degraded=True)
+                    extra = None
+                    if companion is not None and not result.is_empty:
+                        try:
+                            extra = subtract(result.automaton, companion)
+                        except ResourceExhausted:
+                            # Includes deadline overruns: the companion is
+                            # an optional extra subtraction, and the next
+                            # round's deadline check ends the run if time
+                            # is truly up.
+                            pass
+                    if admit(module, result, round_stats, fresh=True,
+                             companion=(companion, extra)
+                             if extra is not None else None):
+                        return finish(Verdict.TERMINATING)
+        except DeadlineExceeded:
+            if round_stats is not None:
                 record(round_stats)
-                modules.append(module)
-                if library is not None:
-                    # Publish only freshly certified modules: library
-                    # hits are already in the file, restored checkpoint
-                    # modules were published by the run that earned them.
-                    library.publish(module, program=self._cfg.name)
-                save_checkpoint()
-                if not current.initial_states():
-                    return finish(Verdict.TERMINATING)
+            return finish(Verdict.UNKNOWN, reason="timeout")
         return finish(Verdict.UNKNOWN, reason="refinement budget exhausted")
+
+
+def _unless_deadline(exc: ResourceExhausted) -> ResourceExhausted:
+    """``exc``, unless it is a deadline overrun: that is re-raised to
+    the run's one deadline handler -- time cannot be degraded away."""
+    if isinstance(exc, DeadlineExceeded):
+        raise exc
+    return exc

@@ -4,9 +4,10 @@ Three layers of coverage:
 
 - serialization round-trips for every layer of the portable-dict
   encoding (fractions up to whole certified modules),
-- the trust model: torn, tampered, mis-keyed, and version-skewed
-  checkpoints must reject into a *cold start with the correct verdict*
-  -- never an unsound one, never a crash,
+- the trust model: tampered, mis-keyed, and alphabet-skewed checkpoint
+  records must reject into a *cold start with the correct verdict* --
+  never an unsound one, never a crash -- while a torn last record costs
+  that record only,
 - the recovery contract end to end: a SIGKILLed analysis resumes from
   its checkpoint with the restored rounds credited, not recomputed,
   and reaches the verdict of an uninterrupted run.
@@ -27,20 +28,18 @@ import pytest
 import repro.faults as faults
 from repro.benchgen.scaled import sequential_loops
 from repro.core.api import prove_termination
-from repro.core.checkpoint import (CheckpointError, Checkpointer,
-                                   atom_from_dict, atom_to_dict,
-                                   conj_from_dict, conj_to_dict,
-                                   frac_from_dict, frac_to_dict,
-                                   gba_from_dict, gba_to_dict,
-                                   module_from_dict, module_to_dict,
-                                   pred_from_dict, pred_to_dict,
-                                   symbol_table, term_from_dict,
-                                   term_to_dict, word_from_dict,
-                                   word_to_dict)
+from repro.core.checkpoint import Checkpointer
+from repro.core.codec import (CodecError, atom_from_dict, atom_to_dict,
+                              conj_from_dict, conj_to_dict, frac_from_dict,
+                              frac_to_dict, gba_from_dict, gba_to_dict,
+                              module_from_dict, module_to_dict,
+                              pred_from_dict, pred_to_dict, symbol_table,
+                              term_from_dict, term_to_dict, word_from_dict,
+                              word_to_dict)
 from repro.core.config import AnalysisConfig
 from repro.faults import FaultPlan
 from repro.program.parser import parse_program
-from repro.runner.store import job_key
+from repro.runner.store import job_key, read_rows
 
 NESTED = """
 program nested(x, y):
@@ -71,13 +70,18 @@ def analyze(source: str, checkpoint_dir, config: AnalysisConfig | None = None,
     return result, checkpoint
 
 
+def records(path) -> list[dict]:
+    """The intact records of a checkpoint log, in order."""
+    return list(read_rows(path))
+
+
 # -- serialization round-trips -------------------------------------------------
 
 
 def test_fraction_round_trip_and_rejects():
     assert frac_from_dict(frac_to_dict(Fraction(-7, 3))) == Fraction(-7, 3)
     for bad in (None, [1], [1, 2, 3], ["a", 2], [1, 0], {"n": 1}):
-        with pytest.raises(CheckpointError):
+        with pytest.raises(CodecError):
             frac_from_dict(bad)
 
 
@@ -95,7 +99,7 @@ def test_term_atom_conj_pred_round_trips():
     assert conj_from_dict(conj_to_dict(conj)) == conj
     pred = Pred((conj,), (LinConj([atom]),))
     assert pred_from_dict(pred_to_dict(pred)) == pred
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CodecError):
         atom_from_dict({"rel": "??", "term": term_to_dict(term)})
 
 
@@ -124,16 +128,16 @@ def test_word_round_trip():
     ordered, index = symbol_table(["a", "b", "c"])
     word = UPWord(("a", "b"), ("c",))
     assert word_from_dict(word_to_dict(word, index), ordered) == word
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CodecError):
         word_from_dict({"prefix": [], "period": [9]}, ordered)
 
 
 def test_gba_round_trip_rejects_out_of_range():
     ordered, index = symbol_table(["a", "b"])
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CodecError):
         gba_from_dict({"states": 2, "initial": [5], "acc": [],
                        "transitions": []}, ordered)
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CodecError):
         gba_from_dict({"states": 1, "initial": [0], "acc": [],
                        "transitions": [[0, 7, [0]]]}, ordered)
 
@@ -145,10 +149,14 @@ def test_save_is_atomic_and_leaves_no_tmp(tmp_path):
     result, checkpoint = analyze(NESTED, tmp_path)
     assert result.verdict.value == "terminating"
     assert checkpoint.saved >= 1
-    assert os.path.exists(checkpoint.path)
-    assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
-    data = json.loads(open(checkpoint.path, encoding="utf-8").read())
-    assert data["rounds"] == len(result.modules)
+    assert os.listdir(tmp_path) == [os.path.basename(checkpoint.path)]
+    assert checkpoint.path.endswith(".jsonl")
+    # one whole record per module, every line terminated, all this key
+    text = open(checkpoint.path, encoding="utf-8").read()
+    assert text.endswith("\n")
+    logged = records(checkpoint.path)
+    assert len(logged) == len(text.splitlines()) == len(result.modules)
+    assert {row["key"] for row in logged} == {checkpoint.key}
 
 
 def test_warm_start_restores_rounds_without_recomputing(tmp_path):
@@ -168,28 +176,59 @@ def test_missing_checkpoint_is_cold_start_not_rejection(tmp_path):
     assert checkpoint.rejected is None
 
 
-def test_torn_checkpoint_rejects_into_correct_cold_start(tmp_path):
-    _, checkpoint = analyze(NESTED, tmp_path)
-    text = open(checkpoint.path, encoding="utf-8").read()
+def test_torn_last_record_restores_intact_prefix(tmp_path):
+    cold, checkpoint = analyze(NESTED, tmp_path)
+    lines = open(checkpoint.path, encoding="utf-8").read().splitlines(True)
+    assert len(lines) >= 2
+    # a crash mid-append: the last record is torn, the prefix intact
     with open(checkpoint.path, "w", encoding="utf-8") as fh:
-        fh.write(text[:len(text) // 2])  # simulate a torn write
+        fh.write("".join(lines[:-1]) + lines[-1][:len(lines[-1]) // 2])
+    warm, cp = analyze(NESTED, tmp_path)
+    assert warm.verdict == cold.verdict
+    assert cp.rejected is None
+    assert cp.restored_rounds == len(lines) - 1
+    assert warm.stats.iterations > 0  # the lost round is recomputed
+
+
+def test_only_a_torn_record_is_a_correct_cold_start(tmp_path):
+    _, checkpoint = analyze(NESTED, tmp_path)
+    first = open(checkpoint.path, encoding="utf-8").readline()
+    with open(checkpoint.path, "w", encoding="utf-8") as fh:
+        fh.write(first[:len(first) // 2])
     warm, cp = analyze(NESTED, tmp_path)
     assert warm.verdict.value == "terminating"
     assert cp.restored_rounds == 0
-    assert "torn or corrupt" in (cp.rejected or "")
     assert warm.stats.iterations > 0  # really recomputed
+
+
+def test_append_after_a_torn_tail_starts_a_clean_record(tmp_path):
+    """A run resumed after a kill mid-append ends the torn line before
+    its own records, so none of them glues onto the fragment."""
+    program = parse_program(NESTED)
+    key = job_key(program.name, NESTED, AnalysisConfig().to_dict())
+    path = Checkpointer(str(tmp_path), key).path
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write('{"v": 1, "key": "' + key + '", "alph')
+    cold, checkpoint = analyze(NESTED, tmp_path)
+    assert checkpoint.restored_rounds == 0 and checkpoint.rejected is None
+    assert len(records(path)) == len(cold.modules)
+    warm, cp = analyze(NESTED, tmp_path)
+    assert cp.rejected is None
+    assert cp.restored_rounds == len(cold.modules)
+    assert warm.verdict == cold.verdict
+    assert warm.stats.iterations == 0
 
 
 def test_tampered_certificate_rejects_whole_checkpoint(tmp_path):
     _, checkpoint = analyze(NESTED, tmp_path)
-    data = json.loads(open(checkpoint.path, encoding="utf-8").read())
+    logged = records(checkpoint.path)
     # Drop one state's predicate from the first module's certificate:
     # the Definition 3.1 re-check must fail and reject everything.
-    certificate = data["modules"][0]["certificate"]
+    certificate = logged[0]["module"]["certificate"]
     assert certificate, "module with an empty certificate"
     certificate.pop(next(iter(certificate)))
     with open(checkpoint.path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(data))
+        fh.write("".join(json.dumps(row) + "\n" for row in logged))
     warm, cp = analyze(NESTED, tmp_path)
     assert warm.verdict.value == "terminating"
     assert cp.restored_rounds == 0
@@ -203,7 +242,7 @@ def test_key_mismatch_rejects(tmp_path):
     other.key = "some-other-key"  # ... different identity
     program = parse_program(NESTED)
     from repro.program.cfg import build_cfg
-    assert other.restore(build_cfg(program).alphabet) == []
+    assert other.restore(build_cfg(program).alphabet()) == []
     assert other.rejected and "does not match" in other.rejected
 
 
@@ -212,6 +251,36 @@ def test_alphabet_mismatch_rejects(tmp_path):
     fresh = Checkpointer(str(tmp_path), checkpoint.key)
     assert fresh.restore(["not", "the", "program"]) == []
     assert fresh.rejected and "alphabet" in fresh.rejected
+
+
+def test_partial_restore_keeps_seeded_prefix_and_logs_the_rest(tmp_path):
+    """Re-subtracting a restored module blows a cap: the modules seeded
+    so far stay, a ``budget.degraded`` incident is recorded from
+    ``checkpoint``, and the run finishes from there.  The modules it
+    adds join the log and come back on the next restore."""
+    source = sequential_loops(3).source
+    cold = prove_termination(parse_program(source), AnalysisConfig())
+    _, first = analyze(source, tmp_path, AnalysisConfig(max_refinements=3),
+                       key="partial")
+    logged = len(records(first.path))
+    assert logged == 3
+    # A cumulative macrostate cap the restore exhausts part-way through.
+    warm, cp = analyze(source, tmp_path, AnalysisConfig(macrostate_cap=50),
+                       key="partial")
+    assert cp.rejected is None
+    assert 1 <= cp.restored_rounds < logged
+    assert warm.stats.restored_rounds == cp.restored_rounds
+    assert warm.verdict == cold.verdict
+    assert any(i.kind == "budget.degraded" and i.component == "checkpoint"
+               for i in warm.stats.incidents)
+    added = len(warm.modules) - cp.restored_rounds
+    assert added >= 1
+    assert len(records(cp.path)) == logged + added
+    again, cp2 = analyze(source, tmp_path, key="partial")
+    assert cp2.rejected is None
+    assert cp2.restored_rounds == logged + added
+    assert again.verdict == cold.verdict
+    assert again.stats.iterations == 0
 
 
 def test_nonterminating_checkpoint_never_flips_verdict(tmp_path):
@@ -232,8 +301,8 @@ def test_checkpoint_write_fault_degrades_to_no_checkpoint(tmp_path):
     assert result.verdict.value == "terminating"
     assert checkpoint.saved == 0
     assert checkpoint.save_failures == len(result.modules)
-    # ... and whatever crash artifact the fault left (torn final file /
-    # orphaned tmp) must not poison the next run
+    # ... and the torn records the fault left must not poison the
+    # next run
     warm, cp = analyze(NESTED, tmp_path)
     assert warm.verdict.value == "terminating"
     assert cp.restored_rounds == 0  # nothing trustworthy to restore
@@ -244,9 +313,12 @@ def test_checkpoint_write_fault_artifacts_match_real_crashes(tmp_path):
     with faults.use_plan(plan):
         _, checkpoint = analyze(NESTED, tmp_path)
     leftovers = sorted(os.listdir(tmp_path))
-    assert leftovers, "the fault should leave crash artifacts"
-    for name in leftovers:
-        assert name.startswith("checkpoint_")
+    assert leftovers == [os.path.basename(checkpoint.path)], \
+        "the fault should leave torn records in the log, nothing else"
+    text = open(checkpoint.path, encoding="utf-8").read()
+    # the shape of a crash mid-append: a torn last record, no whole one
+    assert text and not text.endswith("\n")
+    assert records(checkpoint.path) == []
 
 
 def test_validation_runs_with_faults_suspended(tmp_path):
@@ -297,7 +369,7 @@ def test_sigkill_mid_analysis_then_resume_matches_uninterrupted(tmp_path, k):
         deadline = time.time() + 120
         path = None
         while time.time() < deadline:
-            found = (sorted(checkpoint_dir.glob("checkpoint_*.json"))
+            found = (sorted(checkpoint_dir.glob("checkpoint_*.jsonl"))
                      if checkpoint_dir.exists() else [])
             if found:
                 path = found[0]
@@ -320,20 +392,21 @@ def test_sigkill_mid_analysis_then_resume_matches_uninterrupted(tmp_path, k):
             break
     assert interrupted, "analysis never produced a checkpoint to interrupt"
 
-    data = json.loads(path.read_text(encoding="utf-8"))
-    assert 1 <= data["rounds"] <= cold_rounds
+    logged = records(path)
+    rounds = len(logged)
+    assert 1 <= rounds <= cold_rounds
 
     # resume against the same key: restored rounds are credited, the
     # remaining rounds are computed fresh, and the verdict matches the
     # uninterrupted reference
-    checkpoint = Checkpointer(str(checkpoint_dir), data["key"],
+    checkpoint = Checkpointer(str(checkpoint_dir), logged[0]["key"],
                               program=bench.name)
     resumed = prove_termination(parse_program(bench.source),
                                 AnalysisConfig(), checkpoint=checkpoint)
     assert checkpoint.rejected is None
-    assert checkpoint.restored_rounds == data["rounds"]
+    assert checkpoint.restored_rounds == rounds
     assert resumed.verdict == reference.verdict
-    assert resumed.stats.restored_rounds == data["rounds"]
+    assert resumed.stats.restored_rounds == rounds
     # zero recomputation of the restored prefix: fresh rounds make up
     # exactly the difference
-    assert resumed.stats.iterations == cold_rounds - data["rounds"]
+    assert resumed.stats.iterations == cold_rounds - rounds

@@ -13,7 +13,7 @@ import os
 from repro.benchgen.scaled import sequential_loops
 from repro.core.api import prove_termination, prove_termination_source
 from repro.core.config import AnalysisConfig
-from repro.core.library import LIBRARY_VERSION, ModuleLibrary, entry_id
+from repro.core.library import RECORD_VERSION, ModuleLibrary, entry_id
 
 TIMEOUT = 30.0
 
@@ -84,7 +84,7 @@ def test_published_entries_use_minimal_symbol_tables(tmp_path):
     rows = [json.loads(line) for line in path.read_text().splitlines()]
     assert rows
     for row in rows:
-        assert row["v"] == LIBRARY_VERSION
+        assert row["v"] == RECORD_VERSION
         assert row["id"] == entry_id(row)
         assert row["alphabet"] == sorted(row["alphabet"])
     # An early loop's module must span strictly fewer symbols than a
@@ -156,6 +156,22 @@ def test_torn_tail_and_garbage_lines_are_tolerated(tmp_path):
         fh.write('{"v": 1, "code_version": ')  # torn mid-record, no newline
     warm = run(COUNTDOWN, ModuleLibrary(path))
     assert warm.verdict.value == "terminating"
+    assert warm.stats.library_hits == warm.stats.iterations > 0
+
+
+def test_publish_after_a_torn_tail_is_not_swallowed(tmp_path):
+    """A writer that died mid-record leaves a torn last line; the next
+    publish ends it first, so its own record stays readable."""
+    path = tmp_path / "lib.jsonl"
+    path.write_text('{"v": 1, "code_version": "t", "alph')
+    writer = ModuleLibrary(path, code_version="t")
+    cold = prove_termination_source(COUNTDOWN, config(), library=writer)
+    assert writer.published >= 1
+    reader = ModuleLibrary(path, code_version="t")
+    reader.refresh()
+    assert len(reader) == writer.published
+    warm = prove_termination_source(COUNTDOWN, config(), library=reader)
+    assert warm.verdict == cold.verdict
     assert warm.stats.library_hits == warm.stats.iterations > 0
 
 

@@ -287,7 +287,7 @@ def test_corpus_checkpoint_dir_flows_to_workers_and_telemetry(tmp_path):
     assert summary.ran == 2
     # only the terminating job certifies modules to persist; the
     # diverging one refutes on its first lasso with nothing to save
-    files = sorted(ckpt.glob("checkpoint_*.json"))
+    files = sorted(ckpt.glob("checkpoint_*.jsonl"))
     assert len(files) == 1
     saved = [e for e in tel.events if e["type"] == "checkpoint.saved"]
     assert len(saved) == 1

@@ -109,7 +109,7 @@ def test_race_checkpoint_dir_persists_and_warm_starts(tmp_path):
     result = race_portfolio(program, DEFAULT_PORTFOLIO, timeout=60.0,
                             checkpoint_dir=str(tmp_path))
     assert result.verdict is Verdict.TERMINATING
-    files = sorted(tmp_path.glob("checkpoint_*.json"))
+    files = sorted(tmp_path.glob("checkpoint_*.jsonl"))
     assert files, "racing attempts left no durable checkpoints"
     # re-racing the same portfolio restores the winner's rounds: the
     # checkpoint key ignores the attempt index, so it survives re-runs
