@@ -60,7 +60,7 @@ def test_module_library_warm_corpus_report():
         warm_seconds, warm = timed_run(WARM_K, warm_library)
 
     assert warm.verdict == baseline.verdict
-    assert warm.stats.library_hits >= 1
+    assert warm.stats.counter("library.hits") >= 1
     assert warm_library.rejected == 0
 
     base_syn, warm_syn = syntheses(baseline), syntheses(warm)
@@ -76,7 +76,7 @@ def test_module_library_warm_corpus_report():
     print(f"  baseline: {baseline_seconds:6.2f}s  {base_syn} syntheses, "
           f"{baseline.stats.iterations} rounds")
     print(f"  warm:     {warm_seconds:6.2f}s  {warm_syn} syntheses, "
-          f"{warm.stats.library_hits} library hits")
+          f"{warm.stats.counter('library.hits')} library hits")
     print(f"  synthesis reduction: {reduction:.0f}%")
 
     write_bench_json("module_library", {
@@ -87,7 +87,7 @@ def test_module_library_warm_corpus_report():
         "warm_seconds": warm_seconds,
         "baseline_syntheses": base_syn,
         "warm_syntheses": warm_syn,
-        "library_hits": warm.stats.library_hits,
-        "library_misses": warm.stats.library_misses,
+        "library_hits": warm.stats.counter("library.hits"),
+        "library_misses": warm.stats.counter("library.misses"),
         "synthesis_reduction_pct": reduction,
     })

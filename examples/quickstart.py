@@ -34,9 +34,14 @@ def main() -> None:
     print()
     print("refinement rounds:")
     for rnd in result.stats.rounds:
+        # the round's complement class is the difference.by_kind.<kind>
+        # counter it ticked
+        kinds = [name.split(".")[2] for name in rnd.counters
+                 if name.startswith("difference.by_kind.")
+                 and name.count(".") == 2]
         print(f"  {rnd.proof_kind:16s} -> {rnd.stage or '-':7s} "
               f"(difference: {rnd.difference_states} states, "
-              f"complement: {rnd.complement_kind})")
+              f"complement: {', '.join(kinds) or '-'})")
     print()
     print(result.stats.summary())
     assert result.verdict.value == "terminating"

@@ -209,8 +209,8 @@ def run_single(argv: list[str]) -> int:
         try:
             with use_tracer(tracer):
                 result = analyze()
-            # The engine scopes a fresh registry per run and snapshots
-            # it into the stats; mirror that snapshot into the trace.
+            # prove_termination scopes a fresh registry per run and
+            # snapshots it into the stats; mirror it into the trace.
             tracer.record_metrics(result.stats.metrics)
         finally:
             tracer.close()

@@ -20,6 +20,7 @@ from repro.core.config import AnalysisConfig
 from repro.core.firewall import screen
 from repro.core.refinement import RefinementEngine, TerminationResult, Verdict
 from repro.core.stats import AnalysisStats, StatsCollector
+from repro.obs import metrics as obs_metrics
 from repro.program.ast import Program
 from repro.program.cfg import build_cfg
 from repro.program.parser import parse_program
@@ -53,6 +54,10 @@ def prove_termination(program: Program,
     module is published back.  Same trust model as checkpoints -- every
     reused module is re-validated, so the library never changes a
     verdict, only the work it costs.
+
+    One fresh metrics registry spans the whole run -- building the
+    control-flow graph, the engine and the firewall's re-check alike --
+    so its snapshot, ``result.stats.metrics``, holds every count.
     """
     config = config or AnalysisConfig()
     if library is None:
@@ -60,17 +65,19 @@ def prove_termination(program: Program,
     if library is not None and not hasattr(library, "match"):
         from repro.core.library import ModuleLibrary
         library = ModuleLibrary(library)
-    cfg = build_cfg(program)
-    engine = RefinementEngine(cfg, config, collector, checkpoint=checkpoint,
-                              library=library)
     plan = faults.resolve_plan(config.fault_plan)
-    if plan is not None:
-        with faults.use_plan(plan):
+    registry = obs_metrics.MetricsRegistry()
+    with obs_metrics.use_registry(registry):
+        engine = RefinementEngine(build_cfg(program), config, collector,
+                                  checkpoint=checkpoint, library=library)
+        if plan is not None:
+            with faults.use_plan(plan):
+                result = engine.run()
+        else:
             result = engine.run()
-    else:
-        result = engine.run()
-    if config.firewall:
-        result = screen(result, config.timeout)
+        if config.firewall:
+            result = screen(result, config.timeout)
+    result.stats.metrics = registry.snapshot()
     return result
 
 

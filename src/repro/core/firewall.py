@@ -84,8 +84,6 @@ def screen(result: TerminationResult, timeout: float | None = None,
         return result
     for kind, detail in problems:
         result.stats.record_incident(Incident(kind, "firewall", detail))
-        _metrics.inc("firewall.incidents")
-        _metrics.inc(f"incidents.{kind}")
     first_kind, first_detail = problems[0]
     downgraded = TerminationResult(
         Verdict.UNKNOWN, result.modules, None, None, result.stats,

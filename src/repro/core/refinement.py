@@ -34,9 +34,10 @@ publish if fresh, save, and stop as TERMINATING on an empty remainder.
 Each run is observed end to end: an ``analysis`` span wraps the loop,
 every iteration gets a ``round`` span (with ``lasso-search``,
 ``prove-lasso``, and ``generalize`` children; ``difference`` /
-``emptiness`` / ``solver-call`` spans open further down the stack), and
-a fresh metrics registry is scoped to the run so its snapshot lands in
-``AnalysisStats.metrics``.
+``emptiness`` / ``solver-call`` spans open further down the stack).
+Counts go to the current metrics registry, which
+:func:`repro.core.api.prove_termination` scopes to the run; each
+round's ``counters`` are the registry's deltas over that round.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ from repro.core.stages import Stage, build_finite_module, generalize
 from repro.core.stats import (AnalysisStats, Incident, RefinementRound,
                               StatsCollector)
 from repro.obs import metrics as obs_metrics
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import get_tracer
 from repro.program.cfg import ControlFlowGraph
 from repro.ranking.lasso import Lasso
@@ -147,16 +147,14 @@ class RefinementEngine:
 
     def run(self) -> TerminationResult:
         tracer = get_tracer()
-        registry = MetricsRegistry()
-        with obs_metrics.use_registry(registry):
-            with tracer.span("analysis", program=self._cfg.name,
-                             config=self._config.describe()) as span:
-                result = self._run(tracer, registry)
-                span.set(verdict=result.verdict.value,
-                         rounds=result.stats.iterations)
+        with tracer.span("analysis", program=self._cfg.name,
+                         config=self._config.describe()) as span:
+            result = self._run(tracer)
+            span.set(verdict=result.verdict.value,
+                     rounds=result.stats.iterations)
         return result
 
-    def _run(self, tracer, registry: MetricsRegistry) -> TerminationResult:
+    def _run(self, tracer) -> TerminationResult:
         config = self._config
         deadline = (time.perf_counter() + config.timeout
                     if config.timeout is not None else None)
@@ -166,11 +164,11 @@ class RefinementEngine:
                         fm_constraint_cap=config.fm_constraint_cap,
                         simulation_cap=config.simulation_cap)
         with use_budget(budget):
-            return self._refine(tracer, registry, deadline)
+            return self._refine(tracer, deadline)
 
-    def _refine(self, tracer, registry: MetricsRegistry,
-                deadline: float | None) -> TerminationResult:
+    def _refine(self, tracer, deadline: float | None) -> TerminationResult:
         config = self._config
+        registry = obs_metrics.registry()
         collector = self._collector
         name = self._cfg.name
         program_gba: GBA = self._cfg.to_gba()
@@ -178,24 +176,16 @@ class RefinementEngine:
         current = program_gba
         modules: list[CertifiedModule] = []
         round_start = time.perf_counter()
+        round_base: dict[str, int] = {}
         # The round in flight once it has a RefinementRound; the
         # deadline handler records it before ending the run.
         round_stats: RefinementRound | None = None
         library = self._library
         checkpoint = self._checkpoint
-        # Deltas, not absolutes: one ModuleLibrary handle may serve
-        # several runs (a sequential portfolio shares its index cache),
-        # so each run's stats report only its own traffic.
-        library_base = ((library.hits, library.misses)
-                        if library is not None else (0, 0))
 
         def finish(verdict: Verdict, *, witness=None, word=None,
                    reason: str | None = None) -> TerminationResult:
             stats = collector.finish(name, config.describe(), reason)
-            stats.metrics = registry.snapshot()
-            if library is not None:
-                stats.library_hits = library.hits - library_base[0]
-                stats.library_misses = library.misses - library_base[1]
             result = TerminationResult(verdict, modules, witness, word,
                                        stats, reason)
             if verdict is Verdict.TERMINATING:
@@ -206,13 +196,16 @@ class RefinementEngine:
             round_stats.seconds = time.perf_counter() - round_start
             registry.counter("refinement.rounds").inc()
             registry.histogram("round.seconds").observe(round_stats.seconds)
+            round_stats.counters = {
+                key: value - round_base.get(key, 0)
+                for key, value in registry.counts().items()
+                if value != round_base.get(key, 0)}
             collector.stats.record_round(round_stats)
 
         def note(kind: str, component: str, detail: str,
                  index: int | None) -> None:
             collector.stats.record_incident(
                 Incident(kind, component, detail, round=index))
-            registry.counter(f"incidents.{kind}").inc()
 
         pinned_kind = (ComplementKind(config.complement_kind)
                        if config.complement_kind else None)
@@ -264,7 +257,6 @@ class RefinementEngine:
                 note("budget.degraded", "refinement",
                      f"{failed.stage} -> {candidate.stage} "
                      f"after {last.resource}", index)
-                registry.counter("budget.degradations").inc()
                 try:
                     return candidate, subtract(current, candidate)
                 except ResourceExhausted as retry_exc:
@@ -291,18 +283,15 @@ class RefinementEngine:
                                    ComplementKind.SDBA_LAZY):
                     # the Figure 4 corpus: every SDBA sent to NCSB
                     collector.observe_sdba(module.automaton)
-                collector.observe_difference(round_stats, result)
                 if companion is not None:
                     extra_module, extra = companion
                     collector.stats.modules_by_stage[extra_module.stage] += 1
-                    # Fold the companion subtraction into the round's
-                    # counters: it is real effort of this round, and the
-                    # round's remainder size is the post-companion one
-                    # (a companion emptying the remainder must show).
-                    collector.observe_companion(round_stats, extra,
-                                                extra_module.stage)
+                    round_stats.companion_stage = extra_module.stage
                     current = extra.automaton
                     added.insert(0, extra_module)
+                # The remainder the round ends with: a companion
+                # emptying it must show.
+                round_stats.difference_states = len(current.states)
                 record(round_stats)
             modules.extend(added)
             if fresh and library is not None:
@@ -339,7 +328,6 @@ class RefinementEngine:
                              f"{exc.resource}", None)
                         break
                     checkpoint.restored_rounds += 1
-                    collector.stats.restored_rounds += 1
                     registry.counter("checkpoint.rounds_restored").inc()
                     if admit(module, result):
                         return finish(Verdict.TERMINATING)
@@ -349,6 +337,7 @@ class RefinementEngine:
                 if deadline is not None and time.perf_counter() > deadline:
                     raise DeadlineExceeded("refinement", deadline)
                 round_start = time.perf_counter()
+                round_base = registry.counts()
                 with tracer.span("round", index=index) as round_span:
                     # The budget is checked *inside* the long
                     # explorations too (lasso search here, Algorithm 1 in
@@ -447,7 +436,6 @@ class RefinementEngine:
                         _unless_deadline(exc)
                         note("budget.degraded", "generalize",
                              f"{exc.resource} -> fallback module", index)
-                        registry.counter("budget.degradations").inc()
                         try:
                             module = generalize(
                                 proof, (Stage.FINITE, Stage.LASSO), alphabet,

@@ -2,19 +2,22 @@
 
 The evaluation section needs per-run counters: refinement rounds,
 modules produced per stage, difference-automaton sizes, complement
-exploration effort, and wall-clock times.  A :class:`StatsCollector`
-is threaded through the refinement engine; SDBAs sent to
-complementation can be captured for the Figure 4 corpus.
+exploration effort, and wall-clock times.  Every count lives in the
+run's metrics registry (see :mod:`repro.obs.metrics`), whose snapshot
+is ``AnalysisStats.metrics``; a round keeps the registry's counter
+deltas over that round.  A :class:`StatsCollector` is threaded through
+the refinement engine for timing; SDBAs sent to complementation can be
+captured for the Figure 4 corpus.
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
-from repro.automata.difference import DifferenceResult
 from repro.automata.gba import GBA
+from repro.obs import metrics as _metrics
 
 
 @dataclass
@@ -25,8 +28,9 @@ class Incident:
     layer: when the verdict firewall rejects a certificate, when the
     budget ladder falls back to a cheaper stage, or when a resource cap
     turns a run into UNKNOWN, one of these lands in
-    ``AnalysisStats.incidents`` (and a ``incidents.<kind>`` counter
-    ticks in the run's metrics).  Kinds in use:
+    ``AnalysisStats.incidents`` and the ``incidents.<kind>`` counter
+    ticks in the run's metrics registry (both through
+    :meth:`AnalysisStats.record_incident`).  Kinds in use:
 
     - ``firewall.certificate`` / ``firewall.emptiness`` /
       ``firewall.witness`` -- a conclusive verdict failed re-validation
@@ -53,27 +57,18 @@ class RefinementRound:
     proof_kind: str
     stage: str | None = None
     module_states: int = 0
+    #: Size of the remainder the round ends with (after the companion
+    #: subtraction, if any).
     difference_states: int = 0
-    explored_states: int = 0
-    subsumption_hits: int = 0
-    #: Successor-cache hits/misses of the memoization layer in this
-    #: round's difference computation.
-    cache_hits: int = 0
-    cache_misses: int = 0
-    #: Peak number of edges Algorithm 1 buffered during the exploration
-    #: (proportional to the useful/active part, see RemovalStats).
-    peak_pending_edges: int = 0
-    complement_kind: str | None = None
-    #: Per-kind accepting-component counts when this round's subtrahend
-    #: went through modular complementation
-    #: (``{"weak": .., "det": .., "rank": .., "inert": ..}``), else None.
-    modular_components: dict | None = None
     #: Stage of the free companion module subtracted in the same round
-    #: (interpolant rounds), or None.  When set, the exploration
-    #: counters above include the companion subtraction's effort and
-    #: ``difference_states`` is the post-companion remainder size.
+    #: (interpolant rounds), or None.
     companion_stage: str | None = None
     seconds: float = 0.0
+    #: The nonzero deltas of the run's metrics counters over this round:
+    #: its difference/complement effort (``difference.by_kind.<kind>``
+    #: names the complement class, ``complement.modular.components.*``
+    #: the modular split), its logic and ranking work, and so on.
+    counters: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -87,17 +82,9 @@ class AnalysisStats:
     total_seconds: float = 0.0
     peak_difference_states: int = 0
     gave_up_reason: str | None = None
-    #: Rounds seeded from a durable checkpoint instead of recomputed
-    #: (see :mod:`repro.core.checkpoint`); ``iterations`` counts only
-    #: the rounds this run actually performed.
-    restored_rounds: int = 0
-    #: Module-library traffic (see :mod:`repro.core.library`): rounds
-    #: answered by a reused certified module vs. counterexamples no
-    #: entry could answer.  Both zero when no library is attached.
-    library_hits: int = 0
-    library_misses: int = 0
     #: Snapshot of the run's metrics registry (see :mod:`repro.obs.metrics`):
-    #: ``{"counters": ..., "gauges": ..., "histograms": ...}``.
+    #: ``{"counters": ..., "gauges": ..., "histograms": ...}``.  The
+    #: only record of the run's counts; read one with :meth:`counter`.
     metrics: dict = field(default_factory=dict)
     #: Degradations and validation failures (see :class:`Incident`).
     incidents: list[Incident] = field(default_factory=list)
@@ -106,11 +93,18 @@ class AnalysisStats:
     def iterations(self) -> int:
         return len(self.rounds)
 
+    def counter(self, name: str) -> int:
+        """The run's total of counter ``name`` (0 when it never ticked),
+        e.g. ``checkpoint.rounds_restored`` (rounds seeded from a
+        checkpoint, which ``iterations`` leaves out) or ``library.hits``."""
+        return self.metrics.get("counters", {}).get(name, 0)
+
     def record_incident(self, incident: Incident) -> None:
+        """Append ``incident`` and count it as ``incidents.<kind>`` in
+        the current metrics registry: the one place incidents are
+        counted."""
         self.incidents.append(incident)
-        counters = self.metrics.setdefault("counters", {})
-        key = f"incidents.{incident.kind}"
-        counters[key] = counters.get(key, 0) + 1
+        _metrics.inc(f"incidents.{incident.kind}")
 
     def record_round(self, round_stats: RefinementRound) -> None:
         self.rounds.append(round_stats)
@@ -133,9 +127,6 @@ class AnalysisStats:
             "total_seconds": self.total_seconds,
             "peak_difference_states": self.peak_difference_states,
             "gave_up_reason": self.gave_up_reason,
-            "restored_rounds": self.restored_rounds,
-            "library_hits": self.library_hits,
-            "library_misses": self.library_misses,
             "modules_by_stage": dict(self.modules_by_stage),
             "rounds": [asdict(r) for r in self.rounds],
             "metrics": self.metrics,
@@ -150,14 +141,20 @@ class AnalysisStats:
                     total_seconds=data.get("total_seconds", 0.0),
                     peak_difference_states=data.get("peak_difference_states", 0),
                     gave_up_reason=data.get("gave_up_reason"),
-                    restored_rounds=data.get("restored_rounds", 0),
-                    library_hits=data.get("library_hits", 0),
-                    library_misses=data.get("library_misses", 0),
                     metrics=data.get("metrics", {}))
-        stats.rounds = [RefinementRound(**r) for r in data.get("rounds", ())]
+        stats.rounds = [_known(RefinementRound, r)
+                        for r in data.get("rounds", ())]
         stats.modules_by_stage = Counter(data.get("modules_by_stage", {}))
-        stats.incidents = [Incident(**i) for i in data.get("incidents", ())]
+        stats.incidents = [_known(Incident, i)
+                           for i in data.get("incidents", ())]
         return stats
+
+
+def _known(cls, data: dict):
+    """``cls`` built from the keys of ``data`` it has fields for: older
+    payloads carry round fields that have since moved to ``counters``."""
+    names = {f.name for f in fields(cls)}
+    return cls(**{k: v for k, v in data.items() if k in names})
 
 
 class StatsCollector:
@@ -168,35 +165,6 @@ class StatsCollector:
         self.capture_sdbas = capture_sdbas
         self.sdbas: list[GBA] = []
         self._start = time.perf_counter()
-
-    def observe_difference(self, round_stats: RefinementRound,
-                           result: DifferenceResult) -> None:
-        round_stats.difference_states = len(result.automaton.states)
-        round_stats.explored_states = result.stats.explored_states
-        round_stats.subsumption_hits = result.stats.subsumption_hits
-        round_stats.cache_hits = result.stats.cache_hits
-        round_stats.cache_misses = result.stats.cache_misses
-        round_stats.peak_pending_edges = result.stats.peak_pending_edges
-        round_stats.complement_kind = result.kind.value
-        round_stats.modular_components = result.stats.modular_components
-
-    def observe_companion(self, round_stats: RefinementRound,
-                          result: DifferenceResult, stage: str) -> None:
-        """Fold a same-round companion subtraction into the round.
-
-        Unlike :meth:`observe_difference` this *accumulates*: the
-        companion's exploration effort adds to the main subtraction's
-        counters, while ``difference_states`` becomes the size of the
-        remainder the round actually ends with.
-        """
-        round_stats.companion_stage = stage
-        round_stats.difference_states = len(result.automaton.states)
-        round_stats.explored_states += result.stats.explored_states
-        round_stats.subsumption_hits += result.stats.subsumption_hits
-        round_stats.cache_hits += result.stats.cache_hits
-        round_stats.cache_misses += result.stats.cache_misses
-        round_stats.peak_pending_edges = max(round_stats.peak_pending_edges,
-                                             result.stats.peak_pending_edges)
 
     def observe_sdba(self, automaton: GBA) -> None:
         if self.capture_sdbas:

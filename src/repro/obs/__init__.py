@@ -8,8 +8,9 @@ Three pieces (see DESIGN.md, "Observability"):
   a real :class:`Tracer` is installed (``--trace`` / ``--profile`` on
   the CLI, or :func:`use_tracer` from code).
 - :mod:`repro.obs.metrics` -- a registry of named counters, gauges,
-  and histograms.  The refinement engine installs a fresh registry per
-  analysis run and folds its snapshot into ``AnalysisStats.metrics``.
+  and histograms.  ``prove_termination`` installs a fresh registry
+  around each whole run, firewall included, and stores its snapshot in
+  ``AnalysisStats.metrics``, the run's one record of counts.
 - :mod:`repro.obs.report` -- ``python -m repro.obs.report trace.jsonl``
   renders a per-phase time breakdown (self vs. cumulative, call
   counts, hottest spans) from a trace file.

@@ -2,16 +2,20 @@
 
 Instrumented modules increment metrics through the module-level
 *current registry* (:func:`inc` / :func:`observe` / :func:`registry`);
-the refinement engine installs a fresh :class:`MetricsRegistry` per
-analysis run and folds its :meth:`~MetricsRegistry.snapshot` into
+:func:`repro.core.api.prove_termination` installs a fresh
+:class:`MetricsRegistry` around the whole run (CFG build, engine and
+verdict firewall) and stores its :meth:`~MetricsRegistry.snapshot` in
 ``AnalysisStats.metrics``, so every run's effort profile (entailment
 calls, Fourier--Motzkin eliminations, simplex pivots, macro-states
-expanded per complement class, antichain peak, cache hit ratio, ...)
-travels with its result.  The simulation-based reduction layer adds
-``simulation.pairs`` (candidate pairs handed to the solvers),
-``reduction.quotients`` / ``reduction.states_removed`` (subtrahend
-quotienting) and ``difference.antichain.sim_hits`` (antichain hits only
-the simulation-coarsened order found).
+expanded per complement class, antichain peak, cache hit ratio,
+incidents, store traffic, ...) travels with its result.  It is the one
+record of a run's counts: each refinement round keeps only the nonzero
+:meth:`~MetricsRegistry.counts` deltas over that round.  The
+simulation-based reduction layer adds ``simulation.pairs`` (candidate
+pairs handed to the solvers), ``reduction.quotients`` /
+``reduction.states_removed`` (subtrahend quotienting) and
+``difference.antichain.sim_hits`` (antichain hits only the
+simulation-coarsened order found).
 
 Instruments are plain ``__slots__`` objects incremented in place --
 cheap enough to stay always-on (the paper-faithful counters in
@@ -103,6 +107,10 @@ class MetricsRegistry:
             instrument = self._histograms[name] = Histogram()
         return instrument
 
+    def counts(self) -> dict[str, int]:
+        """Every counter's current value (a cheap copy, for deltas)."""
+        return {k: c.value for k, c in self._counters.items()}
+
     def snapshot(self) -> dict:
         """JSON-ready view of every instrument."""
         return {
@@ -117,7 +125,8 @@ class MetricsRegistry:
 
 
 #: The current registry.  A process-global default catches increments
-#: outside any analysis run; the engine scopes a fresh one per run.
+#: outside any analysis run; ``prove_termination`` scopes a fresh one
+#: per run.
 _CURRENT = MetricsRegistry()
 
 

@@ -109,9 +109,8 @@ def test_analysis_survives_antichain_cap():
 def test_degradation_incidents_are_counted_in_metrics():
     config = AnalysisConfig(macrostate_cap=0, timeout=10.0)
     result = prove_termination_source(NESTED, config)
-    if any(i.kind == "budget.degraded" for i in result.stats.incidents):
-        counters = result.stats.metrics.get("counters", {})
-        assert counters.get("budget.degradations", 0) >= 1
+    assert result.stats.counter("incidents.budget.degraded") == sum(
+        i.kind == "budget.degraded" for i in result.stats.incidents)
 
 
 def test_timeout_still_reports_timeout():
@@ -123,9 +122,12 @@ def test_timeout_still_reports_timeout():
 
 def test_incident_serialization_round_trip():
     from repro.core.stats import AnalysisStats, Incident
+    from repro.obs.metrics import MetricsRegistry, use_registry
     stats = AnalysisStats()
-    stats.record_incident(Incident("budget.degraded", "refinement",
-                                   "semi -> finite", round=2))
+    with use_registry(MetricsRegistry()) as registry:
+        stats.record_incident(Incident("budget.degraded", "refinement",
+                                       "semi -> finite", round=2))
+    stats.metrics = registry.snapshot()
     data = stats.to_dict()
     assert data["incidents"][0]["kind"] == "budget.degraded"
     assert data["metrics"]["counters"]["incidents.budget.degraded"] == 1

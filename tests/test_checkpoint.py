@@ -164,7 +164,8 @@ def test_warm_start_restores_rounds_without_recomputing(tmp_path):
     warm, cp_warm = analyze(NESTED, tmp_path)
     assert warm.verdict == cold.verdict
     assert cp_warm.restored_rounds == len(cold.modules)
-    assert warm.stats.restored_rounds == cp_warm.restored_rounds
+    assert warm.stats.counter("checkpoint.rounds_restored") == \
+        cp_warm.restored_rounds
     # a fully checkpointed run replays with zero fresh refinement rounds
     assert warm.stats.iterations == 0
     assert cp_warm.rejected is None
@@ -269,10 +270,13 @@ def test_partial_restore_keeps_seeded_prefix_and_logs_the_rest(tmp_path):
                        key="partial")
     assert cp.rejected is None
     assert 1 <= cp.restored_rounds < logged
-    assert warm.stats.restored_rounds == cp.restored_rounds
+    assert warm.stats.counter("checkpoint.rounds_restored") == \
+        cp.restored_rounds
     assert warm.verdict == cold.verdict
     assert any(i.kind == "budget.degraded" and i.component == "checkpoint"
                for i in warm.stats.incidents)
+    assert warm.stats.counter("incidents.budget.degraded") == sum(
+        i.kind == "budget.degraded" for i in warm.stats.incidents)
     added = len(warm.modules) - cp.restored_rounds
     assert added >= 1
     assert len(records(cp.path)) == logged + added
@@ -406,7 +410,7 @@ def test_sigkill_mid_analysis_then_resume_matches_uninterrupted(tmp_path, k):
     assert checkpoint.rejected is None
     assert checkpoint.restored_rounds == rounds
     assert resumed.verdict == reference.verdict
-    assert resumed.stats.restored_rounds == rounds
+    assert resumed.stats.counter("checkpoint.rounds_restored") == rounds
     # zero recomputation of the restored prefix: fresh rounds make up
     # exactly the difference
     assert resumed.stats.iterations == cold_rounds - rounds

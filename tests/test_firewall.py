@@ -122,3 +122,37 @@ def test_firewall_on_by_default_stays_conclusive():
     assert result.verdict is Verdict.TERMINATING
     result = prove_termination_source(DIVERGING, AnalysisConfig(timeout=30.0))
     assert result.verdict is Verdict.NONTERMINATING
+
+
+def test_firewall_counts_land_in_the_run_record():
+    from repro.obs import metrics as obs_metrics
+    outside = obs_metrics.registry().snapshot()["counters"]
+    result = prove_termination_source(COUNTDOWN, AnalysisConfig(timeout=30.0))
+    assert result.verdict is Verdict.TERMINATING
+    counters = result.stats.metrics["counters"]
+    assert counters.get("firewall.screens") == 1
+    assert counters.get("firewall.passed") == 1
+    # the re-check's logic work is the run's too: nothing of the run
+    # leaks into the process-global registry
+    assert obs_metrics.registry().snapshot()["counters"] == outside
+
+
+def test_firewall_incidents_are_counted_once(monkeypatch):
+    import repro.core.api as api
+
+    def sabotaged_screen(result, timeout=None):
+        # the sabotaged-ranking fixture, applied between engine and screen
+        result.modules[0].ranking = result.modules[0].ranking + 5
+        return screen(result, timeout)
+
+    monkeypatch.setattr(api, "screen", sabotaged_screen)
+    result = prove_termination_source(COUNTDOWN, AnalysisConfig(timeout=30.0))
+    assert result.verdict is Verdict.UNKNOWN
+    incidents = firewall_incidents(result)
+    assert incidents
+    counters = result.stats.metrics["counters"]
+    for kind in {i.kind for i in incidents}:
+        assert counters.get(f"incidents.{kind}") == \
+            sum(i.kind == kind for i in incidents)
+    assert counters.get("firewall.screens") == 1
+    assert "firewall.passed" not in counters

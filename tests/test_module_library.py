@@ -37,7 +37,7 @@ def config(**kwargs) -> AnalysisConfig:
 
 
 def syntheses(result) -> int:
-    return result.stats.metrics.get("counters", {}).get("ranking.syntheses", 0)
+    return result.stats.counter("ranking.syntheses")
 
 
 def run(source_or_program, library):
@@ -53,14 +53,14 @@ def test_same_program_rerun_needs_zero_synthesis(tmp_path):
     path = tmp_path / "lib.jsonl"
     cold = run(COUNTDOWN, ModuleLibrary(path))
     assert cold.verdict.value == "terminating"
-    assert cold.stats.library_hits == 0
-    assert cold.stats.library_misses == cold.stats.iterations
+    assert cold.stats.counter("library.hits") == 0
+    assert cold.stats.counter("library.misses") == cold.stats.iterations
     assert path.exists()
 
     warm = run(COUNTDOWN, ModuleLibrary(path))
     assert warm.verdict.value == "terminating"
-    assert warm.stats.library_hits == warm.stats.iterations > 0
-    assert warm.stats.library_misses == 0
+    assert warm.stats.counter("library.hits") == warm.stats.iterations > 0
+    assert warm.stats.counter("library.misses") == 0
     assert syntheses(warm) == 0
 
 
@@ -74,7 +74,7 @@ def test_cross_program_reuse_in_scaled_family(tmp_path):
     # Same verdict, measurably less synthesis: the k=2 sibling's loop
     # modules answer the shared counterexamples of k=3.
     assert warm.verdict.value == baseline.verdict.value == "terminating"
-    assert warm.stats.library_hits >= 2
+    assert warm.stats.counter("library.hits") >= 2
     assert syntheses(warm) < syntheses(baseline)
 
 
@@ -103,7 +103,7 @@ def test_alphabet_prefilter_keeps_disjoint_programs_apart(tmp_path):
     # Disjoint statement strings: every query misses, nothing is even
     # decoded, and the run is simply a cold one.
     assert result.verdict.value == "terminating"
-    assert result.stats.library_hits == 0
+    assert result.stats.counter("library.hits") == 0
     assert library.rejected == 0
 
 
@@ -140,7 +140,7 @@ def test_tampered_certificate_is_rejected_not_believed(tmp_path):
     # 3.1: rejected with a structured reason, run falls back to
     # synthesis, verdict unchanged.
     assert result.verdict.value == "terminating"
-    assert result.stats.library_hits == 0
+    assert result.stats.counter("library.hits") == 0
     assert library.rejected >= 1
     assert library.rejections[0]["reason"].startswith("failed re-validation")
     summary = library.summary()
@@ -156,7 +156,7 @@ def test_torn_tail_and_garbage_lines_are_tolerated(tmp_path):
         fh.write('{"v": 1, "code_version": ')  # torn mid-record, no newline
     warm = run(COUNTDOWN, ModuleLibrary(path))
     assert warm.verdict.value == "terminating"
-    assert warm.stats.library_hits == warm.stats.iterations > 0
+    assert warm.stats.counter("library.hits") == warm.stats.iterations > 0
 
 
 def test_publish_after_a_torn_tail_is_not_swallowed(tmp_path):
@@ -172,7 +172,7 @@ def test_publish_after_a_torn_tail_is_not_swallowed(tmp_path):
     assert len(reader) == writer.published
     warm = prove_termination_source(COUNTDOWN, config(), library=reader)
     assert warm.verdict == cold.verdict
-    assert warm.stats.library_hits == warm.stats.iterations > 0
+    assert warm.stats.counter("library.hits") == warm.stats.iterations > 0
 
 
 def test_entries_are_keyed_by_code_version(tmp_path):
@@ -183,11 +183,12 @@ def test_entries_are_keyed_by_code_version(tmp_path):
 
     other = ModuleLibrary(path, code_version="vB")
     result = prove_termination_source(COUNTDOWN, config(), library=other)
-    assert result.stats.library_hits == 0  # entries invisible across versions
+    # entries are invisible across versions
+    assert result.stats.counter("library.hits") == 0
 
     same = ModuleLibrary(path, code_version="vA")
     result = prove_termination_source(COUNTDOWN, config(), library=same)
-    assert result.stats.library_hits == result.stats.iterations > 0
+    assert result.stats.counter("library.hits") == result.stats.iterations > 0
 
 
 def test_publish_fault_writes_rejected_tampered_entry(tmp_path):
@@ -208,7 +209,7 @@ def test_publish_fault_writes_rejected_tampered_entry(tmp_path):
     # Tampered entries accept the counterexamples but fail the
     # Definition 3.1 re-check: rejection, never a verdict flip.
     assert second.verdict.value == "terminating"
-    assert second.stats.library_hits == 0
+    assert second.stats.counter("library.hits") == 0
     assert library.rejected >= 1
 
 
@@ -223,7 +224,7 @@ def test_second_handle_sees_published_entries_via_stat_refresh(tmp_path):
     reader.refresh()
     assert len(reader) > 0
     warm = run(COUNTDOWN, reader)
-    assert warm.stats.library_hits == warm.stats.iterations > 0
+    assert warm.stats.counter("library.hits") == warm.stats.iterations > 0
 
 
 def test_refresh_is_cached_until_the_file_changes(tmp_path):
@@ -245,8 +246,8 @@ def test_missing_file_is_an_empty_library(tmp_path):
     library = ModuleLibrary(tmp_path / "never_written.jsonl")
     result = run(COUNTDOWN, library)
     assert result.verdict.value == "terminating"
-    assert result.stats.library_hits == 0
-    assert result.stats.library_misses == result.stats.iterations
+    assert result.stats.counter("library.hits") == 0
+    assert result.stats.counter("library.misses") == result.stats.iterations
 
 
 # -- plumbing -------------------------------------------------------------------
@@ -268,7 +269,7 @@ def test_prove_termination_accepts_config_fallback(tmp_path):
     assert path.exists()
     warm = prove_termination_source(
         COUNTDOWN, config(module_library=str(path)))
-    assert warm.stats.library_hits == warm.stats.iterations > 0
+    assert warm.stats.counter("library.hits") == warm.stats.iterations > 0
     assert cold.verdict.value == warm.verdict.value == "terminating"
 
 
@@ -278,10 +279,12 @@ def test_stats_round_trip_carries_library_counters(tmp_path):
     warm = run(COUNTDOWN, ModuleLibrary(path))
     from repro.core.stats import AnalysisStats
     data = warm.stats.to_dict()
-    assert data["library_hits"] == warm.stats.library_hits > 0
+    hits = warm.stats.counter("library.hits")
+    assert data["metrics"]["counters"]["library.hits"] == hits > 0
     rebuilt = AnalysisStats.from_dict(data)
-    assert rebuilt.library_hits == warm.stats.library_hits
-    assert rebuilt.library_misses == warm.stats.library_misses
+    assert rebuilt.counter("library.hits") == hits
+    assert rebuilt.counter("library.misses") == \
+        warm.stats.counter("library.misses")
 
 
 def test_corpus_run_threads_library_and_emits_events(tmp_path):
@@ -316,7 +319,7 @@ def test_corpus_run_threads_library_and_emits_events(tmp_path):
     row = summary.rows[0]
     assert row["status"] == "terminating"
     assert row["library"]["hits"] > 0
-    assert row["stats"]["library_hits"] > 0
+    assert row["stats"]["metrics"]["counters"]["library.hits"] > 0
     events = [json.loads(line)
               for line in events_path.read_text().splitlines()]
     assert any(e["type"] == "library.hit" for e in events)

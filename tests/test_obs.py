@@ -3,7 +3,7 @@
 import json
 import time
 
-from repro.core.api import (prove_termination_portfolio,
+from repro.core.api import (prove_termination, prove_termination_portfolio,
                             prove_termination_source)
 from repro.core.config import AnalysisConfig
 from repro.core.stats import AnalysisStats, StatsCollector
@@ -137,29 +137,49 @@ def test_use_registry_scopes_increments():
     assert obs_metrics.registry() is not reg
 
 
+def round_totals(rounds) -> dict:
+    totals: dict = {}
+    for round_stats in rounds:
+        for name, value in round_stats.counters.items():
+            totals[name] = totals.get(name, 0) + value
+    return totals
+
+
 def test_run_metrics_agree_with_round_counters():
     result = prove_termination_source(TERMINATING)
     assert result.verdict.value == "terminating"
     counters = result.stats.metrics["counters"]
     rounds = result.stats.rounds
-    # every recorded round has a positive wall-clock
-    assert rounds and all(r.seconds > 0 for r in rounds)
-    # the metrics registry counted the same work the per-round
-    # RemovalStats / cache counters report (no interpolant companions
-    # here, so rounds and difference calls are 1:1)
+    # every recorded round has a positive wall-clock and counted work
+    assert rounds and all(r.seconds > 0 and r.counters for r in rounds)
     assert counters["refinement.rounds"] == result.stats.iterations
-    assert counters["difference.calls"] == len(rounds)
-    assert counters["difference.explored_states"] == \
-        sum(r.explored_states for r in rounds)
-    assert counters["difference.subsumption_hits"] == \
-        sum(r.subsumption_hits for r in rounds)
-    assert counters["difference.cache.hits"] == \
-        sum(r.cache_hits for r in rounds)
-    assert counters["difference.cache.misses"] == \
-        sum(r.cache_misses for r in rounds)
+    # with nothing restored, the rounds' deltas add up to the run's
+    # totals of the difference and ranking work
+    totals = round_totals(rounds)
+    for name, value in counters.items():
+        if name.startswith(("difference.", "ranking.")):
+            assert totals.get(name, 0) == value, name
     # the logic substrate was exercised and counted
     assert counters["logic.entailment_calls"] > 0
     assert counters["logic.fm.eliminations"] > 0
+
+
+def test_restored_work_counts_in_the_run_and_in_no_round(tmp_path):
+    from repro.core.checkpoint import Checkpointer
+    program = parse_program(TERMINATING)
+    partial = AnalysisConfig(max_refinements=2)
+    prove_termination(program, partial,
+                      checkpoint=Checkpointer(str(tmp_path), "k"))
+    result = prove_termination(program,
+                               checkpoint=Checkpointer(str(tmp_path), "k"))
+    assert result.verdict.value == "terminating"
+    counters = result.stats.metrics["counters"]
+    totals = round_totals(result.stats.rounds)
+    restored = counters["checkpoint.rounds_restored"]
+    assert restored == 2 and "checkpoint.rounds_restored" not in totals
+    # each restored module is re-subtracted outside any round
+    assert counters["difference.calls"] == \
+        totals.get("difference.calls", 0) + restored
 
 
 def test_nonterminating_round_has_positive_seconds():
@@ -201,6 +221,10 @@ def test_from_dict_ignores_extra_keys():
                                      "unknown_future_key": 1})
     assert stats.program == "p"
     assert stats.rounds == []
+    # ... in rounds too
+    stats = AnalysisStats.from_dict(
+        {"rounds": [{"word": "w", "proof_kind": "ranked", "future": 1}]})
+    assert stats.rounds[0].word == "w" and stats.rounds[0].counters == {}
 
 
 # -- portfolio collector threading --------------------------------------------

@@ -289,7 +289,17 @@ program two_phase(x, p):
     assert result.stats.modules_by_stage[INTERPOLANT_STAGE] >= 1
 
 
-def test_companion_subtraction_recorded_in_round_stats():
+def test_companion_subtraction_recorded_in_round_stats(monkeypatch):
+    import repro.core.refinement as refinement
+    remainders: list[int] = []
+    real_difference = refinement.difference
+
+    def logged_difference(*args, **kwargs):
+        result = real_difference(*args, **kwargs)
+        remainders.append(len(result.automaton.states))
+        return result
+
+    monkeypatch.setattr(refinement, "difference", logged_difference)
     source = """
 program two_phase(x, p):
     while x > 0:
@@ -307,7 +317,12 @@ program two_phase(x, p):
     assert companion_rounds, "interp rounds must record their companion"
     for round_stats in companion_rounds:
         assert round_stats.companion_stage == "finite"
-        # the companion subtraction's exploration is accumulated, so the
-        # round can never report zero work after two subtractions
-        assert round_stats.explored_states > 0
-        assert round_stats.difference_states >= 0
+        # both subtractions are the round's work
+        assert round_stats.counters["difference.calls"] >= 2
+    # each round ends with the remainder of its last subtraction: the
+    # companion's, when it has one
+    calls = 0
+    for round_stats in result.stats.rounds:
+        calls += round_stats.counters.get("difference.calls", 0)
+        assert round_stats.difference_states == remainders[calls - 1]
+    assert calls == len(remainders)

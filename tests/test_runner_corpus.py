@@ -306,7 +306,8 @@ def test_corpus_checkpoint_dir_flows_to_workers_and_telemetry(tmp_path):
     assert restored[0]["rounds"] >= 1
     warm = next(r for r in again.rows if r["status"] == "terminating")
     assert warm["checkpoint"]["restored_rounds"] >= 1
-    assert warm["stats"]["restored_rounds"] >= 1
+    counters = warm["stats"]["metrics"]["counters"]
+    assert counters["checkpoint.rounds_restored"] >= 1
 
 
 # -- reporting ------------------------------------------------------------------

@@ -117,7 +117,7 @@ def test_race_checkpoint_dir_persists_and_warm_starts(tmp_path):
     again = prove_termination_portfolio(program, timeout=60.0,
                                         checkpoint_dir=str(tmp_path))
     assert again.verdict is Verdict.TERMINATING
-    assert again.stats.restored_rounds >= 1
+    assert again.stats.counter("checkpoint.rounds_restored") >= 1
 
 
 def test_race_degraded_inprocess_pool():

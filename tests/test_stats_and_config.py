@@ -117,33 +117,43 @@ def test_refinement_round_records_companion_stage():
     assert rebuilt.rounds[1].companion_stage == "finite"
 
 
-def test_collector_observe_companion_accumulates():
-    from repro.automata.emptiness import RemovalStats
-    from repro.automata.gba import ba
+def test_from_dict_reads_payload_with_per_round_copies():
+    # Before rounds carried registry deltas, each round copied its
+    # difference counters into fields, and the run copied the store
+    # counters into top-level keys; such payloads still decode.
+    old_round = {"word": "w", "proof_kind": "ranked", "stage": "semi",
+                 "module_states": 4, "difference_states": 21,
+                 "explored_states": 39, "subsumption_hits": 3,
+                 "cache_hits": 0, "cache_misses": 273,
+                 "peak_pending_edges": 12, "complement_kind": "ncsb-lazy",
+                 "modular_components": None, "companion_stage": None,
+                 "seconds": 0.04}
+    data = {"program": "p", "config": "c", "iterations": 1,
+            "total_seconds": 0.1, "peak_difference_states": 21,
+            "gave_up_reason": None, "restored_rounds": 2,
+            "library_hits": 1, "library_misses": 0,
+            "modules_by_stage": {"semi": 1}, "rounds": [old_round],
+            "metrics": {"counters": {"checkpoint.rounds_restored": 2}},
+            "incidents": []}
+    stats = AnalysisStats.from_dict(data)
+    assert stats.iterations == 1
+    assert stats.rounds[0].difference_states == 21
+    assert stats.rounds[0].stage == "semi"
+    assert stats.counter("checkpoint.rounds_restored") == 2
+    assert stats.counter("library.hits") == 0
+    again = AnalysisStats.from_dict(stats.to_dict())
+    assert again.to_dict() == stats.to_dict()
 
-    class FakeResult:
-        def __init__(self):
-            self.automaton = ba({"a"}, {("q", "a"): {"q"}}, ["q"], ["q"])
-            self.stats = RemovalStats()
-            self.stats.explored_states = 5
-            self.stats.subsumption_hits = 2
-            self.stats.cache_hits = 3
-            self.stats.cache_misses = 4
-            self.stats.peak_pending_edges = 9
 
-    collector = StatsCollector()
-    round_stats = RefinementRound(word="w", proof_kind="ranked",
-                                  stage="interp", difference_states=40,
-                                  explored_states=10, subsumption_hits=1,
-                                  cache_hits=1, cache_misses=1,
-                                  peak_pending_edges=2)
-    collector.observe_companion(round_stats, FakeResult(), "finite")
-    assert round_stats.companion_stage == "finite"
-    # exploration counters accumulate across the two subtractions ...
-    assert round_stats.explored_states == 15
-    assert round_stats.subsumption_hits == 3
-    assert round_stats.cache_hits == 4
-    assert round_stats.cache_misses == 5
-    assert round_stats.peak_pending_edges == 9
-    # ... while difference_states reflects the final (companion) result
-    assert round_stats.difference_states == 1
+def test_record_incident_counts_in_the_current_registry():
+    from repro.core.stats import Incident
+    from repro.obs.metrics import MetricsRegistry, use_registry
+
+    stats = AnalysisStats()
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        stats.record_incident(Incident("budget.degraded", "refinement"))
+        stats.record_incident(Incident("budget.degraded", "checkpoint"))
+    assert len(stats.incidents) == 2
+    assert registry.counts() == {"incidents.budget.degraded": 2}
+    assert stats.metrics == {}  # the snapshot is taken by the run
