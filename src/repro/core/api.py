@@ -20,6 +20,7 @@ from repro.core.config import AnalysisConfig
 from repro.core.firewall import screen
 from repro.core.refinement import RefinementEngine, TerminationResult, Verdict
 from repro.core.stats import AnalysisStats, StatsCollector
+from repro.logic import fourier_motzkin as fm
 from repro.obs import metrics as obs_metrics
 from repro.program.ast import Program
 from repro.program.cfg import build_cfg
@@ -57,7 +58,9 @@ def prove_termination(program: Program,
 
     One fresh metrics registry spans the whole run -- building the
     control-flow graph, the engine and the firewall's re-check alike --
-    so its snapshot, ``result.stats.metrics``, holds every count.
+    so its snapshot, ``result.stats.metrics``, holds every count.  One
+    Fourier--Motzkin memo (:func:`repro.logic.fourier_motzkin.use_memo`)
+    spans the CFG build and the engine; the firewall opens its own.
     """
     config = config or AnalysisConfig()
     if library is None:
@@ -68,13 +71,14 @@ def prove_termination(program: Program,
     plan = faults.resolve_plan(config.fault_plan)
     registry = obs_metrics.MetricsRegistry()
     with obs_metrics.use_registry(registry):
-        engine = RefinementEngine(build_cfg(program), config, collector,
-                                  checkpoint=checkpoint, library=library)
-        if plan is not None:
-            with faults.use_plan(plan):
+        with fm.use_memo():
+            engine = RefinementEngine(build_cfg(program), config, collector,
+                                      checkpoint=checkpoint, library=library)
+            if plan is not None:
+                with faults.use_plan(plan):
+                    result = engine.run()
+            else:
                 result = engine.run()
-        else:
-            result = engine.run()
         if config.firewall:
             result = screen(result, config.timeout)
     result.stats.metrics = registry.snapshot()

@@ -24,9 +24,10 @@ structured :class:`~repro.core.stats.Incident` -- the firewall never
 injected adversarial solver answer, see :mod:`repro.faults`) is a lost
 answer, not a wrong one.
 
-The screen runs with fault injection suspended and the resource budget
-cleared: its solver calls must see honest answers, and a budget that
-ended the analysis must not also starve the validation of the result.
+The screen runs with fault injection suspended, the resource budget
+cleared and a fresh Fourier--Motzkin memo: its solver calls must see
+honest answers, never one the engine computed, and a budget that ended
+the analysis must not also starve the validation of the result.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from repro.core.budget import use_budget
 from repro.core.module import recheck
 from repro.core.refinement import TerminationResult, Verdict
 from repro.core.stats import Incident
+from repro.logic import fourier_motzkin as fm
 from repro.logic.terms import var
 from repro.obs import metrics as _metrics
 from repro.program.interp import run_word
@@ -74,7 +76,7 @@ def screen(result: TerminationResult, timeout: float | None = None,
         return result
     _metrics.inc("firewall.screens")
     deadline = time.perf_counter() + _allowance(timeout)
-    with faults.suspended(), use_budget(None):
+    with faults.suspended(), use_budget(None), fm.use_memo():
         if result.verdict is Verdict.TERMINATING:
             problems = _check_terminating(result, deadline)
         else:

@@ -7,6 +7,7 @@ objects and provides:
 - :func:`satisfiable` -- exact rational satisfiability of a conjunction,
 - :func:`find_model` -- a satisfying rational valuation (integral where
   an integer fits the bounds),
+- :func:`use_memo` -- scope a per-run memo of :func:`eliminate` answers.
 
 Equalities are eliminated by pivoting (exact Gaussian substitution),
 inequalities by the classical pairwise combination.  Strictness is
@@ -14,17 +15,46 @@ propagated: a combination is strict iff either parent is strict.
 Satisfiability is *exact over the rationals*; over the integers it is
 sound in the UNSAT direction (rational-UNSAT implies integer-UNSAT),
 which is the direction every soundness-critical caller relies on.
+
+Inside :func:`use_memo` (one analysis run, see
+:func:`repro.core.api.prove_termination`) :func:`eliminate` answers a
+repeated query from its first answer.  The key is the atoms and the
+elimination order exactly as given: FM's output form depends on both,
+and an order-insensitive key could hand back an equivalent but
+syntactically different projection.  A query that raises (budget cap,
+deadline, injected fault) is never stored, and a hit returns a fresh
+list.  ``logic.fm.eliminations`` counts computed eliminations only;
+``logic.fm.memo_hits`` counts the answers served from the memo.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from repro.core.budget import current_budget
+from repro.core.budget import Budget, current_budget
 from repro.logic.atoms import Atom, Rel
 from repro.logic.terms import LinTerm
 from repro.obs import metrics as _metrics
+
+
+#: The active per-run memo: query key -> projected atoms, ``None`` for
+#: UNSAT.  ``None`` outside :func:`use_memo`.
+_MEMO: dict[tuple, tuple[Atom, ...] | None] | None = None
+_MISS = object()
+
+
+@contextmanager
+def use_memo() -> Iterator[dict]:
+    """Scope a fresh, empty elimination memo; yields it."""
+    global _MEMO
+    previous = _MEMO
+    _MEMO = {}
+    try:
+        yield _MEMO
+    finally:
+        _MEMO = previous
 
 
 class _Contradiction(Exception):
@@ -90,6 +120,20 @@ def _combine(atoms: list[Atom], name: str) -> list[Atom]:
     return others
 
 
+def _step(current: list[Atom], name: str, tighten: bool,
+          budget: Budget | None) -> list[Atom]:
+    """Eliminate one variable: pivot on an equality, else FM-combine."""
+    if budget is not None:
+        # FM combination can square the system per eliminated variable;
+        # this is the only guard between a pathological conjunction and
+        # an effectively hung solver call.
+        budget.charge_fm(len(current))
+    pivoted = _pivot_equality(current, name)
+    if pivoted is None:
+        pivoted = _combine(current, name)
+    return _simplify(pivoted, tighten)
+
+
 def eliminate(atoms: Sequence[Atom], names: Iterable[str], *,
               tighten: bool = True) -> list[Atom] | None:
     """Project the conjunction onto the complement of ``names``.
@@ -98,23 +142,30 @@ def eliminate(atoms: Sequence[Atom], names: Iterable[str], *,
     (rationally) unsatisfiable.  The projection is exact over the
     rationals: a valuation of the remaining variables satisfies the
     result iff it extends to a valuation of all variables satisfying the
-    input.
+    input.  Inside :func:`use_memo` a repeated query is answered from
+    the memo.
     """
+    if _MEMO is None:
+        return _eliminate(atoms, names, tighten)
+    key = (tuple(atoms), tuple(names), tighten)
+    hit = _MEMO.get(key, _MISS)
+    if hit is _MISS:
+        result = _eliminate(key[0], key[1], tighten)
+        _MEMO[key] = None if result is None else tuple(result)
+        return result
+    _metrics.inc("logic.fm.memo_hits")
+    return None if hit is None else list(hit)
+
+
+def _eliminate(atoms: Sequence[Atom], names: Iterable[str],
+               tighten: bool) -> list[Atom] | None:
+    """The uncached elimination behind :func:`eliminate`."""
     _metrics.inc("logic.fm.eliminations")
     budget = current_budget()
     try:
         current = _simplify(atoms, tighten)
         for name in names:
-            if budget is not None:
-                # FM combination can square the system per eliminated
-                # variable; this is the only guard between a pathological
-                # conjunction and an effectively hung solver call.
-                budget.charge_fm(len(current))
-            pivoted = _pivot_equality(current, name)
-            if pivoted is not None:
-                current = _simplify(pivoted, tighten)
-            else:
-                current = _simplify(_combine(current, name), tighten)
+            current = _step(current, name, tighten, budget)
         return current
     except _Contradiction:
         return None
@@ -218,20 +269,11 @@ def find_model(atoms: Sequence[Atom], *, tighten: bool = True,
     systems: list[tuple[str, list[Atom]]] = []
     try:
         current = _simplify(atoms, tighten)
+        for name in names:
+            systems.append((name, current))
+            current = _step(current, name, tighten, budget)
     except _Contradiction:
         return None
-    for name in names:
-        if budget is not None:
-            budget.charge_fm(len(current))
-        systems.append((name, current))
-        pivoted = _pivot_equality(current, name)
-        try:
-            if pivoted is not None:
-                current = _simplify(pivoted, tighten)
-            else:
-                current = _simplify(_combine(current, name), tighten)
-        except _Contradiction:
-            return None
     model: dict[str, Fraction] = {}
     for name, system in reversed(systems):
         # Substitute the already-chosen values, leaving atoms in `name` only.

@@ -114,3 +114,36 @@ def test_no_active_plan_is_a_no_op():
     assert faults._ACTIVE is None
     faults.perturb("solver.lp")  # nothing raised
     assert faults.filter_bool("solver.lp", True) is True
+
+
+def test_flipped_entailments_never_enter_the_solver_memo(monkeypatch):
+    from repro.core.api import prove_termination_source
+    from repro.core.config import AnalysisConfig
+    from repro.core.refinement import RefinementEngine, Verdict
+    from repro.logic import fourier_motzkin as fm
+    runs = []
+    run = RefinementEngine.run
+
+    def run_and_keep_memo(self):
+        result = run(self)
+        runs.append((fm._MEMO, faults.injected_counts()))
+        return result
+
+    monkeypatch.setattr(RefinementEngine, "run", run_and_keep_memo)
+    plan = FaultPlan(seed=0, wrong_answer_rate=1.0,
+                     sites=("solver.entailment",)).to_json()
+    cases = (("while x > 0:\n        x := x - 1", Verdict.TERMINATING),
+             ("while x > 0:\n        x := x + 1", Verdict.NONTERMINATING))
+    for body, honest in cases:
+        result = prove_termination_source(
+            f"program p(x):\n    {body}\n",
+            AnalysisConfig(timeout=30.0, fault_plan=plan))
+        # the firewall may lose the answer, never flip it
+        assert result.verdict in (honest, Verdict.UNKNOWN)
+    for memo, injected in runs:
+        assert injected["solver.entailment"]["flip"] > 0
+        assert memo
+        # every stored answer is the honest uncached elimination
+        for (atoms, names, tighten), answer in memo.items():
+            fresh = fm.eliminate(atoms, names, tighten=tighten)
+            assert answer == (None if fresh is None else tuple(fresh))

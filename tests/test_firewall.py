@@ -156,3 +156,38 @@ def test_firewall_incidents_are_counted_once(monkeypatch):
             sum(i.kind == kind for i in incidents)
     assert counters.get("firewall.screens") == 1
     assert "firewall.passed" not in counters
+
+
+def test_no_memo_outlives_a_run():
+    from repro.logic import fourier_motzkin as fm
+    assert fm._MEMO is None
+    result = prove_termination_source(COUNTDOWN, AnalysisConfig(timeout=30.0))
+    assert result.verdict is Verdict.TERMINATING
+    assert result.stats.metrics["counters"]["logic.fm.memo_hits"] > 0
+    assert fm._MEMO is None
+
+
+def test_screen_solves_on_a_fresh_memo_of_its_own(monkeypatch):
+    import repro.core.firewall as firewall
+    from repro.core.refinement import RefinementEngine
+    from repro.logic import fourier_motzkin as fm
+    seen = {}
+    run, check = RefinementEngine.run, firewall._check_terminating
+
+    def run_and_keep_memo(self):
+        seen["engine"] = fm._MEMO
+        return run(self)
+
+    def check_and_keep_memo(result, deadline):
+        seen["screen"], seen["on_entry"] = fm._MEMO, len(fm._MEMO)
+        return check(result, deadline)
+
+    monkeypatch.setattr(RefinementEngine, "run", run_and_keep_memo)
+    monkeypatch.setattr(firewall, "_check_terminating", check_and_keep_memo)
+    result = prove_termination_source(COUNTDOWN, AnalysisConfig(timeout=30.0))
+    assert result.verdict is Verdict.TERMINATING
+    assert result.stats.metrics["counters"]["firewall.passed"] == 1
+    # the screen starts empty and never reads an answer of the engine's
+    assert seen["on_entry"] == 0 and seen["engine"]
+    assert seen["screen"] is not seen["engine"]
+    assert seen["screen"]  # the re-check's own queries went through it

@@ -10,11 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.budget import Budget, ResourceExhausted, use_budget
+from repro.logic import fourier_motzkin as fm
 from repro.logic.atoms import (Atom, Rel, atom_eq, atom_ge, atom_gt, atom_le,
                                atom_lt, negate_atom)
 from repro.logic.fourier_motzkin import eliminate, find_model, satisfiable
 from repro.logic.linconj import FALSE, TRUE, LinConj, conj
 from repro.logic.terms import term, var
+from repro.obs import metrics as obs_metrics
 
 x, y, z = var("x"), var("y"), var("z")
 
@@ -256,3 +259,87 @@ def test_projection_preserves_satisfiability(atoms):
     c = LinConj(atoms)
     p = c.project_away(["x"])
     assert p.is_sat() == c.is_sat()
+
+
+# -- per-run memo ----------------------------------------------------------------
+
+MEMO_VARS = ["x", "y", "oldrnk"]
+
+
+@st.composite
+def memo_atoms(draw):
+    """Atoms over two integer variables and the rational ``oldrnk``."""
+    coeffs = {n: draw(st.integers(-2, 2)) for n in MEMO_VARS}
+    constant = draw(st.fractions(min_value=-3, max_value=3, max_denominator=3))
+    rel = draw(st.sampled_from([Rel.LE, Rel.LT, Rel.EQ]))
+    return Atom(term(coeffs, constant), rel)
+
+
+@st.composite
+def elimination_orders(draw):
+    order = draw(st.permutations(MEMO_VARS))
+    return order[:draw(st.integers(0, len(order)))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(memo_atoms(), min_size=1, max_size=5), elimination_orders(),
+       st.booleans())
+def test_memo_answers_exactly_as_the_uncached_solver(atoms, order, tighten):
+    assert fm._MEMO is None
+    reference = eliminate(atoms, order, tighten=tighten)
+    registry = obs_metrics.MetricsRegistry()
+    with obs_metrics.use_registry(registry), fm.use_memo() as memo:
+        # same atoms in the same order (or UNSAT) on every call, and what
+        # a caller does to a returned list never reaches the memo
+        first = eliminate(atoms, order, tighten=tighten)
+        assert first == reference
+        if first is not None:
+            first.reverse()
+            first.append(atom_le(x, 0))
+        second = eliminate(atoms, order, tighten=tighten)
+        assert second == reference
+        if second is not None:
+            second.clear()
+        assert eliminate(atoms, order, tighten=tighten) == reference
+    assert fm._MEMO is None
+    assert len(memo) == 1
+    counters = registry.snapshot()["counters"]
+    assert counters["logic.fm.eliminations"] == 1
+    assert counters["logic.fm.memo_hits"] == 2
+
+
+def test_memo_key_keeps_atom_and_elimination_order():
+    atoms = [atom_le(x, y), atom_le(y, 3), atom_ge(x, z)]
+    with fm.use_memo() as memo:
+        eliminate(atoms, ["y", "x"])
+        eliminate(list(reversed(atoms)), ["y", "x"])
+        eliminate(atoms, ["x", "y"])
+        eliminate(atoms, ["y", "x"], tighten=False)
+    assert len(memo) == 4
+
+
+def test_memo_never_stores_a_query_over_the_fm_cap():
+    atoms = [atom_le(x, y), atom_le(y, 3), atom_ge(x, 0)]
+    registry = obs_metrics.MetricsRegistry()
+    with obs_metrics.use_registry(registry), fm.use_memo() as memo:
+        with use_budget(Budget(fm_constraint_cap=2)):
+            for _ in range(2):
+                with pytest.raises(ResourceExhausted) as info:
+                    eliminate(atoms, ["x", "y"])
+                assert info.value.resource == "fm-constraints"
+                assert memo == {}
+        # the same query without the cap is computed, not replayed
+        assert eliminate(atoms, ["x", "y"]) is not None
+    counters = registry.snapshot()["counters"]
+    assert counters["logic.fm.eliminations"] == 3
+    assert "logic.fm.memo_hits" not in counters
+
+
+def test_memo_scopes_nest_and_restore():
+    assert fm._MEMO is None
+    with fm.use_memo() as outer:
+        satisfiable([atom_le(x, 1)])
+        with fm.use_memo() as inner:
+            assert fm._MEMO is inner and inner == {}
+        assert fm._MEMO is outer and len(outer) == 1
+    assert fm._MEMO is None

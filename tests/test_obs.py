@@ -196,6 +196,17 @@ def test_runs_get_isolated_registries():
         second.stats.metrics["counters"]["refinement.rounds"]
 
 
+def test_consecutive_runs_do_the_same_solver_work():
+    # the solver memo lives for one run: the first run of a program
+    # does not warm the second
+    first = prove_termination_source(TERMINATING).stats.metrics["counters"]
+    second = prove_termination_source(TERMINATING).stats.metrics["counters"]
+    assert first["logic.fm.memo_hits"] > 0
+    for name in ("logic.fm.eliminations", "logic.fm.memo_hits",
+                 "logic.fm.sat_checks", "logic.entailment_calls"):
+        assert first[name] == second[name], name
+
+
 # -- stats round-trip ---------------------------------------------------------
 
 
