@@ -1,4 +1,4 @@
-"""Fourier--Motzkin elimination over exact rationals.
+"""Fourier--Motzkin elimination over exact rationals, on integer rows.
 
 The engine operates on lists of normalized :class:`~repro.logic.atoms.Atom`
 objects and provides:
@@ -9,12 +9,35 @@ objects and provides:
   an integer fits the bounds),
 - :func:`use_memo` -- scope a per-run memo of :func:`eliminate` answers.
 
-Equalities are eliminated by pivoting (exact Gaussian substitution),
-inequalities by the classical pairwise combination.  Strictness is
-propagated: a combination is strict iff either parent is strict.
-Satisfiability is *exact over the rationals*; over the integers it is
-sound in the UNSAT direction (rational-UNSAT implies integer-UNSAT),
-which is the direction every soundness-critical caller relies on.
+One elimination converts its atoms once into *rows* and converts back
+only at the end.  A row is a tuple of Python ints: one coefficient per
+variable of a call-local sorted index, then the constant, then a
+relation code; it is divided by the gcd of its entries.  Over the
+rationals an atom is equivalent to each of its positive scalings, so no
+``Fraction`` is built inside the loop.  Equalities are eliminated by
+pivoting: the first equality ``e`` with coefficient ``c`` of the
+variable turns a row ``r`` with coefficient ``a`` into
+``|c|*r - sign(c)*a*e``.  Inequalities are eliminated by pairwise
+combination: a lower bound ``lo`` (coefficient ``cl < 0``) and an upper
+bound ``up`` (``cu > 0``) give ``cu*lo - cl*up``, strict iff either
+parent is strict.  Rows without the variable come first, then the
+combinations, and duplicates are dropped by hash, first occurrence
+kept.  Satisfiability is *exact over the rationals*; over the integers
+it is sound in the UNSAT direction (rational-UNSAT implies
+integer-UNSAT), which is the direction every soundness-critical caller
+relies on.
+
+With ``tighten`` (the default) each new row is also tightened over the
+integers, exactly as :meth:`Atom.tighten_integral` tightens an atom:
+divide by the gcd ``g`` of the variable coefficients and round the
+constant ``d`` by floor division (``t + d < 0`` becomes
+``t/g + d//g + 1 <= 0``, ``t + d <= 0`` becomes ``t/g + ceil(d/g) <= 0``,
+and an equality with ``g`` not dividing ``d`` is a contradiction).  A
+row with a nonzero coefficient of a rational-valued variable
+(:data:`~repro.logic.atoms.RATIONAL_VARS`, i.e. ``oldrnk``) is only
+scaled, never rounded.  So every atom returned is the tightened atom of
+its row, and the output is atom for atom what the textbook procedure on
+``Fraction`` atoms gives.
 
 Inside :func:`use_memo` (one analysis run, see
 :func:`repro.core.api.prove_termination`) :func:`eliminate` answers a
@@ -31,10 +54,11 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
-from repro.core.budget import Budget, current_budget
-from repro.logic.atoms import Atom, Rel
+from repro.core.budget import current_budget
+from repro.logic.atoms import RATIONAL_VARS, Atom, Rel
 from repro.logic.terms import LinTerm
 from repro.obs import metrics as _metrics
 
@@ -58,80 +82,120 @@ def use_memo() -> Iterator[dict]:
 
 
 class _Contradiction(Exception):
-    """Raised internally when a trivially false atom appears."""
+    """Raised internally when a trivially false row appears."""
 
 
-def _simplify(atoms: Iterable[Atom], tighten: bool) -> list[Atom]:
-    """Drop trivially true atoms; raise on trivially false ones; dedupe."""
-    seen: set[Atom] = set()
-    out: list[Atom] = []
-    for atom in atoms:
-        if tighten:
-            atom = atom.tighten_integral()
-        if atom.is_trivially_true():
-            continue
-        if atom.is_trivially_false():
+#: Relation codes, the last entry of a row.
+_LE, _LT, _EQ = 0, 1, 2
+_RELS = (Rel.LE, Rel.LT, Rel.EQ)
+
+#: ``(c_0, ..., c_{n-1}, constant, relation code)``, all ints.
+Row = tuple[int, ...]
+
+
+def _row(vals: list[int], rel: int, tighten: bool,
+         rational: tuple[int, ...]) -> Row | None:
+    """The normalized row of ``vals[:-1]·v + vals[-1] REL 0``.
+
+    ``None`` if it is trivially true; raises :class:`_Contradiction` if
+    it is trivially false.  ``rational`` lists the columns of
+    rational-valued variables, whose rows are never rounded.
+    """
+    d = vals.pop()
+    g = gcd(*vals)
+    if g == 0:
+        if (d < 0 and rel != _EQ) or (d == 0 and rel != _LT):
+            return None
+        raise _Contradiction()
+    if tighten and not any(vals[k] for k in rational):
+        if rel == _LT:
+            d, rel = d // g + 1, _LE
+        elif rel == _LE:
+            d = -(-d // g)
+        elif d % g:
             raise _Contradiction()
-        if atom not in seen:
-            seen.add(atom)
-            out.append(atom)
-    return out
-
-
-def _pivot_equality(atoms: list[Atom], name: str) -> list[Atom] | None:
-    """If some equality mentions ``name``, substitute it away; else None."""
-    for i, atom in enumerate(atoms):
-        if atom.rel is not Rel.EQ:
-            continue
-        c = atom.term.coeff(name)
-        if c == 0:
-            continue
-        # name = -(term - c*name) / c
-        replacement = (LinTerm({name: c}) - atom.term) * (Fraction(1) / c)
-        rest = atoms[:i] + atoms[i + 1:]
-        return [a.substitute({name: replacement}) for a in rest]
-    return None
-
-
-def _combine(atoms: list[Atom], name: str) -> list[Atom]:
-    """Eliminate ``name`` from pure-inequality occurrences by FM combination."""
-    lowers: list[Atom] = []   # atoms giving lower bounds: coeff < 0
-    uppers: list[Atom] = []   # atoms giving upper bounds: coeff > 0
-    others: list[Atom] = []
-    for atom in atoms:
-        c = atom.term.coeff(name)
-        if c == 0:
-            others.append(atom)
-        elif atom.rel is Rel.EQ:
-            raise AssertionError("equalities must be pivoted before combination")
-        elif c > 0:
-            uppers.append(atom)
         else:
-            lowers.append(atom)
-    for low in lowers:
-        cl = low.term.coeff(name)
+            d //= g
+    else:
+        g = gcd(g, d)
+        d //= g
+    if g != 1:
+        vals = [c // g for c in vals]
+    return (*vals, d, rel)
+
+
+def _dedupe(rows: list[Row | None]) -> list[Row]:
+    """Drop ``None`` (trivially true) and repeats, first occurrence kept."""
+    return [r for r in dict.fromkeys(rows) if r is not None]
+
+
+def _step(rows: list[Row], k: int, tighten: bool,
+          rational: tuple[int, ...]) -> list[Row]:
+    """Eliminate column ``k``: pivot on an equality, else FM-combine."""
+    for i, e in enumerate(rows):
+        c = e[k]
+        if c and e[-1] == _EQ:
+            # e without its relation code: zip then stops before r's
+            sign, c, ev = (1 if c > 0 else -1), abs(c), e[:-1]
+            pivoted: list[Row | None] = []
+            for r in rows[:i] + rows[i + 1:]:
+                a = sign * r[k]
+                pivoted.append(_row([c * x - a * y for x, y in zip(r, ev)],
+                                    r[-1], tighten, rational) if a else r)
+            return _dedupe(pivoted)
+    lowers: list[Row] = []   # coefficient < 0: lower bounds
+    uppers: list[Row] = []   # coefficient > 0: upper bounds
+    out: list[Row | None] = []
+    for r in rows:
+        (out if not r[k] else uppers if r[k] > 0 else lowers).append(r)
+    for lo in lowers:
+        cl = -lo[k]
         for up in uppers:
-            cu = up.term.coeff(name)
-            # low: cl*x + tl REL 0 with cl < 0 -> x >= (tl / -cl)-ish
-            # combined: tl * cu + tu * (-cl) REL' 0
-            combined_term = low.term * cu + up.term * (-cl)
-            rel = Rel.LT if Rel.LT in (low.rel, up.rel) else Rel.LE
-            others.append(Atom(combined_term, rel))
-    return others
+            rel = _LT if _LT in (lo[-1], up[-1]) else _LE
+            out.append(_row([x * up[k] + y * cl for x, y in zip(lo, up[:-1])],
+                            rel, tighten, rational))
+    return _dedupe(out)
 
 
-def _step(current: list[Atom], name: str, tighten: bool,
-          budget: Budget | None) -> list[Atom]:
-    """Eliminate one variable: pivot on an equality, else FM-combine."""
-    if budget is not None:
-        # FM combination can square the system per eliminated variable;
-        # this is the only guard between a pathological conjunction and
-        # an effectively hung solver call.
-        budget.charge_fm(len(current))
-    pivoted = _pivot_equality(current, name)
-    if pivoted is None:
-        pivoted = _combine(current, name)
-    return _simplify(pivoted, tighten)
+def _rows(atoms: Sequence[Atom], names: Iterable[str] | None, tighten: bool,
+          systems: list[tuple[int, list[Row]]] | None = None
+          ) -> tuple[list[str], list[Row]]:
+    """The one elimination kernel behind :func:`eliminate` and :func:`find_model`.
+
+    Converts ``atoms`` to rows over their sorted variables and eliminates
+    ``names`` in order (every variable when ``None``), charging the
+    budget once per name, absent names included.  Returns the variable
+    index and the final rows; ``systems`` collects each present name's
+    column and the rows before its elimination.  Raises
+    :class:`_Contradiction` on UNSAT.
+    """
+    variables = sorted({n for a in atoms for n, _ in a.term._coeffs})
+    index = {n: k for k, n in enumerate(variables)}
+    rational = tuple(index[n] for n in RATIONAL_VARS if n in index)
+    rows: list[Row | None] = []
+    for atom in atoms:
+        term = atom.term
+        const = term._constant
+        den = lcm(const.denominator, *(c.denominator for _, c in term._coeffs))
+        vals = [0] * (len(variables) + 1)
+        for n, c in term._coeffs:
+            vals[index[n]] = c.numerator * (den // c.denominator)
+        vals[-1] = const.numerator * (den // const.denominator)
+        rows.append(_row(vals, _RELS.index(atom.rel), tighten, rational))
+    current = _dedupe(rows)
+    budget = current_budget()
+    for name in variables if names is None else names:
+        if budget is not None:
+            # FM combination can square the system per eliminated variable;
+            # this is the only guard between a pathological conjunction and
+            # an effectively hung solver call.
+            budget.charge_fm(len(current))
+        k = index.get(name)
+        if k is not None:
+            if systems is not None:
+                systems.append((k, current))
+            current = _step(current, k, tighten, rational)
+    return variables, current
 
 
 def eliminate(atoms: Sequence[Atom], names: Iterable[str], *,
@@ -144,6 +208,11 @@ def eliminate(atoms: Sequence[Atom], names: Iterable[str], *,
     result iff it extends to a valuation of all variables satisfying the
     input.  Inside :func:`use_memo` a repeated query is answered from
     the memo.
+
+    ``tighten=False`` ("rational mode", used by tests only) rounds
+    nothing, but every atom still comes back as its row's primitive
+    scaling (coprime integer variable coefficients), and atoms that are
+    positive multiples of one another count as duplicates.
     """
     if _MEMO is None:
         return _eliminate(atoms, names, tighten)
@@ -161,14 +230,18 @@ def _eliminate(atoms: Sequence[Atom], names: Iterable[str],
                tighten: bool) -> list[Atom] | None:
     """The uncached elimination behind :func:`eliminate`."""
     _metrics.inc("logic.fm.eliminations")
-    budget = current_budget()
     try:
-        current = _simplify(atoms, tighten)
-        for name in names:
-            current = _step(current, name, tighten, budget)
-        return current
+        variables, rows = _rows(atoms, names, tighten)
     except _Contradiction:
         return None
+    out = []
+    for r in rows:
+        g = gcd(*r[:-2])
+        items = tuple((variables[k], Fraction(c // g))
+                      for k, c in enumerate(r[:-2]) if c)
+        out.append(Atom(LinTerm._from_sorted(items, Fraction(r[-2], g)),
+                        _RELS[r[-1]]))
+    return out
 
 
 def satisfiable(atoms: Sequence[Atom], *, tighten: bool = True) -> bool:
@@ -178,44 +251,6 @@ def satisfiable(atoms: Sequence[Atom], *, tighten: bool = True) -> bool:
     for atom in atoms:
         names |= atom.variables()
     return eliminate(atoms, sorted(names), tighten=tighten) is not None
-
-
-def _bounds_for(atoms: Sequence[Atom], name: str) -> tuple[
-        Fraction | None, bool, Fraction | None, bool]:
-    """Extract (lower, lower_strict, upper, upper_strict) for ``name``.
-
-    All atoms are assumed to mention only ``name`` (after elimination of
-    other variables and substitution of already-chosen values).
-    """
-    lower: Fraction | None = None
-    lower_strict = False
-    upper: Fraction | None = None
-    upper_strict = False
-
-    def merge_upper(bound: Fraction, strict: bool) -> None:
-        nonlocal upper, upper_strict
-        if upper is None or bound < upper or (bound == upper and strict):
-            upper, upper_strict = bound, strict
-
-    def merge_lower(bound: Fraction, strict: bool) -> None:
-        nonlocal lower, lower_strict
-        if lower is None or bound > lower or (bound == lower and strict):
-            lower, lower_strict = bound, strict
-
-    for atom in atoms:
-        c = atom.term.coeff(name)
-        d = atom.term.constant
-        if c == 0:
-            continue
-        bound = -d / c
-        if atom.rel is Rel.EQ:
-            merge_lower(bound, False)
-            merge_upper(bound, False)
-        elif c > 0:
-            merge_upper(bound, atom.rel is Rel.LT)
-        else:
-            merge_lower(bound, atom.rel is Rel.LT)
-    return lower, lower_strict, upper, upper_strict
 
 
 def _pick_value(lower: Fraction | None, lower_strict: bool,
@@ -262,37 +297,43 @@ def find_model(atoms: Sequence[Atom], *, tighten: bool = True,
     and reproducible).
     """
     _metrics.inc("logic.fm.models")
-    budget = current_budget()
-    names: list[str] = sorted({n for atom in atoms for n in atom.variables()})
-    # Eliminate back-to-front, remembering the systems so values can be
-    # back-substituted in reverse order.
-    systems: list[tuple[str, list[Atom]]] = []
+    # Eliminate every variable in sorted order, remembering the systems so
+    # values can be back-substituted in reverse order.
+    systems: list[tuple[int, list[Row]]] = []
     try:
-        current = _simplify(atoms, tighten)
-        for name in names:
-            systems.append((name, current))
-            current = _step(current, name, tighten, budget)
+        variables, _ = _rows(atoms, None, tighten, systems)
     except _Contradiction:
         return None
-    model: dict[str, Fraction] = {}
-    for name, system in reversed(systems):
-        # Substitute the already-chosen values, leaving atoms in `name` only.
-        bindings = {n: LinTerm({}, v) for n, v in model.items()}
-        local = [a.substitute(bindings) for a in system]
-        local = [a for a in local if name in a.variables()]
-        lower, ls, upper, us = _bounds_for(local, name)
-        if prefer and name in prefer:
-            cand = prefer[name]
-            ok_low = lower is None or cand > lower or (cand == lower and not ls)
-            ok_up = upper is None or cand < upper or (cand == upper and not us)
-            if ok_low and ok_up:
-                model[name] = cand
+    values = [Fraction(0)] * len(variables)
+    for k, system in reversed(systems):
+        # With the later variables fixed, each row mentioning column k
+        # bounds it by -(constant + later terms) / coefficient.
+        lower: Fraction | None = None
+        upper: Fraction | None = None
+        ls = us = False
+        for r in system:
+            c = r[k]
+            if not c:
                 continue
-        model[name] = _pick_value(lower, ls, upper, us)
+            rest = sum((x * v for x, v in zip(r[k + 1:-2], values[k + 1:])),
+                       Fraction(r[-2]))
+            bound, strict = -rest / c, r[-1] == _LT
+            if c > 0 or r[-1] == _EQ:
+                if upper is None or bound < upper or (bound == upper and strict):
+                    upper, us = bound, strict
+            if c < 0 or r[-1] == _EQ:
+                if lower is None or bound > lower or (bound == lower and strict):
+                    lower, ls = bound, strict
+        cand = prefer.get(variables[k]) if prefer else None
+        if cand is not None and (
+                (lower is None or cand > lower or (cand == lower and not ls))
+                and (upper is None or cand < upper or (cand == upper and not us))):
+            values[k] = cand
+        else:
+            values[k] = _pick_value(lower, ls, upper, us)
+    model = dict(zip(reversed(variables), reversed(values)))
     # Defensive check: the model must satisfy the original conjunction.
     for atom in atoms:
         if not atom.evaluate({n: model.get(n, Fraction(0)) for n in atom.variables()}):
             return None
-    for name in names:
-        model.setdefault(name, Fraction(0))
     return model

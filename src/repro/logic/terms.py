@@ -41,6 +41,16 @@ class LinTerm:
         self._constant: Fraction = _frac(constant)
         self._hash = hash((self._coeffs, self._constant))
 
+    @classmethod
+    def _from_sorted(cls, items: tuple[tuple[str, Fraction], ...],
+                     constant: Fraction) -> LinTerm:
+        """A term from nonzero ``(name, coefficient)`` items already sorted by name."""
+        self = object.__new__(cls)
+        self._coeffs = items
+        self._constant = constant
+        self._hash = hash((items, constant))
+        return self
+
     @property
     def coeffs(self) -> dict[str, Fraction]:
         """Variable -> coefficient mapping (zero coefficients omitted)."""

@@ -5,6 +5,7 @@ over a small integer grid (hypothesis generates random conjunctions).
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from repro.logic.fourier_motzkin import eliminate, find_model, satisfiable
 from repro.logic.linconj import FALSE, TRUE, LinConj, conj
 from repro.logic.terms import term, var
 from repro.obs import metrics as obs_metrics
+from tests import fm_reference
 
 x, y, z = var("x"), var("y"), var("z")
 
@@ -343,3 +345,125 @@ def test_memo_scopes_nest_and_restore():
             assert fm._MEMO is inner and inner == {}
         assert fm._MEMO is outer and len(outer) == 1
     assert fm._MEMO is None
+
+
+# -- integer-row kernel against the Fraction oracle ------------------------------
+#
+# ``tests/fm_reference.py`` keeps the textbook elimination on Fraction
+# atoms.  The row kernel must give exactly its answers: the same atoms
+# in the same order, the same models, the same budget raises.
+
+ORACLE_VARS = ["x", "y", "z", "oldrnk"]
+COEFFS = st.one_of(st.integers(-4, 4),
+                   st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@st.composite
+def oracle_atoms(draw):
+    """Atoms with integer or fractional coefficients, over up to three
+    of the integer variables and the rational ``oldrnk``."""
+    names = draw(st.lists(st.sampled_from(ORACLE_VARS), max_size=3, unique=True))
+    coeffs = {n: draw(COEFFS) for n in names}
+    rel = draw(st.sampled_from([Rel.LE, Rel.LT, Rel.EQ]))
+    return Atom(term(coeffs, draw(COEFFS)), rel)
+
+
+#: Elimination orders may repeat a name or name one no atom mentions.
+ORDERS = st.lists(st.sampled_from(ORACLE_VARS + ["absent"]), max_size=5)
+CONJUNCTIONS = st.lists(oracle_atoms(), min_size=1, max_size=6)
+
+
+@settings(max_examples=400, deadline=None)
+@given(CONJUNCTIONS, ORDERS)
+def test_row_kernel_eliminates_exactly_as_the_fraction_oracle(atoms, order):
+    assert eliminate(atoms, order) == fm_reference.eliminate(atoms, order)
+
+
+@settings(max_examples=300, deadline=None)
+@given(CONJUNCTIONS, st.dictionaries(st.sampled_from(ORACLE_VARS), COEFFS,
+                                     max_size=2))
+def test_row_kernel_models_match_the_fraction_oracle(atoms, prefer):
+    for hint in (None, prefer):
+        for tighten in (True, False):
+            model = find_model(atoms, tighten=tighten, prefer=hint)
+            expected = fm_reference.find_model(atoms, tighten=tighten,
+                                               prefer=hint)
+            assert model == expected
+            assert model is None or list(model) == list(expected)
+
+
+def _fm_outcome(solver, atoms, order, cap):
+    with use_budget(Budget(fm_constraint_cap=cap)):
+        try:
+            return solver(atoms, order)
+        except ResourceExhausted as exc:
+            assert exc.resource == "fm-constraints"
+            return "raised"
+
+
+@settings(max_examples=200, deadline=None)
+@given(CONJUNCTIONS, ORDERS)
+def test_row_kernel_hits_the_fm_cap_exactly_when_the_oracle_does(atoms, order):
+    for cap in range(8):
+        assert (_fm_outcome(eliminate, atoms, order, cap)
+                == _fm_outcome(fm_reference.eliminate, atoms, order, cap))
+
+
+def test_fm_cap_is_charged_for_names_no_atom_mentions():
+    atoms = [atom_le(x, 1), atom_le(y, 2), atom_le(x + y, 5)]
+    for order in (["absent"], ["y", "absent"], ["x", "x"]):
+        for cap in range(4):
+            outcome = _fm_outcome(eliminate, atoms, order, cap)
+            assert outcome == _fm_outcome(fm_reference.eliminate, atoms,
+                                          order, cap)
+    assert _fm_outcome(eliminate, atoms, ["absent"], 2) == "raised"
+
+
+def test_oldrnk_rows_are_scaled_never_rounded():
+    r = var("oldrnk")
+    # the soundness regression: sat only at the fractional oldrnk = (y + 5) / 6
+    atoms = [atom_eq(6 * r - y, 5), atom_ge(y, 3), atom_le(y, 5)]
+    assert eliminate(atoms, ["oldrnk", "y"]) == []
+    model = find_model(atoms)
+    assert model == fm_reference.find_model(atoms)
+    assert 6 * model["oldrnk"] - model["y"] == 5
+    # a row that keeps oldrnk comes back scaled, its constant unrounded
+    kept = eliminate([atom_lt(2 * r, 5), atom_le(x, r)], ["x"])
+    assert kept == [Atom(r - Fraction(5, 2), Rel.LT)]
+
+
+def test_rows_whose_oldrnk_cancels_are_rounded():
+    r = var("oldrnk")
+    # pivot: 2*oldrnk = x turns 2*oldrnk - 3y + 1 < 0 into x - 3y + 1 < 0,
+    # an integral row, tightened to x - 3y + 2 <= 0
+    pivoted = [atom_eq(2 * r, x), atom_lt(2 * r - 3 * y + 1, 0)]
+    assert eliminate(pivoted, ["oldrnk"]) == [Atom(x - 3 * y + 2, Rel.LE)]
+    # combination: x <= oldrnk and 2*oldrnk < 2y + 1 give 2x - 2y - 1 < 0,
+    # i.e. x - y < 1/2, tightened to x - y <= 0
+    combined = [atom_le(x, r), atom_lt(2 * r, 2 * y + 1)]
+    assert eliminate(combined, ["oldrnk"]) == [Atom(x - y, Rel.LE)]
+    for atoms in (pivoted, combined):
+        assert (eliminate(atoms, ["oldrnk"])
+                == fm_reference.eliminate(atoms, ["oldrnk"]))
+
+
+def _primitive(atom):
+    """The positive multiple of ``atom`` with coprime integer coefficients."""
+    coeffs = atom.term.coeffs.values()
+    den = lcm(*(c.denominator for c in coeffs))
+    return Atom(atom.term * Fraction(den, gcd(*(int(c * den) for c in coeffs))),
+                atom.rel)
+
+
+@settings(max_examples=300, deadline=None)
+@given(CONJUNCTIONS, ORDERS)
+def test_rational_mode_returns_positive_multiples_of_the_oracle(atoms, order):
+    # Without tightening the rows round nothing but still scale every atom
+    # to coprime integer coefficients, so oracle atoms that are positive
+    # multiples of one another come back once, at the first of them.
+    result = eliminate(atoms, order, tighten=False)
+    expected = fm_reference.eliminate(atoms, order, tighten=False)
+    if expected is None:
+        assert result is None
+        return
+    assert result == list(dict.fromkeys(_primitive(a) for a in expected))
