@@ -42,13 +42,13 @@ def test_checkpoint_warm_restart_report():
     bench = sequential_loops(SCALE_K)
     program = bench.parse()
     with tempfile.TemporaryDirectory() as directory:
-        cold_seconds, cold, cp_cold = checkpointed_run(
+        cold_seconds, cold, _ = checkpointed_run(
             program, directory, "bench-warm-restart")
         warm_seconds, warm, cp_warm = checkpointed_run(
             program, directory, "bench-warm-restart")
 
     assert cold.verdict == warm.verdict
-    assert cp_cold.saved == len(cold.modules)
+    assert cold.stats.counter("checkpoint.saves") == len(cold.modules)
     assert cp_warm.restored_rounds == len(cold.modules)
     assert warm.stats.iterations == 0  # zero recomputed rounds
     assert warm_seconds < cold_seconds, \

@@ -418,12 +418,10 @@ def difference(minuend: ImplicitGBA, subtrahend: GBA, *,
                 if partial is not None:
                     register(partial)
                     _metrics.inc("difference.aborted")
-                    span.set(aborted=True,
-                             explored=partial.explored_states)
+                    span.set(aborted=True)
                 raise
             register(stats)
-            span.set(kind=used_kind.value, explored=stats.explored_states,
-                     useful=stats.useful_states)
+            span.set(kind=used_kind.value)
             return DifferenceResult(useful, used_kind, stats)
 
         try:

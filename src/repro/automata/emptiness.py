@@ -108,32 +108,10 @@ def remove_useless(auto: ImplicitGBA, *,
     ``oracle`` replaces the exact ``emp`` set (subsumption pruning);
     ``on_transition`` observes every explored edge; ``state_limit``
     raises :class:`ExplorationLimit` when the traversal grows too big.
-
-    With a tracer installed, the traversal runs inside an ``emptiness``
-    span stamped with the exploration counters.
+    The traversal runs inside an ``emptiness`` span; its counts live in
+    ``stats`` and, via :func:`repro.automata.difference.difference`,
+    in the metrics registry.
     """
-    tracer = get_tracer()
-    if not tracer.enabled:
-        return _remove_useless(auto, oracle=oracle, on_transition=on_transition,
-                               state_limit=state_limit, deadline=deadline)
-    with tracer.span("emptiness") as span:
-        result, stats = _remove_useless(auto, oracle=oracle,
-                                        on_transition=on_transition,
-                                        state_limit=state_limit,
-                                        deadline=deadline)
-        span.set(explored_states=stats.explored_states,
-                 explored_edges=stats.explored_edges,
-                 useful_states=stats.useful_states,
-                 subsumption_hits=stats.subsumption_hits)
-        return result, stats
-
-
-def _remove_useless(auto: ImplicitGBA, *,
-                    oracle: EmptyOracle | None = None,
-                    on_transition: Callable[[State, Symbol, State], None] | None = None,
-                    state_limit: int | None = None,
-                    deadline: float | None = None,
-                    ) -> tuple[GBA, RemovalStats]:
     oracle = oracle if oracle is not None else EmptyOracle()
     stats = RemovalStats()
     all_conditions = frozenset(range(auto.acceptance_count))
@@ -268,26 +246,27 @@ def _remove_useless(auto: ImplicitGBA, *,
             if frames:
                 frames[-1].is_nemp = frames[-1].is_nemp or frame.is_nemp
 
-    try:
-        for initial in sorted(auto.initial_states(), key=repr):
-            if initial not in useful and not oracle.contains(initial):
-                if initial not in dfsnum:
-                    construct(initial)
-    except ResourceExhausted as exc:  # includes ExplorationTimeout
-        # The partial effort must survive the unwind: the difference
-        # layer registers explored states/edges even for attempts that
-        # blow a budget or deadline (see difference.attempt), so a
-        # retried round is never invisible in the metrics.
-        exc.partial_stats = stats
-        raise
+    with get_tracer().span("emptiness"):
+        try:
+            for initial in sorted(auto.initial_states(), key=repr):
+                if initial not in useful and not oracle.contains(initial):
+                    if initial not in dfsnum:
+                        construct(initial)
+        except ResourceExhausted as exc:  # includes ExplorationTimeout
+            # The partial effort must survive the unwind: the difference
+            # layer registers explored states/edges even for attempts that
+            # blow a budget or deadline (see difference.attempt), so a
+            # retried round is never invisible in the metrics.
+            exc.partial_stats = stats
+            raise
 
-    acc = [[q for q in useful if j in auto.accepting_sets_of(q)]
-           for j in range(auto.acceptance_count)]
-    result = GBA(auto.alphabet, transitions,
-                 [q for q in auto.initial_states() if q in useful],
-                 acc, states=useful)
-    stats.useful_states = len(useful)
-    return result, stats
+        acc = [[q for q in useful if j in auto.accepting_sets_of(q)]
+               for j in range(auto.acceptance_count)]
+        result = GBA(auto.alphabet, transitions,
+                     [q for q in auto.initial_states() if q in useful],
+                     acc, states=useful)
+        stats.useful_states = len(useful)
+        return result, stats
 
 
 class ExplorationLimit(ResourceExhausted):

@@ -49,7 +49,7 @@ def prove_termination(program: Program,
     :mod:`repro.core.checkpoint`).
 
     ``library`` (a :class:`repro.core.library.ModuleLibrary` or a path
-    to one, optional; ``config.module_library`` is the fallback) makes
+    to one, optional) makes
     certified modules flow *across* programs: each counterexample
     queries the library before synthesis and every freshly certified
     module is published back.  Same trust model as checkpoints -- every
@@ -63,8 +63,6 @@ def prove_termination(program: Program,
     spans the CFG build and the engine; the firewall opens its own.
     """
     config = config or AnalysisConfig()
-    if library is None:
-        library = config.module_library
     if library is not None and not hasattr(library, "match"):
         from repro.core.library import ModuleLibrary
         library = ModuleLibrary(library)

@@ -54,9 +54,9 @@ class Checkpointer:
     Bound to a ``(directory, key)`` pair; the file is
     ``<directory>/checkpoint_<key>.jsonl``.  All failure modes are
     contained: a failed save never interrupts the analysis, a bad
-    checkpoint never seeds it.  The instance keeps counters
-    (:meth:`summary`) so the harness can report what happened without
-    re-reading the file.
+    checkpoint never seeds it.  What happened is counted in the run's
+    metrics registry (``checkpoint.saves``, ``checkpoint.save_failures``,
+    ``checkpoint.rounds_restored``, ``incidents.checkpoint.rejected``).
     """
 
     def __init__(self, directory: str, key: str, program: str = "?"):
@@ -65,10 +65,6 @@ class Checkpointer:
         self.program = program
         self.path = os.path.join(self.directory,
                                  f"checkpoint_{_sanitize(self.key)}.jsonl")
-        #: successful saves (rounds that reached the log) this run
-        self.saved = 0
-        #: saves lost to injected/real write failures
-        self.save_failures = 0
         #: modules (= rounds) seeded from the checkpoint on restore
         self.restored_rounds = 0
         #: why the checkpoint was rejected (None = not rejected)
@@ -109,12 +105,10 @@ class Checkpointer:
         except (OSError, TypeError, ValueError):
             return self._failed()
         self._appended += len(pending)
-        self.saved += 1
         _metrics.inc("checkpoint.saves")
         return True
 
     def _failed(self) -> bool:
-        self.save_failures += 1
         _metrics.inc("checkpoint.save_failures")
         return False
 
@@ -160,17 +154,5 @@ class Checkpointer:
 
     def _reject(self, reason: str) -> list:
         self.rejected = reason
-        _metrics.inc("checkpoint.rejections")
         return []
 
-    # -- reporting --------------------------------------------------------------
-
-    def summary(self) -> dict:
-        """JSON-ready counters for result rows / telemetry."""
-        out: dict = {"path": self.path, "saved": self.saved,
-                     "restored_rounds": self.restored_rounds}
-        if self.save_failures:
-            out["save_failures"] = self.save_failures
-        if self.rejected:
-            out["rejected"] = self.rejected
-        return out

@@ -111,16 +111,6 @@ class AnalysisConfig:
     #: Travels through ``to_dict``/``from_dict`` so manifests and
     #: worker payloads can switch chaos runs on per job.
     fault_plan: str | None = None
-    #: Path to a cross-program certified-module library (JSONL; see
-    #: :mod:`repro.core.library`), or None.  A pure optimization --
-    #: every reused module is re-validated and verdicts never change --
-    #: so it is deliberately **excluded** from :meth:`to_dict` and
-    #: :meth:`describe`: store keys, resume semantics, and config
-    #: labels must not depend on where (or whether) a library lives.
-    #: The evaluation runner threads the path through worker payloads
-    #: instead (``--module-library``); manifests naming it per config
-    #: are still accepted by :meth:`from_dict`.
-    module_library: str | None = None
 
     def __post_init__(self):
         if self.complement_kind is not None:

@@ -64,7 +64,7 @@ RECORD_VERSION = 1
 
 #: Structured rejection reasons kept per run (the full stream also
 #: lands in the ``library.rejected`` counter); bounded so a hostile
-#: library cannot balloon result rows.
+#: library cannot balloon the handle.
 _MAX_REJECTIONS = 8
 
 
@@ -166,9 +166,9 @@ class ModuleLibrary:
 
     All failure modes are contained, mirroring the checkpoint store:
     a failed publish never interrupts the analysis, a bad entry never
-    seeds it -- ``match`` and ``publish`` do not raise.  Counters
-    (:meth:`summary`) let the harness report what happened without
-    re-reading the file.
+    seeds it -- ``match`` and ``publish`` do not raise.  What happened
+    is counted in the run's metrics registry (``library.hits``,
+    ``.misses``, ``.published``, ``.publish_failures``, ``.rejected``).
     """
 
     def __init__(self, path, code_version: str | None = None):
@@ -177,14 +177,6 @@ class ModuleLibrary:
             from repro.runner.store import code_version as current_version
             code_version = current_version()
         self.code_version = code_version
-        #: counterexamples answered by a validated library module
-        self.hits = 0
-        #: counterexamples no entry could answer
-        self.misses = 0
-        #: entries this run appended to the file
-        self.published = 0
-        #: publishes lost to injected/real write failures
-        self.publish_failures = 0
         #: entries rejected by decode or Definition 3.1 re-validation
         self.rejected = 0
         #: structured reasons for the first few rejections
@@ -245,12 +237,7 @@ class ModuleLibrary:
         """
         self.refresh()
         hit = self._match(word, alphabet) if self._entries else None
-        if hit is None:
-            self.misses += 1
-            _metrics.inc("library.misses")
-        else:
-            self.hits += 1
-            _metrics.inc("library.hits")
+        _metrics.inc("library.misses" if hit is None else "library.hits")
         return hit
 
     def _match(self, word, alphabet) -> CertifiedModule | None:
@@ -319,8 +306,7 @@ class ModuleLibrary:
             record = encode_record(module, code_version=self.code_version,
                                    program=program)
             if record is None:
-                self.publish_failures += 1
-                return False
+                return self._publish_failed()
             self.refresh()
             if record["id"] in self._ids:
                 return False  # someone (maybe us) already published it
@@ -328,21 +314,21 @@ class ModuleLibrary:
                 _faults.perturb("library.publish")
             except _faults.InjectedFault:
                 self._publish_tampered(record)
-                self.publish_failures += 1
-                _metrics.inc("library.publish_failures")
-                return False
+                return self._publish_failed()
             append_lines(self.path, json.dumps(record, sort_keys=True) + "\n")
         except (OSError, TypeError, ValueError):
-            self.publish_failures += 1
-            _metrics.inc("library.publish_failures")
-            return False
-        self.published += 1
+            return self._publish_failed()
         _metrics.inc("library.published")
         # Another worker may append between our write and the next
         # stat; dropping the cached stat forces a real re-read next
         # query instead of trusting bookkeeping.
         self._stat = None
         return True
+
+    @staticmethod
+    def _publish_failed() -> bool:
+        _metrics.inc("library.publish_failures")
+        return False
 
     def _publish_tampered(self, record: dict) -> None:
         """The ``library.publish`` fault: instead of the honest entry,
@@ -362,16 +348,3 @@ class ModuleLibrary:
         except (OSError, KeyError, TypeError, ValueError):
             pass
 
-    # -- reporting --------------------------------------------------------------
-
-    def summary(self) -> dict:
-        """JSON-ready counters for result rows / telemetry."""
-        out: dict = {"path": self.path, "hits": self.hits,
-                     "misses": self.misses, "published": self.published}
-        if self.publish_failures:
-            out["publish_failures"] = self.publish_failures
-        if self.rejected:
-            out["rejected"] = self.rejected
-        if self.rejections:
-            out["rejections"] = list(self.rejections)
-        return out

@@ -83,26 +83,11 @@ def load_records(path: str) -> list[dict]:
     """Read a JSONL trace, skipping torn or garbage lines.
 
     A SIGKILLed worker leaves at most one half-written trailing line
-    (the tracer flushes per record); a tear can land inside a
-    multi-byte UTF-8 sequence, so lines are decoded individually --
-    a partial trace must still render, not crash the report.
+    (the tracer flushes per record); :func:`repro.runner.store.read_rows`
+    drops it, so a partial trace still renders.
     """
-    records = []
-    with open(path, "rb") as fh:
-        for raw in fh:
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError:
-                continue
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(record, dict):
-                records.append(record)
-    return records
+    from repro.runner.store import read_rows
+    return list(read_rows(path))
 
 
 def aggregate(records: list[dict]) -> TraceReport:

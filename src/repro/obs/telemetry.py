@@ -48,13 +48,6 @@ EVENT_TYPES = frozenset({
     "finished",   # terminal: the job produced an outcome (status=...)
     "killed",     # terminal: SIGKILLed (reason=deadline|cancelled|oom)
     "retried",    # the worker died; the job was requeued (delay=backoff)
-    "checkpoint.saved",     # a job durably saved >= 1 refinement round
-    "checkpoint.restored",  # a job warm-started from a checkpoint
-    "checkpoint.rejected",  # a checkpoint failed re-validation (cold start)
-    "library.hit",        # >= 1 counterexample answered by a reused module
-    "library.miss",       # >= 1 counterexample no library entry answered
-    "library.published",  # a job published >= 1 certified module
-    "library.rejected",   # >= 1 library entry failed re-validation
 })
 
 #: Terminal event types -- exactly one per job execution that ends.
@@ -149,29 +142,12 @@ class Telemetry:
 
 
 def read_events(path: str) -> Iterator[dict]:
-    """Yield the events of an ``events.jsonl``, skipping torn lines.
-
-    Mirrors the result store's tolerance: a run killed mid-write leaves
-    at most one torn trailing line, which is dropped rather than raised
-    (binary read, per-line decode -- a tear inside a multi-byte UTF-8
-    sequence must not lose the intact events before it).
-    """
-    if not os.path.exists(path):
-        return
-    with open(path, "rb") as fh:
-        for raw in fh:
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError:
-                continue
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(event, dict) and event.get("type") in EVENT_TYPES:
-                yield event
+    """Yield the events of an ``events.jsonl``, skipping torn lines
+    (:func:`repro.runner.store.read_rows`) and unknown event types."""
+    from repro.runner.store import read_rows
+    for event in read_rows(path):
+        if event.get("type") in EVENT_TYPES:
+            yield event
 
 
 class FleetState:

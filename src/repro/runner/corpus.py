@@ -250,14 +250,12 @@ def run_corpus(manifest: dict,
     ``trace_dir``, every worker runs under its own JSONL tracer and
     leaves ``trace_<job key>.jsonl`` there.  With ``checkpoint_dir``,
     every worker durably checkpoints its refinement rounds there keyed
-    by the job key, and checkpoint activity is surfaced as
-    ``checkpoint.saved`` / ``checkpoint.restored`` /
-    ``checkpoint.rejected`` telemetry events.  With
-    ``module_library``, every worker shares one cross-program
-    certified-module library file (:mod:`repro.core.library`) --
-    reuse before synthesis, publish after certification -- and
-    library traffic is surfaced as ``library.hit`` / ``library.miss``
-    / ``library.published`` / ``library.rejected`` telemetry events.
+    by the job key.  With ``module_library``, every worker shares one
+    cross-program certified-module library file
+    (:mod:`repro.core.library`) -- reuse before synthesis, publish
+    after certification.  Both stores count their work in each row's
+    metrics (``checkpoint.*``, ``library.*``), which
+    :func:`repro.runner.report.aggregate_rows` sums.
     Returns the run summary; ``summary.rows`` holds **all** rows of
     the matrix, reused and new alike, for reporting.
     """
@@ -289,43 +287,6 @@ def run_corpus(manifest: dict,
             row = outcome_row(outcome)
             rows_by_key[row.get("key")] = row
             store.append(row)
-            if pool.telemetry is not None:
-                # Checkpoint activity happens inside the worker, which
-                # has no handle on the parent's telemetry channel; the
-                # worker reports its Checkpointer summary in the row and
-                # the parent re-emits it as events here.
-                summary = row.get("checkpoint") or {}
-                key = row.get("key")
-                if summary.get("saved"):
-                    pool.telemetry.emit("checkpoint.saved", key=key,
-                                        rounds=summary["saved"],
-                                        path=summary.get("path"))
-                if summary.get("restored_rounds"):
-                    pool.telemetry.emit("checkpoint.restored", key=key,
-                                        rounds=summary["restored_rounds"],
-                                        path=summary.get("path"))
-                if summary.get("rejected"):
-                    pool.telemetry.emit("checkpoint.rejected", key=key,
-                                        reason=summary["rejected"],
-                                        path=summary.get("path"))
-                # Same pattern for the module library: the worker-side
-                # counters ride the row, the parent turns them into
-                # fleet events.
-                library_summary = row.get("library") or {}
-                if library_summary.get("hits"):
-                    pool.telemetry.emit("library.hit", key=key,
-                                        count=library_summary["hits"])
-                if library_summary.get("misses"):
-                    pool.telemetry.emit("library.miss", key=key,
-                                        count=library_summary["misses"])
-                if library_summary.get("published"):
-                    pool.telemetry.emit("library.published", key=key,
-                                        count=library_summary["published"])
-                if library_summary.get("rejected"):
-                    pool.telemetry.emit(
-                        "library.rejected", key=key,
-                        count=library_summary["rejected"],
-                        reasons=library_summary.get("rejections"))
             if on_row is not None:
                 on_row(row)
             if fail_fast and row.get("status") == "error":

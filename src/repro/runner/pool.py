@@ -111,14 +111,14 @@ def analysis_task(payload: dict) -> dict:
     :class:`~repro.core.checkpoint.Checkpointer` keyed by the job key
     (``checkpoint_key`` overrides, for callers whose ``key`` is not a
     store key) persists the certified decomposition after every round
-    and warm-starts from a valid existing checkpoint.  The result row
-    carries the checkpoint counters under ``row["checkpoint"]``.
+    and warm-starts from a valid existing checkpoint.
 
     With ``module_library`` set (a path), the analysis queries the
     shared cross-program certified-module library before each
     synthesis and publishes what it certifies
-    (:mod:`repro.core.library`); the result row carries the library
-    counters under ``row["library"]``.
+    (:mod:`repro.core.library`).  Both stores count their work in the
+    run's metrics registry, which the row carries under
+    ``row["stats"]["metrics"]``.
     """
     t0 = time.perf_counter()
     name = payload.get("name", "<anonymous>")
@@ -194,10 +194,6 @@ def analysis_task(payload: dict) -> dict:
         modules_by_stage=dict(stats.modules_by_stage),
         stats=stats.to_dict(),
     )
-    if checkpoint is not None:
-        row["checkpoint"] = checkpoint.summary()
-    if library is not None:
-        row["library"] = library.summary()
     if payload.get("want_result"):
         if payload.get("_same_process"):
             # In-process pools share the heap: hand the live result

@@ -4,10 +4,11 @@
 verdict counts, solved (verdict matches the manifest's expectation,
 where one was given), timeouts, errors, and wall-clock totals -- the
 shape of the paper's Table 3.  Because every completed row embeds its
-run's :mod:`repro.obs` metrics snapshot, the aggregate also sums the
-effort counters (refinement rounds, difference explorations, cache
-hits) across the corpus, giving the per-configuration cost profile
-without re-tracing anything.
+run's :mod:`repro.obs` metrics snapshot, the aggregate also sums
+every counter of those snapshots (refinement rounds, difference
+explorations, cache hits, checkpoint and library work) across the
+corpus, giving the per-configuration cost profile without re-tracing
+anything.
 
 ``python -m repro report results.jsonl [--json]`` renders it.
 """
@@ -17,33 +18,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import textwrap
 from dataclasses import dataclass, field
 
 from repro.runner.store import read_rows
-
-#: obs counters summed into each config's aggregate line.
-EFFORT_COUNTERS = (
-    "refinement.rounds",
-    "difference.calls",
-    "difference.explored_states",
-    "difference.subsumption_hits",
-    "difference.cache.hits",
-    "difference.cache.misses",
-    "difference.modular.fallbacks",
-    "complement.modular.expansions",
-    "complement.modular.macrostates",
-    "complement.modular.components.weak",
-    "complement.modular.components.det",
-    "complement.modular.components.rank",
-    "library.hits",
-    "library.misses",
-    "library.published",
-    "library.rejected",
-    "library.publish_failures",
-)
-
-_EFFORT_SET = frozenset(EFFORT_COUNTERS)
-
 
 @dataclass
 class ConfigAgg:
@@ -72,11 +50,6 @@ class ConfigAgg:
     total_seconds: float = 0.0
     max_seconds: float = 0.0
     counters: dict = field(default_factory=dict)
-    #: Row metric-counter names that were *not* summed because they are
-    #: absent from this version's EFFORT_COUNTERS schema (rows written
-    #: by another code version, or per-kind breakdowns the aggregate
-    #: does not carry).  Surfaced as a one-line warning by ``main``.
-    dropped_counters: set = field(default_factory=set)
 
     @property
     def mean_seconds(self) -> float:
@@ -110,19 +83,8 @@ def aggregate_rows(rows) -> dict[str, ConfigAgg]:
         agg.max_seconds = max(agg.max_seconds, seconds)
         counters = (row.get("stats") or {}).get("metrics", {}).get("counters", {})
         for name, value in counters.items():
-            if name in _EFFORT_SET:
-                agg.counters[name] = agg.counters.get(name, 0) + value
-            else:
-                agg.dropped_counters.add(name)
+            agg.counters[name] = agg.counters.get(name, 0) + value
     return aggs
-
-
-def dropped_counter_names(aggs: dict[str, ConfigAgg]) -> list[str]:
-    """Every counter name some row carried but the aggregate dropped."""
-    dropped: set[str] = set()
-    for agg in aggs.values():
-        dropped |= agg.dropped_counters
-    return sorted(dropped)
 
 
 def to_dict(aggs: dict[str, ConfigAgg]) -> dict:
@@ -165,16 +127,17 @@ def render_table(aggs: dict[str, ConfigAgg]) -> str:
             line += f" {a.oom:>5d} {a.quarantined:>5d}"
         line += f" {a.total_seconds:>9.2f} {a.mean_seconds:>8.2f}"
         lines.append(line)
-    shown = [a for a in aggs.values() if a.counters]
-    if shown:
+    if any(a.counters for a in aggs.values()):
         lines.append("\neffort (summed obs counters):")
-        names = sorted({n for a in shown for n in a.counters})
         for config in sorted(aggs):
             counters = aggs[config].counters
             if counters:
-                detail = "  ".join(f"{n.split('.', 1)[1]}={counters[n]}"
-                                   for n in names if n in counters)
-                lines.append(f"  {config:<26} {detail}")
+                lines.append(f"  {config}")
+                lines.extend(textwrap.wrap(
+                    "  ".join(f"{n}={v}" for n, v in sorted(counters.items())),
+                    width=100, initial_indent="    ",
+                    subsequent_indent="    ", break_long_words=False,
+                    break_on_hyphens=False))
     return "\n".join(lines)
 
 
@@ -194,14 +157,6 @@ def main(argv: list[str] | None = None) -> int:
         print("no result rows in store", file=sys.stderr)
         return 3
     aggs = aggregate_rows(rows)
-    dropped = dropped_counter_names(aggs)
-    if dropped:
-        shown = ", ".join(dropped[:8])
-        if len(dropped) > 8:
-            shown += f", +{len(dropped) - 8} more"
-        print(f"warning: {len(dropped)} metric counter(s) not in the "
-              f"effort schema were dropped from the aggregate: {shown}",
-              file=sys.stderr)
     try:
         if args.json:
             print(json.dumps(to_dict(aggs), indent=2))

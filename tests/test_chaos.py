@@ -174,12 +174,12 @@ def test_checkpoint_write_fault_plans_actually_inject(tmp_path):
     plan = FaultPlan(seed=0, crash_rate=1.0, sites=("checkpoint.write",))
     checkpoint = Checkpointer(str(tmp_path), "inject-check")
     with faults.use_plan(plan):
-        prove_termination_source(COUNTDOWN, AnalysisConfig(timeout=TIMEOUT),
-                                 checkpoint=checkpoint)
+        result = prove_termination_source(
+            COUNTDOWN, AnalysisConfig(timeout=TIMEOUT), checkpoint=checkpoint)
         injected = faults.injected_counts()
     assert injected.get("checkpoint.write", {}).get("crash", 0) >= 1
-    assert checkpoint.saved == 0
-    assert checkpoint.save_failures >= 1
+    assert result.stats.counter("checkpoint.saves") == 0
+    assert result.stats.counter("checkpoint.save_failures") >= 1
 
 
 def test_worker_site_faults_become_error_rows(tmp_path):
@@ -231,24 +231,28 @@ def test_tampered_library_entries_are_rejected_not_trusted(plan, tmp_path):
         config = AnalysisConfig(timeout=TIMEOUT)
         for attempt in range(2):
             library = ModuleLibrary(path)
+            counter = None  # a run that raised leaves no metrics
             with faults.use_plan(plan):
                 try:
                     result = prove_termination_source(
                         source, config, library=library)
                     outcome = result.verdict.value
+                    counter = result.stats.counter
                 except ReproError:
                     outcome = "error"
                 injected = faults.injected_counts()
             assert outcome != forbidden, \
                 f"unsound verdict {outcome!r} under {plan!r}"
             assert outcome in (expected, "unknown", "error")
-            assert library.hits == 0  # nothing tampered was ever reused
+            if counter is not None:
+                # nothing tampered was ever reused
+                assert counter("library.hits") == 0
             if attempt == 0 and outcome == expected == "terminating":
                 # the fault actually fired on every publish attempt
                 assert injected.get("library.publish", {}) \
                                .get("crash", 0) >= 1
-                assert library.published == 0
-                assert library.publish_failures >= 1
+                assert counter("library.published") == 0
+                assert counter("library.publish_failures") >= 1
             if attempt == 1 and path.exists() and outcome == "terminating":
                 assert library.rejected >= 1, \
                     "tampered entries must be rejected, not ignored"

@@ -148,7 +148,7 @@ def test_gba_round_trip_rejects_out_of_range():
 def test_save_is_atomic_and_leaves_no_tmp(tmp_path):
     result, checkpoint = analyze(NESTED, tmp_path)
     assert result.verdict.value == "terminating"
-    assert checkpoint.saved >= 1
+    assert result.stats.counter("checkpoint.saves") >= 1
     assert os.listdir(tmp_path) == [os.path.basename(checkpoint.path)]
     assert checkpoint.path.endswith(".jsonl")
     # one whole record per module, every line terminated, all this key
@@ -236,6 +236,23 @@ def test_tampered_certificate_rejects_whole_checkpoint(tmp_path):
     assert cp.rejected and "re-validation" in cp.rejected
 
 
+def test_rejected_checkpoint_is_counted_once_as_an_incident(tmp_path):
+    _, checkpoint = analyze(NESTED, tmp_path)
+    logged = records(checkpoint.path)
+    logged[0]["key"] = "some-other-key"
+    with open(checkpoint.path, "w", encoding="utf-8") as fh:
+        fh.write("".join(json.dumps(row) + "\n" for row in logged))
+    warm, cp = analyze(NESTED, tmp_path)
+    assert cp.rejected and "does not match" in cp.rejected
+    assert [i.kind for i in warm.stats.incidents] == ["checkpoint.rejected"]
+    # the incident counter is the rejection's one count
+    counters = warm.stats.metrics["counters"]
+    assert counters["incidents.checkpoint.rejected"] == 1
+    assert [n for n in counters if "reject" in n] == \
+        ["incidents.checkpoint.rejected"]
+    assert warm.stats.counter("checkpoint.rounds_restored") == 0
+
+
 def test_key_mismatch_rejects(tmp_path):
     _, checkpoint = analyze(NESTED, tmp_path)
     other = Checkpointer(str(tmp_path), checkpoint.key)
@@ -303,8 +320,9 @@ def test_checkpoint_write_fault_degrades_to_no_checkpoint(tmp_path):
         result, checkpoint = analyze(NESTED, tmp_path)
     # the analysis itself is untouched by save failures ...
     assert result.verdict.value == "terminating"
-    assert checkpoint.saved == 0
-    assert checkpoint.save_failures == len(result.modules)
+    assert result.stats.counter("checkpoint.saves") == 0
+    assert result.stats.counter("checkpoint.save_failures") == \
+        len(result.modules)
     # ... and the torn records the fault left must not poison the
     # next run
     warm, cp = analyze(NESTED, tmp_path)

@@ -387,11 +387,11 @@ def test_cli_complement_flag(tmp_path, capsys):
     assert set(verdicts.values()) == {"TERMINATING"}
 
 
-# -- repro report: dropped-counter warning ----------------------------------------
+# -- repro report: every counter is summed ----------------------------------------
 
 
-def test_report_warns_about_dropped_counters(tmp_path, capsys):
-    from repro.runner.report import EFFORT_COUNTERS, aggregate_rows, main
+def test_report_sums_unknown_counters(tmp_path, capsys):
+    from repro.runner.report import aggregate_rows, main
     rows = [{
         "program": "p", "config": "c", "status": "terminating",
         "verdict": "terminating", "expected": "terminating", "seconds": 0.1,
@@ -400,21 +400,16 @@ def test_report_warns_about_dropped_counters(tmp_path, capsys):
             "difference.calls": 3,
             "from.a.future.schema": 7,
         }}},
-    }]
+    } for _ in range(2)]
     store = tmp_path / "results.jsonl"
     store.write_text("".join(json.dumps(r) + "\n" for r in rows))
-    aggs = aggregate_rows(rows)
-    agg = aggs["c"]
-    assert agg.counters["refinement.rounds"] == 2
-    assert "from.a.future.schema" not in agg.counters
-    assert "from.a.future.schema" in agg.dropped_counters
+    agg = aggregate_rows(rows)["c"]
+    assert agg.counters == {"refinement.rounds": 4, "difference.calls": 6,
+                            "from.a.future.schema": 14}
     assert main([str(store)]) == 0
-    err = capsys.readouterr().err
-    assert "dropped from the aggregate" in err
-    assert "from.a.future.schema" in err
-    assert err.count("warning:") == 1
-    # the modular effort counters are part of the schema, not dropped
-    assert "complement.modular.expansions" in EFFORT_COUNTERS
+    out = capsys.readouterr()
+    assert "from.a.future.schema=14" in out.out
+    assert "warning" not in out.err
 
 
 def test_report_no_warning_when_all_counters_known(tmp_path, capsys):

@@ -14,6 +14,7 @@ from repro.benchgen.scaled import sequential_loops
 from repro.core.api import prove_termination, prove_termination_source
 from repro.core.config import AnalysisConfig
 from repro.core.library import RECORD_VERSION, ModuleLibrary, entry_id
+from repro.obs.metrics import MetricsRegistry, use_registry
 
 TIMEOUT = 30.0
 
@@ -117,9 +118,12 @@ def test_dedup_republish_adds_no_rows(tmp_path):
     # the same program without the library warm path.
     library = ModuleLibrary(path)
     cold = prove_termination_source(COUNTDOWN, config())
-    for module in cold.modules:
-        library.publish(module, program="countdown")
-    assert library.published == 0  # every record already in the file
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        for module in cold.modules:
+            library.publish(module, program="countdown")
+    # every record already in the file
+    assert registry.counts().get("library.published", 0) == 0
     assert path.read_text().splitlines() == lines
 
 
@@ -143,9 +147,7 @@ def test_tampered_certificate_is_rejected_not_believed(tmp_path):
     assert result.stats.counter("library.hits") == 0
     assert library.rejected >= 1
     assert library.rejections[0]["reason"].startswith("failed re-validation")
-    summary = library.summary()
-    assert summary["rejected"] == library.rejected
-    assert summary["rejections"]
+    assert result.stats.counter("library.rejected") == library.rejected
 
 
 def test_torn_tail_and_garbage_lines_are_tolerated(tmp_path):
@@ -166,10 +168,11 @@ def test_publish_after_a_torn_tail_is_not_swallowed(tmp_path):
     path.write_text('{"v": 1, "code_version": "t", "alph')
     writer = ModuleLibrary(path, code_version="t")
     cold = prove_termination_source(COUNTDOWN, config(), library=writer)
-    assert writer.published >= 1
+    published = cold.stats.counter("library.published")
+    assert published >= 1
     reader = ModuleLibrary(path, code_version="t")
     reader.refresh()
-    assert len(reader) == writer.published
+    assert len(reader) == published
     warm = prove_termination_source(COUNTDOWN, config(), library=reader)
     assert warm.verdict == cold.verdict
     assert warm.stats.counter("library.hits") == warm.stats.iterations > 0
@@ -179,7 +182,8 @@ def test_entries_are_keyed_by_code_version(tmp_path):
     path = tmp_path / "lib.jsonl"
     writer = ModuleLibrary(path, code_version="vA")
     cold = prove_termination_source(COUNTDOWN, config(), library=writer)
-    assert writer.published == cold.stats.iterations > 0
+    assert cold.stats.counter("library.published") == \
+        cold.stats.iterations > 0
 
     other = ModuleLibrary(path, code_version="vB")
     result = prove_termination_source(COUNTDOWN, config(), library=other)
@@ -199,8 +203,8 @@ def test_publish_fault_writes_rejected_tampered_entry(tmp_path):
     first = prove_termination_source(COUNTDOWN, config(fault_plan=plan),
                                      library=poisoned)
     assert first.verdict.value == "terminating"
-    assert poisoned.published == 0
-    assert poisoned.publish_failures > 0
+    assert first.stats.counter("library.published") == 0
+    assert first.stats.counter("library.publish_failures") > 0
     assert path.exists()  # the tampered records landed
 
     library = ModuleLibrary(path)
@@ -252,27 +256,6 @@ def test_missing_file_is_an_empty_library(tmp_path):
 
 # -- plumbing -------------------------------------------------------------------
 
-def test_module_library_stays_out_of_config_keys():
-    plain = AnalysisConfig()
-    with_library = AnalysisConfig(module_library="/tmp/lib.jsonl")
-    assert with_library.to_dict() == plain.to_dict()
-    assert with_library.describe() == plain.describe()
-    # ... but manifests naming it are still accepted.
-    rebuilt = AnalysisConfig.from_dict({"module_library": "/tmp/lib.jsonl"})
-    assert rebuilt.module_library == "/tmp/lib.jsonl"
-
-
-def test_prove_termination_accepts_config_fallback(tmp_path):
-    path = tmp_path / "lib.jsonl"
-    cold = prove_termination_source(
-        COUNTDOWN, config(module_library=str(path)))
-    assert path.exists()
-    warm = prove_termination_source(
-        COUNTDOWN, config(module_library=str(path)))
-    assert warm.stats.counter("library.hits") == warm.stats.iterations > 0
-    assert cold.verdict.value == warm.verdict.value == "terminating"
-
-
 def test_stats_round_trip_carries_library_counters(tmp_path):
     path = tmp_path / "lib.jsonl"
     run(COUNTDOWN, ModuleLibrary(path))
@@ -318,8 +301,9 @@ def test_corpus_run_threads_library_and_emits_events(tmp_path):
 
     row = summary.rows[0]
     assert row["status"] == "terminating"
-    assert row["library"]["hits"] > 0
+    assert "library" not in row  # the row's metrics are the one count
     assert row["stats"]["metrics"]["counters"]["library.hits"] > 0
     events = [json.loads(line)
               for line in events_path.read_text().splitlines()]
-    assert any(e["type"] == "library.hit" for e in events)
+    assert any(e["type"] == "finished" for e in events)
+    assert not any(e["type"].startswith("library.") for e in events)

@@ -34,6 +34,10 @@ def tiny_manifest(**extra) -> dict:
     return manifest
 
 
+def row_counter(row: dict, name: str) -> int:
+    return row["stats"]["metrics"]["counters"].get(name, 0)
+
+
 def inprocess_pool(**kwargs) -> WorkerPool:
     kwargs.setdefault("task", analysis_task)
     kwargs.setdefault("inprocess", True)
@@ -289,25 +293,38 @@ def test_corpus_checkpoint_dir_flows_to_workers_and_telemetry(tmp_path):
     # diverging one refutes on its first lasso with nothing to save
     files = sorted(ckpt.glob("checkpoint_*.jsonl"))
     assert len(files) == 1
-    saved = [e for e in tel.events if e["type"] == "checkpoint.saved"]
-    assert len(saved) == 1
-    assert saved[0]["rounds"] >= 1
+    saves = [row_counter(r, "checkpoint.saves") for r in summary.rows]
+    assert sorted(saves)[0] == 0 and sorted(saves)[1] >= 1
 
     # a fresh run (fresh store) over the same corpus warm-starts the
-    # checkpointed job and surfaces it as a checkpoint.restored event
+    # checkpointed job and counts it in that row's metrics
     tel2 = Telemetry()
     again = run_corpus(tiny_manifest(), tmp_path / "results2.jsonl",
                        pool=inprocess_pool(telemetry=tel2),
                        checkpoint_dir=ckpt)
     assert again.ran == 2
     assert again.by_status == {"terminating": 1, "nonterminating": 1}
-    restored = [e for e in tel2.events if e["type"] == "checkpoint.restored"]
-    assert len(restored) == 1
-    assert restored[0]["rounds"] >= 1
+    restored = [row_counter(r, "checkpoint.rounds_restored")
+                for r in again.rows]
+    assert sorted(restored)[0] == 0 and sorted(restored)[1] >= 1
     warm = next(r for r in again.rows if r["status"] == "terminating")
-    assert warm["checkpoint"]["restored_rounds"] >= 1
-    counters = warm["stats"]["metrics"]["counters"]
+    assert row_counter(warm, "checkpoint.rounds_restored") >= 1
+    # the fleet channel carries lifecycle events only, no count copies
+    for events in (tel.events, tel2.events):
+        assert any(e["type"] == "finished" for e in events)
+        assert not any(e["type"].startswith("checkpoint.") for e in events)
+
+
+def test_warm_corpus_report_sums_checkpoint_counters(tmp_path):
+    ckpt = tmp_path / "ckpt"
+    run_corpus(tiny_manifest(), tmp_path / "cold.jsonl",
+               pool=inprocess_pool(), checkpoint_dir=ckpt)
+    warm = run_corpus(tiny_manifest(), tmp_path / "warm.jsonl",
+                      pool=inprocess_pool(), checkpoint_dir=ckpt)
+    counters = aggregate_rows(warm.rows)["default"].counters
     assert counters["checkpoint.rounds_restored"] >= 1
+    for row in warm.rows:
+        assert "checkpoint" not in row and "library" not in row
 
 
 # -- reporting ------------------------------------------------------------------

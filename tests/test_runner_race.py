@@ -111,10 +111,12 @@ def test_race_checkpoint_dir_persists_and_warm_starts(tmp_path):
     assert result.verdict is Verdict.TERMINATING
     files = sorted(tmp_path.glob("checkpoint_*.jsonl"))
     assert files, "racing attempts left no durable checkpoints"
-    # re-racing the same portfolio restores the winner's rounds: the
-    # checkpoint key ignores the attempt index, so it survives re-runs
-    from repro.core.api import prove_termination_portfolio
-    again = prove_termination_portfolio(program, timeout=60.0,
+    # re-running the race's winner restores its rounds: the checkpoint
+    # key ignores the attempt index, so it survives re-runs.  (A loser
+    # may have been cancelled before saving anything.)
+    winner, = (c for c in DEFAULT_PORTFOLIO
+               if c.describe() == result.stats.config)
+    again = prove_termination_portfolio(program, (winner,), timeout=60.0,
                                         checkpoint_dir=str(tmp_path))
     assert again.verdict is Verdict.TERMINATING
     assert again.stats.counter("checkpoint.rounds_restored") >= 1

@@ -102,6 +102,13 @@ def test_config_round_trips_simulation_fields():
     assert default.simulation_reduction is True
 
 
+def test_from_dict_rejects_module_library():
+    # a library attaches per run (``library=``, ``--module-library``),
+    # never through the configuration
+    with pytest.raises(ValueError, match="unknown config keys"):
+        AnalysisConfig.from_dict({"module_library": "/tmp/lib.jsonl"})
+
+
 def test_refinement_round_records_companion_stage():
     stats = AnalysisStats(program="p", config="c")
     plain = RefinementRound(word="w1", proof_kind="ranked", stage="interp",
