@@ -4,7 +4,11 @@ Ablation for the shared caching layer of the difference pipeline
 (``difference(..., cache=...)``): CachedImplicitGBA wrappers around the
 product (and any implicit minuend) give Algorithm 1 precomputed
 per-state sorted edge lists instead of a fresh ``sorted(alphabet)`` per
-pushed state, plus memoized successor/acceptance queries.
+pushed state, plus memoized acceptance queries.  The product's edge
+lists are built straight from the wrapped product, so its per-``(state,
+symbol)`` successor memo stays empty: one cache miss per edge list
+built, one hit per re-read.  An implicit minuend's wrapper is read
+through ``successors`` by the product and memoizes per query.
 
 Methodology: for each ``bench_scaling`` family at its largest
 configuration, one analysis run harvests the certified-module chain;

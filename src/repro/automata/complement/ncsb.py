@@ -26,9 +26,8 @@ The input SDBA must be *complete* and *normalized* (Section 2: every
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import repro.faults as _faults
 from repro.automata.classify import (is_complete, is_normalized_sdba,
@@ -39,9 +38,16 @@ from repro.core.budget import current_budget
 from repro.obs import metrics as _metrics
 
 
-@dataclass(frozen=True)
-class MacroState:
-    """An NCSB macro-state ``(N, C, S, B)`` with ``B <= C``, ``S ^ F = {}``."""
+class MacroState(NamedTuple):
+    """An NCSB macro-state ``(N, C, S, B)`` with ``B <= C``, ``S ^ F = {}``.
+
+    A named tuple, so hashing and equality run as C tuple operations --
+    every product-state lookup of the difference hashes one.  The hash
+    is ``hash((n, c, s, b))`` and the ``repr`` the field-named form;
+    set iteration orders (and with them the exploration order and the
+    counterexample found) depend on the first, the ``key=repr`` sort of
+    initial states on the second, so the fields keep this order.
+    """
 
     n: frozenset[State]
     c: frozenset[State]

@@ -34,6 +34,7 @@ NCSB-Original and Eq. 5 for NCSB-Lazy (Theorem 6.3 / 6.4).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -185,6 +186,43 @@ class SubsumptionOracle(EmptyOracle):
         (cs, cls), (cb, clb) = self._closure(macro.s), self._closure(macro.b)
         return macro, raw, (cn, cc, cs, cb, cln, clc, cls, clb)
 
+    def _covered(self, entry: tuple[MacroState, tuple[int, ...] | None,
+                                    tuple[int, ...] | None],
+                 group: list) -> bool:
+        """``any(self._subsumed(entry, existing) for existing in group)``
+        as one loop over locals, with the same answer and counts: the hot
+        antichain scan of ``contains`` and ``add``."""
+        if not self._use_bits:
+            relation, macro = self._relation, entry[0]
+            return any(relation(macro, existing[0]) for existing in group)
+        sn, sc, ss, sb, sln, slc, sls, slb = entry[1]
+        if not self._check_b:
+            # Eq. 4 ignores B: an all-ones mask of unbounded size passes
+            # every B test.
+            sb, slb = -1, math.inf
+        coarse = entry[2]
+        if coarse is None:
+            pn, pc, ps, pln, plc, pls = sn, sc, ss, sln, slc, sls
+        else:
+            # Down-closures stand in for N and S, and for C under
+            # NCSB-Lazy only; B stays raw (see module docstring).
+            pn, cc, ps, _cb, pln, clc, pls, _clb = coarse
+            pc, plc = (cc, clc) if self._check_b else (sc, slc)
+        skips = 0
+        for existing in group:
+            bn, bc, bs, bb, bln, blc, bls, blb = existing[1]
+            if pln < bln or plc < blc or pls < bls or slb < blb:
+                skips += 1
+                continue
+            if pn & bn == bn and pc & bc == bc and ps & bs == bs and sb & bb == bb:
+                self.prefilter_skips += skips
+                if coarse is not None and not (sn & bn == bn and sc & bc == bc
+                                               and ss & bs == bs):
+                    self.sim_subsumption_hits += 1
+                return True
+        self.prefilter_skips += skips
+        return False
+
     def add(self, state: State) -> None:
         q_a, macro = self._split(state)
         if macro is None:
@@ -192,9 +230,8 @@ class SubsumptionOracle(EmptyOracle):
             return
         entry = self._entry(macro)
         group = self._groups.setdefault(q_a, [])
-        for existing in group:
-            if self._subsumed(entry, existing):
-                return  # already covered
+        if self._covered(entry, group):
+            return  # already covered
         survivors = [existing for existing in group
                      if not self._subsumed(existing, entry)]
         survivors.append(entry)
@@ -212,8 +249,7 @@ class SubsumptionOracle(EmptyOracle):
         group = self._groups.get(q_a)
         if not group:
             return False
-        entry = self._entry(macro)
-        return any(self._subsumed(entry, existing) for existing in group)
+        return self._covered(self._entry(macro), group)
 
     def __len__(self) -> int:
         return self._size + super().__len__()

@@ -204,7 +204,9 @@ class CachedImplicitGBA:
     Invariants: caches are filled lazily and never invalidated -- the
     wrapped automaton must be immutable after construction (true for
     every automaton in this codebase).  ``cache_hits``/``cache_misses``
-    count successor-level queries and are threaded into
+    count successor lookups, a :meth:`successors` set or an
+    :meth:`edges_from` list (a miss fills the entry, a hit re-reads
+    it), and are threaded into
     :class:`~repro.automata.emptiness.RemovalStats` by ``difference``.
     """
 
@@ -261,13 +263,23 @@ class CachedImplicitGBA:
     # -- successor index ---------------------------------------------------------
 
     def edges_from(self, state: State) -> tuple[tuple[Symbol, State], ...]:
-        """Outgoing ``(symbol, target)`` edges, symbols in sorted order."""
+        """Outgoing ``(symbol, target)`` edges, symbols in sorted order.
+
+        Built straight from the wrapped automaton, bypassing the
+        per-``(state, symbol)`` memo of :meth:`successors`: a traversal
+        asks for each state's edges once, so that memo would only grow.
+        Counts one miss per list built and one hit per re-read.
+        """
         cached = self._edges.get(state)
         if cached is None:
-            cached = tuple((symbol, target)
-                           for symbol in self._sorted_alphabet
-                           for target in self.successors(state, symbol))
+            self.cache_misses += 1
+            successors = self._inner.successors
+            cached = tuple([(symbol, target)
+                            for symbol in self._sorted_alphabet
+                            for target in successors(state, symbol)])
             self._edges[state] = cached
+        else:
+            self.cache_hits += 1
         return cached
 
     def __repr__(self) -> str:

@@ -174,6 +174,27 @@ def _macro(n=(), c=(), s=(), b=()):
     return MacroState(frozenset(n), frozenset(c), frozenset(s), frozenset(b))
 
 
+def test_macro_state_hashes_and_prints_as_its_field_tuple():
+    # Set iteration orders, and so the exploration order and the
+    # counterexample found, follow the hash; the initial-state sort
+    # follows the repr.  Both must be those of the (n, c, s, b) tuple.
+    macro = _macro(n={"q1"}, c={"q2", "q3"}, s={"q4"}, b={"q2"})
+    assert MacroState.__hash__ is tuple.__hash__
+    assert MacroState.__eq__ is tuple.__eq__
+    assert MacroState._fields == ("n", "c", "s", "b")
+    assert hash(macro) == hash((macro.n, macro.c, macro.s, macro.b))
+    assert repr(macro) == (
+        f"MacroState(n={macro.n!r}, c={macro.c!r}, s={macro.s!r}, "
+        f"b={macro.b!r})")
+    assert repr(_macro()) == ("MacroState(n=frozenset(), c=frozenset(), "
+                              "s=frozenset(), b=frozenset())")
+    assert str(macro) == "({q1},{q2,q3},{q4},{q2})"
+    assert not macro.is_accepting()
+    accepting = macro._replace(b=frozenset())
+    assert accepting.is_accepting()
+    assert str(accepting) == "({q1},{q2,q3},{q4},{})"
+
+
 def test_subsumes_is_componentwise_superset():
     small = _macro(n={"x", "y"}, c={"c1", "c2"}, s={"s1"}, b={"c1"})
     big = _macro(n={"x"}, c={"c1"}, s=set(), b=set())

@@ -67,13 +67,26 @@ def test_cached_wrapper_edge_index_is_sorted_and_complete():
     cached = CachedImplicitGBA(comp)
     state = next(iter(cached.initial_states()))
     edges = cached.edges_from(state)
+    assert cached.cache_misses == 1 and cached.cache_hits == 0
     assert edges is cached.edges_from(state)  # interned
+    assert cached.cache_misses == 1 and cached.cache_hits == 1
+    # built from the wrapped automaton: the per-(state, symbol) memo of
+    # successors() stays empty
+    assert cached._succ == {}
     symbols = [str(symbol) for symbol, _ in edges]
     assert symbols == sorted(symbols)
     expected = {(symbol, target)
                 for symbol in comp.alphabet
                 for target in comp.successors(state, symbol)}
     assert set(edges) == expected
+    assert edges == tuple((symbol, target)
+                          for symbol in sorted(comp.alphabet, key=str)
+                          for target in comp.successors(state, symbol))
+    for target in {target for _, target in edges}:
+        cached.edges_from(target)
+    assert cached.cache_misses == 1 + len({target for _, target in edges}
+                                          - {state})
+    assert cached._succ == {}
 
 
 def test_gba_edge_index_matches_transitions():
@@ -167,6 +180,39 @@ def test_bitset_oracle_agrees_with_generic_path(relation):
             slow.add(state)
         assert fast.contains(state) == slow.contains(state), str(macro)
         assert len(fast) == len(slow)
+
+
+class _PairwiseOracle(SubsumptionOracle):
+    """The oracle with its one-loop scan replaced by the pairwise one."""
+
+    def _covered(self, entry, group):
+        return any(self._subsumed(entry, existing) for existing in group)
+
+
+@pytest.mark.parametrize("coarsened", [False, True])
+@pytest.mark.parametrize("relation", [subsumes, subsumes_b])
+def test_one_loop_antichain_scan_matches_pairwise_scan(relation, coarsened):
+    universe = [f"q{i}" for i in range(8)]
+    rng = random.Random(1405)
+    simulation = None
+    if coarsened:
+        simulation = {(q, q) for q in universe}
+        simulation |= {(rng.choice(universe), rng.choice(universe))
+                       for _ in range(12)}
+    scanned = SubsumptionOracle(relation, simulation=simulation)
+    reference = _PairwiseOracle(relation, simulation=simulation)
+    assert (scanned._down is not None) == coarsened
+    for i in range(400):
+        state = ("qa" if i % 2 else "qb", _random_macro(rng, universe))
+        if i % 4 == 0:
+            scanned.add(state)
+            reference.add(state)
+            assert scanned._groups == reference._groups
+        assert scanned.contains(state) == reference.contains(state)
+        assert scanned.prefilter_skips == reference.prefilter_skips
+        assert scanned.sim_subsumption_hits == reference.sim_subsumption_hits
+    assert scanned.prefilter_skips > 0
+    assert (scanned.sim_subsumption_hits > 0) == coarsened
 
 
 def test_macro_encoder_interns_and_encodes_supersets():
