@@ -1,4 +1,4 @@
-"""Command-line interface:  python -m repro [run|bench|race|report] ...
+"""Command-line interface:  python -m repro [run|bench|report|trajectory] ...
 
 Single-program analysis (``run``, also the default when the first
 argument is a file): analyzes a program of the mini-language of
@@ -13,11 +13,11 @@ Options mirror the paper's evaluation axes::
     python -m repro --sequence iii examples.t      # stage sequence (iii)
     python -m repro --no-lazy --no-subsumption ... # NCSB-Original, no antichain
     python -m repro --timeout 30 examples.t
+    python -m repro --portfolio examples.t         # configs in turn
 
 The evaluation runner (see DESIGN.md, "Evaluation runner")::
 
     python -m repro bench manifest.json --workers 4 --task-timeout 5
-    python -m repro race examples/sort.t --timeout 30
     python -m repro report results.jsonl
 
 Observability (see DESIGN.md, "Observability" and "Fleet telemetry &
@@ -35,7 +35,7 @@ perf trajectory")::
 Every subcommand shares one deterministic exit-code scheme so CI and
 scripts can branch on the outcome without scraping output:
 
-- **0** -- conclusive: a verdict was produced (``run``/``race``), or
+- **0** -- conclusive: a verdict was produced (``run``), or
   every row of the corpus is conclusive (``bench``/``report``),
 - **2** -- inconclusive: verdict UNKNOWN or timeout, or some corpus
   row is,
@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 #: Subcommands of ``python -m repro``; anything else is a program file
 #: for the (default) single-run analysis.
-_SUBCOMMANDS = ("run", "bench", "race", "report", "trajectory")
+_SUBCOMMANDS = ("run", "bench", "report", "trajectory")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -142,9 +142,6 @@ def main(argv: list[str] | None = None) -> int:
         if command == "bench":
             from repro.runner.cli import bench_main
             return bench_main(rest)
-        if command == "race":
-            from repro.runner.cli import race_main
-            return race_main(rest)
         if command == "report":
             from repro.runner.report import main as report_main
             return report_main(rest)
@@ -174,7 +171,7 @@ def run_single(argv: list[str]) -> int:
         if args.portfolio:
             from repro.core.api import prove_termination_portfolio
             return prove_termination_portfolio(
-                program, timeout=args.timeout,
+                source, timeout=args.timeout,
                 checkpoint_dir=args.checkpoint_dir,
                 module_library=args.module_library)
         stages = (StageSequence.SINGLE if args.single_stage
@@ -194,11 +191,14 @@ def run_single(argv: list[str]) -> int:
                                 max_refinements=args.max_refinements)
         checkpoint = None
         if args.checkpoint_dir:
+            # Keyed without the wall-clock budget, like the portfolio
+            # and the corpus: a re-run with a bigger --timeout resumes.
             from repro.core.checkpoint import Checkpointer
             from repro.runner.store import job_key
             checkpoint = Checkpointer(
                 args.checkpoint_dir,
-                job_key(program.name, source, config.to_dict()),
+                job_key(program.name, source,
+                        config.with_(timeout=None).to_dict()),
                 program=program.name)
         return prove_termination(program, config, checkpoint=checkpoint,
                                  library=args.module_library)
@@ -241,6 +241,8 @@ def run_single(argv: list[str]) -> int:
         }
         if result.witness_word is not None:
             payload["witness_word"] = str(result.witness_word)
+        if result.attempts:
+            payload["attempts"] = [a.to_dict() for a in result.attempts]
         print(json.dumps(payload, indent=2))
         return 0 if result.verdict.value != "unknown" else 2
 

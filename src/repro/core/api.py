@@ -13,7 +13,6 @@
 from __future__ import annotations
 
 import time
-from typing import Callable
 
 import repro.faults as faults
 from repro.core.config import AnalysisConfig
@@ -104,55 +103,43 @@ DEFAULT_PORTFOLIO: tuple[AnalysisConfig, ...] = (
 )
 
 
-def prove_termination_portfolio(program: Program,
+def prove_termination_portfolio(program: Program | str,
                                 configs: tuple[AnalysisConfig, ...] = DEFAULT_PORTFOLIO,
                                 timeout: float | None = None,
-                                collector_factory: Callable[[], StatsCollector] | None = None,
-                                parallel: bool = False,
-                                workers: int | None = None,
                                 checkpoint_dir: str | None = None,
                                 module_library: str | None = None,
                                 ) -> TerminationResult:
-    """Run configurations until one produces a verdict.
+    """Run configurations in order until one produces a verdict.
 
-    Sequentially (the default), ``timeout`` is a budget for the whole
-    portfolio: before each attempt the *remaining* wall-clock is split
-    evenly over the configurations still to run, so time an early
-    config leaves unused flows to the later ones instead of being
-    thrown away.  The last UNKNOWN result is returned when none
-    succeeds.
-
-    With ``parallel=True`` the configurations race in worker
-    subprocesses (:mod:`repro.runner.race`): each gets the *full*
-    ``timeout``, the first conclusive verdict wins and the losers are
-    cancelled.  ``workers`` bounds the concurrency (default: one
-    worker per configuration).  ``collector_factory`` is a
-    sequential-only knob (collectors cannot observe a subprocess) and
-    is ignored when racing; per-attempt stats still arrive in
+    ``program`` is a parsed :class:`~repro.program.ast.Program` or its
+    source text.  ``timeout`` is a budget for the whole portfolio:
+    before each attempt the *remaining* wall-clock is split evenly over
+    the configurations still to run, so time an early config leaves
+    unused flows to the later ones instead of being thrown away.  The
+    last UNKNOWN result is returned when none succeeds.  The returned
+    result carries the deciding run's stats in ``result.stats`` and the
+    stats of every attempted configuration, in order, in
     ``result.attempts``.
 
-    Either way the returned result carries the winning run's stats in
-    ``result.stats`` and the stats of every attempted configuration,
-    in order, in ``result.attempts``.
-
     ``checkpoint_dir`` makes every attempt durable: each configuration
-    checkpoints under its own (program, config, code-version) key, so
-    an attempt cut short by the budget leaves its certified rounds on
-    disk and a later invocation of the same portfolio warm-starts them.
+    checkpoints under its own (program, config, code-version) key --
+    the config without its wall-clock budget, exactly as ``run`` and
+    ``bench`` key it -- so an attempt cut short by the budget leaves
+    its certified rounds on disk, and a later run of that program and
+    configuration warm-starts from them whatever its budget.  Only
+    source text keys the same file as ``run``; a parsed program is
+    keyed on its ``repr``.
 
     ``module_library`` (a path) attaches the cross-program certified-
-    module library to every attempt: sequentially the attempts share
-    one handle (so config B reuses what config A certified in the same
-    portfolio run); racing, each worker opens the shared file itself.
+    module library to every attempt; the attempts share one handle, so
+    config B reuses what config A certified in the same portfolio run.
     """
     if not configs:
         raise ValueError("the portfolio needs at least one configuration")
-    if parallel:
-        from repro.runner.race import race_portfolio
-        return race_portfolio(program, configs, timeout=timeout,
-                              workers=workers,
-                              checkpoint_dir=checkpoint_dir,
-                              module_library=module_library)
+    if isinstance(program, str):
+        source, program = program, parse_program(program)
+    else:
+        source = str(program)
     library = None
     if module_library is not None:
         from repro.core.library import ModuleLibrary
@@ -170,17 +157,16 @@ def prove_termination_portfolio(program: Program,
                 break
             budget = remaining / (len(configs) - index)
             config = config.with_(timeout=budget)
-        collector = collector_factory() if collector_factory is not None else None
         checkpoint = None
         if checkpoint_dir is not None:
             from repro.core.checkpoint import Checkpointer
             from repro.runner.store import job_key
-            name = getattr(program, "name", "<portfolio>")
             checkpoint = Checkpointer(
                 checkpoint_dir,
-                job_key(name, str(program), configs[index].to_dict()),
-                program=name)
-        result = prove_termination(program, config, collector,
+                job_key(program.name, source,
+                        config.with_(timeout=None).to_dict()),
+                program=program.name)
+        result = prove_termination(program, config,
                                    checkpoint=checkpoint, library=library)
         attempts.append(result.stats)
         if result.verdict is not Verdict.UNKNOWN:

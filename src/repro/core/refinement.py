@@ -89,10 +89,9 @@ def ladder_tail(stage_value: str) -> tuple[Stage, ...]:
     resource cap: everything strictly below it on the ladder.
 
     A stage *not* on the ladder (e.g. ``"interp"`` interpolant modules)
-    restarts the ladder from the top -- every rung is structurally
-    cheaper than an off-ladder module, and silently skipping the ladder
-    (the old ``start = len(ladder)`` behavior) sent such runs straight
-    to UNKNOWN.
+    restarts the ladder from the top: every rung is structurally
+    cheaper than an off-ladder module, and skipping the ladder would
+    send such runs straight to UNKNOWN.
     """
     for position, stage in enumerate(DEGRADATION_LADDER):
         if stage.value == stage_value:

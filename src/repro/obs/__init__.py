@@ -16,7 +16,7 @@ Three pieces (see DESIGN.md, "Observability"):
   counts, hottest spans) from a trace file.
 - :mod:`repro.obs.telemetry` -- the worker pool's fleet event channel
   (lifecycle events + heartbeats, ``events.jsonl``) and the live
-  progress renderer of ``python -m repro bench``/``race``.
+  progress renderer of ``python -m repro bench``.
 - :mod:`repro.obs.trajectory` -- ``python -m repro trajectory`` aligns
   ``BENCH_*.json`` histories and corpus stores across commits and
   gates on thresholded perf regressions (exit 3).

@@ -20,7 +20,7 @@ Events are JSON-ready dicts written to a per-run ``events.jsonl``
 fanned out to an in-process observer; :class:`FleetState` folds the
 stream into running/done/error/timeout counts, throughput, ETA, and
 the currently slowest jobs, and :class:`FleetMonitor` renders that as
-the live progress display of ``python -m repro bench``/``race``.
+the live progress display of ``python -m repro bench``.
 
 The channel costs nothing when absent: the pool guards every emission
 on ``telemetry is not None``, and heartbeat sampling piggybacks on the
@@ -205,7 +205,7 @@ class FleetState:
                 # deadline kills are timeouts, memory-pressure kills are
                 # ``oom`` (the watchdog's preemptive SIGKILL must stay
                 # distinguishable from deadline kills), the rest are
-                # race cancellations.
+                # cancellations by the pool's ``on_outcome`` veto.
                 reason = event.get("reason")
                 status = ("timeout" if reason == "deadline"
                           else "oom" if reason == "oom"

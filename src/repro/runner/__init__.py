@@ -1,15 +1,11 @@
 """The parallel evaluation runner (Section 7's harness, industrialized).
 
 The paper evaluates over hundreds of SV-COMP tasks under per-task time
-budgets, and Ultimate wins by *racing* configurations rather than
-committing to one.  This package is that execution layer:
+budgets.  This package is that execution layer:
 
 - :mod:`repro.runner.pool` -- a multiprocess worker pool with hard
   per-task deadlines (SIGKILL on overrun), crash isolation, bounded
   retry on worker death, and graceful in-process degradation,
-- :mod:`repro.runner.race` -- racing portfolios: all configurations
-  launch concurrently, the first conclusive verdict wins, losers are
-  cancelled, every attempt's stats are recorded,
 - :mod:`repro.runner.corpus` -- manifest expansion (benchgen families,
   ``examples/*.t`` files, inline programs) into analysis jobs and the
   resumable corpus driver,
@@ -19,21 +15,18 @@ committing to one.  This package is that execution layer:
 - :mod:`repro.runner.report` -- solved-counts / time aggregation in
   the style of the paper's Table 3.
 
-CLI: ``python -m repro run|bench|race|report`` (see ``--help``).
+CLI: ``python -m repro run|bench|report`` (see ``--help``).
 """
 
 from repro.runner.corpus import (CorpusJob, expand_manifest, load_manifest,
                                  run_corpus)
 from repro.runner.pool import TaskOutcome, WorkerPool, analysis_task
-from repro.runner.race import race_portfolio, run_race
 from repro.runner.store import ResultStore, code_version, job_key
 
 __all__ = [
     "WorkerPool",
     "TaskOutcome",
     "analysis_task",
-    "race_portfolio",
-    "run_race",
     "CorpusJob",
     "expand_manifest",
     "load_manifest",

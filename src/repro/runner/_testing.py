@@ -2,7 +2,7 @@
 
 The pool's interesting behavior is exactly what a real analysis task
 makes hard to provoke on demand: workers that hang past the hard
-deadline, die mid-job, or lose a race.  These module-level tasks are
+deadline, die mid-job, or get cancelled.  These module-level tasks are
 importable from spawned workers (a requirement of the ``spawn`` start
 method) and deterministic, so the harness's cancellation/timeout/retry
 semantics are testable without a pathological program corpus.

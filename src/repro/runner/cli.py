@@ -1,4 +1,4 @@
-"""The ``bench`` and ``race`` subcommands of ``python -m repro``.
+"""The ``bench`` subcommand of ``python -m repro``.
 
 ``bench`` evaluates a corpus manifest through the worker pool and
 streams rows to a resumable JSONL store::
@@ -6,15 +6,10 @@ streams rows to a resumable JSONL store::
     python -m repro bench benchmarks/manifests/smoke.json \\
         --workers 4 --task-timeout 5 --store results.jsonl
 
-``race`` runs a configuration portfolio concurrently on one program,
-returning the first conclusive verdict::
-
-    python -m repro race examples/sort.t --timeout 30
-
-Both commands use the deterministic exit-code scheme shared by every
-``python -m repro`` subcommand: **0** all results conclusive, **2**
-some result unknown / timed out, **3** error rows or unusable input
-(parse error, empty store).
+It uses the deterministic exit-code scheme shared by every
+``python -m repro`` subcommand: **0** all rows conclusive, **2** some
+row unknown / timed out, **3** error rows or unusable input (empty
+store).
 """
 
 from __future__ import annotations
@@ -24,14 +19,10 @@ import json
 import os
 import sys
 
-from repro.core.api import DEFAULT_PORTFOLIO
-from repro.core.config import AnalysisConfig
 from repro.obs.telemetry import FleetMonitor, Telemetry
-from repro.program.parser import ParseError, parse_program
 from repro.runner import report as runner_report
 from repro.runner.corpus import load_manifest, run_corpus, suite_manifest
 from repro.runner.pool import WorkerPool, analysis_task
-from repro.runner.race import race_portfolio
 
 
 def _events_path(args) -> str | None:
@@ -198,101 +189,3 @@ def bench_main(argv: list[str] | None = None) -> int:
             or summary.ooms):
         return 2
     return 0
-
-
-def race_main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro race",
-        description="Race the configuration portfolio on one program.",
-        epilog="exit codes: 0 = conclusive verdict, 2 = unknown/timeout, "
-               "3 = parse error")
-    parser.add_argument("file", help="program file ('-' reads stdin)")
-    parser.add_argument("--timeout", type=float, default=None,
-                        help="per-configuration budget in seconds")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="concurrency (default: one per configuration)")
-    parser.add_argument("--interpolants-only", action="store_true",
-                        help="race only the interpolant-module config "
-                             "against the default (same as the default "
-                             "portfolio)")
-    parser.add_argument("--sequences", default=None,
-                        help="comma-separated stage sequences to race "
-                             "(e.g. 'i,ii,iii,single') instead of the "
-                             "default portfolio")
-    parser.add_argument("--inprocess", action="store_true",
-                        help="run attempts sequentially in-process "
-                             "(degraded mode, still first-verdict-wins)")
-    parser.add_argument("--checkpoint-dir", metavar="DIR", default=None,
-                        help="durable per-attempt refinement checkpoints: "
-                             "losers' certified rounds survive the race and "
-                             "warm-start later attempts")
-    parser.add_argument("--module-library", metavar="PATH", default=None,
-                        help="shared cross-program certified-module library "
-                             "(append-only JSONL); attempts reuse and "
-                             "publish certified modules through it")
-    parser.add_argument("--events", metavar="FILE", default=None,
-                        help="write the fleet telemetry event log "
-                             "(heartbeats + attempt lifecycle) as JSONL")
-    parser.add_argument("--heartbeat-interval", type=float, default=2.0,
-                        help="seconds between per-attempt heartbeats "
-                             "(default 2.0)")
-    parser.add_argument("--json", action="store_true",
-                        help="print one JSON object instead of text")
-    args = parser.parse_args(argv)
-
-    source = (sys.stdin.read() if args.file == "-"
-              else open(args.file, encoding="utf-8").read())
-    try:
-        program = parse_program(source)
-    except ParseError as err:
-        print(f"parse error: {err}", file=sys.stderr)
-        return 3
-
-    if args.sequences:
-        names = [s.strip() for s in args.sequences.split(",") if s.strip()]
-        configs = tuple(AnalysisConfig.from_dict({"stages": n})
-                        for n in names)
-    else:
-        configs = DEFAULT_PORTFOLIO
-    # Live attempt status on stderr (never under --json, whose stdout
-    # contract stays byte-stable); events.jsonl when --events is given.
-    monitor = FleetMonitor(
-        status_stream=None if args.json else sys.stderr,
-        status_interval=args.heartbeat_interval)
-    telemetry = Telemetry(args.events, on_event=monitor.observe)
-    pool = None
-    if args.inprocess:
-        pool = WorkerPool(workers=1, task=analysis_task,
-                          task_timeout=args.timeout, inprocess=True,
-                          telemetry=telemetry)
-    try:
-        result = race_portfolio(program, configs, timeout=args.timeout,
-                                workers=args.workers, pool=pool,
-                                telemetry=telemetry,
-                                checkpoint_dir=args.checkpoint_dir,
-                                module_library=args.module_library)
-    finally:
-        telemetry.close()
-
-    if args.json:
-        print(json.dumps({
-            "verdict": result.verdict.value,
-            "reason": result.reason,
-            "winner": result.stats.config,
-            "seconds": result.stats.total_seconds,
-            "attempts": [{"config": a.config, "seconds": a.total_seconds,
-                          "gave_up_reason": a.gave_up_reason}
-                         for a in result.attempts],
-        }, indent=2))
-        return 0 if result.verdict.value != "unknown" else 2
-
-    print(result.verdict.value.upper())
-    if result.reason:
-        print(f"reason: {result.reason}")
-    print(f"winner: {result.stats.config} "
-          f"in {result.stats.total_seconds:.3f}s")
-    print(f"\nattempts ({len(result.attempts)}):")
-    for attempt in result.attempts:
-        note = attempt.gave_up_reason or "completed"
-        print(f"  {attempt.config:<32} {attempt.total_seconds:7.3f}s  {note}")
-    return 0 if result.verdict.value != "unknown" else 2

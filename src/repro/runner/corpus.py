@@ -211,8 +211,6 @@ def outcome_row(outcome: TaskOutcome) -> dict:
     """Fold a pool outcome into one JSON-ready store row."""
     if outcome.status == "ok" and outcome.result is not None:
         row = dict(outcome.result)
-        row.pop("result_pickle", None)  # bytes never reach the JSON store
-        row.pop("result_object", None)  # nor live in-process objects
     else:
         row = _placeholder_row(outcome.payload, outcome)
     row["executions"] = outcome.executions

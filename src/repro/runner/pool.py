@@ -46,7 +46,6 @@ first message on the result pipe, so spawn latency is visible too.
 from __future__ import annotations
 
 import os
-import pickle
 import random
 import signal
 import time
@@ -80,7 +79,8 @@ class TaskOutcome:
     #: ``max_rss_kb``), ``error`` (task raised),
     #: ``quarantined`` (the job killed its worker on every allowed
     #: execution -- a poison job, recorded and never retried again),
-    #: ``cancelled`` (a race winner stopped the run first).
+    #: ``cancelled`` (an ``on_outcome`` callback stopped the run first,
+    #: as ``bench --fail-fast`` does after an error row).
     status: str
     result: dict | None = None
     error: str | None = None
@@ -93,14 +93,11 @@ class TaskOutcome:
 def analysis_task(payload: dict) -> dict:
     """The worker entry point: analyze one program under one config.
 
-    ``payload`` keys: ``source`` (program text) or ``program`` (a
-    parsed :class:`~repro.program.ast.Program`), ``config`` (an
+    ``payload`` keys: ``source`` (program text), ``config`` (an
     :meth:`AnalysisConfig.to_dict` dict), ``timeout`` (cooperative
     budget in seconds, intersected with the config's own), plus
     pass-through metadata (``key``/``name``/``family``/``expected``/
-    ``config_name``).  Returns a JSON-ready result row; with
-    ``want_result`` set, a pickled :class:`TerminationResult` rides
-    along under ``result_pickle`` (stripped before any JSON sink).
+    ``config_name``).  Returns a JSON-ready result row.
 
     With ``trace_dir`` set, the analysis runs under its own JSONL
     tracer writing ``trace_<job id>.jsonl`` into that directory
@@ -109,9 +106,8 @@ def analysis_task(payload: dict) -> dict:
 
     With ``checkpoint_dir`` set, the analysis is crash-recoverable: a
     :class:`~repro.core.checkpoint.Checkpointer` keyed by the job key
-    (``checkpoint_key`` overrides, for callers whose ``key`` is not a
-    store key) persists the certified decomposition after every round
-    and warm-starts from a valid existing checkpoint.
+    persists the certified decomposition after every round and
+    warm-starts from a valid existing checkpoint.
 
     With ``module_library`` set (a path), the analysis queries the
     shared cross-program certified-module library before each
@@ -141,7 +137,7 @@ def analysis_task(payload: dict) -> dict:
         from repro.core.checkpoint import Checkpointer
         checkpoint = Checkpointer(
             str(checkpoint_dir),
-            str(payload.get("checkpoint_key") or payload.get("key") or name),
+            str(payload.get("key") or name),
             program=name)
     library = None
     if payload.get("module_library"):
@@ -154,9 +150,7 @@ def analysis_task(payload: dict) -> dict:
             budget = (budget if config.timeout is None
                       else min(budget, config.timeout))
             config = config.with_(timeout=budget)
-        program = payload.get("program")
-        if program is None:
-            program = parse_program(payload["source"])
+        program = parse_program(payload["source"])
         _maybe_fault_worker(config, same_process=bool(payload.get("_same_process")))
         if tracer is not None:
             from repro.obs.trace import use_tracer
@@ -194,16 +188,6 @@ def analysis_task(payload: dict) -> dict:
         modules_by_stage=dict(stats.modules_by_stage),
         stats=stats.to_dict(),
     )
-    if payload.get("want_result"):
-        if payload.get("_same_process"):
-            # In-process pools share the heap: hand the live result
-            # over instead of paying a pickle round-trip.
-            row["result_object"] = result
-        else:
-            try:
-                row["result_pickle"] = pickle.dumps(result)
-            except Exception:
-                pass  # verdict/stats still travel in the plain row
     return row
 
 
@@ -272,7 +256,7 @@ class WorkerPool:
     cooperative budget plus ``kill_grace`` seconds (no budget = no hard
     deadline).  ``on_outcome`` (passed to :meth:`run`) observes every
     outcome as it lands and may return ``False`` to cancel everything
-    still queued or running -- the racing primitive.
+    still queued or running (``bench --fail-fast`` stops this way).
 
     ``telemetry`` (a :class:`repro.obs.telemetry.Telemetry`, optional)
     receives lifecycle events and periodic per-job heartbeats every
@@ -604,7 +588,7 @@ class WorkerPool:
             if stopped:
                 break
 
-        # A race winner cancels everything still in flight or queued.
+        # An on_outcome veto cancels everything still in flight or queued.
         for conn, job in running.items():
             job.proc.kill()
             reap(job)

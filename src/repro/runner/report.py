@@ -166,9 +166,9 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.close()
     if any(a.error or a.quarantined for a in aggs.values()):
         return 3
-    # Cancelled rows (e.g. `repro race` losers) are inconclusive too:
-    # no verdict was produced for them, so a cancelled-only store must
-    # not exit 0 ("all rows conclusive").
+    # Cancelled rows (jobs `bench --fail-fast` stopped) are
+    # inconclusive too: no verdict was produced for them, so a
+    # cancelled-only store must not exit 0 ("all rows conclusive").
     if any(a.unknown or a.timeout or a.oom or a.cancelled
            for a in aggs.values()):
         return 2

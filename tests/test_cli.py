@@ -2,10 +2,13 @@
 
 import io
 import sys
+from pathlib import Path
 
 import pytest
 
 from repro.__main__ import main
+
+SORT = Path(__file__).resolve().parent.parent / "examples" / "sort.t"
 
 TERMINATING = """
 program t(x):
@@ -173,14 +176,43 @@ def test_cli_bench_fail_on_error(tmp_path, capsys):
     assert code == 3
 
 
-def test_cli_race_subcommand(tmp_path, capsys):
+def test_cli_run_portfolio(tmp_path, capsys):
     import json
 
     path = tmp_path / "prog.t"
     path.write_text(TERMINATING)
-    code = main(["race", str(path), "--inprocess", "--timeout", "60",
+    code = main(["run", "--portfolio", str(path), "--timeout", "60",
                  "--json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
     assert payload["verdict"] == "terminating"
-    assert len(payload["attempts"]) == 2
+    assert payload["attempts"]
+
+
+def _restored_rounds(argv, capsys) -> int:
+    import json
+
+    assert main(argv + ["--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    return payload["stats"]["metrics"]["counters"].get(
+        "checkpoint.rounds_restored", 0)
+
+
+def test_cli_rerun_with_bigger_timeout_resumes(tmp_path, capsys):
+    """A re-run with a bigger --timeout resumes the first run's rounds:
+    the wall-clock budget is not part of the checkpoint key."""
+    ckpt = str(tmp_path / "ckpt")
+    first = ["run", "--checkpoint-dir", ckpt, str(SORT)]
+    assert _restored_rounds(first + ["--timeout", "20"], capsys) == 0
+    assert _restored_rounds(first + ["--timeout", "60"], capsys) >= 1
+    assert len(list((tmp_path / "ckpt").glob("checkpoint_*.jsonl"))) == 1
+
+
+def test_cli_portfolio_and_run_share_checkpoints(tmp_path, capsys):
+    """The portfolio keys its attempts on the source text, as ``run``
+    does, so a plain run resumes what a portfolio run certified."""
+    ckpt = str(tmp_path / "ckpt")
+    portfolio = ["run", "--portfolio", "--checkpoint-dir", ckpt, str(SORT)]
+    assert _restored_rounds(portfolio, capsys) == 0
+    plain = ["run", "--checkpoint-dir", ckpt, str(SORT)]
+    assert _restored_rounds(plain, capsys) >= 1

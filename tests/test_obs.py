@@ -6,7 +6,7 @@ import time
 from repro.core.api import (prove_termination, prove_termination_portfolio,
                             prove_termination_source)
 from repro.core.config import AnalysisConfig
-from repro.core.stats import AnalysisStats, StatsCollector
+from repro.core.stats import AnalysisStats
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import aggregate, load_records, render
@@ -238,27 +238,7 @@ def test_from_dict_ignores_extra_keys():
     assert stats.rounds[0].word == "w" and stats.rounds[0].counters == {}
 
 
-# -- portfolio collector threading --------------------------------------------
-
-
-def test_portfolio_threads_collector_factory():
-    program = parse_program(TERMINATING)
-    built = []
-
-    def factory():
-        collector = StatsCollector(capture_sdbas=True)
-        built.append(collector)
-        return collector
-
-    result = prove_termination_portfolio(
-        program, configs=(AnalysisConfig(),), collector_factory=factory)
-    assert result.verdict.value == "terminating"
-    assert len(built) == 1
-    # the winning run's stats come from the factory-built collector
-    assert result.stats is built[0].stats
-    assert result.attempts == [result.stats]
-    # the custom collector's capture flag was honored
-    assert built[0].sdbas
+# -- portfolio attempts -------------------------------------------------------
 
 
 def test_portfolio_records_all_attempts():

@@ -369,9 +369,9 @@ def _write_status_store(path, statuses):
 
 def test_report_exit_code_matrix(tmp_path, capsys):
     """Exit 0 = every row conclusive, 2 = inconclusive rows, 3 = broken
-    rows or an empty store.  Regression: ``cancelled`` rows (e.g. the
-    losers of `repro race`) carry no verdict, so a cancelled-only store
-    used to exit 0 and let CI treat a half-cancelled corpus as clean."""
+    rows or an empty store.  Regression: ``cancelled`` rows (e.g. jobs
+    `bench --fail-fast` stopped) carry no verdict, so a cancelled-only
+    store used to exit 0 and let CI treat a half-cancelled corpus as clean."""
     from repro.runner.report import main as report_main
     store = tmp_path / "rows.jsonl"
     cases = [

@@ -1,6 +1,6 @@
 """Worker-pool semantics: deadlines, crash isolation, retry, degradation.
 
-The interesting paths (hung workers, SIGKILLed workers, racing
+The interesting paths (hung workers, SIGKILLed workers, ``on_outcome``
 cancellation) are driven by the fault-injection tasks of
 :mod:`repro.runner._testing` rather than pathological programs, so the
 tests are fast and deterministic.

@@ -178,7 +178,7 @@ def test_inprocess_pool_still_emits_lifecycle():
     assert types == ["started", "finished"]
 
 
-def test_race_cancellation_emits_killed_cancelled(tmp_path):
+def test_on_outcome_cancel_emits_killed_cancelled(tmp_path):
     tel = Telemetry()
     pool = WorkerPool(workers=2, task=echo_task, telemetry=tel)
     if pool.inprocess:
