@@ -20,15 +20,14 @@ The evaluation runner (see DESIGN.md, "Evaluation runner")::
     python -m repro bench manifest.json --workers 4 --task-timeout 5
     python -m repro report results.jsonl
 
-Observability (see DESIGN.md, "Observability" and "Fleet telemetry &
-perf trajectory")::
+Observability (see DESIGN.md, "Observability" and "Perf
+trajectory")::
 
     python -m repro --trace trace.jsonl examples.t   # JSONL span trace
     python -m repro.obs.report trace.jsonl           # per-phase breakdown
     python -m repro --profile examples.t             # breakdown inline
     python -m repro --stats-json stats.json examples.t
-    python -m repro bench ... --trace-dir traces/    # per-job traces +
-                                                     # fleet events.jsonl
+    python -m repro bench ... --trace-dir traces/    # per-job traces
     python -m repro trajectory benchmarks/baselines bench-out
                                                      # perf regressions?
 

@@ -140,12 +140,11 @@ def load_store(path: str | Path) -> list:
     ``corpus:<store stem>`` records, one per config line.
     """
     from repro.runner.report import aggregate_rows, to_dict
-    from repro.runner.store import read_rows
+    from repro.runner.store import latest_rows
 
     path = Path(path)
-    rows = list(read_rows(path))
     records = []
-    for config, agg in to_dict(aggregate_rows(rows)).items():
+    for config, agg in to_dict(aggregate_rows(latest_rows(path))).items():
         records.append(BenchRecord(
             bench=f"corpus:{path.stem}",
             config_key=json.dumps({"config": config}, sort_keys=True),

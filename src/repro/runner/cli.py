@@ -19,20 +19,9 @@ import json
 import os
 import sys
 
-from repro.obs.telemetry import FleetMonitor, Telemetry
 from repro.runner import report as runner_report
 from repro.runner.corpus import load_manifest, run_corpus, suite_manifest
 from repro.runner.pool import WorkerPool, analysis_task
-
-
-def _events_path(args) -> str | None:
-    """Where the run's ``events.jsonl`` goes: ``--events`` wins, else
-    ``--trace-dir`` implies ``<trace-dir>/events.jsonl``."""
-    if getattr(args, "events", None):
-        return args.events
-    if getattr(args, "trace_dir", None):
-        return os.path.join(args.trace_dir, "events.jsonl")
-    return None
 
 
 def bench_main(argv: list[str] | None = None) -> int:
@@ -83,9 +72,6 @@ def bench_main(argv: list[str] | None = None) -> int:
                              "cooperative timeouts only)")
     parser.add_argument("--report-json", metavar="FILE", default=None,
                         help="write the aggregate report as JSON")
-    parser.add_argument("--fail-on-error", action="store_true",
-                        help="(kept for compatibility; error rows already "
-                             "exit 3 under the deterministic scheme)")
     parser.add_argument("--fail-fast", action="store_true",
                         help="cancel the remaining jobs after the first "
                              "'error' row (finished rows stay resumable)")
@@ -97,16 +83,9 @@ def bench_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--trace-dir", metavar="DIR", default=None,
                         help="per-job JSONL traces: every worker writes "
                              "trace_<job key>.jsonl here (render with "
-                             "python -m repro.obs.report) and the fleet "
-                             "event log goes to DIR/events.jsonl")
-    parser.add_argument("--events", metavar="FILE", default=None,
-                        help="write the fleet telemetry event log "
-                             "(heartbeats + job lifecycle) as JSONL")
-    parser.add_argument("--heartbeat-interval", type=float, default=2.0,
-                        help="seconds between per-job heartbeats "
-                             "(default 2.0)")
+                             "python -m repro.obs.report)")
     parser.add_argument("--quiet", action="store_true",
-                        help="no per-row progress / live status lines")
+                        help="no per-row progress lines")
     args = parser.parse_args(argv)
 
     if args.manifest is not None:
@@ -127,42 +106,29 @@ def bench_main(argv: list[str] | None = None) -> int:
         manifest["configs"] = [dict(entry, fault_plan=text)
                                for entry in entries]
 
-    # The fleet monitor drives both output shapes (suppressed by
-    # --quiet): per-row progress lines with the running done/total +
-    # error/timeout tally on stdout, and heartbeat-driven "slowest
-    # running jobs" status lines on stderr.  The telemetry channel
-    # feeding it also writes events.jsonl when a sink path is given.
-    monitor = FleetMonitor(
-        row_stream=None if args.quiet else sys.stdout,
-        status_stream=None if args.quiet else sys.stderr)
-    telemetry = Telemetry(_events_path(args), on_event=monitor.observe)
-
     def on_row(row: dict) -> None:
-        monitor.row(row)
+        print(f"  {row.get('program', '?'):<24} [{row.get('config', '?')}] "
+              f"{row.get('status', '?'):<14} "
+              f"{float(row.get('seconds') or 0.0):7.2f}s", flush=True)
 
     pool = WorkerPool(workers=args.workers, task=analysis_task,
                       task_timeout=args.task_timeout
                       if args.task_timeout is not None
                       else manifest.get("task_timeout"),
                       inprocess=True if args.inprocess else None,
-                      telemetry=telemetry,
-                      heartbeat_interval=args.heartbeat_interval,
                       max_retries=args.max_retries,
                       max_rss_kb=int(args.max_rss * 1024)
                       if args.max_rss is not None else None)
-    try:
-        summary = run_corpus(manifest, args.store,
-                             task_timeout=args.task_timeout,
-                             resume=not args.no_resume,
-                             retry_errors=args.retry_errors,
-                             retry_timeouts=args.retry_timeouts,
-                             pool=pool, on_row=on_row,
-                             fail_fast=args.fail_fast,
-                             trace_dir=args.trace_dir,
-                             checkpoint_dir=args.checkpoint_dir,
-                             module_library=args.module_library)
-    finally:
-        telemetry.close()
+    summary = run_corpus(manifest, args.store,
+                         task_timeout=args.task_timeout,
+                         resume=not args.no_resume,
+                         retry_errors=args.retry_errors,
+                         retry_timeouts=args.retry_timeouts,
+                         pool=pool, on_row=None if args.quiet else on_row,
+                         fail_fast=args.fail_fast,
+                         trace_dir=args.trace_dir,
+                         checkpoint_dir=args.checkpoint_dir,
+                         module_library=args.module_library)
 
     mode = "in-process" if pool.inprocess else f"{pool.workers} workers"
     print(f"\n{summary.manifest}: {summary.total} jobs "

@@ -273,11 +273,6 @@ def run_corpus(manifest: dict,
                               task_timeout=task_timeout
                               if task_timeout is not None
                               else manifest.get("task_timeout"))
-        if pool.telemetry is not None:
-            pool.telemetry.emit("plan", manifest=manifest.get("name"),
-                                total=len(jobs),
-                                skipped=len(jobs) - len(todo),
-                                to_run=len(todo))
         rows_by_key = {job.key: done[job.key] for job in jobs
                        if job.key in done}
 

@@ -16,31 +16,25 @@ enforces the budget from outside:
   execution is recorded ``quarantined`` (a poison job, skipped on
   resume instead of retried forever),
 - **memory pressure**: with ``max_rss_kb`` set, a parent-side watchdog
-  samples worker rss on the heartbeat cadence and SIGKILLs any worker
-  past the cap, recording the job ``oom`` -- shedding load *before*
-  the kernel OOM killer does it indiscriminately,
+  samples worker rss every ``WATCHDOG_INTERVAL_S`` seconds and
+  SIGKILLs any worker past the cap, recording the job ``oom`` --
+  shedding load *before* the kernel OOM killer does it
+  indiscriminately,
 - **task exceptions** travel back with their traceback and become
   ``error`` rows immediately (they are deterministic -- retrying is
   waste),
 - **graceful degradation**: when ``multiprocessing`` is unusable (no
   start methods, sandboxed platform, ``REPRO_RUNNER_INPROCESS=1``)
   the pool runs tasks in-process -- cooperative timeouts still apply,
-  hard kills and crash isolation do not.
+  hard kills and crash isolation do not.  A spawn that fails mid-run
+  (fd limits) degrades the same way for the payloads still without an
+  outcome.
 
 Workers communicate over a one-way pipe; results are whatever the task
 returns (pickled by the pipe).  The pool is deliberately generic --
 ``task`` is any importable callable ``payload -> dict`` -- so the
 harness's own failure paths are testable with the fault-injection
 tasks of :mod:`repro.runner._testing`.
-
-With a :class:`~repro.obs.telemetry.Telemetry` channel attached the
-pool stops being a black box while it runs: the scheduler emits
-lifecycle events (``spawned``/``started``/``finished``/``killed``/
-``retried``) as jobs move through it, and samples a heartbeat (pid,
-elapsed, rss) for every running job each ``heartbeat_interval``
-seconds -- including for wedged workers that will only ever be heard
-from again as a SIGKILL.  A worker announces ``started`` itself as its
-first message on the result pipe, so spawn latency is visible too.
 """
 
 from __future__ import annotations
@@ -66,6 +60,19 @@ from repro.core.api import prove_termination
 from repro.core.config import AnalysisConfig
 from repro.core.refinement import Verdict
 from repro.program.parser import ParseError, parse_program
+
+#: Seconds between the memory watchdog's rss samples of the workers.
+WATCHDOG_INTERVAL_S = 2.0
+
+
+def rss_kb(pid: int) -> int | None:
+    """Resident set size of ``pid`` in kB via /proc; None off-Linux."""
+    try:
+        with open(f"/proc/{pid}/statm", "rb") as fh:
+            pages = int(fh.read().split()[1])
+        return pages * (os.sysconf("SC_PAGE_SIZE") // 1024)
+    except (OSError, ValueError, IndexError):
+        return None
 
 
 @dataclass
@@ -212,12 +219,8 @@ def _maybe_fault_worker(config: AnalysisConfig, *, same_process: bool) -> None:
 
 
 def _worker_main(task: Callable[[dict], dict], payload: dict, conn) -> None:
-    """Subprocess body: announce start, run the task, ship the result."""
+    """Subprocess body: run the task, ship the result."""
     try:
-        try:
-            conn.send(("started", os.getpid()))
-        except Exception:
-            pass  # telemetry is best-effort; the result still matters
         result = task(payload)
         conn.send(("ok", result))
     except BaseException as exc:  # noqa: BLE001 - isolate *everything*
@@ -258,10 +261,6 @@ class WorkerPool:
     outcome as it lands and may return ``False`` to cancel everything
     still queued or running (``bench --fail-fast`` stops this way).
 
-    ``telemetry`` (a :class:`repro.obs.telemetry.Telemetry`, optional)
-    receives lifecycle events and periodic per-job heartbeats every
-    ``heartbeat_interval`` seconds; without it the pool emits nothing.
-
     Worker deaths are retried with capped exponential backoff plus
     deterministic jitter: the delay before execution ``n + 1`` is
     ``retry_backoff * 2^(n-1)`` plus a jitter drawn from
@@ -272,11 +271,11 @@ class WorkerPool:
     it is recorded ``quarantined`` (never plain ``error``) so the
     store layer can skip it on resume instead of retrying forever.
 
-    ``max_rss_kb`` arms the memory-pressure watchdog: on each
-    heartbeat the parent samples every worker's rss from ``/proc`` and
-    SIGKILLs any worker past the cap, recording the job ``oom`` --
-    preemptive and attributable, unlike the kernel OOM killer it
-    front-runs.  ``oom`` jobs are not retried (the same input would
+    ``max_rss_kb`` arms the memory-pressure watchdog: every
+    ``WATCHDOG_INTERVAL_S`` the parent samples each worker's rss from
+    ``/proc`` and SIGKILLs any worker past the cap, recording the job
+    ``oom`` -- preemptive and attributable, unlike the kernel OOM
+    killer it front-runs.  ``oom`` jobs are not retried (the same input would
     balloon again deterministically); a durable checkpoint, if the
     task keeps one, preserves the rounds finished before the kill.
     """
@@ -286,10 +285,7 @@ class WorkerPool:
                  task_timeout: float | None = None,
                  kill_grace: float = 1.0,
                  max_retries: int = 1,
-                 start_method: str | None = None,
                  inprocess: bool | None = None,
-                 telemetry=None,
-                 heartbeat_interval: float = 2.0,
                  max_rss_kb: int | None = None,
                  retry_backoff: float = 0.1,
                  retry_backoff_cap: float = 5.0):
@@ -299,8 +295,6 @@ class WorkerPool:
         self.task_timeout = task_timeout
         self.kill_grace = kill_grace
         self.max_retries = max_retries
-        self.telemetry = telemetry
-        self.heartbeat_interval = heartbeat_interval
         self.max_rss_kb = max_rss_kb
         self.retry_backoff = retry_backoff
         self.retry_backoff_cap = retry_backoff_cap
@@ -311,8 +305,7 @@ class WorkerPool:
         if not inprocess:
             try:
                 methods = _mp.get_all_start_methods()
-                method = start_method or (
-                    "fork" if "fork" in methods else methods[0])
+                method = "fork" if "fork" in methods else methods[0]
                 self._ctx = _mp.get_context(method)
             except Exception:
                 inprocess = True
@@ -323,36 +316,27 @@ class WorkerPool:
     def run(self, payloads: Sequence[dict],
             on_outcome: Callable[[TaskOutcome], bool | None] | None = None,
             ) -> list[TaskOutcome]:
-        """Execute every payload; outcomes are returned in payload order."""
+        """Execute every payload; outcomes are returned in payload order.
+
+        ``on_outcome`` sees each payload's outcome exactly once, even
+        when a failed spawn sends the rest of the run in-process.
+        """
         payloads = list(payloads)
-        if self.inprocess:
-            return self._run_inprocess(payloads, on_outcome)
-        try:
-            return self._run_pool(payloads, on_outcome)
-        except (OSError, ValueError):
-            # Process creation failed outright (fd limits, sandboxes):
-            # degrade rather than die.  Partial outcomes are discarded;
-            # the store layer makes recomputation cheap.
-            self.inprocess = True
-            return self._run_inprocess(payloads, on_outcome)
+        outcomes: dict[int, TaskOutcome] = {}
+        if not self.inprocess:
+            try:
+                self._run_pool(payloads, on_outcome, outcomes)
+            except (OSError, ValueError):
+                # Process creation failed (fd limits, sandboxes): degrade
+                # rather than die, and finish in-process only what has
+                # no outcome yet.
+                self.inprocess = True
+        self._run_inprocess(payloads, on_outcome, outcomes)
+        return [outcomes[i] for i in range(len(payloads))]
 
     def budget_of(self, payload: dict) -> float | None:
         timeout = payload.get("timeout", self.task_timeout)
         return timeout
-
-    # -- telemetry --------------------------------------------------------------
-
-    @staticmethod
-    def _job_id(payload: dict) -> str | None:
-        return payload.get("key") or payload.get("name")
-
-    def _tel(self, type_: str, payload: dict, **fields) -> None:
-        """Emit one lifecycle event for a job, if a channel is attached."""
-        if self.telemetry is None:
-            return
-        self.telemetry.emit(type_, job=self._job_id(payload),
-                            name=payload.get("name"),
-                            config=payload.get("config_name"), **fields)
 
     # -- retry backoff ----------------------------------------------------------
 
@@ -366,23 +350,25 @@ class WorkerPool:
         a mass worker death does not respawn everything at once.
         """
         base = self.retry_backoff * (2 ** max(execution - 1, 0))
-        rng = random.Random(f"{self._job_id(payload)}:{execution}")
+        job_id = payload.get("key") or payload.get("name")
+        rng = random.Random(f"{job_id}:{execution}")
         return min(base + rng.uniform(0.0, base), self.retry_backoff_cap)
 
     # -- in-process degradation -------------------------------------------------
 
-    def _run_inprocess(self, payloads, on_outcome) -> list[TaskOutcome]:
-        outcomes: list[TaskOutcome] = []
+    def _run_inprocess(self, payloads, on_outcome, outcomes) -> None:
+        """Run, in order, every payload that has no entry in ``outcomes``."""
         stopped = False
         for index, payload in enumerate(payloads):
+            if index in outcomes:
+                continue
             if stopped:
-                outcomes.append(TaskOutcome(payload, index, "cancelled",
-                                            executions=0))
+                outcomes[index] = TaskOutcome(payload, index, "cancelled",
+                                              executions=0)
                 continue
             start = time.perf_counter()
             payload = dict(self._with_budget(payload))
             payload["_same_process"] = True
-            self._tel("started", payload, pid=os.getpid())
             try:
                 result = self.task(payload)
                 outcome = TaskOutcome(payload, index, "ok", result=result,
@@ -392,12 +378,9 @@ class WorkerPool:
                     payload, index, "error",
                     error=f"{type(exc).__name__}: {exc}",
                     seconds=time.perf_counter() - start)
-            self._tel("finished", payload, status=outcome.status,
-                      elapsed=round(outcome.seconds, 3))
-            outcomes.append(outcome)
+            outcomes[index] = outcome
             if on_outcome is not None and on_outcome(outcome) is False:
                 stopped = True
-        return outcomes
 
     def _with_budget(self, payload: dict) -> dict:
         if "timeout" not in payload and self.task_timeout is not None:
@@ -407,8 +390,13 @@ class WorkerPool:
 
     # -- the subprocess scheduler -----------------------------------------------
 
-    def _run_pool(self, payloads, on_outcome) -> list[TaskOutcome]:
-        outcomes: dict[int, TaskOutcome] = {}
+    def _run_pool(self, payloads, on_outcome, outcomes) -> None:
+        """Fill ``outcomes`` through worker subprocesses.
+
+        A failed spawn (``OSError``/``ValueError``) kills and reaps the
+        running workers and propagates, leaving in ``outcomes`` exactly
+        the outcomes already delivered.
+        """
         queue: deque[tuple[int, dict, int]] = deque(
             (i, self._with_budget(p), 1) for i, p in enumerate(payloads))
         #: Respawns waiting out their backoff: (ready_at, index,
@@ -416,12 +404,8 @@ class WorkerPool:
         pending: list[tuple[float, int, dict, int]] = []
         running: dict[object, _Running] = {}
         stopped = False
-        # The beat drives heartbeats *and* the memory-pressure
-        # watchdog, so it stays armed with a watchdog even when no
-        # telemetry channel is attached.
-        next_beat = (time.perf_counter() + self.heartbeat_interval
-                     if (self.telemetry is not None
-                         or self.max_rss_kb is not None) else None)
+        next_sample = (time.perf_counter() + WATCHDOG_INTERVAL_S
+                       if self.max_rss_kb is not None else None)
 
         def deliver(outcome: TaskOutcome) -> None:
             nonlocal stopped
@@ -431,43 +415,37 @@ class WorkerPool:
 
         def spawn(index: int, payload: dict, execution: int) -> None:
             parent, child = self._ctx.Pipe(duplex=False)
-            proc = self._ctx.Process(
-                target=_worker_main, args=(self.task, payload, child),
-                daemon=True)
-            proc.start()
-            child.close()
+            try:
+                proc = self._ctx.Process(
+                    target=_worker_main, args=(self.task, payload, child),
+                    daemon=True)
+                proc.start()
+            except BaseException:
+                parent.close()
+                raise
+            finally:
+                child.close()
             now = time.perf_counter()
             budget = self.budget_of(payload)
             deadline = now + budget + self.kill_grace if budget is not None else None
             running[parent] = _Running(index, payload, execution, proc,
                                        parent, now, deadline)
-            self._tel("spawned", payload, pid=proc.pid, execution=execution)
 
-        def beat(now: float) -> None:
-            """Sample one heartbeat per running job (parent-side) and
-            run the memory-pressure watchdog off the same rss sample."""
-            nonlocal next_beat
-            if next_beat is None or now < next_beat:
+        def watchdog(now: float) -> None:
+            """SIGKILL every worker whose rss is past ``max_rss_kb``."""
+            nonlocal next_sample
+            if next_sample is None or now < next_sample:
                 return
-            next_beat = now + self.heartbeat_interval
-            from repro.obs.telemetry import rss_kb
+            next_sample = now + WATCHDOG_INTERVAL_S
             for conn, job in list(running.items()):
                 rss = rss_kb(job.proc.pid) if job.proc.pid else None
-                if self.telemetry is not None:
-                    self.telemetry.heartbeat_job(
-                        self._job_id(job.payload), job.payload.get("name"),
-                        job.proc.pid, elapsed=now - job.started, rss=rss)
-                if (self.max_rss_kb is not None and rss is not None
-                        and rss > self.max_rss_kb):
+                if rss is not None and rss > self.max_rss_kb:
                     # Preemptive kill: shed the ballooning worker before
                     # the kernel OOM killer picks a victim for us.  Not
                     # retried -- the same job would balloon again.
                     running.pop(conn)
                     job.proc.kill()
                     reap(job)
-                    self._tel("killed", job.payload, reason="oom",
-                              pid=job.proc.pid, rss_kb=rss,
-                              elapsed=round(now - job.started, 3))
                     deliver(TaskOutcome(
                         job.payload, job.index, "oom",
                         error=f"worker rss {rss} kB exceeded the "
@@ -495,7 +473,15 @@ class WorkerPool:
                         queue.append((index, payload, execution))
             while queue and len(running) < self.workers and not stopped:
                 index, payload, execution = queue.popleft()
-                spawn(index, payload, execution)
+                try:
+                    spawn(index, payload, execution)
+                except (OSError, ValueError):
+                    # Out of fds or processes: stop every worker and
+                    # let ``run`` finish in-process what has no outcome.
+                    for job in running.values():
+                        job.proc.kill()
+                        reap(job)
+                    raise
             if not running:
                 if stopped:
                     break
@@ -511,34 +497,26 @@ class WorkerPool:
                          if j.deadline is not None]
             deadlines.extend(e[0] - now for e in pending)
             wait_for = max(0.001, min(deadlines)) if deadlines else 0.2
-            if next_beat is not None:
-                wait_for = max(0.001, min(wait_for, next_beat - now))
+            if next_sample is not None:
+                wait_for = max(0.001, min(wait_for, next_sample - now))
             ready = _mp_connection.wait(list(running), timeout=wait_for)
             now = time.perf_counter()
-            beat(now)
+            watchdog(now)
 
             for conn in ready:
-                job = running[conn]
-                message = None
+                if conn not in running:
+                    continue  # the watchdog just killed it
+                job = running.pop(conn)
                 try:
                     message = conn.recv()
                 except (EOFError, OSError):
                     message = None  # died without a result
-                if message is not None and message[0] == "started":
-                    # The worker's hello: it is executing the task now.
-                    self._tel("started", job.payload, pid=message[1],
-                              execution=job.execution)
-                    continue  # the job is still running
-                running.pop(conn)
                 reap(job)
                 elapsed = now - job.started
                 if message is None:
                     exitcode = job.proc.exitcode
                     if job.execution <= self.max_retries:
                         delay = self.retry_delay(job.payload, job.execution)
-                        self._tel("retried", job.payload,
-                                  execution=job.execution, exitcode=exitcode,
-                                  delay=round(delay, 3))
                         pending.append((now + delay, job.index, job.payload,
                                         job.execution + 1))
                     else:
@@ -547,10 +525,6 @@ class WorkerPool:
                         # keeps the row and resume skips it (even under
                         # --retry-errors), so one bad input cannot eat
                         # the fleet's respawn budget forever.
-                        self._tel("finished", job.payload,
-                                  status="quarantined",
-                                  elapsed=round(elapsed, 3),
-                                  exitcode=exitcode)
                         deliver(TaskOutcome(
                             job.payload, job.index, "quarantined",
                             error=f"worker died on all {job.execution} "
@@ -558,15 +532,11 @@ class WorkerPool:
                                   f"job quarantined",
                             seconds=elapsed, executions=job.execution))
                 elif message[0] == "ok":
-                    self._tel("finished", job.payload, status="ok",
-                              elapsed=round(elapsed, 3))
                     deliver(TaskOutcome(job.payload, job.index, "ok",
                                         result=message[1], seconds=elapsed,
                                         executions=job.execution))
                 else:
                     _, summary, tb = message
-                    self._tel("finished", job.payload, status="error",
-                              elapsed=round(elapsed, 3))
                     deliver(TaskOutcome(job.payload, job.index, "error",
                                         error=summary + "\n" + tb,
                                         seconds=elapsed,
@@ -577,9 +547,6 @@ class WorkerPool:
                     running.pop(conn)
                     job.proc.kill()
                     reap(job)
-                    self._tel("killed", job.payload, reason="deadline",
-                              pid=job.proc.pid,
-                              elapsed=round(now - job.started, 3))
                     deliver(TaskOutcome(job.payload, job.index, "timeout",
                                         error="hard deadline exceeded "
                                               "(worker SIGKILLed)",
@@ -592,8 +559,6 @@ class WorkerPool:
         for conn, job in running.items():
             job.proc.kill()
             reap(job)
-            self._tel("killed", job.payload, reason="cancelled",
-                      pid=job.proc.pid)
             outcomes[job.index] = TaskOutcome(
                 job.payload, job.index, "cancelled",
                 seconds=time.perf_counter() - job.started,
@@ -606,4 +571,3 @@ class WorkerPool:
             outcomes.setdefault(index, TaskOutcome(payload, index,
                                                    "cancelled",
                                                    executions=execution - 1))
-        return [outcomes[i] for i in sorted(outcomes)]

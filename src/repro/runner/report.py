@@ -21,7 +21,7 @@ import sys
 import textwrap
 from dataclasses import dataclass, field
 
-from repro.runner.store import read_rows
+from repro.runner.store import latest_rows
 
 @dataclass
 class ConfigAgg:
@@ -152,7 +152,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--json", action="store_true",
                         help="emit the aggregate as JSON")
     args = parser.parse_args(argv)
-    rows = list(read_rows(args.store))
+    rows = latest_rows(args.store)
     if not rows:
         print("no result rows in store", file=sys.stderr)
         return 3

@@ -9,8 +9,10 @@ re-runs exactly the affected jobs.
 
 The store is *at-least-once*: a job killed between completion and the
 ``append`` fsync is simply recomputed on resume.  Duplicate keys keep
-the **last** row (rewrites happen when ``--retry-errors`` re-runs a
-crashed job), so readers can treat the file as a log-structured map.
+the **last** row (rewrites happen when ``--retry-errors``,
+``--retry-timeouts`` or ``--no-resume`` re-run a job): resume, ``repro
+report`` and ``repro trajectory`` all read the file through
+:func:`latest_rows`, as a log-structured map.
 """
 
 from __future__ import annotations
@@ -89,6 +91,15 @@ def read_rows(path: str | Path) -> Iterator[dict]:
                 yield row
 
 
+def latest_rows(path: str | Path) -> list[dict]:
+    """The store's current rows: the last row of each key, in the order
+    keys first appear; unkeyed rows are kept as they are."""
+    rows: dict = {}
+    for index, row in enumerate(read_rows(path)):
+        rows[row.get("key") or index] = row
+    return list(rows.values())
+
+
 class ResultStore:
     """One JSONL file of result rows, opened lazily for append."""
 
@@ -98,12 +109,8 @@ class ResultStore:
 
     def load(self) -> dict[str, dict]:
         """Map ``key -> row`` for every keyed row already on disk."""
-        rows: dict[str, dict] = {}
-        for row in read_rows(self.path):
-            key = row.get("key")
-            if key:
-                rows[key] = row
-        return rows
+        return {row["key"]: row for row in latest_rows(self.path)
+                if row.get("key")}
 
     def append(self, row: dict) -> None:
         if self._fh is None:

@@ -143,7 +143,7 @@ def test_cli_bench_and_report_subcommands(tmp_path, capsys):
     store = tmp_path / "results.jsonl"
     report = tmp_path / "report.json"
     code = main(["bench", str(manifest), "--inprocess", "--store", str(store),
-                 "--report-json", str(report), "--fail-on-error"])
+                 "--report-json", str(report)])
     out = capsys.readouterr().out
     assert code == 0
     assert "2 jobs" in out and "0 resumed" in out
@@ -161,7 +161,7 @@ def test_cli_bench_and_report_subcommands(tmp_path, capsys):
     assert "default" in capsys.readouterr().out
 
 
-def test_cli_bench_fail_on_error(tmp_path, capsys):
+def test_cli_bench_error_rows_exit_3(tmp_path, capsys):
     import json
 
     manifest = tmp_path / "m.json"
@@ -171,9 +171,33 @@ def test_cli_bench_fail_on_error(tmp_path, capsys):
     }))
     store = tmp_path / "results.jsonl"
     code = main(["bench", str(manifest), "--inprocess", "--quiet",
-                 "--store", str(store), "--fail-on-error"])
+                 "--store", str(store)])
     capsys.readouterr()
     assert code == 3
+
+
+def test_cli_bench_prints_one_progress_line_per_row(tmp_path, capsys):
+    import json
+    import re
+
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({
+        "name": "cli-progress", "task_timeout": 30,
+        "programs": [
+            {"name": "a", "expected": "terminating", "source": TERMINATING},
+            {"name": "b", "expected": "nonterminating", "source": DIVERGING},
+        ],
+        "configs": [{"name": "default"}],
+    }))
+    progress = re.compile(r"^  (\S+)\s+\[default\] (\S+)\s+\d+\.\d\ds$",
+                          re.MULTILINE)
+    argv = ["bench", str(manifest), "--inprocess", "--no-resume",
+            "--store", str(tmp_path / "results.jsonl")]
+    assert main(argv) == 0
+    lines = progress.findall(capsys.readouterr().out)
+    assert sorted(lines) == [("a", "terminating"), ("b", "nonterminating")]
+    assert main(argv + ["--quiet"]) == 0
+    assert not progress.findall(capsys.readouterr().out)
 
 
 def test_cli_run_portfolio(tmp_path, capsys):

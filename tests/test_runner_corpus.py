@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.obs.report import aggregate, load_records
 from repro.runner.corpus import (expand_manifest, load_manifest, run_corpus,
                                  suite_manifest)
 from repro.runner.pool import WorkerPool, analysis_task
@@ -16,6 +17,11 @@ INLINE_TERMINATING = ("program a(x):\n    while x > 0:\n"
                       "        x := x - 1\n")
 INLINE_DIVERGING = ("program b(x):\n    while x > 0:\n"
                     "        x := x + 1\n")
+TERMINATING = """
+program t(x):
+    while x > 0:
+        x := x - 1
+"""
 
 
 def tiny_manifest(**extra) -> dict:
@@ -280,13 +286,10 @@ def test_retry_timeouts_reruns_timeout_and_oom_rows(tmp_path):
     assert third.by_status == {"terminating": 1, "nonterminating": 1}
 
 
-def test_corpus_checkpoint_dir_flows_to_workers_and_telemetry(tmp_path):
-    from repro.obs.telemetry import Telemetry
+def test_corpus_checkpoint_dir_flows_to_workers_and_warm_starts(tmp_path):
     store = tmp_path / "results.jsonl"
     ckpt = tmp_path / "ckpt"
-    tel = Telemetry()
-    summary = run_corpus(tiny_manifest(), store,
-                         pool=inprocess_pool(telemetry=tel),
+    summary = run_corpus(tiny_manifest(), store, pool=inprocess_pool(),
                          checkpoint_dir=ckpt)
     assert summary.ran == 2
     # only the terminating job certifies modules to persist; the
@@ -298,10 +301,8 @@ def test_corpus_checkpoint_dir_flows_to_workers_and_telemetry(tmp_path):
 
     # a fresh run (fresh store) over the same corpus warm-starts the
     # checkpointed job and counts it in that row's metrics
-    tel2 = Telemetry()
     again = run_corpus(tiny_manifest(), tmp_path / "results2.jsonl",
-                       pool=inprocess_pool(telemetry=tel2),
-                       checkpoint_dir=ckpt)
+                       pool=inprocess_pool(), checkpoint_dir=ckpt)
     assert again.ran == 2
     assert again.by_status == {"terminating": 1, "nonterminating": 1}
     restored = [row_counter(r, "checkpoint.rounds_restored")
@@ -309,10 +310,6 @@ def test_corpus_checkpoint_dir_flows_to_workers_and_telemetry(tmp_path):
     assert sorted(restored)[0] == 0 and sorted(restored)[1] >= 1
     warm = next(r for r in again.rows if r["status"] == "terminating")
     assert row_counter(warm, "checkpoint.rounds_restored") >= 1
-    # the fleet channel carries lifecycle events only, no count copies
-    for events in (tel.events, tel2.events):
-        assert any(e["type"] == "finished" for e in events)
-        assert not any(e["type"].startswith("checkpoint.") for e in events)
 
 
 def test_warm_corpus_report_sums_checkpoint_counters(tmp_path):
@@ -393,6 +390,30 @@ def test_report_exit_code_matrix(tmp_path, capsys):
     assert report_main([str(store)]) == 3  # empty store is a broken run
 
 
+def test_report_and_trajectory_count_only_the_latest_row_per_key(
+        tmp_path, capsys):
+    """A ``--retry-timeouts`` re-run appends a second row for one job
+    key; resume, ``report`` and ``trajectory`` must all see only the
+    last one (a timeout that is now solved is not still a timeout)."""
+    from repro.obs.trajectory import load_store
+    from repro.runner.report import main as report_main
+    store = tmp_path / "rows.jsonl"
+    with ResultStore(store) as rows:
+        rows.append({"key": "k0", "program": "p0", "config": "default",
+                     "expected": "terminating", "status": "timeout",
+                     "verdict": "unknown", "seconds": 5.0})
+        rows.append({"key": "k0", "program": "p0", "config": "default",
+                     "expected": "terminating", "status": "terminating",
+                     "verdict": "terminating", "seconds": 0.5})
+    assert ResultStore(store).load()["k0"]["status"] == "terminating"
+    assert report_main([str(store), "--json"]) == 0
+    agg = json.loads(capsys.readouterr().out)["default"]
+    assert (agg["jobs"], agg["solved"], agg["timeout"]) == (1, 1, 0)
+    [record] = load_store(store)
+    assert record.metrics["jobs"] == 1
+    assert record.metrics["timeout"] == 0
+
+
 def test_report_help_epilog_documents_cancelled(capsys):
     from repro.runner.report import main as report_main
     with pytest.raises(SystemExit) as err:
@@ -400,3 +421,36 @@ def test_report_help_epilog_documents_cancelled(capsys):
     assert err.value.code == 0
     out = capsys.readouterr().out
     assert "cancelled" in out
+
+
+# -- --trace-dir threading ----------------------------------------------------
+
+
+def test_analysis_task_trace_dir_writes_reportable_trace(tmp_path):
+    trace_dir = tmp_path / "traces"
+    row = analysis_task({"name": "t", "source": TERMINATING, "config": {},
+                         "key": "k123", "trace_dir": str(trace_dir)})
+    assert row["status"] == "terminating"
+    trace = trace_dir / "trace_k123.jsonl"
+    assert trace.is_file()
+    report = aggregate(load_records(str(trace)))
+    assert report.phases["analysis"].calls == 1
+    assert report.accounted >= 0.9
+    # the worker's metrics snapshot rode along in the trace
+    assert report.metrics["counters"]["refinement.rounds"] >= 1
+
+
+def test_run_corpus_trace_dir_one_trace_per_job(tmp_path):
+    from repro.runner.corpus import run_corpus
+    manifest = {"name": "mini", "programs": [
+        {"name": "p1", "expected": "terminating", "source": TERMINATING},
+        {"name": "p2", "expected": "terminating", "source": TERMINATING},
+    ]}
+    pool = WorkerPool(task=analysis_task, inprocess=True)
+    summary = run_corpus(manifest, tmp_path / "results.jsonl", pool=pool,
+                         trace_dir=tmp_path / "traces")
+    assert summary.ran == 2
+    traces = sorted((tmp_path / "traces").glob("trace_*.jsonl"))
+    assert len(traces) == 2
+    for trace in traces:
+        assert aggregate(load_records(str(trace))).phases

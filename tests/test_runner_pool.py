@@ -8,10 +8,12 @@ tests are fast and deterministic.
 
 from __future__ import annotations
 
+import signal
 import time
 
 import pytest
 
+import repro.runner.pool as pool_module
 from repro.runner._testing import crash_task, echo_task, flaky_task, sleep_task
 from repro.runner.pool import TaskOutcome, WorkerPool, analysis_task
 
@@ -64,11 +66,16 @@ def test_sigkilled_worker_is_quarantined_after_retries():
     assert outcomes[0].executions == 2  # the original + exactly one retry
 
 
-def test_memory_watchdog_kills_and_reports_oom():
+@pytest.fixture
+def fast_watchdog(monkeypatch):
+    monkeypatch.setattr(pool_module, "WATCHDOG_INTERVAL_S", 0.05)
+
+
+def test_memory_watchdog_kills_and_reports_oom(fast_watchdog):
     # Any live Python worker's RSS dwarfs a 1 kB cap, so the watchdog
-    # must kill it on the first heartbeat -- no balloon task needed.
+    # must kill it on its first sample -- no balloon task needed.
     pool = WorkerPool(workers=1, task=sleep_task, max_rss_kb=1,
-                      heartbeat_interval=0.05, kill_grace=0.2)
+                      kill_grace=0.2)
     if pool.inprocess:
         pytest.skip("multiprocessing unavailable: no watchdog")
     start = time.perf_counter()
@@ -77,12 +84,12 @@ def test_memory_watchdog_kills_and_reports_oom():
     assert outcomes[0].status == "oom"
     assert "rss" in outcomes[0].error
     assert "kB cap" in outcomes[0].error
-    assert wall < 30.0  # killed at the first heartbeat, not the deadline
+    assert wall < 30.0  # killed at the first sample, not the deadline
 
 
-def test_oom_kill_is_not_retried():
+def test_oom_kill_is_not_retried(fast_watchdog):
     pool = WorkerPool(workers=1, task=sleep_task, max_rss_kb=1,
-                      max_retries=3, heartbeat_interval=0.05, kill_grace=0.2)
+                      max_retries=3, kill_grace=0.2)
     if pool.inprocess:
         pytest.skip("multiprocessing unavailable: no watchdog")
     outcomes = pool.run([{"key": "fat", "name": "fat", "delay": 3600.0}])
@@ -140,6 +147,54 @@ def test_on_outcome_false_cancels_the_rest():
     by_name = {o.payload["name"]: o for o in outcomes}
     assert by_name["fast"].status == "ok"
     assert by_name["slow"].status == "cancelled"
+
+
+class _SecondSpawnFails:
+    """A start-method context whose second ``Process`` raises EMFILE."""
+
+    def __init__(self, ctx):
+        self._ctx = ctx
+        self.spawned = []
+
+    def Pipe(self, duplex=True):
+        return self._ctx.Pipe(duplex=duplex)
+
+    def Process(self, **kwargs):
+        if len(self.spawned) == 1:
+            raise OSError(24, "Too many open files")
+        proc = self._ctx.Process(**kwargs)
+        self.spawned.append(proc)
+        return proc
+
+
+def test_spawn_failure_finishes_only_the_rest_inprocess():
+    pool = WorkerPool(workers=1, task=echo_task)
+    if pool.inprocess:
+        pytest.skip("multiprocessing unavailable")
+    pool._ctx = _SecondSpawnFails(pool._ctx)
+    seen = []
+    outcomes = pool.run([{"name": f"j{i}", "value": i} for i in range(3)],
+                        on_outcome=lambda o: seen.append(o.payload["name"]))
+    assert seen == ["j0", "j1", "j2"]  # each payload exactly once
+    assert [o.result["value"] for o in outcomes] == [0, 1, 2]
+    assert pool.inprocess
+
+
+def test_spawn_failure_kills_and_reaps_running_workers():
+    pool = WorkerPool(workers=2, task=echo_task)
+    if pool.inprocess:
+        pytest.skip("multiprocessing unavailable")
+    ctx = pool._ctx = _SecondSpawnFails(pool._ctx)
+    seen = []
+    outcomes = pool.run([{"name": "j0", "value": 0, "delay": 1.0},
+                         {"name": "j1", "value": 1}],
+                        on_outcome=lambda o: seen.append(o.payload["name"]))
+    # j0's worker was running when j1's spawn failed: it is killed and
+    # reaped, and j0 itself runs again in-process with j1
+    [worker] = ctx.spawned
+    assert worker.exitcode == -signal.SIGKILL
+    assert seen == ["j0", "j1"]
+    assert [o.status for o in outcomes] == ["ok", "ok"]
 
 
 def test_inprocess_degradation_still_executes():
