@@ -21,6 +21,7 @@ from repro.core.refinement import RefinementEngine, TerminationResult, Verdict
 from repro.core.stats import AnalysisStats, StatsCollector
 from repro.logic import fourier_motzkin as fm
 from repro.obs import metrics as obs_metrics
+from repro.program import statements
 from repro.program.ast import Program
 from repro.program.cfg import build_cfg
 from repro.program.parser import parse_program
@@ -59,7 +60,9 @@ def prove_termination(program: Program,
     control-flow graph, the engine and the firewall's re-check alike --
     so its snapshot, ``result.stats.metrics``, holds every count.  One
     Fourier--Motzkin memo (:func:`repro.logic.fourier_motzkin.use_memo`)
-    spans the CFG build and the engine; the firewall opens its own.
+    and one postcondition and Hoare-triple memo
+    (:func:`repro.program.statements.use_memo`) span the CFG build and
+    the engine; the firewall opens its own.
     """
     config = config or AnalysisConfig()
     if library is not None and not hasattr(library, "match"):
@@ -68,7 +71,7 @@ def prove_termination(program: Program,
     plan = faults.resolve_plan(config.fault_plan)
     registry = obs_metrics.MetricsRegistry()
     with obs_metrics.use_registry(registry):
-        with fm.use_memo():
+        with fm.use_memo(), statements.use_memo():
             engine = RefinementEngine(build_cfg(program), config, collector,
                                       checkpoint=checkpoint, library=library)
             if plan is not None:

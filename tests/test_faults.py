@@ -147,3 +147,60 @@ def test_flipped_entailments_never_enter_the_solver_memo(monkeypatch):
         for (atoms, names, tighten), answer in memo.items():
             fresh = fm.eliminate(atoms, names, tighten=tighten)
             assert answer == (None if fresh is None else tuple(fresh))
+
+
+def test_flipped_entailments_never_enter_the_hoare_memo(monkeypatch):
+    # the solver.entailment site sits below the postcondition and
+    # Hoare-triple memo, so under a plan the memo must stay untouched
+    from repro.core.api import prove_termination_source
+    from repro.core.config import AnalysisConfig
+    from repro.core.refinement import RefinementEngine, Verdict
+    from repro.program import statements
+    runs = []
+    run = RefinementEngine.run
+
+    def run_and_keep_memo(self):
+        result = run(self)
+        runs.append((statements._MEMO, faults.injected_counts()))
+        return result
+
+    monkeypatch.setattr(RefinementEngine, "run", run_and_keep_memo)
+    plan = FaultPlan(seed=0, wrong_answer_rate=1.0,
+                     sites=("solver.entailment",)).to_json()
+    cases = (("while x > 0:\n        x := x - 1", Verdict.TERMINATING),
+             ("while x > 0:\n        x := x + 1", Verdict.NONTERMINATING))
+    for body, honest in cases:
+        result = prove_termination_source(
+            f"program p(x):\n    {body}\n",
+            AnalysisConfig(timeout=30.0, fault_plan=plan))
+        # the firewall may lose the answer, never flip it
+        assert result.verdict in (honest, Verdict.UNKNOWN)
+        assert "logic.hoare.memo_hits" not in \
+            result.stats.metrics["counters"]
+    for memo, injected in runs:
+        assert injected["solver.entailment"]["flip"] > 0
+        assert memo == {}  # the run's scope was open, and nothing entered
+
+
+def test_an_active_plan_neither_reads_nor_writes_the_hoare_memo():
+    from repro.logic.atoms import atom_ge
+    from repro.logic.linconj import conj
+    from repro.logic.predicates import Pred
+    from repro.logic.terms import var
+    from repro.program.statements import Assign, hoare_valid, use_memo
+    stmt = Assign("x", var("x") - 1)
+    pre = Pred.of_inf(conj(atom_ge(var("x"), 1)))
+    post = Pred.of_inf(conj(atom_ge(var("x"), 0)))
+    with use_memo() as memo:
+        assert hoare_valid(pre, stmt, post)
+        # poison every stored answer: serving one would show
+        for key, answer in memo.items():
+            memo[key] = (not answer if isinstance(answer, bool)
+                         else Pred.bottom() if isinstance(answer, Pred)
+                         else conj())
+        poisoned = dict(memo)
+        with faults.use_plan(FaultPlan(seed=0)):
+            assert hoare_valid(pre, stmt, post)
+            assert stmt.sp_pred(pre).is_sat()
+            assert not hoare_valid(post, stmt, pre)
+        assert memo == poisoned

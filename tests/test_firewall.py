@@ -191,3 +191,41 @@ def test_screen_solves_on_a_fresh_memo_of_its_own(monkeypatch):
     assert seen["on_entry"] == 0 and seen["engine"]
     assert seen["screen"] is not seen["engine"]
     assert seen["screen"]  # the re-check's own queries went through it
+
+
+def test_no_hoare_memo_outlives_a_run():
+    from repro.program import statements
+    assert statements._MEMO is None
+    result = prove_termination_source(COUNTDOWN, AnalysisConfig(timeout=30.0))
+    assert result.verdict is Verdict.TERMINATING
+    counters = result.stats.metrics["counters"]
+    assert counters["logic.hoare.memo_hits"] > 0
+    assert counters["logic.sp.memo_hits"] > 0
+    assert statements._MEMO is None
+
+
+def test_screen_checks_triples_on_a_fresh_hoare_memo(monkeypatch):
+    import repro.core.firewall as firewall
+    from repro.core.refinement import RefinementEngine
+    from repro.program import statements
+    seen = {}
+    run, check = RefinementEngine.run, firewall._check_terminating
+
+    def run_and_keep_memo(self):
+        seen["engine"] = statements._MEMO
+        return run(self)
+
+    def check_and_keep_memo(result, deadline):
+        seen["screen"] = statements._MEMO
+        seen["on_entry"] = len(statements._MEMO)
+        return check(result, deadline)
+
+    monkeypatch.setattr(RefinementEngine, "run", run_and_keep_memo)
+    monkeypatch.setattr(firewall, "_check_terminating", check_and_keep_memo)
+    result = prove_termination_source(COUNTDOWN, AnalysisConfig(timeout=30.0))
+    assert result.verdict is Verdict.TERMINATING
+    assert result.stats.metrics["counters"]["firewall.passed"] == 1
+    # the screen starts empty and never reads an answer of the engine's
+    assert seen["on_entry"] == 0 and seen["engine"]
+    assert seen["screen"] is not seen["engine"]
+    assert seen["screen"]  # the re-check's own triples went through it

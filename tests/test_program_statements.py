@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.logic.atoms import atom_eq, atom_ge, atom_gt, atom_le, atom_lt
-from repro.logic.linconj import TRUE, conj
+from repro.logic.atoms import (Atom, Rel, atom_eq, atom_ge, atom_gt, atom_le,
+                               atom_lt)
+from repro.logic.linconj import TRUE, LinConj, conj
 from repro.logic.predicates import OLDRNK, Pred
-from repro.logic.terms import var
+from repro.logic.terms import LinTerm, var
+from repro.obs import metrics as obs_metrics
 from repro.program.statements import (Assign, Assume, Havoc,
-                                      NondeterminismError, hoare_valid)
+                                      NondeterminismError, hoare_valid,
+                                      use_memo)
 
 x, y = var("x"), var("y")
 
@@ -139,3 +142,99 @@ def test_sp_agrees_with_execution(x0, y0, k):
             return
         valuation = result
     assert post.evaluate(valuation), "execution escaped the postcondition"
+
+
+# -- the per-run postcondition and Hoare-triple memo ---------------------------
+
+_coeff = st.integers(-2, 2)
+
+
+def _terms(names):
+    return st.builds(lambda cs, k: LinTerm(dict(zip(names, cs)), k),
+                     st.tuples(*[_coeff] * len(names)), st.integers(-3, 3))
+
+
+def _conjs(names):
+    # equalities are common: which one FM pivots on depends on atom order
+    atom = st.builds(Atom, _terms(names), st.sampled_from(list(Rel)))
+    return st.lists(atom, max_size=3).map(LinConj)
+
+
+_preds = st.builds(lambda inf, fin: Pred(tuple(inf), tuple(fin)),
+                   st.lists(_conjs(("x", "y")), max_size=2),
+                   st.lists(_conjs(("x", "y", OLDRNK)), max_size=2))
+_statements = st.one_of(
+    st.builds(Assume, _conjs(("x", "y"))),
+    st.builds(Assign, st.sampled_from(("x", "y")), _terms(("x", "y"))),
+    st.builds(Havoc, st.sampled_from(("x", "y"))))
+_queries = st.tuples(_preds, _statements, _preds,
+                     st.one_of(st.none(), _terms(("x", "y"))))
+
+
+def _reversed(pred: Pred) -> Pred:
+    """The same predicate with every disjunct's atoms in reverse order."""
+    return Pred(tuple(LinConj(d.atoms[::-1]) for d in pred.inf_disjuncts),
+                tuple(LinConj(d.atoms[::-1]) for d in pred.fin_disjuncts))
+
+
+def _shape(pred: Pred) -> tuple:
+    return (tuple(d.atoms for d in pred.inf_disjuncts),
+            tuple(d.atoms for d in pred.fin_disjuncts))
+
+
+def _ask_all(pre, stmt, post, update):
+    """The three memoized questions on one generated triple."""
+    first = (pre.inf_disjuncts + pre.fin_disjuncts + (TRUE,))[0]
+    return (hoare_valid(pre, stmt, post, oldrnk_update=update),
+            stmt.sp_pred(pre, update), stmt.sp_conj(first))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_queries, min_size=1, max_size=4))
+def test_memo_answers_exactly_as_the_uncached_checks(queries):
+    # a reordered precondition equals the original as a value, but FM's
+    # output form depends on the order: the memo must not mix them up
+    queries = queries + [(_reversed(pre), stmt, post, update)
+                         for pre, stmt, post, update in queries]
+    honest = [_ask_all(*query) for query in queries]
+    registry = obs_metrics.MetricsRegistry()
+    with obs_metrics.use_registry(registry), use_memo() as memo:
+        answers = [_ask_all(*query) for query in queries]
+        again = [_ask_all(*query) for query in queries]
+        assert memo
+    for (valid, post, post_conj), got, hit in zip(honest, answers, again):
+        assert got[0] == valid
+        assert _shape(got[1]) == _shape(post)
+        assert got[2].atoms == post_conj.atoms
+        # a hit returns the first answer itself
+        assert hit[0] == got[0] and hit[1] is got[1] and hit[2] is got[2]
+    counters = registry.snapshot()["counters"]
+    assert counters["logic.hoare.memo_hits"] >= len(queries)
+    assert counters["logic.sp.memo_hits"] >= 2 * len(queries)
+
+
+def test_memo_scope_nests_and_restores():
+    from repro.program import statements
+    assert statements._MEMO is None
+    with use_memo() as outer:
+        with use_memo() as inner:
+            assert statements._MEMO is inner and inner is not outer
+        assert statements._MEMO is outer
+    assert statements._MEMO is None
+
+
+def test_a_raising_check_is_never_stored(monkeypatch):
+    stmt = Assign("x", x - 1)
+    pre = Pred.of_inf(conj(atom_ge(x, 1)))
+
+    def fail(self, other):
+        raise RuntimeError("budget")
+
+    with use_memo() as memo:
+        monkeypatch.setattr(Pred, "entails", fail)
+        with pytest.raises(RuntimeError):
+            hoare_valid(pre, stmt, pre)
+        monkeypatch.undo()
+        stored = len(memo)  # the postcondition returned and is kept
+        assert hoare_valid(pre, stmt, pre) is False
+        assert len(memo) == stored + 1

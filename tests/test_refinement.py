@@ -326,3 +326,52 @@ program two_phase(x, p):
         calls += round_stats.counters.get("difference.calls", 0)
         assert round_stats.difference_states == remainders[calls - 1]
     assert calls == len(remainders)
+
+
+def _engine_run(source: str, config: AnalysisConfig, scopes) -> tuple:
+    """One bare engine run inside ``scopes``: everything the memos must
+    leave unchanged."""
+    from contextlib import ExitStack
+
+    from repro.core.refinement import RefinementEngine
+    from repro.obs import metrics as obs_metrics
+    from repro.program.cfg import build_cfg
+    registry = obs_metrics.MetricsRegistry()
+    with ExitStack() as stack:
+        stack.enter_context(obs_metrics.use_registry(registry))
+        for scope in scopes:
+            stack.enter_context(scope())
+        result = RefinementEngine(build_cfg(parse_program(source)),
+                                  config).run()
+    counters = registry.snapshot()["counters"]
+    return (result.verdict, result.reason,
+            [(m.stage, len(m.automaton.states), len(m.automaton.transitions))
+             for m in result.modules],
+            {name: value for name, value in counters.items()
+             if not name.startswith("logic.")},
+            counters.get("logic.fm.eliminations"))
+
+
+# gcd_like asks for the postcondition of set-equal preconditions in two
+# atom orders: a memo keyed on LinConj values computes 11 more
+# eliminations on it
+@pytest.mark.parametrize("name", ["sort", "two_phase", "count_up", "gcd_like"])
+def test_hoare_memo_changes_no_verdict_round_or_count(name):
+    from repro.benchgen import program_suite
+    from repro.logic import fourier_motzkin as fm
+    from repro.program import statements
+    config = AnalysisConfig(timeout=120.0)
+    if name == "sort":
+        source = SORT
+    else:
+        (source,) = [b.source for b in program_suite() if b.name == name]
+        if name == "two_phase":
+            config = config.with_(max_refinements=8)
+    bare = _engine_run(source, config, ())
+    fm_only = _engine_run(source, config, (fm.use_memo,))
+    both = _engine_run(source, config, (fm.use_memo, statements.use_memo))
+    assert bare[3]["refinement.rounds"] > 0
+    assert bare[:4] == fm_only[:4] == both[:4]
+    # the memo answers repeated questions; FM still computes every
+    # distinct elimination the run asks for
+    assert fm_only[4] == both[4]
