@@ -349,6 +349,11 @@ def difference(minuend: ImplicitGBA, subtrahend: GBA, *,
     the Section 5/6 optimizations; ``kind`` pins the complementation
     procedure.  ``state_limit`` bounds the product exploration.
 
+    The result's states are opaque ints (Algorithm 1's DFS numbers, see
+    :func:`~repro.automata.emptiness.remove_useless`), so chained
+    subtractions build products over ``(int, MacroState)`` pairs
+    however many rounds came before.
+
     ``modular`` lets general subtrahends with a genuinely mixed SCC
     condensation go through the per-SCC mix-and-match decomposition
     (``ComplementKind.MODULAR``).  When the heuristic engaged it and the

@@ -105,9 +105,13 @@ def remove_useless(auto: ImplicitGBA, *,
 
     Returns ``(A', stats)`` where every state of ``A'`` has a nonempty
     language; ``L(A') = L(A)`` and ``A'`` is empty iff ``L(A)`` is.
+    The states of ``A'`` are opaque ints: each useful state is named by
+    its DFS number, so a remainder that is subtracted from again stays
+    flat instead of nesting one product pair deeper per round.
     ``oracle`` replaces the exact ``emp`` set (subsumption pruning);
-    ``on_transition`` observes every explored edge; ``state_limit``
-    raises :class:`ExplorationLimit` when the traversal grows too big.
+    ``on_transition`` observes every explored edge, between the
+    input's own states; ``state_limit`` raises :class:`ExplorationLimit`
+    when the traversal grows too big.
     The traversal runs inside an ``emptiness`` span; its counts live in
     ``stats`` and, via :func:`repro.automata.difference.difference`,
     in the metrics registry.
@@ -129,7 +133,7 @@ def remove_useless(auto: ImplicitGBA, *,
     # part of the automaton, never to the full exploration.
     pending: dict[State, list[tuple[Symbol, State]]] = {}
     pending_count = 0
-    transitions: dict[tuple[State, Symbol], set[State]] = {}
+    transitions: dict[tuple[int, Symbol], set[int]] = {}
 
     edge_index = getattr(auto, "edges_from", None)
     if edge_index is not None:
@@ -230,15 +234,17 @@ def remove_useless(auto: ImplicitGBA, *,
                 # Retire the members' buffered edges.  Every target is
                 # classified by now (a back edge to a still-active state
                 # would have merged the SCCs), so useful -> useful edges
-                # can be committed immediately and everything else dropped.
+                # can be committed immediately, under DFS numbers, and
+                # everything else dropped.
                 if frame.is_nemp:
                     for member in members:
                         edges = pending.pop(member)
                         pending_count -= len(edges)
+                        source = dfsnum[member]
                         for symbol, target in edges:
                             if target in useful:
                                 transitions.setdefault(
-                                    (member, symbol), set()).add(target)
+                                    (source, symbol), set()).add(dfsnum[target])
                                 stats.retained_edges += 1
                 else:
                     for member in members:
@@ -260,11 +266,13 @@ def remove_useless(auto: ImplicitGBA, *,
             exc.partial_stats = stats
             raise
 
-        acc = [[q for q in useful if j in auto.accepting_sets_of(q)]
+        # In DFS order, so no set built here depends on the hash seed.
+        order = sorted(useful, key=dfsnum.__getitem__)
+        acc = [[dfsnum[q] for q in order if j in auto.accepting_sets_of(q)]
                for j in range(auto.acceptance_count)]
         result = GBA(auto.alphabet, transitions,
-                     [q for q in auto.initial_states() if q in useful],
-                     acc, states=useful)
+                     [dfsnum[q] for q in auto.initial_states() if q in useful],
+                     acc, states=[dfsnum[q] for q in order])
         stats.useful_states = len(useful)
         return result, stats
 

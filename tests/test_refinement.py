@@ -297,6 +297,9 @@ def test_companion_subtraction_recorded_in_round_stats(monkeypatch):
     def logged_difference(*args, **kwargs):
         result = real_difference(*args, **kwargs)
         remainders.append(len(result.automaton.states))
+        # flat remainders: each round subtracts from DFS numbers, never
+        # from a product pair nested one level deeper per round
+        assert all(isinstance(q, int) for q in result.automaton.states)
         return result
 
     monkeypatch.setattr(refinement, "difference", logged_difference)
