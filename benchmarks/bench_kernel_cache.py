@@ -11,7 +11,9 @@ built, one hit per re-read.  An implicit minuend's wrapper is read
 through ``successors`` by the product and memoizes per query.
 
 Methodology: for each ``bench_scaling`` family at its largest
-configuration, one analysis run harvests the certified-module chain;
+configuration, one default-config analysis run harvests the
+certified-module chain (``conftest.harvest_chain``: it ends by verdict
+or by the round cap, so the chain does not depend on the host);
 the difference chain is then *replayed* with caching on and off.  The
 replay isolates the automata kernel from ranking synthesis, which is
 what the layer accelerates.  Verdicts and ``useful_states`` counts must
@@ -30,7 +32,9 @@ Measured on a 2-vCPU host with ``REPRO_BENCH_TIMEOUT=3`` and
 ``REPRO_BENCH_RANDOM=5``: the nested chain has 60 modules and replays
 in 0.49 s cached against 1.75 s uncached (3.6x); interleaved 1.6x,
 phases 1.2x, sequential 1.1x; the corpus sweep 0.20 s cached against
-0.19 s uncached.  Each remainder's states are Algorithm 1's DFS
+0.19 s uncached.  The record's ``config.chains`` holds each family's
+chain length, so ``python -m repro trajectory`` only aligns runs that
+replayed chains of the same length.  Each remainder's states are Algorithm 1's DFS
 numbers, so a chain's products stay ``(int, MacroState)`` however long
 it is.  When remainders kept the product's nested pair names instead,
 the same harvest gave a 56-module chain at 1.59 s cached and 13.2 s
@@ -42,33 +46,12 @@ from __future__ import annotations
 import random
 import time
 
-from conftest import TIMEOUT, write_bench_json
+from conftest import LARGEST, harvest_chain, write_bench_json
 
 from repro.automata.difference import difference
 from repro.automata.gba import ba
-from repro.benchgen.scaled import (interleaved_counters, nested_loops,
-                                   phase_chain, sequential_loops)
-from repro.core.api import prove_termination
-from repro.core.config import AnalysisConfig
-from repro.program.cfg import build_cfg
 
-#: family -> (generator, largest k used by bench_scaling)
-LARGEST = {
-    "interleaved": (interleaved_counters, 4),
-    "sequential": (sequential_loops, 4),
-    "phases": (phase_chain, 4),
-    "nested": (nested_loops, 3),  # the largest configuration overall
-}
 HEADLINE_FAMILY = "nested"
-
-
-def harvest_chain(family: str):
-    """One analysis run; returns (program GBA, certified module automata)."""
-    generator, k = LARGEST[family]
-    bench = generator(k)
-    program = bench.parse()
-    result = prove_termination(program, AnalysisConfig(timeout=TIMEOUT))
-    return build_cfg(program).to_gba(), [m.automaton for m in result.modules]
 
 
 def replay_chain(program_gba, modules, *, cache: bool):
@@ -93,7 +76,7 @@ def timed_replay(program_gba, modules, *, cache: bool, rounds: int = 3):
 
 
 def test_kernel_cache_report():
-    print(f"\n=== kernel cache ablation (harvest budget {TIMEOUT:.0f}s/program) ===")
+    print("\n=== kernel cache ablation (default-config chains) ===")
     speedups = {}
     families = {}
     for family in LARGEST:
@@ -117,7 +100,8 @@ def test_kernel_cache_report():
         "families": families,
         "headline_family": HEADLINE_FAMILY,
         "headline_speedup": headline,
-    })
+    }, config={"chains": {family: data["modules"]
+                          for family, data in families.items()}})
     assert headline >= 1.5, (
         f"expected >= 1.5x on the largest configuration, got {headline:.2f}x")
 

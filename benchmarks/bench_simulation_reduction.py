@@ -7,8 +7,9 @@ complementation, and the ``ceil(emp)`` antichain order is coarsened by
 a precomputed simulation on the prepared SDBA (Lemma 6.2).
 
 Methodology: for each ``bench_scaling`` family at its largest
-configuration, one analysis run harvests the certified-module chain
-(as in ``bench_kernel_cache``); the difference chain is then replayed
+configuration, one default-config analysis run harvests the
+certified-module chain (``conftest.harvest_chain``, shared with
+``bench_kernel_cache``); the difference chain is then replayed
 with the reduction on and off.  Two sweeps:
 
 - **plain replay** -- the harvested modules as-is.  Module construction
@@ -33,38 +34,16 @@ from __future__ import annotations
 import random
 import time
 
-from conftest import TIMEOUT, write_bench_json
+from conftest import LARGEST, harvest_chain, write_bench_json
 
 from repro.automata.difference import difference
 from repro.automata.gba import GBA, ba
-from repro.benchgen.scaled import (interleaved_counters, nested_loops,
-                                   phase_chain, sequential_loops)
-from repro.core.api import prove_termination
-from repro.core.config import AnalysisConfig
-from repro.program.cfg import build_cfg
-
-#: family -> (generator, largest k used by bench_scaling)
-LARGEST = {
-    "interleaved": (interleaved_counters, 4),
-    "sequential": (sequential_loops, 4),
-    "phases": (phase_chain, 4),
-    "nested": (nested_loops, 3),
-}
 
 #: Copies per module in the overlap replay.
 OVERLAP = 2
 
 #: Required explored-product-state saving on the best family.
 TARGET_SAVING = 0.15
-
-
-def harvest_chain(family: str):
-    """One analysis run; returns (program GBA, certified module automata)."""
-    generator, k = LARGEST[family]
-    bench = generator(k)
-    program = bench.parse()
-    result = prove_termination(program, AnalysisConfig(timeout=TIMEOUT))
-    return build_cfg(program).to_gba(), [m.automaton for m in result.modules]
 
 
 def union_copies(auto: GBA, k: int) -> GBA:
@@ -98,7 +77,7 @@ def replay_chain(program_gba, modules, *, reduce: bool, overlap: int = 1):
 
 def test_simulation_reduction_report():
     print(f"\n=== simulation reduction ablation "
-          f"(harvest budget {TIMEOUT:.0f}s/program, overlap k={OVERLAP}) ===")
+          f"(default-config chains, overlap k={OVERLAP}) ===")
     savings = {}
     families = {}
     for family in LARGEST:
@@ -142,7 +121,8 @@ def test_simulation_reduction_report():
         "best_family": best_family,
         "best_saving": best,
         "target_saving": TARGET_SAVING,
-    })
+    }, config={"chains": {family: data["modules"]
+                          for family, data in families.items()}})
     assert best >= TARGET_SAVING, (
         f"expected >= {TARGET_SAVING:.0%} fewer explored product states on "
         f"some family, got {best:.1%} ({best_family})")

@@ -31,6 +31,8 @@ from pathlib import Path
 import pytest
 
 from repro.benchgen import program_suite, sdba_corpus
+from repro.benchgen.scaled import (interleaved_counters, nested_loops,
+                                   phase_chain, sequential_loops)
 from repro.core.config import AnalysisConfig
 from repro.runner.store import code_version
 
@@ -53,8 +55,13 @@ def _git_commit() -> str:
         return "unknown"
 
 
-def write_bench_json(name: str, payload: dict) -> Path:
-    """Write a machine-readable ``BENCH_<name>.json`` result file."""
+def write_bench_json(name: str, payload: dict,
+                     config: dict | None = None) -> Path:
+    """Write a machine-readable ``BENCH_<name>.json`` result file.
+
+    ``config`` adds entries to the record's configuration, which
+    ``python -m repro trajectory`` aligns records by.
+    """
     record = {
         "bench": name,
         "unix_time": time.time(),
@@ -62,7 +69,7 @@ def write_bench_json(name: str, payload: dict) -> Path:
         "git_commit": _git_commit(),
         "host": platform.node() or "unknown",
         "schema_version": SCHEMA_VERSION,
-        "config": {"timeout": TIMEOUT, "n_random": N_RANDOM},
+        "config": {"timeout": TIMEOUT, "n_random": N_RANDOM, **(config or {})},
     }
     record.update(payload)
     BENCH_OUT.mkdir(parents=True, exist_ok=True)
@@ -83,6 +90,42 @@ def suite():
 def corpus():
     """The Figure 4 SDBA corpus: harvested from analysis runs + random."""
     return sdba_corpus(n_random=N_RANDOM)
+
+
+#: family -> (generator, largest k used by bench_scaling); the chains the
+#: kernel-cache and simulation-reduction benches replay.
+LARGEST = {
+    "interleaved": (interleaved_counters, 4),
+    "sequential": (sequential_loops, 4),
+    "phases": (phase_chain, 4),
+    "nested": (nested_loops, 3),  # the largest configuration overall
+}
+
+#: Safety deadline of one chain harvest, far above what any needs (the
+#: 60-round ``nested`` chain takes about 1.5 s on a 2-vCPU host).
+HARVEST_SAFETY_S = 120.0
+
+
+def harvest_chain(family: str):
+    """One default-config analysis run of ``family``'s largest program.
+
+    Returns (program GBA, certified module automata).  The run ends by
+    verdict or by the round cap, not by ``REPRO_BENCH_TIMEOUT``, so the
+    chain is the same on every host: interleaved 9 modules, sequential
+    14, phases 4, nested 60.  A harvest that reaches the safety deadline
+    fails the bench instead of replaying a truncated chain.
+    """
+    from repro.core.api import prove_termination
+    from repro.program.cfg import build_cfg
+
+    generator, k = LARGEST[family]
+    program = generator(k).parse()
+    result = prove_termination(program,
+                               AnalysisConfig(timeout=HARVEST_SAFETY_S))
+    if result.reason == "timeout":
+        pytest.fail(f"{family} chain harvest hit its {HARVEST_SAFETY_S:.0f} s "
+                    f"safety deadline after {len(result.modules)} modules")
+    return build_cfg(program).to_gba(), [m.automaton for m in result.modules]
 
 
 def analysis_config(**kwargs) -> AnalysisConfig:

@@ -90,8 +90,6 @@ class AnalysisConfig:
     max_refinements: int = 60
     #: State budget for each difference computation (None = unbounded).
     difference_state_limit: int | None = 200_000
-    #: State budget for the powerset stages (det/semi).
-    stage_state_budget: int = 4096
     #: Wall-clock budget in seconds (None = unbounded).
     timeout: float | None = None
     #: Try nontermination detection on unranked lassos.
@@ -148,7 +146,6 @@ class AnalysisConfig:
             "interpolant_modules": self.interpolant_modules,
             "max_refinements": self.max_refinements,
             "difference_state_limit": self.difference_state_limit,
-            "stage_state_budget": self.stage_state_budget,
             "timeout": self.timeout,
             "check_nontermination": self.check_nontermination,
             "firewall": self.firewall,

@@ -244,9 +244,7 @@ class RefinementEngine:
                     continue
                 try:
                     candidate = generalize(
-                        proof, (stage,), alphabet,
-                        state_budget=config.stage_state_budget,
-                        interpolants=False)
+                        proof, (stage,), alphabet, interpolants=False)
                 except ResourceExhausted as gen_exc:
                     last = _unless_deadline(gen_exc)
                     continue
@@ -423,7 +421,6 @@ class RefinementEngine:
                         with tracer.span("generalize") as gen_span:
                             module = generalize(
                                 proof, config.stages, alphabet,
-                                state_budget=config.stage_state_budget,
                                 interpolants=config.interpolant_modules)
                             gen_span.set(stage=module.stage,
                                          states=len(module.automaton.states))
@@ -438,7 +435,6 @@ class RefinementEngine:
                         try:
                             module = generalize(
                                 proof, (Stage.FINITE, Stage.LASSO), alphabet,
-                                state_budget=config.stage_state_budget,
                                 interpolants=False)
                         except ResourceExhausted as exc2:
                             _unless_deadline(exc2)

@@ -43,6 +43,9 @@ class Stage(enum.Enum):
 #: keys off this being off-ladder (see ``ladder_tail``).
 INTERPOLANT_STAGE = "interp"
 
+#: States each powerset stage (det/semi) may build before it gives up.
+STAGE_STATE_BUDGET = 4096
+
 
 class StageBlowup(ResourceExhausted):
     """A powerset-based stage exceeded its state budget."""
@@ -138,13 +141,13 @@ def build_finite_module(proof: LassoProof,
 class _PowersetBuilder:
     """Shared delta-wedge machinery of Definitions 3.2 / Section 3.1.4."""
 
-    def __init__(self, base: CertifiedModule, state_budget: int):
+    def __init__(self, base: CertifiedModule):
         self._base = base
         self._accepting = base.automaton.accepting
         self._all_states = sorted(base.automaton.states, key=repr)
         self._cert = base.certificate
         self._ranking = base.ranking
-        self._budget = state_budget
+        self._budget = STAGE_STATE_BUDGET
         self._conj_cache: dict[frozenset, Pred] = {}
         self._wedge_cache: dict[tuple[frozenset, Statement], frozenset] = {}
 
@@ -202,11 +205,10 @@ class _PowersetBuilder:
             raise StageBlowup("powerset stage exceeded its state budget")
 
 
-def build_deterministic_module(base: CertifiedModule, *,
-                               state_budget: int = 4096,
+def build_deterministic_module(base: CertifiedModule,
                                ) -> CertifiedModule | None:
     """``M_det`` (Definition 3.2): the deterministic powerset module."""
-    builder = _PowersetBuilder(base, state_budget)
+    builder = _PowersetBuilder(base)
     start = frozenset(base.automaton.initial_states())
     transitions: dict[tuple[State, Statement], set[State]] = {}
     seen: set[frozenset] = {start}
@@ -232,12 +234,11 @@ def build_deterministic_module(base: CertifiedModule, *,
                            source_word=base.source_word)
 
 
-def build_semideterministic_module(base: CertifiedModule, *,
-                                   state_budget: int = 4096,
+def build_semideterministic_module(base: CertifiedModule,
                                    ) -> CertifiedModule | None:
     """``M_semi`` (Section 3.1.4): ``M_det`` enriched with nondeterministic
     stay-in-the-stem successors; the result is a normalized SDBA."""
-    builder = _PowersetBuilder(base, state_budget)
+    builder = _PowersetBuilder(base)
     start: tuple[frozenset, str] = (frozenset(base.automaton.initial_states()), "n")
     transitions: dict[tuple[State, Statement], set[State]] = {}
     seen: set[tuple[frozenset, str]] = {start}
@@ -332,17 +333,15 @@ def _rotation_proofs(proof: LassoProof) -> Iterable[LassoProof]:
 def _build_stage(stage: Stage, proof: LassoProof,
                  lasso_module: CertifiedModule,
                  program_alphabet: Iterable[Statement],
-                 state_budget: int) -> CertifiedModule | None:
+                 ) -> CertifiedModule | None:
     if stage is Stage.LASSO:
         return lasso_module
     if stage is Stage.FINITE:
         return build_finite_module(proof, program_alphabet)
     if stage is Stage.DETERMINISTIC:
-        return build_deterministic_module(lasso_module,
-                                          state_budget=state_budget)
+        return build_deterministic_module(lasso_module)
     if stage is Stage.SEMIDET:
-        return build_semideterministic_module(lasso_module,
-                                              state_budget=state_budget)
+        return build_semideterministic_module(lasso_module)
     if stage is Stage.NONDET:
         return build_nondeterministic_module(lasso_module)
     raise ValueError(f"unknown stage {stage!r}")
@@ -352,7 +351,6 @@ def generalize(proof: LassoProof,
                sequence: Sequence[Stage],
                program_alphabet: Iterable[Statement],
                *,
-               state_budget: int = 4096,
                rotate: bool = True,
                interpolants: bool = False) -> CertifiedModule:
     """Run the multi-stage generalization (Section 3.1).
@@ -376,8 +374,7 @@ def generalize(proof: LassoProof,
         # equal-interpolant positions merging into loops; an unmerged
         # chain only adds powerset cost, so fall through in that case.
         if len(base.automaton.states) < positions:
-            module = build_semideterministic_module(base,
-                                                    state_budget=state_budget)
+            module = build_semideterministic_module(base)
             if module is not None and module.language_contains(word):
                 module.stage = INTERPOLANT_STAGE
                 return module
@@ -394,13 +391,12 @@ def generalize(proof: LassoProof,
             base_module = lasso_module
         for stage in strong:
             module = _build_stage(stage, candidate, lasso_module,
-                                  program_alphabet, state_budget)
+                                  program_alphabet)
             if module is not None and module.language_contains(word):
                 return module
     assert base_module is not None
     for stage in weak:
-        module = _build_stage(stage, proof, base_module,
-                              program_alphabet, state_budget)
+        module = _build_stage(stage, proof, base_module, program_alphabet)
         if module is not None and module.language_contains(word):
             return module
     return base_module

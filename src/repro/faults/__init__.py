@@ -138,11 +138,6 @@ class _Injector:
 _ACTIVE: _Injector | None = None
 
 
-def active_plan() -> FaultPlan | None:
-    """The scoped plan, or ``None`` (the common, near-free case)."""
-    return _ACTIVE.plan if _ACTIVE is not None else None
-
-
 def injected_counts() -> dict[str, dict[str, int]]:
     """Per-site injection counts of the active scope (for incidents)."""
     return dict(_ACTIVE.injected) if _ACTIVE is not None else {}

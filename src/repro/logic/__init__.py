@@ -11,8 +11,8 @@ disjunctions) of linear constraints over rational-valued variables:
 - :mod:`repro.logic.fourier_motzkin` -- the underlying elimination engine,
 - :mod:`repro.logic.predicates` -- the two-case (``oldrnk = oo`` vs finite)
   predicates used by rank certificates (Definition 3.1 of the paper),
-- :mod:`repro.logic.lp` -- an exact rational simplex used by the
-  Farkas-lemma ranking synthesis,
+- :mod:`repro.logic.lp` -- an exact rational feasibility check (phase-I
+  simplex) for the Farkas-lemma ranking synthesis and interpolants,
 - :mod:`repro.logic.interpolation` -- Farkas sequence interpolants for
   infeasible statement paths.
 
@@ -24,7 +24,7 @@ from repro.logic.terms import LinTerm, term, const, var
 from repro.logic.atoms import Atom, Rel, atom_le, atom_lt, atom_eq
 from repro.logic.linconj import LinConj, TRUE, FALSE
 from repro.logic.predicates import Pred, OLDRNK
-from repro.logic.lp import LinearProgram, LPStatus, LPResult
+from repro.logic.lp import LinearProgram
 from repro.logic.interpolation import farkas_refutation, sequence_interpolants
 
 __all__ = [
@@ -43,8 +43,6 @@ __all__ = [
     "Pred",
     "OLDRNK",
     "LinearProgram",
-    "LPStatus",
-    "LPResult",
     "farkas_refutation",
     "sequence_interpolants",
 ]

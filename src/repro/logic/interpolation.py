@@ -24,37 +24,54 @@ re-checked by the callers' Hoare validator anyway).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.logic.atoms import Atom, Rel
 from repro.logic.linconj import FALSE, TRUE, LinConj
-from repro.logic.lp import LinearProgram, LPStatus
+from repro.logic.lp import LinearProgram
 from repro.logic.terms import LinTerm
+
+
+def farkas_rows(atoms: Iterable[Atom]) -> list[LinTerm]:
+    """Atoms as Farkas rows ``term <= 0``, in atom order.
+
+    Each atom is tightened over the integers first; an equality then
+    contributes ``term`` and ``-term``.  A strict atom that survives
+    tightening has non-integral coefficients and is relaxed to
+    non-strict: that enlarges a relation to rank (sound), and a
+    refutation of the weakened system refutes the original too.
+    """
+    rows: list[LinTerm] = []
+    for atom in atoms:
+        tightened = atom.tighten_integral()
+        rows.append(tightened.term)
+        if tightened.rel is Rel.EQ:
+            rows.append(-tightened.term)
+    return rows
 
 
 def farkas_refutation(groups: Sequence[Sequence[Atom]]) -> list[list[Fraction]] | None:
     """Nonnegative multipliers deriving ``0 <= -1`` from the groups.
 
-    Every atom is normalized via integer tightening to ``term <= 0`` or
-    ``term = 0`` rows; equalities get free multipliers (encoded as two
-    opposite rows).  Returns per-group multiplier lists aligned with the
-    normalized rows of :func:`_normalized_rows`, or ``None`` when the
+    Every group becomes its :func:`farkas_rows`; equalities get free
+    multipliers (encoded as two opposite rows).  Returns per-group
+    multiplier lists aligned with those rows, or ``None`` when the
     conjunction is (rationally) satisfiable.
     """
-    rows = [_normalized_rows(group) for group in groups]
+    rows = [farkas_rows(group) for group in groups]
     lp = LinearProgram()
     multipliers = [[lp.new_var(f"l{g}_{i}") for i in range(len(group_rows))]
                    for g, group_rows in enumerate(rows)]
 
     variables = sorted({name
                         for group_rows in rows
-                        for term, _ in group_rows
+                        for term in group_rows
                         for name in term.variables()})
     # sum of lambda_i * coeff_i(v) = 0 for every variable v
     for v in variables:
         coeffs: dict[int, Fraction] = {}
         for group_rows, lams in zip(rows, multipliers):
-            for (term, _), lam in zip(group_rows, lams):
+            for term, lam in zip(group_rows, lams):
                 c = term.coeff(v)
                 if c != 0:
                     coeffs[lam] = coeffs.get(lam, Fraction(0)) + c
@@ -62,39 +79,16 @@ def farkas_refutation(groups: Sequence[Sequence[Atom]]) -> list[list[Fraction]] 
     # sum of lambda_i * constant_i <= -1
     const_coeffs: dict[int, Fraction] = {}
     for group_rows, lams in zip(rows, multipliers):
-        for (term, _), lam in zip(group_rows, lams):
+        for term, lam in zip(group_rows, lams):
             if term.constant != 0:
                 const_coeffs[lam] = (const_coeffs.get(lam, Fraction(0))
                                      + term.constant)
     lp.add_ge(const_coeffs, 1)
 
-    result = lp.check_feasible()
-    if result.status is not LPStatus.OPTIMAL:
+    point = lp.check_feasible()
+    if point is None:
         return None
-    return [[result.assignment[lam] for lam in lams] for lams in multipliers]
-
-
-def _normalized_rows(group: Sequence[Atom]) -> list[tuple[LinTerm, bool]]:
-    """Atoms as ``term <= 0`` rows (equalities contribute both signs).
-
-    The boolean marks rows originating from an equality's mirrored side
-    (useful only for debugging); tightening makes strict atoms
-    non-strict over the integers first.
-    """
-    out: list[tuple[LinTerm, bool]] = []
-    for atom in group:
-        tightened = atom.tighten_integral()
-        if tightened.rel is Rel.LT:
-            # non-integral strict atom: soundly usable as non-strict for
-            # refutation only if we weaken; a refutation of the weakened
-            # system is still a refutation when some inequality is strict
-            # -- but to stay simple we require deriving 0 <= -1 outright.
-            out.append((tightened.term, False))
-        else:
-            out.append((tightened.term, False))
-            if tightened.rel is Rel.EQ:
-                out.append((-tightened.term, True))
-    return out
+    return [[point[lam] for lam in lams] for lams in multipliers]
 
 
 def sequence_interpolants(groups: Sequence[Sequence[Atom]]) -> list[LinConj] | None:
@@ -107,12 +101,12 @@ def sequence_interpolants(groups: Sequence[Sequence[Atom]]) -> list[LinConj] | N
     certificate = farkas_refutation(groups)
     if certificate is None:
         return None
-    rows = [_normalized_rows(group) for group in groups]
+    rows = [farkas_rows(group) for group in groups]
 
     chain: list[LinConj] = [TRUE]
     partial = LinTerm({}, 0)
     for group_rows, lams in zip(rows, certificate):
-        for (term, _), lam in zip(group_rows, lams):
+        for term, lam in zip(group_rows, lams):
             if lam != 0:
                 partial = partial + term * lam
         if partial.is_constant() and partial.constant > 0:

@@ -1,20 +1,22 @@
-"""An exact rational LP solver (two-phase simplex with Bland's rule).
+"""An exact rational feasibility check (phase-I simplex, Bland's rule).
 
-The ranking-function synthesis of :mod:`repro.ranking` reduces the
-Podelski--Rybalchenko constraints (via Farkas' lemma) to linear-program
-feasibility over the rationals.  Floating-point LP (scipy) is unusable
-there because a certificate that is feasible only up to rounding breaks
-the soundness of the produced ranking function, so this module
-implements a small, exact simplex over :class:`fractions.Fraction`.
-
-The interface is deliberately minimal:
+The ranking-function synthesis of :mod:`repro.ranking` and the Farkas
+interpolants of :mod:`repro.logic.interpolation` both reduce their
+question, via Farkas' lemma, to one: is a system of linear constraints
+feasible over the rationals, and at which point.  Floating-point LP
+(scipy) is unusable there because a certificate that is feasible only
+up to rounding breaks the soundness of the produced ranking function,
+so this module implements a small, exact simplex over
+:class:`fractions.Fraction` that answers exactly that question:
 
 >>> lp = LinearProgram()
 >>> x, y = lp.new_var("x", lower=0), lp.new_var("y", lower=0)
 >>> lp.add_le({x: 1, y: 2}, 4)       # x + 2y <= 4
 >>> lp.add_ge({x: 1, y: 1}, 1)       # x +  y >= 1
->>> result = lp.maximize({x: 1})
->>> result.status is LPStatus.OPTIMAL and result.objective == 4
+>>> lp.check_feasible() == {x: 0, y: 1}
+True
+>>> lp.add_ge({y: 1}, 3)             # y >= 3 contradicts x + 2y <= 4
+>>> lp.check_feasible() is None
 True
 
 Variables default to being nonnegative; free variables are split into
@@ -24,8 +26,7 @@ termination (no cycling).
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -37,19 +38,6 @@ from repro.obs.trace import get_tracer
 Coeffs = Mapping[int, "int | Fraction"]
 
 
-class LPStatus(enum.Enum):
-    OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
-
-
-@dataclass
-class LPResult:
-    status: LPStatus
-    objective: Fraction | None = None
-    assignment: dict[int, Fraction] = field(default_factory=dict)
-
-
 @dataclass
 class _Constraint:
     coeffs: dict[int, Fraction]
@@ -58,7 +46,7 @@ class _Constraint:
 
 
 class LinearProgram:
-    """A linear program built incrementally; solved by exact simplex."""
+    """A system of linear constraints; checked by exact phase-I simplex."""
 
     def __init__(self) -> None:
         self._names: list[str] = []
@@ -75,10 +63,6 @@ class LinearProgram:
         self._names.append(name or f"v{index}")
         self._free.append(lower is None)
         return index
-
-    @property
-    def num_vars(self) -> int:
-        return len(self._names)
 
     def _check(self, coeffs: Coeffs) -> dict[int, Fraction]:
         out: dict[int, Fraction] = {}
@@ -101,192 +85,141 @@ class LinearProgram:
 
     # -- solving ---------------------------------------------------------------
 
-    def maximize(self, objective: Coeffs) -> LPResult:
-        return self._solve(self._check(objective), sense=1)
-
-    def minimize(self, objective: Coeffs) -> LPResult:
-        # _solve maximizes sense * objective but always reports the value of
-        # the *user* objective, so no sign fix-up is needed here.
-        return self._solve(self._check(objective), sense=-1)
-
-    def check_feasible(self) -> LPResult:
-        """Feasibility only (phase I)."""
+    def check_feasible(self) -> dict[int, Fraction] | None:
+        """A feasible point (variable index -> exact value), or None."""
         if _faults._ACTIVE is not None:
             _faults.perturb("solver.lp")
         budget = current_budget()
         if budget is not None:
             budget.check_deadline("lp")
-        return self.maximize({})
+        return self._solve()
 
-    # -- internals: standard-form conversion + two-phase simplex -----------------
-
-    def _standard_form(self, objective: dict[int, Fraction], sense: int):
-        """Convert to ``A x = b, x >= 0, max c x`` with column metadata.
-
-        Returns (columns, A, b, c) where ``columns[j]`` identifies how
-        column ``j`` maps back to user variables: ``("+", i)``/("-", i)``
-        for the positive/negative split of user variable ``i``, or
-        ``("s", k)`` for the slack of constraint ``k``.
-        """
-        columns: list[tuple[str, int]] = []
-        pos_col: dict[int, int] = {}
-        neg_col: dict[int, int] = {}
-        for i in range(len(self._names)):
-            pos_col[i] = len(columns)
-            columns.append(("+", i))
-            if self._free[i]:
-                neg_col[i] = len(columns)
-                columns.append(("-", i))
-
-        rows: list[list[Fraction]] = []
-        b: list[Fraction] = []
-        for k, con in enumerate(self._constraints):
-            row = [Fraction(0)] * len(columns)
-            for i, c in con.coeffs.items():
-                row[pos_col[i]] += c
-                if i in neg_col:
-                    row[neg_col[i]] -= c
-            rhs = con.rhs
-            if con.rel == "<=":
-                row.append(Fraction(1))
-                columns.append(("s", k))
-                for other in rows:
-                    other.append(Fraction(0))
-            elif con.rel == ">=":
-                row.append(Fraction(-1))
-                columns.append(("s", k))
-                for other in rows:
-                    other.append(Fraction(0))
-            rows.append(row)
-            b.append(rhs)
-
-        width = len(columns)
-        for row in rows:
-            row.extend([Fraction(0)] * (width - len(row)))
-
-        c = [Fraction(0)] * width
-        for i, coeff in objective.items():
-            c[pos_col[i]] += sense * coeff
-            if i in neg_col:
-                c[neg_col[i]] -= sense * coeff
-        return columns, rows, b, c
-
-    def _solve(self, objective: dict[int, Fraction], sense: int) -> LPResult:
+    def _solve(self) -> dict[int, Fraction] | None:
         registry = _metrics.registry()
         registry.counter("logic.lp.solves").inc()
         pivots = registry.counter("logic.lp.pivots")
         pivots_before = pivots.value
         tracer = get_tracer()
         if not tracer.enabled:
-            result = self._solve_inner(objective, sense)
+            point = self._phase_one()
             registry.histogram("lp.pivots_per_solve").observe(
                 pivots.value - pivots_before)
-            return result
+            return point
         with tracer.span("solver-call", kind="lp", vars=len(self._names),
                          constraints=len(self._constraints)) as span:
-            result = self._solve_inner(objective, sense)
-            span.set(status=result.status.value,
+            point = self._phase_one()
+            span.set(status="infeasible" if point is None else "feasible",
                      pivots=pivots.value - pivots_before)
         registry.histogram("lp.pivots_per_solve").observe(
             pivots.value - pivots_before)
-        return result
+        return point
 
-    def _solve_inner(self, objective: dict[int, Fraction], sense: int) -> LPResult:
-        columns, rows, b, c = self._standard_form(objective, sense)
-        m, n = len(rows), len(columns)
+    # -- internals: standard form + phase I --------------------------------------
 
-        # Normalize rows so b >= 0, then add one artificial var per row.
-        for k in range(m):
-            if b[k] < 0:
-                rows[k] = [-v for v in rows[k]]
-                b[k] = -b[k]
-        tableau = [rows[k] + [Fraction(1) if j == k else Fraction(0) for j in range(m)]
-                   + [b[k]] for k in range(m)]
-        basis = [n + k for k in range(m)]
+    def _standard_form(self):
+        """Convert to ``A x = b, x >= 0``.
+
+        Returns ``(signs, rows, b)``: column ``j < len(signs)`` is
+        ``signs[j] = (i, s)``, the positive (``s = 1``) or negative
+        (``s = -1``) part of user variable ``i``; one slack column per
+        inequality follows, in constraint order.
+        """
+        signs: list[tuple[int, int]] = []
+        pos_col: dict[int, int] = {}
+        neg_col: dict[int, int] = {}
+        for i in range(len(self._names)):
+            pos_col[i] = len(signs)
+            signs.append((i, 1))
+            if self._free[i]:
+                neg_col[i] = len(signs)
+                signs.append((i, -1))
+        width = len(signs) + sum(con.rel != "=" for con in self._constraints)
+
+        zero = Fraction(0)
+        slack = len(signs)
+        rows: list[list[Fraction]] = []
+        b: list[Fraction] = []
+        for con in self._constraints:
+            row = [zero] * width
+            for i, c in con.coeffs.items():
+                row[pos_col[i]] += c
+                if i in neg_col:
+                    row[neg_col[i]] -= c
+            if con.rel != "=":
+                row[slack] = Fraction(1 if con.rel == "<=" else -1)
+                slack += 1
+            rows.append(row)
+            b.append(con.rhs)
+        return signs, rows, b
+
+    def _phase_one(self) -> dict[int, Fraction] | None:
+        """Maximize ``-sum(artificials)``; feasible iff the optimum is 0."""
+        signs, rows, b = self._standard_form()
+        m = len(rows)
+        n = len(rows[0]) if rows else len(signs)
         total = n + m
 
-        # Phase I: minimize the sum of artificials.
-        cost1 = [Fraction(0)] * total + [Fraction(0)]
-        for j in range(n, total):
-            cost1[j] = Fraction(-1)
-        value = self._run_simplex(tableau, basis, cost1, total)
-        if value is None or value < 0:
-            return LPResult(LPStatus.INFEASIBLE)
+        # Rows with b >= 0, one artificial per row as the starting basis.
+        zero, one = Fraction(0), Fraction(1)
+        tableau: list[list[Fraction]] = []
+        for k, (row, rhs) in enumerate(zip(rows, b)):
+            if rhs < 0:
+                row, rhs = [-v for v in row], -rhs
+            artificials = [zero] * m
+            artificials[k] = one
+            tableau.append(row + artificials + [rhs])
+        basis = list(range(n, total))
 
-        # Drive remaining artificials out of the basis if possible.
-        for k in range(m):
-            if basis[k] >= n:
-                pivot_col = next((j for j in range(n) if tableau[k][j] != 0), None)
-                if pivot_col is not None:
-                    self._pivot(tableau, basis, k, pivot_col)
+        # The reduced-cost row, kept in the tableau and pivoted with it:
+        # column sums on the original columns, 0 on the basic
+        # artificials, and minus the objective value last.
+        cost = [zero] * (total + 1)
+        for row in tableau:
+            cost = [c + v for c, v in zip(cost, row)]
+        cost[n:total] = [zero] * m
+        tableau.append(cost)
 
-        # Phase II on the original objective (artificial columns frozen at 0).
-        cost2 = list(c) + [Fraction(0)] * m + [Fraction(0)]
-        blocked = set(range(n, total))
-        value = self._run_simplex(tableau, basis, cost2, total, blocked=blocked)
-        if value is None:
-            return LPResult(LPStatus.UNBOUNDED)
+        while True:
+            cost = tableau[m]
+            # Bland: smallest column index with positive reduced cost.
+            entering = next((j for j in range(total) if cost[j] > 0), None)
+            if entering is None:
+                break
+            # Ratio test (Bland: smallest basis index breaks ties).  The
+            # objective is bounded by 0, so some entry is positive.
+            leaving = None
+            best: Fraction | None = None
+            for k in range(m):
+                a = tableau[k][entering]
+                if a > 0:
+                    ratio = tableau[k][-1] / a
+                    if best is None or ratio < best or (
+                            ratio == best and basis[k] < basis[leaving]):
+                        best = ratio
+                        leaving = k
+            self._pivot(tableau, basis, leaving, entering)
+        if tableau[m][-1] > 0:
+            return None
 
-        solution = [Fraction(0)] * total
+        point = {i: zero for i in range(len(self._names))}
         for k, j in enumerate(basis):
-            solution[j] = tableau[k][-1]
-        assignment: dict[int, Fraction] = {i: Fraction(0) for i in range(len(self._names))}
-        for j, (kind, i) in enumerate(columns):
-            if kind == "+":
-                assignment[i] += solution[j]
-            elif kind == "-":
-                assignment[i] -= solution[j]
-        objective_value = sum((objective[i] * assignment[i] for i in objective), Fraction(0))
-        return LPResult(LPStatus.OPTIMAL, objective_value, assignment)
+            if j < len(signs):
+                i, sign = signs[j]
+                point[i] += sign * tableau[k][-1]
+        return point
 
     @staticmethod
     def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
         _metrics.inc("logic.lp.pivots")
         pivot = tableau[row][col]
-        tableau[row] = [v / pivot for v in tableau[row]]
-        for k in range(len(tableau)):
-            if k != row and tableau[k][col] != 0:
-                factor = tableau[k][col]
-                tableau[k] = [v - factor * p for v, p in zip(tableau[k], tableau[row])]
+        pivot_row = [v / pivot for v in tableau[row]]
+        tableau[row] = pivot_row
+        nonzero = [j for j, p in enumerate(pivot_row) if p]
+        for k, other in enumerate(tableau):
+            factor = other[col]
+            if k != row and factor:
+                other = list(other)
+                for j in nonzero:
+                    other[j] -= factor * pivot_row[j]
+                tableau[k] = other
         basis[row] = col
-
-    def _run_simplex(self, tableau: list[list[Fraction]], basis: list[int],
-                     cost: list[Fraction], total: int,
-                     blocked: set[int] | None = None) -> Fraction | None:
-        """Maximize ``cost`` over the tableau; returns the optimum or
-        None when unbounded.  Bland's rule prevents cycling."""
-        blocked = blocked or set()
-        while True:
-            # Reduced costs: z_j - c_j with current basis.
-            reduced = list(cost[:total])
-            for k, j_basis in enumerate(basis):
-                cb = cost[j_basis]
-                if cb != 0:
-                    for j in range(total):
-                        reduced[j] -= cb * tableau[k][j]
-            entering = None
-            for j in range(total):  # Bland: smallest index with positive reduced cost
-                if j in blocked or j in basis:
-                    continue
-                if reduced[j] > 0:
-                    entering = j
-                    break
-            if entering is None:
-                value = Fraction(0)
-                for k, j_basis in enumerate(basis):
-                    value += cost[j_basis] * tableau[k][-1]
-                return value
-            # Ratio test (Bland: smallest basis index breaks ties).
-            leaving = None
-            best: Fraction | None = None
-            for k in range(len(tableau)):
-                a = tableau[k][entering]
-                if a > 0:
-                    ratio = tableau[k][-1] / a
-                    if best is None or ratio < best or (ratio == best
-                            and leaving is not None and basis[k] < basis[leaving]):
-                        best = ratio
-                        leaving = k
-            if leaving is None:
-                return None  # unbounded
-            self._pivot(tableau, basis, leaving, entering)

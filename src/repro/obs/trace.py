@@ -12,8 +12,8 @@ precede their parents in the file); each is one JSON object per line::
 
 ``t0`` is seconds since the tracer's epoch; ``dur`` is the span's
 duration.  Instant events use ``{"type": "event", ..., "t": ...}`` and
-a final ``{"type": "metrics", "data": ...}`` record carries the
-attached metrics-registry snapshot, if any.
+a ``{"type": "metrics", "data": ...}`` record carries a
+metrics-registry snapshot (see :meth:`Tracer.record_metrics`).
 
 The *current tracer* is a module-level slot read by instrumented code
 via :func:`get_tracer`.  It defaults to :data:`NULL_TRACER`, whose
@@ -121,7 +121,6 @@ class Tracer:
         self._epoch = time.perf_counter()
         self._stack: list[Span] = []
         self._next_id = 0
-        self._metrics = None
         self._file: IO[str] | None = (
             open(path, "w", encoding="utf-8") if path else None)
 
@@ -165,16 +164,12 @@ class Tracer:
             # record being written, never the whole trace.
             self._file.flush()
 
-    def attach_metrics(self, registry) -> None:
-        """Snapshot ``registry`` into the trace when the tracer closes."""
-        self._metrics = registry
-
     def record_metrics(self, data: dict) -> None:
         """Emit a metrics record carrying an already-taken snapshot."""
         self._emit({"type": "metrics", "data": data})
 
     def close(self) -> None:
-        """Emit still-open spans as truncated, flush metrics, close.
+        """Emit still-open spans as truncated, then close the file.
 
         Innermost spans are emitted first, preserving the usual
         children-before-parents file order.
@@ -187,9 +182,6 @@ class Tracer:
                         "t0": round(span.t0, 9),
                         "dur": round(now - span.t0, 9),
                         "attrs": span.attrs, "truncated": True})
-        if self._metrics is not None:
-            self._emit({"type": "metrics", "data": self._metrics.snapshot()})
-            self._metrics = None
         if self._file is not None:
             self._file.close()
             self._file = None

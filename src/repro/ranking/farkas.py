@@ -6,11 +6,12 @@ post variable copies) to the existence of nonnegative multipliers: a
 linear consequence ``g . z <= h`` of the system is witnessed by
 ``lambda >= 0`` with ``lambda^T A = g`` and ``lambda^T b <= h``.
 
-:func:`relation_matrix` normalizes a :class:`LinConj` into ``A z <= b``
-rows (equalities become two rows; strict inequalities are tightened to
-non-strict over the integers when the row is integral, and *relaxed*
-otherwise -- enlarging the relation is sound, the ranking condition
-just has to hold for more pairs).
+:func:`relation_matrix` lays the :func:`~repro.logic.interpolation.farkas_rows`
+of a :class:`LinConj` out as dense ``A z <= b`` rows (equalities become
+two rows; strict inequalities are tightened to non-strict over the
+integers when the row is integral, and *relaxed* otherwise -- enlarging
+the relation is sound, the ranking condition just has to hold for more
+pairs).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from repro.logic.atoms import Rel
+from repro.logic.interpolation import farkas_rows
 from repro.logic.linconj import LinConj
 from repro.logic.lp import LinearProgram
 
@@ -43,28 +44,15 @@ def relation_matrix(rel: LinConj, columns: Sequence[str]) -> RelationMatrix:
     index = {name: i for i, name in enumerate(columns)}
     rows: list[list[Fraction]] = []
     bounds: list[Fraction] = []
-
-    def add_row(coeffs: dict[str, Fraction], bound: Fraction) -> None:
+    for term in farkas_rows(rel.atoms):
+        # term <= 0  ->  coeffs . z <= -constant
         row = [Fraction(0)] * len(columns)
-        for name, c in coeffs.items():
+        for name, c in term.coeffs.items():
             if name not in index:
                 raise ValueError(f"constraint mentions unknown variable {name!r}")
             row[index[name]] = c
         rows.append(row)
-        bounds.append(bound)
-
-    for atom in rel.atoms:
-        normalized = atom.tighten_integral()
-        coeffs = normalized.term.coeffs
-        constant = normalized.term.constant
-        # term rel 0  ->  coeffs . z <= -constant  (and reverse for =)
-        if normalized.rel in (Rel.LE, Rel.LT):
-            # A strict atom surviving tightening has non-integral
-            # coefficients; relax it to non-strict (a superset relation).
-            add_row(coeffs, -constant)
-        else:
-            add_row(coeffs, -constant)
-            add_row({n: -c for n, c in coeffs.items()}, constant)
+        bounds.append(-term.constant)
     return RelationMatrix(columns, rows, bounds)
 
 

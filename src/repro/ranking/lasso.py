@@ -45,10 +45,6 @@ class LoopRelation:
     def is_infeasible(self) -> bool:
         return self.rel.is_unsat()
 
-    def with_precondition(self, pre: LinConj) -> "LoopRelation":
-        """Conjoin a constraint on the unprimed variables."""
-        return LoopRelation(self.rel.and_(pre), self.variables)
-
     def post_of(self, pre: LinConj) -> LinConj:
         """Image of ``pre`` under the relation, as a constraint on the
         (unprimed) variables."""

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from repro.core.budget import current_budget
 from repro.logic.linconj import TRUE, LinConj
-from repro.logic.lp import LinearProgram, LPStatus
+from repro.logic.lp import LinearProgram
 from repro.logic.terms import LinTerm
 from repro.obs import metrics as _metrics
 from repro.obs.trace import get_tracer
@@ -127,12 +127,12 @@ def _synthesize_ranking(relation: LoopRelation, invariant: LinConj,
         dec_coeffs[primed(v)] = coeff_vars[v]  # +c on the post copy
     add_farkas_implication(lp, matrix, dec_coeffs, None, Fraction(-1), "dec")
 
-    result = lp.check_feasible()
-    span.set(method="farkas", found=result.status is LPStatus.OPTIMAL)
-    if result.status is not LPStatus.OPTIMAL:
+    point = lp.check_feasible()
+    span.set(method="farkas", found=point is not None)
+    if point is None:
         return None
-    coeffs = {v: result.assignment[coeff_vars[v]] for v in variables}
-    constant = result.assignment[offset]
+    coeffs = {v: point[coeff_vars[v]] for v in variables}
+    constant = point[offset]
     return RankingFunction(LinTerm(coeffs, constant))
 
 

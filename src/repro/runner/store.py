@@ -21,7 +21,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Iterator, TextIO
 
 
 def code_version() -> str:
@@ -126,10 +126,6 @@ class ResultStore:
                         self._fh.write("\n")
         self._fh.write(json.dumps(row, sort_keys=True) + "\n")
         self._fh.flush()
-
-    def append_all(self, rows: Iterable[dict]) -> None:
-        for row in rows:
-            self.append(row)
 
     def close(self) -> None:
         if self._fh is not None:

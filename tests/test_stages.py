@@ -5,6 +5,7 @@ import pytest
 from repro.automata.classify import (is_deterministic, is_finite_trace,
                                      is_normalized_sdba, is_semideterministic)
 from repro.automata.words import UPWord, accepts
+from repro.core import stages
 from repro.core.config import StageSequence
 from repro.core.module import validate_module
 from repro.core.stages import (Stage, build_deterministic_module,
@@ -99,9 +100,10 @@ def test_deterministic_module_is_dba_and_valid():
     assert validate_module(module) == []
 
 
-def test_deterministic_module_respects_budget():
+def test_deterministic_module_respects_budget(monkeypatch):
+    monkeypatch.setattr(stages, "STAGE_STATE_BUDGET", 0)
     base = build_lasso_module(sort_proof())
-    assert build_deterministic_module(base, state_budget=0) is None
+    assert build_deterministic_module(base) is None
 
 
 # -- stage 3 ---------------------------------------------------------------------------
