@@ -33,9 +33,7 @@ from repro.automata.gba import GBA, State, Symbol
 from repro.core.budget import current_budget
 from repro.obs import metrics as _metrics
 
-#: Poll the deadline every this many fresh macro-state expansions
-#: (Budget.charge_macrostates enforces the state cap but does not poll
-#: the clock, unlike Budget.tick).
+#: Poll the deadline every this many fresh macro-state expansions.
 _DEADLINE_STRIDE = 64
 
 
@@ -136,7 +134,6 @@ class ModularComplement:
             _metrics.inc("complement.modular.macrostates", len(cached))
             budget = current_budget()
             if budget is not None:
-                budget.charge_macrostates(len(cached))
                 self._expansions += 1
                 if self._expansions % _DEADLINE_STRIDE == 0:
                     budget.check_deadline("modular-complement")

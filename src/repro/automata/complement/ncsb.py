@@ -34,7 +34,6 @@ from repro.automata.classify import (is_complete, is_normalized_sdba,
                                      normalize_sdba, sdba_parts)
 from repro.automata.gba import GBA, State, Symbol
 from repro.automata.ops import complete
-from repro.core.budget import current_budget
 from repro.obs import metrics as _metrics
 
 
@@ -139,9 +138,6 @@ class _NCSBBase:
             self._succ_cache[key] = cached
             _metrics.inc(self._metric_expansions)
             _metrics.inc(self._metric_macrostates, len(cached))
-            budget = current_budget()
-            if budget is not None:
-                budget.charge_macrostates(len(cached))
         return cached
 
     # -- shared delta helpers ---------------------------------------------------

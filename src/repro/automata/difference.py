@@ -49,15 +49,14 @@ from repro.automata.emptiness import EmptyOracle, RemovalStats, remove_useless
 from repro.automata.gba import CachedImplicitGBA, GBA, ImplicitGBA, State
 from repro.automata.ops import ProductGBA
 from repro.automata.simulation import direct_simulation, quotient
-from repro.core.budget import (DeadlineExceeded, ResourceExhausted,
-                               current_budget)
+from repro.core.budget import DeadlineExceeded, ResourceExhausted
 from repro.obs import metrics as _metrics
 from repro.obs.trace import get_tracer
 
-#: Skip the simulation solvers above this many subtrahend states when no
-#: tighter ``simulation_cap`` is scoped (standalone library use): the
-#: solvers are near-linear in ``states x edges``, but the reduction is
-#: an optimization and must never dominate the difference itself.
+#: Skip the simulation solvers above this many subtrahend states, in
+#: engine runs and standalone library use alike: the solvers are
+#: near-linear in ``states x edges``, but the reduction is an
+#: optimization and must never dominate the difference itself.
 _SIM_STATE_GUARD = 512
 
 
@@ -238,9 +237,6 @@ class SubsumptionOracle(EmptyOracle):
         self._size += len(survivors) - len(group)
         self._groups[q_a] = survivors
         _metrics.gauge("difference.antichain.peak").max_of(self._size)
-        budget = current_budget()
-        if budget is not None:
-            budget.check_antichain(self._size)
 
     def contains(self, state: State) -> bool:
         q_a, macro = self._split(state)

@@ -37,9 +37,9 @@ def prove_termination(program: Program,
 
     Two robustness layers wrap the engine here: a fault plan from the
     configuration (or the ``REPRO_FAULT_PLAN`` environment variable) is
-    activated around the run, and -- unless ``config.firewall`` is off
-    -- every conclusive verdict is independently re-validated by
-    :func:`repro.core.firewall.screen` before being returned.
+    activated around the run, and every conclusive verdict is
+    independently re-validated by :func:`repro.core.firewall.screen`
+    before being returned.
 
     ``checkpoint`` (a :class:`repro.core.checkpoint.Checkpointer`,
     optional) makes the run crash-recoverable: the certified module
@@ -79,8 +79,7 @@ def prove_termination(program: Program,
                     result = engine.run()
             else:
                 result = engine.run()
-        if config.firewall:
-            result = screen(result, config.timeout)
+        result = screen(result, config.timeout)
     result.stats.metrics = registry.snapshot()
     return result
 

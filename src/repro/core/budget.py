@@ -4,8 +4,7 @@ Every "give up" path of the analysis used to speak its own dialect:
 ``RuntimeError`` subclasses in :mod:`repro.automata.emptiness`, ad-hoc
 deadline checks sprinkled through the refinement loop, and unguarded
 growth everywhere else (the Fourier--Motzkin combination step, the
-NCSB successor cache, the subsumption antichain).  This module gives
-them one vocabulary:
+simulation solvers).  This module gives them one vocabulary:
 
 - :class:`ReproError` is the root of every error the analysis raises
   deliberately (resource exhaustion, injected faults),
@@ -14,17 +13,18 @@ them one vocabulary:
   ladder (state/constraint blowups) and giving up (deadline),
 - :class:`DeadlineExceeded` is the wall-clock case -- once the deadline
   passed there is no cheaper stage worth trying,
-- :class:`Budget` bundles the caps and counts consumption.
+- :class:`Budget` bundles the deadline and the two solver caps and
+  counts their consumption.
 
 A budget is *threaded* where the call graph allows it (the difference
 pipeline takes explicit ``state_limit``/``deadline`` arguments) and
 *scoped* where it does not: :func:`use_budget` installs the engine's
 budget in a module global, mirroring the registry scoping of
-:mod:`repro.obs.metrics`, so the Fourier--Motzkin core and the NCSB
-constructions can consult it without every intermediate signature
-changing.  All guards are nil-checked (``current_budget() is None``
-outside an engine run), so standalone library use pays one attribute
-load per checkpoint.
+:mod:`repro.obs.metrics`, so the Fourier--Motzkin core, the simulation
+solvers and the modular complement can consult it without every
+intermediate signature changing.  All guards are nil-checked
+(``current_budget() is None`` outside an engine run), so standalone
+library use pays one attribute load per checkpoint.
 
 This module must stay a leaf (standard library imports only): it is
 imported from :mod:`repro.logic` and :mod:`repro.automata`, which load
@@ -46,9 +46,8 @@ class ResourceExhausted(ReproError):
     """A budget cap was exceeded.
 
     ``resource`` names the cap (``"deadline"``, ``"difference-states"``,
-    ``"macrostates"``, ``"antichain"``, ``"fm-constraints"``,
-    ``"stage-states"``, ``"simulation"``); the refinement loop keys its
-    recovery on it.
+    ``"fm-constraints"``, ``"stage-states"``, ``"simulation"``); the
+    refinement loop keys its recovery on it.
     """
 
     def __init__(self, resource: str, detail: str = "",
@@ -73,71 +72,34 @@ class DeadlineExceeded(ResourceExhausted):
 class Budget:
     """Caps for one analysis run, with consumption counters.
 
-    ``deadline`` is an absolute :func:`time.perf_counter` value; the
-    remaining caps are cumulative per run.  ``None`` disables a cap.
+    ``deadline`` is an absolute :func:`time.perf_counter` value.
+    ``fm_constraint_cap`` bounds the size of each Fourier--Motzkin
+    system, ``simulation_cap`` the candidate pairs of all simulation
+    solves of the run.  ``None`` disables a cap.
     Checkpoints raise :class:`ResourceExhausted` (or its
     :class:`DeadlineExceeded` subclass); callers that can degrade catch
     at round boundaries, everyone else lets it propagate.
     """
 
-    __slots__ = ("deadline", "step_cap", "macrostate_cap", "antichain_cap",
-                 "fm_constraint_cap", "simulation_cap", "steps", "macrostates",
+    __slots__ = ("deadline", "fm_constraint_cap", "simulation_cap",
                  "fm_checks", "simulation_pairs")
 
-    #: Deadline polling stride for the cheap counters: one
+    #: Deadline polling stride for the Fourier--Motzkin checkpoints: one
     #: ``perf_counter`` call per this many charges.
     CHECK_EVERY = 256
 
     def __init__(self, deadline: float | None = None, *,
-                 step_cap: int | None = None,
-                 macrostate_cap: int | None = None,
-                 antichain_cap: int | None = None,
                  fm_constraint_cap: int | None = None,
                  simulation_cap: int | None = None):
         self.deadline = deadline
-        self.step_cap = step_cap
-        self.macrostate_cap = macrostate_cap
-        self.antichain_cap = antichain_cap
         self.fm_constraint_cap = fm_constraint_cap
         self.simulation_cap = simulation_cap
-        self.steps = 0
-        self.macrostates = 0
         self.fm_checks = 0
         self.simulation_pairs = 0
-
-    def remaining(self) -> float | None:
-        """Wall-clock seconds left, or ``None`` without a deadline."""
-        if self.deadline is None:
-            return None
-        return self.deadline - time.perf_counter()
 
     def check_deadline(self, where: str = "") -> None:
         if self.deadline is not None and time.perf_counter() > self.deadline:
             raise DeadlineExceeded(where, self.deadline)
-
-    def tick(self, n: int = 1, where: str = "steps") -> None:
-        """Charge ``n`` generic steps; polls the deadline periodically."""
-        self.steps += n
-        if self.step_cap is not None and self.steps > self.step_cap:
-            raise ResourceExhausted("steps", where, self.step_cap)
-        if self.steps % self.CHECK_EVERY < n:
-            self.check_deadline(where)
-
-    def charge_macrostates(self, n: int = 1) -> None:
-        """Charge ``n`` freshly built complement macro-states."""
-        self.macrostates += n
-        if (self.macrostate_cap is not None
-                and self.macrostates > self.macrostate_cap):
-            raise ResourceExhausted("macrostates",
-                                    f"{self.macrostates} macro-states built",
-                                    self.macrostate_cap)
-
-    def check_antichain(self, size: int) -> None:
-        """Check the subsumption-antichain size against its cap."""
-        if self.antichain_cap is not None and size > self.antichain_cap:
-            raise ResourceExhausted("antichain",
-                                    f"{size} antichain entries",
-                                    self.antichain_cap)
 
     def charge_fm(self, constraints: int) -> None:
         """Checkpoint one Fourier--Motzkin elimination round.

@@ -79,9 +79,6 @@ class AnalysisConfig:
     #: and coarsen the subsumption antichain with a simulation on the
     #: subtrahend.  Off is only useful for ablation benchmarks.
     simulation_reduction: bool = True
-    #: Candidate-pair budget per run for the simulation solvers (None =
-    #: unbounded).  A blown cap skips the reduction, never the analysis.
-    simulation_cap: int | None = 200_000
     #: Generalize infeasible counterexamples through interpolant-based
     #: semideterministic modules (Ultimate-style interpolant automata)
     #: instead of stage 1's prefix modules.
@@ -92,19 +89,6 @@ class AnalysisConfig:
     difference_state_limit: int | None = 200_000
     #: Wall-clock budget in seconds (None = unbounded).
     timeout: float | None = None
-    #: Try nontermination detection on unranked lassos.
-    check_nontermination: bool = True
-    #: Independently re-validate every conclusive verdict before it
-    #: leaves ``prove_termination`` (see :mod:`repro.core.firewall`);
-    #: failures downgrade to UNKNOWN, never a wrong answer.
-    firewall: bool = True
-    #: Total NCSB macro-states built per run (None = unbounded).
-    macrostate_cap: int | None = None
-    #: Size cap for the subsumption antichain (None = unbounded).
-    antichain_cap: int | None = None
-    #: Constraint-count cap per Fourier--Motzkin elimination -- the
-    #: guard against the combination step's quadratic blowup.
-    fm_constraint_cap: int | None = 20_000
     #: Deterministic fault plan as JSON (:mod:`repro.faults`), or None.
     #: Travels through ``to_dict``/``from_dict`` so manifests and
     #: worker payloads can switch chaos runs on per job.
@@ -142,16 +126,10 @@ class AnalysisConfig:
             "complement_kind": self.complement_kind,
             "kernel_cache": self.kernel_cache,
             "simulation_reduction": self.simulation_reduction,
-            "simulation_cap": self.simulation_cap,
             "interpolant_modules": self.interpolant_modules,
             "max_refinements": self.max_refinements,
             "difference_state_limit": self.difference_state_limit,
             "timeout": self.timeout,
-            "check_nontermination": self.check_nontermination,
-            "firewall": self.firewall,
-            "macrostate_cap": self.macrostate_cap,
-            "antichain_cap": self.antichain_cap,
-            "fm_constraint_cap": self.fm_constraint_cap,
             "fault_plan": self.fault_plan,
         }
 
@@ -160,20 +138,23 @@ class AnalysisConfig:
         """Rebuild a configuration from :meth:`to_dict` output.
 
         Missing keys take the field defaults (so hand-written manifest
-        entries can name only the knobs they change); unknown keys are
-        rejected to catch typos in manifests.
+        entries can name only the knobs they change).  Unknown keys,
+        unknown stage names and values of the wrong JSON type raise
+        ``ValueError`` naming the key, so a malformed manifest entry is
+        rejected before any job runs.
         """
+        if not isinstance(data, dict):
+            raise ValueError(f"a config must be a JSON object, got {data!r}")
         kwargs = dict(data)
         kwargs.pop("name", None)  # manifests may label their configs
-        stages = kwargs.pop("stages", None)
-        if stages is not None:
-            if isinstance(stages, str):
-                kwargs["stages"] = StageSequence.BY_NAME[stages]
-            else:
-                kwargs["stages"] = tuple(Stage(s) for s in stages)
-        unknown = set(kwargs) - {f for f in cls.__dataclass_fields__}
+        unknown = set(kwargs) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        stages = kwargs.pop("stages", None)
+        for key, value in kwargs.items():
+            _check_type(key, value, cls.__dataclass_fields__[key].type)
+        if stages is not None:
+            kwargs["stages"] = _parse_stages(stages)
         return cls(**kwargs)
 
     def describe(self) -> str:
@@ -203,8 +184,36 @@ class AnalysisConfig:
             opts.append("nocache")
         if not self.simulation_reduction:
             opts.append("nosim")
-        if not self.firewall:
-            opts.append("nofw")
         if self.fault_plan:
             opts.append("faults")
         return f"{seq}+{'+'.join(opts)}"
+
+
+#: The JSON values each scalar field annotation admits.
+_JSON_TYPES = {"bool": (bool,), "int": (int,), "float": (int, float),
+               "str": (str,)}
+
+
+def _check_type(key: str, value, annotation: str) -> None:
+    base, _, rest = annotation.partition(" | ")
+    if value is None and rest == "None":
+        return
+    # bool is an int subclass: only bool fields take true/false.
+    if (isinstance(value, bool) is not (base == "bool")
+            or not isinstance(value, _JSON_TYPES[base])):
+        raise ValueError(f"config key {key!r} must be {annotation}, "
+                         f"got {value!r}")
+
+
+def _parse_stages(stages) -> tuple[Stage, ...]:
+    """A sequence name of :class:`StageSequence` or a list of stage values."""
+    if isinstance(stages, str) and stages in StageSequence.BY_NAME:
+        return StageSequence.BY_NAME[stages]
+    if isinstance(stages, (list, tuple)):
+        try:
+            return tuple(Stage(s) for s in stages)
+        except ValueError:
+            pass
+    raise ValueError(f"config key 'stages' must be one of "
+                     f"{sorted(StageSequence.BY_NAME)} or a list of "
+                     f"{[s.value for s in Stage]}, got {stages!r}")

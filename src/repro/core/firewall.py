@@ -1,10 +1,9 @@
 """The verdict firewall: independent re-validation of conclusive verdicts.
 
 No TERMINATING or NONTERMINATING result leaves
-:func:`repro.core.api.prove_termination` unscreened (unless the
-configuration disables the firewall).  The screen re-derives each
-verdict from first principles, using only machinery *outside* the
-refinement loop's trust base:
+:func:`repro.core.api.prove_termination` unscreened.  The screen
+re-derives each verdict from first principles, using only machinery
+*outside* the refinement loop's trust base:
 
 - **TERMINATING** -- every certified module goes through
   :func:`repro.core.module.recheck`, the same gate checkpoint restore

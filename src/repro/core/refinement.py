@@ -16,12 +16,14 @@ until the remainder is empty (TERMINATING), a nontermination witness is
 found (NONTERMINATING), or a budget is exhausted (UNKNOWN).
 
 Resource discipline: every run owns a :class:`~repro.core.budget.Budget`
-(wall-clock deadline plus macrostate/antichain/FM caps from the
-configuration) scoped via ``use_budget``, so the solver and automata
-layers can poll it without parameter threading.  Cap overruns surface as
-typed :class:`~repro.core.budget.ResourceExhausted` errors caught here
-at round boundaries: a deadline always ends the run (UNKNOWN/timeout,
-in one handler), while a state or constraint blowup first walks the
+(the configured wall-clock deadline plus the fixed
+:data:`FM_CONSTRAINT_CAP` and :data:`SIMULATION_CAP`) scoped via
+``use_budget``, so the solver and automata layers can poll it without
+parameter threading; ``difference_state_limit`` bounds each difference.
+Cap overruns surface as typed
+:class:`~repro.core.budget.ResourceExhausted` errors caught here at
+round boundaries: a deadline always ends the run (UNKNOWN/timeout, in
+one handler), while a state or constraint blowup first walks the
 *degradation ladder* -- the same proof re-generalized at structurally
 cheaper stages -- and only becomes UNKNOWN when every rung blows up
 too.  Each fallback is recorded as an ``Incident`` on the run's stats.
@@ -71,6 +73,13 @@ class Verdict(enum.Enum):
     NONTERMINATING = "nonterminating"
     UNKNOWN = "unknown"
 
+
+#: Constraint-count cap per Fourier--Motzkin elimination: the guard
+#: against the combination step's quadratic blowup.
+FM_CONSTRAINT_CAP = 20_000
+#: Candidate pairs per run for the simulation solvers.  A blown cap
+#: skips the reduction, never the analysis.
+SIMULATION_CAP = 200_000
 
 #: The degradation ladder: when subtracting a module blows a resource
 #: cap, the proof is re-generalized at the next rung and the subtraction
@@ -158,10 +167,8 @@ class RefinementEngine:
         deadline = (time.perf_counter() + config.timeout
                     if config.timeout is not None else None)
         budget = Budget(deadline=deadline,
-                        macrostate_cap=config.macrostate_cap,
-                        antichain_cap=config.antichain_cap,
-                        fm_constraint_cap=config.fm_constraint_cap,
-                        simulation_cap=config.simulation_cap)
+                        fm_constraint_cap=FM_CONSTRAINT_CAP,
+                        simulation_cap=SIMULATION_CAP)
         with use_budget(budget):
             return self._refine(tracer, deadline)
 
@@ -387,8 +394,7 @@ class RefinementEngine:
                     lasso = Lasso.from_word(word)
                     try:
                         with tracer.span("prove-lasso") as proof_span:
-                            proof = prove_lasso(lasso, check_nontermination=(
-                                config.check_nontermination))
+                            proof = prove_lasso(lasso)
                             proof_span.set(kind=proof.kind.value)
                     except ResourceExhausted as exc:
                         _unless_deadline(exc)

@@ -19,6 +19,7 @@ import json
 import os
 import sys
 
+from repro.core.config import AnalysisConfig
 from repro.runner import report as runner_report
 from repro.runner.corpus import load_manifest, run_corpus, suite_manifest
 from repro.runner.pool import WorkerPool, analysis_task
@@ -105,6 +106,12 @@ def bench_main(argv: list[str] | None = None) -> int:
         entries = manifest.get("configs") or [{}]
         manifest["configs"] = [dict(entry, fault_plan=text)
                                for entry in entries]
+    try:
+        for entry in manifest.get("configs") or ():
+            AnalysisConfig.from_dict(entry)  # reject malformed configs up front
+    except ValueError as err:
+        print(f"bench: {err}", file=sys.stderr)
+        return 3
 
     def on_row(row: dict) -> None:
         print(f"  {row.get('program', '?'):<24} [{row.get('config', '?')}] "

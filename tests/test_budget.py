@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from repro.core import refinement
 from repro.core.api import (DEFAULT_PORTFOLIO, prove_termination_portfolio,
                             prove_termination_source)
 from repro.core.budget import (Budget, DeadlineExceeded, ReproError,
@@ -32,21 +33,14 @@ program nested(x, y, n):
 
 
 def test_budget_caps_raise_typed_errors():
-    budget = Budget(step_cap=10, macrostate_cap=3, antichain_cap=2,
-                    fm_constraint_cap=5)
-    with pytest.raises(ResourceExhausted) as err:
-        budget.tick(11)
-    assert err.value.resource == "steps"
-    with pytest.raises(ResourceExhausted) as err:
-        for _ in range(4):
-            budget.charge_macrostates()
-    assert err.value.resource == "macrostates" and err.value.limit == 3
-    with pytest.raises(ResourceExhausted) as err:
-        budget.check_antichain(3)
-    assert err.value.resource == "antichain"
+    budget = Budget(fm_constraint_cap=5, simulation_cap=3)
     with pytest.raises(ResourceExhausted) as err:
         budget.charge_fm(6)
-    assert err.value.resource == "fm-constraints"
+    assert err.value.resource == "fm-constraints" and err.value.limit == 5
+    with pytest.raises(ResourceExhausted) as err:
+        budget.charge_simulation(2)
+        budget.charge_simulation(2)
+    assert err.value.resource == "simulation" and err.value.limit == 3
 
 
 def test_deadline_exceeded_is_resource_exhausted():
@@ -60,16 +54,14 @@ def test_deadline_exceeded_is_resource_exhausted():
 
 def test_unbounded_budget_never_raises():
     budget = Budget()
-    budget.tick(10_000)
-    budget.charge_macrostates(10_000)
-    budget.check_antichain(10_000)
+    budget.check_deadline()
     budget.charge_fm(10_000)
-    assert budget.remaining() is None
+    budget.charge_simulation(10_000)
 
 
 def test_use_budget_scoping():
     assert current_budget() is None
-    budget = Budget(step_cap=1)
+    budget = Budget()
     with use_budget(budget):
         assert current_budget() is budget
         with use_budget(None):  # the firewall clears the ambient budget
@@ -81,36 +73,30 @@ def test_use_budget_scoping():
 # -- caps threaded through the analysis ---------------------------------------
 
 
-def test_analysis_survives_tiny_fm_cap():
+def test_analysis_survives_tiny_fm_cap(monkeypatch):
     """An absurd FM cap must yield UNKNOWN + incidents, never a crash."""
-    config = AnalysisConfig(fm_constraint_cap=1, timeout=10.0)
-    result = prove_termination_source(COUNTDOWN, config)
+    monkeypatch.setattr(refinement, "FM_CONSTRAINT_CAP", 1)
+    result = prove_termination_source(COUNTDOWN, AnalysisConfig(timeout=10.0))
     assert result.verdict in (Verdict.TERMINATING, Verdict.UNKNOWN)
     if result.verdict is Verdict.UNKNOWN:
         assert result.stats.incidents, "cap overrun must leave an incident"
 
 
-def test_analysis_degrades_on_macrostate_cap():
-    """NCSB blowups fall down the ladder instead of erroring out."""
-    config = AnalysisConfig(macrostate_cap=0, timeout=10.0)
+def test_analysis_degrades_on_difference_state_limit():
+    """Difference blowups fall down the ladder instead of erroring out."""
+    config = AnalysisConfig(difference_state_limit=0, timeout=10.0)
     result = prove_termination_source(NESTED, config)
     assert result.verdict in (Verdict.TERMINATING, Verdict.UNKNOWN)
     kinds = {i.kind for i in result.stats.incidents}
-    assert kinds & {"budget.degraded", "budget.exhausted"}, \
+    assert kinds >= {"budget.degraded", "budget.exhausted"}, \
         result.stats.incidents
 
 
-def test_analysis_survives_antichain_cap():
-    config = AnalysisConfig(antichain_cap=1, timeout=10.0)
-    result = prove_termination_source(NESTED, config)
-    assert result.verdict in (Verdict.TERMINATING, Verdict.UNKNOWN)
-
-
 def test_degradation_incidents_are_counted_in_metrics():
-    config = AnalysisConfig(macrostate_cap=0, timeout=10.0)
+    config = AnalysisConfig(difference_state_limit=0, timeout=10.0)
     result = prove_termination_source(NESTED, config)
     assert result.stats.counter("incidents.budget.degraded") == sum(
-        i.kind == "budget.degraded" for i in result.stats.incidents)
+        i.kind == "budget.degraded" for i in result.stats.incidents) > 0
 
 
 def test_timeout_still_reports_timeout():

@@ -15,6 +15,7 @@ Three layers of coverage:
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import signal
@@ -27,7 +28,9 @@ import pytest
 
 import repro.faults as faults
 from repro.benchgen.scaled import sequential_loops
+from repro.core import refinement
 from repro.core.api import prove_termination
+from repro.core.budget import ResourceExhausted
 from repro.core.checkpoint import Checkpointer
 from repro.core.codec import (CodecError, atom_from_dict, atom_to_dict,
                               conj_from_dict, conj_to_dict, frac_from_dict,
@@ -271,7 +274,8 @@ def test_alphabet_mismatch_rejects(tmp_path):
     assert fresh.rejected and "alphabet" in fresh.rejected
 
 
-def test_partial_restore_keeps_seeded_prefix_and_logs_the_rest(tmp_path):
+def test_partial_restore_keeps_seeded_prefix_and_logs_the_rest(
+        tmp_path, monkeypatch):
     """Re-subtracting a restored module blows a cap: the modules seeded
     so far stay, a ``budget.degraded`` incident is recorded from
     ``checkpoint``, and the run finishes from there.  The modules it
@@ -282,11 +286,20 @@ def test_partial_restore_keeps_seeded_prefix_and_logs_the_rest(tmp_path):
                        key="partial")
     logged = len(records(first.path))
     assert logged == 3
-    # A cumulative macrostate cap the restore exhausts part-way through.
-    warm, cp = analyze(source, tmp_path, AnalysisConfig(macrostate_cap=50),
-                       key="partial")
+    # The second restored module's re-subtraction blows the state cap.
+    subtractions = itertools.count()
+    real = refinement.difference
+
+    def blow_second(*args, **kwargs):
+        if next(subtractions) == 1:
+            raise ResourceExhausted("difference-states", "restore")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(refinement, "difference", blow_second)
+    warm, cp = analyze(source, tmp_path, key="partial")
+    monkeypatch.undo()
     assert cp.rejected is None
-    assert 1 <= cp.restored_rounds < logged
+    assert cp.restored_rounds == 1
     assert warm.stats.counter("checkpoint.rounds_restored") == \
         cp.restored_rounds
     assert warm.verdict == cold.verdict

@@ -176,6 +176,31 @@ def test_cli_bench_error_rows_exit_3(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("config, named", [
+    ({"stages": "iv"}, "stages"),
+    ({"bogus_knob": 1}, "bogus_knob"),
+    ({"timeout": "5"}, "timeout"),
+    ([1], "JSON object"),
+])
+def test_cli_bench_rejects_malformed_config(tmp_path, capsys, config, named):
+    """One stderr line naming the key and exit 3, before any job runs."""
+    import json
+
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({
+        "name": "malformed", "task_timeout": 30,
+        "programs": [{"name": "a", "source": TERMINATING}],
+        "configs": [config],
+    }))
+    store = tmp_path / "results.jsonl"
+    code = main(["bench", str(manifest), "--inprocess", "--quiet",
+                 "--store", str(store)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.count("\n") == 1 and named in err, err
+    assert not store.exists()
+
+
 def test_cli_bench_prints_one_progress_line_per_row(tmp_path, capsys):
     import json
     import re

@@ -5,7 +5,7 @@ from fractions import Fraction
 from repro.core.api import prove_termination_source
 from repro.core.config import AnalysisConfig
 from repro.core.firewall import screen
-from repro.core.refinement import Verdict
+from repro.core.refinement import RefinementEngine, Verdict
 from repro.program.cfg import build_cfg
 from repro.program.parser import parse_program
 
@@ -22,10 +22,14 @@ program up(x):
 """
 
 
+def engine_result(source: str, config: AnalysisConfig):
+    """The engine's own result, before ``prove_termination`` screens it."""
+    return RefinementEngine(build_cfg(parse_program(source)), config).run()
+
+
 def unscreened(source: str):
     """An honest engine result that has not passed the firewall yet."""
-    result = prove_termination_source(
-        source, AnalysisConfig(firewall=False, timeout=30.0))
+    result = engine_result(source, AnalysisConfig(timeout=30.0))
     assert result.verdict is not Verdict.UNKNOWN
     return result
 
@@ -49,8 +53,7 @@ def test_honest_nonterminating_result_passes():
 
 
 def test_unknown_passes_through():
-    result = prove_termination_source(
-        COUNTDOWN, AnalysisConfig(firewall=False, max_refinements=0))
+    result = engine_result(COUNTDOWN, AnalysisConfig(max_refinements=0))
     assert result.verdict is Verdict.UNKNOWN
     assert screen(result) is result
 

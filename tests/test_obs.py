@@ -242,12 +242,11 @@ def test_from_dict_ignores_extra_keys():
 
 
 def test_portfolio_records_all_attempts():
-    program = parse_program(DIVERGING)
-    # first config cannot find the witness, second can
-    configs = (AnalysisConfig(check_nontermination=False, max_refinements=2),
-               AnalysisConfig())
+    program = parse_program(TERMINATING)
+    # one round is too few for the first config; the second decides
+    configs = (AnalysisConfig(max_refinements=1), AnalysisConfig())
     result = prove_termination_portfolio(program, configs=configs)
-    assert result.verdict.value == "nonterminating"
+    assert result.verdict.value == "terminating"
     assert len(result.attempts) == 2
     assert result.attempts[-1] is result.stats
     assert all(a.rounds for a in result.attempts)

@@ -91,12 +91,11 @@ def test_describe_mentions_nosim_only_when_reduction_off():
 
 
 def test_config_round_trips_simulation_fields():
-    config = AnalysisConfig(simulation_reduction=False, simulation_cap=1234)
+    config = AnalysisConfig(simulation_reduction=False)
     data = config.to_dict()
     assert data["simulation_reduction"] is False
-    assert data["simulation_cap"] == 1234
     assert AnalysisConfig.from_dict(data) == config
-    # the default round-trips too (flag on, finite default cap)
+    # the default round-trips too (flag on)
     default = AnalysisConfig()
     assert AnalysisConfig.from_dict(default.to_dict()) == default
     assert default.simulation_reduction is True
@@ -107,6 +106,36 @@ def test_from_dict_rejects_module_library():
     # never through the configuration
     with pytest.raises(ValueError, match="unknown config keys"):
         AnalysisConfig.from_dict({"module_library": "/tmp/lib.jsonl"})
+
+
+@pytest.mark.parametrize("key", ["firewall", "check_nontermination",
+                                 "macrostate_cap", "antichain_cap",
+                                 "fm_constraint_cap", "simulation_cap"])
+def test_from_dict_rejects_removed_knobs(key):
+    with pytest.raises(ValueError, match="unknown config keys"):
+        AnalysisConfig.from_dict({key: None})
+
+
+@pytest.mark.parametrize("data, named", [
+    ({"stages": "iv"}, "stages"),
+    ({"stages": ["lasso", "nope"]}, "stages"),
+    ({"timeout": "5"}, "timeout"),
+    ({"max_refinements": 2.5}, "max_refinements"),
+    ({"lazy_complement": 1}, "lazy_complement"),
+    ({"difference_state_limit": True}, "difference_state_limit"),
+    ({"fault_plan": {"seed": 7}}, "fault_plan"),
+])
+def test_from_dict_rejects_malformed_values(data, named):
+    with pytest.raises(ValueError, match=named):
+        AnalysisConfig.from_dict(data)
+
+
+def test_from_dict_accepts_json_numbers_and_nulls():
+    config = AnalysisConfig.from_dict({"timeout": 5, "complement_kind": None,
+                                       "difference_state_limit": None,
+                                       "stages": ["lasso", "nondet"]})
+    assert config.timeout == 5 and config.difference_state_limit is None
+    assert [s.value for s in config.stages] == ["lasso", "nondet"]
 
 
 def test_refinement_round_records_companion_stage():
