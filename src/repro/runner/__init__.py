@@ -3,9 +3,10 @@
 The paper evaluates over hundreds of SV-COMP tasks under per-task time
 budgets.  This package is that execution layer:
 
-- :mod:`repro.runner.pool` -- a multiprocess worker pool with hard
-  per-task deadlines (SIGKILL on overrun), crash isolation, bounded
-  retry on worker death, and graceful in-process degradation,
+- :mod:`repro.runner.pool` -- a multiprocess worker pool with one
+  worker per job, hard per-task deadlines (SIGKILL on overrun), crash
+  isolation (one immediate respawn on worker death), and graceful
+  in-process degradation,
 - :mod:`repro.runner.corpus` -- manifest expansion (benchgen families,
   ``examples/*.t`` files, inline programs) into analysis jobs and the
   resumable corpus driver,

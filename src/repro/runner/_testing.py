@@ -2,10 +2,10 @@
 
 The pool's interesting behavior is exactly what a real analysis task
 makes hard to provoke on demand: workers that hang past the hard
-deadline, die mid-job, or get cancelled.  These module-level tasks are
-importable from spawned workers (a requirement of the ``spawn`` start
-method) and deterministic, so the harness's cancellation/timeout/retry
-semantics are testable without a pathological program corpus.
+deadline or die mid-job.  These module-level tasks are importable from
+spawned workers (a requirement of the ``spawn`` start method) and
+deterministic, so the harness's timeout/respawn semantics are testable
+without a pathological program corpus.
 """
 
 from __future__ import annotations
@@ -24,13 +24,6 @@ def echo_task(payload: dict) -> dict:
             "value": payload.get("value"), "pid": os.getpid()}
 
 
-def sleep_task(payload: dict) -> dict:
-    """Sleep ``delay`` seconds, ignoring any cooperative budget -- the
-    stand-in for a wedged worker that only a hard deadline stops."""
-    time.sleep(payload.get("delay", 3600.0))
-    return {"program": payload.get("name", ""), "status": "ok"}
-
-
 def crash_task(payload: dict) -> dict:
     """Die by SIGKILL without sending a result (simulated worker death,
     e.g. the kernel OOM killer).  In-process (no own pid to kill
@@ -43,11 +36,11 @@ def crash_task(payload: dict) -> dict:
 
 
 def flaky_task(payload: dict) -> dict:
-    """Crash on the first execution, succeed on the retry.
+    """Crash on the first execution, succeed on the respawn.
 
     Uses a marker file (``payload['marker']``) because worker processes
-    share no state -- the first worker creates it and dies, the retry
-    finds it and completes.
+    share no state -- the first worker creates it and dies, the
+    respawned worker finds it and completes.
     """
     marker = payload["marker"]
     if not os.path.exists(marker):

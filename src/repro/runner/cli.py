@@ -8,8 +8,9 @@ streams rows to a resumable JSONL store::
 
 It uses the deterministic exit-code scheme shared by every
 ``python -m repro`` subcommand: **0** all rows conclusive, **2** some
-row unknown / timed out, **3** error rows or unusable input (empty
-store).
+row unknown / timed out, **3** error rows or unusable input (a
+malformed manifest, reported as one ``bench: ...`` line on stderr
+before any job runs).
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ import json
 import os
 import sys
 
-from repro.core.config import AnalysisConfig
 from repro.runner import report as runner_report
-from repro.runner.corpus import load_manifest, run_corpus, suite_manifest
+from repro.runner.corpus import (expand_manifest, load_manifest, run_corpus,
+                                 suite_manifest)
 from repro.runner.pool import WorkerPool, analysis_task
 
 
@@ -30,8 +31,8 @@ def bench_main(argv: list[str] | None = None) -> int:
         prog="python -m repro bench",
         description="Evaluate a corpus manifest through the worker pool.",
         epilog="exit codes: 0 = all rows conclusive, 2 = some row "
-               "unknown, timed out, or oom-killed, 3 = error or "
-               "quarantined rows (or --fail-fast cancellation)")
+               "unknown or timed out, 3 = error rows (a task that raised "
+               "or a worker that died twice) or a malformed manifest")
     parser.add_argument("manifest", nargs="?", default=None,
                         help="corpus manifest JSON (default: the full "
                              "benchgen suite)")
@@ -49,8 +50,8 @@ def bench_main(argv: list[str] | None = None) -> int:
                         help="re-run jobs whose stored status is 'error'")
     parser.add_argument("--retry-timeouts", action="store_true",
                         help="re-run jobs whose stored status is 'timeout' "
-                             "or 'oom' (with --checkpoint-dir they "
-                             "warm-start from their certified rounds)")
+                             "(with --checkpoint-dir they warm-start from "
+                             "their certified rounds)")
     parser.add_argument("--checkpoint-dir", metavar="DIR", default=None,
                         help="durable per-job refinement checkpoints: a "
                              "killed run resumes from its certified rounds "
@@ -61,21 +62,11 @@ def bench_main(argv: list[str] | None = None) -> int:
                              "modules before synthesizing and publish what "
                              "they certify (see README 'Warm-starting a "
                              "corpus from a module library')")
-    parser.add_argument("--max-rss", type=float, default=None, metavar="MB",
-                        help="memory-pressure watchdog: SIGKILL any worker "
-                             "whose resident set exceeds this many MB and "
-                             "record the job as status 'oom'")
-    parser.add_argument("--max-retries", type=int, default=1,
-                        help="respawns granted to a job whose worker died "
-                             "before it is quarantined (default 1)")
     parser.add_argument("--inprocess", action="store_true",
                         help="run jobs in-process (no subprocesses; "
                              "cooperative timeouts only)")
     parser.add_argument("--report-json", metavar="FILE", default=None,
                         help="write the aggregate report as JSON")
-    parser.add_argument("--fail-fast", action="store_true",
-                        help="cancel the remaining jobs after the first "
-                             "'error' row (finished rows stay resumable)")
     parser.add_argument("--fault-plan", metavar="JSON_OR_FILE", default=None,
                         help="deterministic fault plan (inline JSON or a "
                              "file containing it) injected into every "
@@ -89,10 +80,15 @@ def bench_main(argv: list[str] | None = None) -> int:
                         help="no per-row progress lines")
     args = parser.parse_args(argv)
 
-    if args.manifest is not None:
-        manifest = load_manifest(args.manifest)
-    else:
-        manifest = suite_manifest(task_timeout=args.task_timeout)
+    try:
+        if args.manifest is not None:
+            manifest = load_manifest(args.manifest)
+        else:
+            manifest = suite_manifest(task_timeout=args.task_timeout)
+        expand_manifest(manifest)  # reject malformed programs and configs
+    except (OSError, ValueError) as err:
+        print(f"bench: {err}", file=sys.stderr)
+        return 3
     if args.fault_plan:
         text = args.fault_plan
         if os.path.isfile(text):
@@ -106,12 +102,6 @@ def bench_main(argv: list[str] | None = None) -> int:
         entries = manifest.get("configs") or [{}]
         manifest["configs"] = [dict(entry, fault_plan=text)
                                for entry in entries]
-    try:
-        for entry in manifest.get("configs") or ():
-            AnalysisConfig.from_dict(entry)  # reject malformed configs up front
-    except ValueError as err:
-        print(f"bench: {err}", file=sys.stderr)
-        return 3
 
     def on_row(row: dict) -> None:
         print(f"  {row.get('program', '?'):<24} [{row.get('config', '?')}] "
@@ -122,17 +112,13 @@ def bench_main(argv: list[str] | None = None) -> int:
                       task_timeout=args.task_timeout
                       if args.task_timeout is not None
                       else manifest.get("task_timeout"),
-                      inprocess=True if args.inprocess else None,
-                      max_retries=args.max_retries,
-                      max_rss_kb=int(args.max_rss * 1024)
-                      if args.max_rss is not None else None)
+                      inprocess=True if args.inprocess else None)
     summary = run_corpus(manifest, args.store,
                          task_timeout=args.task_timeout,
                          resume=not args.no_resume,
                          retry_errors=args.retry_errors,
                          retry_timeouts=args.retry_timeouts,
                          pool=pool, on_row=None if args.quiet else on_row,
-                         fail_fast=args.fail_fast,
                          trace_dir=args.trace_dir,
                          checkpoint_dir=args.checkpoint_dir,
                          module_library=args.module_library)
@@ -152,13 +138,8 @@ def bench_main(argv: list[str] | None = None) -> int:
         with open(args.report_json, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
-    if summary.errors or summary.quarantined:
-        bad = summary.errors + summary.quarantined
-        print(f"{bad} error/quarantined row(s) in {args.store}",
-              file=sys.stderr)
-        return 3
-    if (summary.by_status.get("unknown", 0)
-            or summary.by_status.get("timeout", 0)
-            or summary.ooms):
-        return 2
-    return 0
+    code = runner_report.exit_code(aggs)
+    if code == 3:
+        errors = sum(a.error for a in aggs.values())
+        print(f"{errors} error row(s) in {args.store}", file=sys.stderr)
+    return code

@@ -23,12 +23,15 @@ configurations -- without code:
       ]
     }
 
-``programs`` entries expand over the :mod:`repro.benchgen` families
-(``suite`` by family name or ``"*"``), the scaled generators
-(``scaled`` + ``k`` list), program files (``file``/``glob``, relative
-to the manifest), and inline sources.  ``configs`` entries are
+Each ``programs`` entry is an object with exactly one of the keys
+``suite`` (a :mod:`repro.benchgen` family name or ``"*"``), ``scaled``
+(a scaled generator, with ``k`` an int or a list of ints), ``file`` or
+``glob`` (program files relative to the manifest; a glob must match)
+and ``source`` (an inline program).  ``configs`` entries are
 :meth:`AnalysisConfig.from_dict` dicts (plus an optional ``name``
 label); an absent/empty list means the default configuration.
+:func:`expand_manifest` raises ``ValueError`` on any malformed part,
+so ``bench`` rejects a manifest before any job runs.
 
 ``run_corpus`` expands the manifest into jobs, skips the ones whose
 (program, config, code-version) key already has a row in the JSONL
@@ -49,6 +52,7 @@ from repro.benchgen.scaled import (interleaved_counters, nested_loops,
                                    phase_chain, sequential_loops)
 from repro.core.config import AnalysisConfig
 from repro.runner.pool import TaskOutcome, WorkerPool, analysis_task
+from repro.runner.report import STATUSES
 from repro.runner.store import ResultStore, code_version, job_key
 
 _SCALED = {
@@ -57,6 +61,9 @@ _SCALED = {
     "nested_loops": nested_loops,
     "phase_chain": phase_chain,
 }
+
+#: The keys that say what a ``programs`` entry is; each entry has one.
+_PROGRAM_KINDS = ("suite", "scaled", "file", "glob", "source")
 
 
 @dataclass(frozen=True)
@@ -95,19 +102,13 @@ class CorpusRun:
     def errors(self) -> int:
         return self.by_status.get("error", 0)
 
-    @property
-    def ooms(self) -> int:
-        return self.by_status.get("oom", 0)
-
-    @property
-    def quarantined(self) -> int:
-        return self.by_status.get("quarantined", 0)
-
 
 def load_manifest(path: str | Path) -> dict:
     import json
     path = Path(path)
     manifest = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(manifest, dict):
+        raise ValueError(f"a manifest must be a JSON object, got {manifest!r}")
     manifest.setdefault("name", path.stem)
     manifest["_base_dir"] = str(path.parent)
     return manifest
@@ -129,7 +130,16 @@ def _expand_programs(manifest: dict) -> list[BenchProgram]:
             seen.add(bench.name)
             programs.append(bench)
 
-    for entry in manifest.get("programs", ()):
+    entries = manifest.get("programs", [])
+    if not isinstance(entries, list):
+        raise ValueError(f"'programs' must be a JSON list, got {entries!r}")
+    for entry in entries:
+        kinds = [kind for kind in _PROGRAM_KINDS
+                 if isinstance(entry, dict) and kind in entry]
+        if len(kinds) != 1 or not isinstance(entry[kinds[0]], str):
+            raise ValueError(f"a program entry must be a JSON object with "
+                             f"one string-valued key of {_PROGRAM_KINDS}, "
+                             f"got {entry!r}")
         if "suite" in entry:
             family = entry["suite"]
             for bench in program_suite():
@@ -141,7 +151,12 @@ def _expand_programs(manifest: dict) -> list[BenchProgram]:
                 raise ValueError(f"unknown scaled family {entry['scaled']!r} "
                                  f"(have {sorted(_SCALED)})")
             ks = entry.get("k", [1, 2, 3])
-            for k in ([ks] if isinstance(ks, int) else ks):
+            ks = [ks] if isinstance(ks, int) else ks
+            if not (isinstance(ks, list) and ks
+                    and all(type(k) is int for k in ks)):
+                raise ValueError(f"'k' must be an int or a list of ints, "
+                                 f"got {entry['k']!r}")
+            for k in ks:
                 add(generator(k))
         elif "file" in entry or "glob" in entry:
             if "glob" in entry:
@@ -155,12 +170,10 @@ def _expand_programs(manifest: dict) -> list[BenchProgram]:
                 add(BenchProgram(path.stem, entry.get("family", "file"),
                                  path.read_text(encoding="utf-8"),
                                  entry.get("expected", "unknown")))
-        elif "source" in entry:
+        else:
             add(BenchProgram(entry.get("name", f"inline_{len(programs)}"),
                              entry.get("family", "inline"), entry["source"],
                              entry.get("expected", "unknown")))
-        else:
-            raise ValueError(f"unrecognized program entry: {entry}")
     return programs
 
 
@@ -168,9 +181,8 @@ def _expand_configs(manifest: dict) -> list[tuple[str, dict]]:
     entries = manifest.get("configs") or [{}]
     configs: list[tuple[str, dict]] = []
     for i, entry in enumerate(entries):
-        entry = dict(entry)
-        label = entry.pop("name", None)
         config = AnalysisConfig.from_dict(entry)  # validates the knobs
+        label = entry.get("name")
         configs.append((label or config.describe() or f"config{i}",
                         config.to_dict()))
     return configs
@@ -227,7 +239,6 @@ def run_corpus(manifest: dict,
                retry_timeouts: bool = False,
                pool: WorkerPool | None = None,
                on_row: Callable[[dict], None] | None = None,
-               fail_fast: bool = False,
                trace_dir: str | Path | None = None,
                checkpoint_dir: str | Path | None = None,
                module_library: str | Path | None = None,
@@ -236,17 +247,15 @@ def run_corpus(manifest: dict,
 
     With ``resume`` (default), jobs whose key already has a row are
     skipped -- re-running a finished corpus recomputes nothing.
-    ``retry_errors`` additionally re-runs rows whose status is
-    ``error`` (fresh code often fixes a crash); ``retry_timeouts``
-    re-runs ``timeout`` and ``oom`` rows (useful with a bigger budget,
-    and -- with ``checkpoint_dir`` -- such rows *warm-start* from the
-    rounds their killed attempt already certified).  ``quarantined``
-    rows are never re-run by either knob: a poison job needs a code or
-    key change, not another retry.  With ``fail_fast``, the first
-    ``error`` row cancels everything still queued or running (finished
-    rows stay in the store, so a fixed run resumes from them).  With
-    ``trace_dir``, every worker runs under its own JSONL tracer and
-    leaves ``trace_<job key>.jsonl`` there.  With ``checkpoint_dir``,
+    ``retry_errors`` additionally re-runs the rows the report counts
+    as errors -- status ``error`` or a status outside
+    :data:`~repro.runner.report.STATUSES` (fresh code often fixes a
+    crash, including a job whose worker died twice); ``retry_timeouts``
+    re-runs ``timeout`` rows (useful with a bigger budget, and -- with
+    ``checkpoint_dir`` -- such rows *warm-start* from the rounds their
+    killed attempt already certified).  With ``trace_dir``, every
+    worker runs under its own JSONL tracer and leaves
+    ``trace_<job key>.jsonl`` there.  With ``checkpoint_dir``,
     every worker durably checkpoints its refinement rounds there keyed
     by the job key.  With ``module_library``, every worker shares one
     cross-program certified-module library file
@@ -263,10 +272,11 @@ def run_corpus(manifest: dict,
         done = store.load() if resume else {}
         if retry_errors:
             done = {k: row for k, row in done.items()
-                    if row.get("status") != "error"}
+                    if row.get("status") in STATUSES
+                    and row.get("status") != "error"}
         if retry_timeouts:
             done = {k: row for k, row in done.items()
-                    if row.get("status") not in ("timeout", "oom")}
+                    if row.get("status") != "timeout"}
         todo = [job for job in jobs if job.key not in done]
         if pool is None:
             pool = WorkerPool(workers=workers, task=analysis_task,
@@ -276,15 +286,12 @@ def run_corpus(manifest: dict,
         rows_by_key = {job.key: done[job.key] for job in jobs
                        if job.key in done}
 
-        def on_outcome(outcome: TaskOutcome) -> bool | None:
+        def on_outcome(outcome: TaskOutcome) -> None:
             row = outcome_row(outcome)
             rows_by_key[row.get("key")] = row
             store.append(row)
             if on_row is not None:
                 on_row(row)
-            if fail_fast and row.get("status") == "error":
-                return False  # cancel the rest of the matrix
-            return None
 
         payloads = [job.payload() for job in todo]
         if trace_dir is not None:

@@ -9,17 +9,10 @@ enforces the budget from outside:
 - **hard deadline**: a worker that overruns ``timeout + kill_grace``
   is SIGKILLed and the job recorded as ``timeout`` -- the cooperative
   budget gets ``kill_grace`` seconds to return gracefully first,
-- **crash isolation**: a worker death (segfault, OOM kill, interpreter
-  abort) never takes the harness down; the job is retried at most
-  ``max_retries`` times -- respawns back off exponentially with
-  deterministic per-job jitter -- and a job that dies on every allowed
-  execution is recorded ``quarantined`` (a poison job, skipped on
-  resume instead of retried forever),
-- **memory pressure**: with ``max_rss_kb`` set, a parent-side watchdog
-  samples worker rss every ``WATCHDOG_INTERVAL_S`` seconds and
-  SIGKILLs any worker past the cap, recording the job ``oom`` --
-  shedding load *before* the kernel OOM killer does it
-  indiscriminately,
+- **crash isolation**: a worker death (segfault, kernel OOM kill,
+  interpreter abort) never takes the harness down; the job is
+  respawned once, immediately, and a second death is recorded as an
+  ``error`` naming the worker's exit code,
 - **task exceptions** travel back with their traceback and become
   ``error`` rows immediately (they are deterministic -- retrying is
   waste),
@@ -30,17 +23,17 @@ enforces the budget from outside:
   (fd limits) degrades the same way for the payloads still without an
   outcome.
 
-Workers communicate over a one-way pipe; results are whatever the task
-returns (pickled by the pipe).  The pool is deliberately generic --
-``task`` is any importable callable ``payload -> dict`` -- so the
-harness's own failure paths are testable with the fault-injection
-tasks of :mod:`repro.runner._testing`.
+Memory is bounded inside the engine (its state and constraint caps),
+not by the pool.  Workers communicate over a one-way pipe; results are
+whatever the task returns (pickled by the pipe).  The pool is
+deliberately generic -- ``task`` is any importable callable
+``payload -> dict`` -- so the harness's own failure paths are testable
+with the fault-injection tasks of :mod:`repro.runner._testing`.
 """
 
 from __future__ import annotations
 
 import os
-import random
 import signal
 import time
 import traceback
@@ -61,19 +54,6 @@ from repro.core.config import AnalysisConfig
 from repro.core.refinement import Verdict
 from repro.program.parser import ParseError, parse_program
 
-#: Seconds between the memory watchdog's rss samples of the workers.
-WATCHDOG_INTERVAL_S = 2.0
-
-
-def rss_kb(pid: int) -> int | None:
-    """Resident set size of ``pid`` in kB via /proc; None off-Linux."""
-    try:
-        with open(f"/proc/{pid}/statm", "rb") as fh:
-            pages = int(fh.read().split()[1])
-        return pages * (os.sysconf("SC_PAGE_SIZE") // 1024)
-    except (OSError, ValueError, IndexError):
-        return None
-
 
 @dataclass
 class TaskOutcome:
@@ -81,19 +61,14 @@ class TaskOutcome:
 
     payload: dict
     index: int
-    #: ``ok`` (task returned), ``timeout`` (hard deadline SIGKILL),
-    #: ``oom`` (the memory-pressure watchdog SIGKILLed the worker past
-    #: ``max_rss_kb``), ``error`` (task raised),
-    #: ``quarantined`` (the job killed its worker on every allowed
-    #: execution -- a poison job, recorded and never retried again),
-    #: ``cancelled`` (an ``on_outcome`` callback stopped the run first,
-    #: as ``bench --fail-fast`` does after an error row).
+    #: ``ok`` (task returned), ``timeout`` (hard deadline SIGKILL) or
+    #: ``error`` (task raised, or the worker died on both executions).
     status: str
     result: dict | None = None
     error: str | None = None
     #: Wall-clock seconds of the *last* execution.
     seconds: float = 0.0
-    #: Executions performed (1 + retries).
+    #: Executions performed: 2 when the first worker died.
     executions: int = 1
 
 
@@ -202,7 +177,7 @@ def _maybe_fault_worker(config: AnalysisConfig, *, same_process: bool) -> None:
     """The ``worker`` fault site: deterministic harness-level failures.
 
     In a subprocess the injected crash is a real SIGKILL so the pool's
-    worker-death retry/record path is exercised end to end; in-process
+    worker-death respawn/record path is exercised end to end; in-process
     (where killing would take the harness down) the fault surfaces as an
     exception and lands in an ``error`` row instead.
     """
@@ -258,46 +233,24 @@ class WorkerPool:
     ``timeout`` key overrides it.  The hard deadline of a job is its
     cooperative budget plus ``kill_grace`` seconds (no budget = no hard
     deadline).  ``on_outcome`` (passed to :meth:`run`) observes every
-    outcome as it lands and may return ``False`` to cancel everything
-    still queued or running (``bench --fail-fast`` stops this way).
+    outcome as it lands -- the corpus driver streams rows into the
+    store this way.
 
-    Worker deaths are retried with capped exponential backoff plus
-    deterministic jitter: the delay before execution ``n + 1`` is
-    ``retry_backoff * 2^(n-1)`` plus a jitter drawn from
-    ``random.Random(f"{job id}:{n}")`` -- reproducible per job, spread
-    across jobs so a correlated crash (one bad node, one bad shared
-    resource) does not respawn the whole fleet in lockstep.  A job
-    whose worker dies on *every* allowed execution is a poison job:
-    it is recorded ``quarantined`` (never plain ``error``) so the
-    store layer can skip it on resume instead of retrying forever.
-
-    ``max_rss_kb`` arms the memory-pressure watchdog: every
-    ``WATCHDOG_INTERVAL_S`` the parent samples each worker's rss from
-    ``/proc`` and SIGKILLs any worker past the cap, recording the job
-    ``oom`` -- preemptive and attributable, unlike the kernel OOM
-    killer it front-runs.  ``oom`` jobs are not retried (the same input would
-    balloon again deterministically); a durable checkpoint, if the
-    task keeps one, preserves the rounds finished before the kill.
+    A job whose worker dies without a result is respawned once, at the
+    front of the queue; if the second worker dies too, the job is an
+    ``error`` outcome with ``executions == 2``.
     """
 
     def __init__(self, workers: int | None = None,
                  task: Callable[[dict], dict] = analysis_task,
                  task_timeout: float | None = None,
                  kill_grace: float = 1.0,
-                 max_retries: int = 1,
-                 inprocess: bool | None = None,
-                 max_rss_kb: int | None = None,
-                 retry_backoff: float = 0.1,
-                 retry_backoff_cap: float = 5.0):
+                 inprocess: bool | None = None):
         self.workers = max(1, workers if workers is not None
                            else min(os.cpu_count() or 1, 8))
         self.task = task
         self.task_timeout = task_timeout
         self.kill_grace = kill_grace
-        self.max_retries = max_retries
-        self.max_rss_kb = max_rss_kb
-        self.retry_backoff = retry_backoff
-        self.retry_backoff_cap = retry_backoff_cap
         if inprocess is None:
             inprocess = (os.environ.get("REPRO_RUNNER_INPROCESS") == "1"
                          or _mp is None)
@@ -314,7 +267,7 @@ class WorkerPool:
     # -- public API -------------------------------------------------------------
 
     def run(self, payloads: Sequence[dict],
-            on_outcome: Callable[[TaskOutcome], bool | None] | None = None,
+            on_outcome: Callable[[TaskOutcome], None] | None = None,
             ) -> list[TaskOutcome]:
         """Execute every payload; outcomes are returned in payload order.
 
@@ -323,64 +276,39 @@ class WorkerPool:
         """
         payloads = list(payloads)
         outcomes: dict[int, TaskOutcome] = {}
+
+        def deliver(outcome: TaskOutcome) -> None:
+            outcomes[outcome.index] = outcome
+            if on_outcome is not None:
+                on_outcome(outcome)
+
         if not self.inprocess:
             try:
-                self._run_pool(payloads, on_outcome, outcomes)
+                self._run_pool(payloads, deliver)
             except (OSError, ValueError):
                 # Process creation failed (fd limits, sandboxes): degrade
                 # rather than die, and finish in-process only what has
                 # no outcome yet.
                 self.inprocess = True
-        self._run_inprocess(payloads, on_outcome, outcomes)
+        for index, payload in enumerate(payloads):
+            if index not in outcomes:
+                deliver(self._run_inprocess(index, payload))
         return [outcomes[i] for i in range(len(payloads))]
-
-    def budget_of(self, payload: dict) -> float | None:
-        timeout = payload.get("timeout", self.task_timeout)
-        return timeout
-
-    # -- retry backoff ----------------------------------------------------------
-
-    def retry_delay(self, payload: dict, execution: int) -> float:
-        """Backoff before respawning a job whose execution ``execution``
-        died: capped exponential base plus deterministic full jitter.
-
-        The jitter stream is seeded by ``(job id, execution)`` -- the
-        same job retries after the same delay on every replay (chaos
-        runs stay reproducible), while different jobs de-correlate so
-        a mass worker death does not respawn everything at once.
-        """
-        base = self.retry_backoff * (2 ** max(execution - 1, 0))
-        job_id = payload.get("key") or payload.get("name")
-        rng = random.Random(f"{job_id}:{execution}")
-        return min(base + rng.uniform(0.0, base), self.retry_backoff_cap)
 
     # -- in-process degradation -------------------------------------------------
 
-    def _run_inprocess(self, payloads, on_outcome, outcomes) -> None:
-        """Run, in order, every payload that has no entry in ``outcomes``."""
-        stopped = False
-        for index, payload in enumerate(payloads):
-            if index in outcomes:
-                continue
-            if stopped:
-                outcomes[index] = TaskOutcome(payload, index, "cancelled",
-                                              executions=0)
-                continue
-            start = time.perf_counter()
-            payload = dict(self._with_budget(payload))
-            payload["_same_process"] = True
-            try:
-                result = self.task(payload)
-                outcome = TaskOutcome(payload, index, "ok", result=result,
-                                      seconds=time.perf_counter() - start)
-            except Exception as exc:  # noqa: BLE001 - isolate the harness
-                outcome = TaskOutcome(
-                    payload, index, "error",
-                    error=f"{type(exc).__name__}: {exc}",
-                    seconds=time.perf_counter() - start)
-            outcomes[index] = outcome
-            if on_outcome is not None and on_outcome(outcome) is False:
-                stopped = True
+    def _run_inprocess(self, index: int, payload: dict) -> TaskOutcome:
+        start = time.perf_counter()
+        payload = dict(self._with_budget(payload))
+        payload["_same_process"] = True
+        try:
+            result = self.task(payload)
+        except Exception as exc:  # noqa: BLE001 - isolate the harness
+            return TaskOutcome(payload, index, "error",
+                               error=f"{type(exc).__name__}: {exc}",
+                               seconds=time.perf_counter() - start)
+        return TaskOutcome(payload, index, "ok", result=result,
+                           seconds=time.perf_counter() - start)
 
     def _with_budget(self, payload: dict) -> dict:
         if "timeout" not in payload and self.task_timeout is not None:
@@ -390,28 +318,16 @@ class WorkerPool:
 
     # -- the subprocess scheduler -----------------------------------------------
 
-    def _run_pool(self, payloads, on_outcome, outcomes) -> None:
-        """Fill ``outcomes`` through worker subprocesses.
+    def _run_pool(self, payloads, deliver) -> None:
+        """Deliver one outcome per payload through worker subprocesses.
 
         A failed spawn (``OSError``/``ValueError``) kills and reaps the
-        running workers and propagates, leaving in ``outcomes`` exactly
-        the outcomes already delivered.
+        running workers and propagates, having delivered exactly the
+        outcomes of the jobs that finished.
         """
         queue: deque[tuple[int, dict, int]] = deque(
             (i, self._with_budget(p), 1) for i, p in enumerate(payloads))
-        #: Respawns waiting out their backoff: (ready_at, index,
-        #: payload, execution), moved into ``queue`` when due.
-        pending: list[tuple[float, int, dict, int]] = []
         running: dict[object, _Running] = {}
-        stopped = False
-        next_sample = (time.perf_counter() + WATCHDOG_INTERVAL_S
-                       if self.max_rss_kb is not None else None)
-
-        def deliver(outcome: TaskOutcome) -> None:
-            nonlocal stopped
-            outcomes[outcome.index] = outcome
-            if on_outcome is not None and on_outcome(outcome) is False:
-                stopped = True
 
         def spawn(index: int, payload: dict, execution: int) -> None:
             parent, child = self._ctx.Pipe(duplex=False)
@@ -426,32 +342,10 @@ class WorkerPool:
             finally:
                 child.close()
             now = time.perf_counter()
-            budget = self.budget_of(payload)
+            budget = payload.get("timeout")
             deadline = now + budget + self.kill_grace if budget is not None else None
             running[parent] = _Running(index, payload, execution, proc,
                                        parent, now, deadline)
-
-        def watchdog(now: float) -> None:
-            """SIGKILL every worker whose rss is past ``max_rss_kb``."""
-            nonlocal next_sample
-            if next_sample is None or now < next_sample:
-                return
-            next_sample = now + WATCHDOG_INTERVAL_S
-            for conn, job in list(running.items()):
-                rss = rss_kb(job.proc.pid) if job.proc.pid else None
-                if rss is not None and rss > self.max_rss_kb:
-                    # Preemptive kill: shed the ballooning worker before
-                    # the kernel OOM killer picks a victim for us.  Not
-                    # retried -- the same job would balloon again.
-                    running.pop(conn)
-                    job.proc.kill()
-                    reap(job)
-                    deliver(TaskOutcome(
-                        job.payload, job.index, "oom",
-                        error=f"worker rss {rss} kB exceeded the "
-                              f"{self.max_rss_kb} kB cap (SIGKILLed)",
-                        seconds=now - job.started,
-                        executions=job.execution))
 
         def reap(job: _Running) -> None:
             job.proc.join(timeout=5.0)
@@ -463,15 +357,8 @@ class WorkerPool:
             except Exception:
                 pass
 
-        while queue or pending or running:
-            now = time.perf_counter()
-            if pending:
-                due = sorted(e for e in pending if e[0] <= now)
-                if due:
-                    pending[:] = [e for e in pending if e[0] > now]
-                    for _ready_at, index, payload, execution in due:
-                        queue.append((index, payload, execution))
-            while queue and len(running) < self.workers and not stopped:
+        while queue or running:
+            while queue and len(running) < self.workers:
                 index, payload, execution = queue.popleft()
                 try:
                     spawn(index, payload, execution)
@@ -482,30 +369,15 @@ class WorkerPool:
                         job.proc.kill()
                         reap(job)
                     raise
-            if not running:
-                if stopped:
-                    break
-                if pending and not queue:
-                    # Every runnable job is waiting out its backoff.
-                    earliest = min(e[0] for e in pending)
-                    time.sleep(max(0.001,
-                                   min(earliest - time.perf_counter(), 0.05)))
-                continue
 
             now = time.perf_counter()
             deadlines = [j.deadline - now for j in running.values()
                          if j.deadline is not None]
-            deadlines.extend(e[0] - now for e in pending)
-            wait_for = max(0.001, min(deadlines)) if deadlines else 0.2
-            if next_sample is not None:
-                wait_for = max(0.001, min(wait_for, next_sample - now))
+            wait_for = max(0.001, min(deadlines)) if deadlines else None
             ready = _mp_connection.wait(list(running), timeout=wait_for)
             now = time.perf_counter()
-            watchdog(now)
 
             for conn in ready:
-                if conn not in running:
-                    continue  # the watchdog just killed it
                 job = running.pop(conn)
                 try:
                     message = conn.recv()
@@ -513,24 +385,14 @@ class WorkerPool:
                     message = None  # died without a result
                 reap(job)
                 elapsed = now - job.started
-                if message is None:
-                    exitcode = job.proc.exitcode
-                    if job.execution <= self.max_retries:
-                        delay = self.retry_delay(job.payload, job.execution)
-                        pending.append((now + delay, job.index, job.payload,
-                                        job.execution + 1))
-                    else:
-                        # Poison job: it killed its worker on every
-                        # allowed execution.  Quarantine it -- the store
-                        # keeps the row and resume skips it (even under
-                        # --retry-errors), so one bad input cannot eat
-                        # the fleet's respawn budget forever.
-                        deliver(TaskOutcome(
-                            job.payload, job.index, "quarantined",
-                            error=f"worker died on all {job.execution} "
-                                  f"executions (last exit code {exitcode}); "
-                                  f"job quarantined",
-                            seconds=elapsed, executions=job.execution))
+                if message is None and job.execution == 1:
+                    queue.appendleft((job.index, job.payload, 2))
+                elif message is None:
+                    deliver(TaskOutcome(
+                        job.payload, job.index, "error",
+                        error=f"worker died on both executions "
+                              f"(last exit code {job.proc.exitcode})",
+                        seconds=elapsed, executions=job.execution))
                 elif message[0] == "ok":
                     deliver(TaskOutcome(job.payload, job.index, "ok",
                                         result=message[1], seconds=elapsed,
@@ -552,22 +414,3 @@ class WorkerPool:
                                               "(worker SIGKILLed)",
                                         seconds=now - job.started,
                                         executions=job.execution))
-            if stopped:
-                break
-
-        # An on_outcome veto cancels everything still in flight or queued.
-        for conn, job in running.items():
-            job.proc.kill()
-            reap(job)
-            outcomes[job.index] = TaskOutcome(
-                job.payload, job.index, "cancelled",
-                seconds=time.perf_counter() - job.started,
-                executions=job.execution)
-        for index, payload, execution in queue:
-            outcomes.setdefault(index, TaskOutcome(payload, index,
-                                                   "cancelled",
-                                                   executions=0))
-        for _ready_at, index, payload, execution in pending:
-            outcomes.setdefault(index, TaskOutcome(payload, index,
-                                                   "cancelled",
-                                                   executions=execution - 1))

@@ -23,6 +23,10 @@ from dataclasses import dataclass, field
 
 from repro.runner.store import latest_rows
 
+#: The row statuses; ``aggregate_rows`` counts any other as ``error``.
+STATUSES = ("terminating", "nonterminating", "unknown", "timeout", "error")
+
+
 @dataclass
 class ConfigAgg:
     """Aggregate over every row sharing one configuration."""
@@ -34,11 +38,6 @@ class ConfigAgg:
     unknown: int = 0
     timeout: int = 0
     error: int = 0
-    cancelled: int = 0
-    #: Workers SIGKILLed by the memory-pressure watchdog.
-    oom: int = 0
-    #: Poison jobs that killed their worker on every execution.
-    quarantined: int = 0
     #: Rows whose verdict matched a stated expectation.
     solved: int = 0
     #: Rows that *had* a stated (non-"unknown") expectation.
@@ -65,11 +64,10 @@ def aggregate_rows(rows) -> dict[str, ConfigAgg]:
         if agg is None:
             agg = aggs[config] = ConfigAgg(config)
         agg.jobs += 1
-        status = row.get("status", "?")
-        if status in ("terminating", "nonterminating", "unknown",
-                      "timeout", "error", "cancelled", "oom",
-                      "quarantined"):
-            setattr(agg, status, getattr(agg, status) + 1)
+        status = row.get("status")
+        if status not in STATUSES:
+            status = "error"  # a row nothing in this version writes
+        setattr(agg, status, getattr(agg, status) + 1)
         expected = row.get("expected")
         if expected and expected != "unknown":
             agg.expected_known += 1
@@ -95,8 +93,6 @@ def to_dict(aggs: dict[str, ConfigAgg]) -> dict:
             "unsound": a.unsound,
             "terminating": a.terminating, "nonterminating": a.nonterminating,
             "unknown": a.unknown, "timeout": a.timeout, "error": a.error,
-            "cancelled": a.cancelled, "oom": a.oom,
-            "quarantined": a.quarantined,
             "total_seconds": a.total_seconds, "mean_seconds": a.mean_seconds,
             "max_seconds": a.max_seconds,
             "counters": dict(sorted(a.counters.items())),
@@ -107,26 +103,17 @@ def to_dict(aggs: dict[str, ConfigAgg]) -> dict:
 
 def render_table(aggs: dict[str, ConfigAgg]) -> str:
     """The human-readable Table 3 analogue."""
-    # oom / quarantined columns only appear when some row carries those
-    # statuses, keeping the common table compact.
-    pressure = any(a.oom or a.quarantined for a in aggs.values())
-    header = (f"{'config':<28} {'jobs':>5} {'solved':>7} {'term':>5} "
-              f"{'nonterm':>8} {'unk':>5} {'t/o':>5} {'err':>5}")
-    if pressure:
-        header += f" {'oom':>5} {'quar':>5}"
-    header += f" {'total(s)':>9} {'mean(s)':>8}"
-    lines = [header]
+    lines = [f"{'config':<28} {'jobs':>5} {'solved':>7} {'term':>5} "
+             f"{'nonterm':>8} {'unk':>5} {'t/o':>5} {'err':>5} "
+             f"{'total(s)':>9} {'mean(s)':>8}"]
     for config in sorted(aggs):
         a = aggs[config]
         solved = (f"{a.solved}/{a.expected_known}" if a.expected_known
                   else "-")
-        line = (f"{config:<28} {a.jobs:>5d} {solved:>7} "
-                f"{a.terminating:>5d} {a.nonterminating:>8d} "
-                f"{a.unknown:>5d} {a.timeout:>5d} {a.error:>5d}")
-        if pressure:
-            line += f" {a.oom:>5d} {a.quarantined:>5d}"
-        line += f" {a.total_seconds:>9.2f} {a.mean_seconds:>8.2f}"
-        lines.append(line)
+        lines.append(f"{config:<28} {a.jobs:>5d} {solved:>7} "
+                     f"{a.terminating:>5d} {a.nonterminating:>8d} "
+                     f"{a.unknown:>5d} {a.timeout:>5d} {a.error:>5d} "
+                     f"{a.total_seconds:>9.2f} {a.mean_seconds:>8.2f}")
     if any(a.counters for a in aggs.values()):
         lines.append("\neffort (summed obs counters):")
         for config in sorted(aggs):
@@ -141,13 +128,23 @@ def render_table(aggs: dict[str, ConfigAgg]) -> str:
     return "\n".join(lines)
 
 
+def exit_code(aggs: dict[str, ConfigAgg]) -> int:
+    """3 if any row is an error, else 2 if any is inconclusive, else 0
+    -- the exit code ``report`` and ``bench`` share."""
+    if any(a.error for a in aggs.values()):
+        return 3
+    if any(a.unknown or a.timeout for a in aggs.values()):
+        return 2
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro report",
         description="Aggregate a corpus result store (Table 3 style).",
-        epilog="exit codes: 0 = all rows conclusive, 2 = unknown/timeout/"
-               "oom/cancelled rows, 3 = error/quarantined rows or an "
-               "empty store")
+        epilog="exit codes: 0 = all rows conclusive, 2 = unknown or "
+               "timeout rows, 3 = error rows (any status outside "
+               f"{', '.join(STATUSES)} counts as one) or an empty store")
     parser.add_argument("store", help="results JSONL written by `repro bench`")
     parser.add_argument("--json", action="store_true",
                         help="emit the aggregate as JSON")
@@ -164,15 +161,7 @@ def main(argv: list[str] | None = None) -> int:
             print(render_table(aggs))
     except BrokenPipeError:  # `repro report store | head` is fine
         sys.stderr.close()
-    if any(a.error or a.quarantined for a in aggs.values()):
-        return 3
-    # Cancelled rows (jobs `bench --fail-fast` stopped) are
-    # inconclusive too: no verdict was produced for them, so a
-    # cancelled-only store must not exit 0 ("all rows conclusive").
-    if any(a.unknown or a.timeout or a.oom or a.cancelled
-           for a in aggs.values()):
-        return 2
-    return 0
+    return exit_code(aggs)
 
 
 if __name__ == "__main__":

@@ -201,6 +201,30 @@ def test_cli_bench_rejects_malformed_config(tmp_path, capsys, config, named):
     assert not store.exists()
 
 
+@pytest.mark.parametrize("manifest, named", [
+    ({"programs": [{"bogus": 1}]}, "program entry"),
+    (["x"], "JSON object"),
+    ({"programs": ["suite"]}, "program entry"),
+    ({"programs": [{"scaled": "nested_loops", "k": "2"}]}, "'k'"),
+    ({"programs": [{"glob": "no_such_dir/*.t"}]}, "matched no files"),
+])
+def test_cli_bench_rejects_malformed_manifest(tmp_path, capsys, manifest,
+                                              named):
+    """One stderr line and exit 3, before any job runs."""
+    import json
+
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(manifest))
+    store = tmp_path / "results.jsonl"
+    code = main(["bench", str(path), "--inprocess", "--quiet",
+                 "--store", str(store)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.count("\n") == 1 and err.startswith("bench: "), err
+    assert named in err, err
+    assert not store.exists()
+
+
 def test_cli_bench_prints_one_progress_line_per_row(tmp_path, capsys):
     import json
     import re

@@ -169,25 +169,6 @@ def test_store_tail_torn_inside_multibyte_codepoint(tmp_path):
 # -- the corpus driver ----------------------------------------------------------
 
 
-def test_run_corpus_fail_fast_cancels_rest(tmp_path):
-    manifest = tiny_manifest(programs=[
-        {"name": "bad", "source": "program bad(\n"},
-        {"name": "a", "source": INLINE_TERMINATING,
-         "expected": "terminating"},
-        {"name": "b", "source": INLINE_DIVERGING,
-         "expected": "nonterminating"},
-    ])
-    store = tmp_path / "results.jsonl"
-    summary = run_corpus(manifest, store, pool=inprocess_pool(workers=1),
-                         fail_fast=True)
-    assert summary.total == 3
-    assert summary.errors == 1
-    assert len(summary.rows) < 3  # the rest of the matrix was cancelled
-    # finished rows stay resumable: a fixed rerun picks up where it stopped
-    again = run_corpus(manifest, store, pool=inprocess_pool(workers=1))
-    assert again.skipped == len(summary.rows)
-
-
 def test_run_corpus_and_resume_zero_recompute(tmp_path):
     store = tmp_path / "results.jsonl"
     manifest = tiny_manifest()
@@ -235,6 +216,23 @@ def test_error_rows_recorded_and_retry_errors(tmp_path):
     assert third.ran == 1 and third.skipped == 2
 
 
+def test_retry_errors_reruns_out_of_taxonomy_rows(tmp_path):
+    """A stored status outside the five is an error row to the report,
+    so ``retry_errors`` re-runs it; a plain resume keeps it."""
+    store = tmp_path / "results.jsonl"
+    manifest = tiny_manifest()
+    with ResultStore(store) as rows:
+        for job in expand_manifest(manifest):
+            rows.append({"key": job.key, "program": job.name,
+                         "config": job.config_name, "status": "quarantined"})
+    again = run_corpus(manifest, store, pool=inprocess_pool())
+    assert again.ran == 0
+    third = run_corpus(manifest, store, pool=inprocess_pool(),
+                       retry_errors=True)
+    assert third.ran == 2
+    assert third.by_status == {"terminating": 1, "nonterminating": 1}
+
+
 def test_run_corpus_through_real_workers(tmp_path):
     pool = WorkerPool(workers=2, task=analysis_task, task_timeout=30.0)
     if pool.inprocess:
@@ -249,41 +247,53 @@ def test_run_corpus_through_real_workers(tmp_path):
 
 
 def test_quarantined_rows_survive_every_retry_knob(tmp_path):
+    """A job whose worker died twice is an ``error`` row: a plain
+    resume (or ``retry_timeouts``) keeps it, ``retry_errors`` re-runs
+    it."""
     from repro.runner._testing import crash_task
     store = tmp_path / "results.jsonl"
     manifest = tiny_manifest()
 
     def crashing_pool():
-        return WorkerPool(workers=1, task=crash_task, max_retries=1,
-                          retry_backoff=0.01)
+        return WorkerPool(workers=1, task=crash_task)
 
     pool = crashing_pool()
     if pool.inprocess:
-        pytest.skip("multiprocessing unavailable: cannot quarantine")
+        pytest.skip("multiprocessing unavailable: cannot kill a worker")
     summary = run_corpus(manifest, store, pool=pool)
-    assert summary.by_status == {"quarantined": 2}
-    assert summary.quarantined == 2
-    # poison jobs are pinned: neither resume nor the retry knobs may
-    # respawn a job that killed its worker on every execution
+    assert summary.by_status == {"error": 2}
+    assert summary.errors == 2
+    rows = list(read_rows(store))
+    assert all(r["executions"] == 2 and "exit code" in r["error"]
+               for r in rows)
     again = run_corpus(manifest, store, pool=crashing_pool(),
-                       retry_errors=True, retry_timeouts=True)
+                       retry_timeouts=True)
     assert again.ran == 0 and again.skipped == 2
+    third = run_corpus(manifest, store, pool=inprocess_pool(),
+                       retry_errors=True)
+    assert third.ran == 2 and third.skipped == 0
+    assert third.by_status == {"terminating": 1, "nonterminating": 1}
 
 
 def test_retry_timeouts_reruns_timeout_and_oom_rows(tmp_path):
+    """``retry_timeouts`` re-runs exactly the timeout rows."""
     store = tmp_path / "results.jsonl"
     manifest = tiny_manifest(task_timeout=0.0)
+    manifest["programs"].append({"name": "broken",
+                                 "source": "program broken(\n"})
     first = run_corpus(manifest, store, pool=inprocess_pool())
-    assert first.by_status == {"timeout": 2}
+    assert first.by_status == {"timeout": 2, "error": 1}
     # a plain resume keeps the timeout rows ...
     again = run_corpus(manifest, store, pool=inprocess_pool(),
                        task_timeout=30.0)
     assert again.ran == 0
-    # ... --retry-timeouts re-runs them (here: with a real budget)
+    # ... --retry-timeouts re-runs them (here: with a real budget), and
+    # leaves the error row to --retry-errors
     third = run_corpus(manifest, store, pool=inprocess_pool(),
                        task_timeout=30.0, retry_timeouts=True)
     assert third.ran == 2
-    assert third.by_status == {"terminating": 1, "nonterminating": 1}
+    assert third.by_status == {"terminating": 1, "nonterminating": 1,
+                               "error": 1}
 
 
 def test_corpus_checkpoint_dir_flows_to_workers_and_warm_starts(tmp_path):
@@ -366,21 +376,17 @@ def _write_status_store(path, statuses):
 
 def test_report_exit_code_matrix(tmp_path, capsys):
     """Exit 0 = every row conclusive, 2 = inconclusive rows, 3 = broken
-    rows or an empty store.  Regression: ``cancelled`` rows (e.g. jobs
-    `bench --fail-fast` stopped) carry no verdict, so a cancelled-only
-    store used to exit 0 and let CI treat a half-cancelled corpus as clean."""
+    rows or an empty store."""
     from repro.runner.report import main as report_main
     store = tmp_path / "rows.jsonl"
     cases = [
         (["terminating", "nonterminating"], 0),
         (["terminating", "unknown"], 2),
         (["timeout"], 2),
-        (["oom"], 2),
-        (["cancelled"], 2),                   # the bugfix
-        (["terminating", "cancelled"], 2),
+        (["terminating", "timeout"], 2),
         (["terminating", "error"], 3),
-        (["quarantined"], 3),
-        (["cancelled", "error"], 3),          # broken outranks inconclusive
+        (["error"], 3),
+        (["timeout", "error"], 3),            # broken outranks inconclusive
     ]
     for statuses, expected_exit in cases:
         _write_status_store(store, statuses)
@@ -388,6 +394,25 @@ def test_report_exit_code_matrix(tmp_path, capsys):
         capsys.readouterr()
     store.write_text("")
     assert report_main([str(store)]) == 3  # empty store is a broken run
+
+
+@pytest.mark.parametrize("status", ["bogus", "oom", "quarantined",
+                                    "cancelled", None])
+def test_report_counts_out_of_taxonomy_rows_as_errors(tmp_path, capsys,
+                                                      status):
+    """A row whose status is not one of the five (a typo, or a status
+    an older version wrote) is an error row, so the report exits 3
+    rather than calling the store conclusive."""
+    from repro.runner.report import main as report_main
+    store = tmp_path / "rows.jsonl"
+    row = {"key": "k0", "program": "p0", "config": "default",
+           "seconds": 0.1}
+    if status is not None:
+        row["status"] = status
+    store.write_text(json.dumps(row) + "\n")
+    assert report_main([str(store), "--json"]) == 3
+    agg = json.loads(capsys.readouterr().out)["default"]
+    assert (agg["jobs"], agg["error"]) == (1, 1)
 
 
 def test_report_and_trajectory_count_only_the_latest_row_per_key(
@@ -412,15 +437,6 @@ def test_report_and_trajectory_count_only_the_latest_row_per_key(
     [record] = load_store(store)
     assert record.metrics["jobs"] == 1
     assert record.metrics["timeout"] == 0
-
-
-def test_report_help_epilog_documents_cancelled(capsys):
-    from repro.runner.report import main as report_main
-    with pytest.raises(SystemExit) as err:
-        report_main(["--help"])
-    assert err.value.code == 0
-    out = capsys.readouterr().out
-    assert "cancelled" in out
 
 
 # -- --trace-dir threading ----------------------------------------------------

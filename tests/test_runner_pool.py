@@ -1,7 +1,7 @@
-"""Worker-pool semantics: deadlines, crash isolation, retry, degradation.
+"""Worker-pool semantics: deadlines, crash isolation, respawn, degradation.
 
-The interesting paths (hung workers, SIGKILLed workers, ``on_outcome``
-cancellation) are driven by the fault-injection tasks of
+The interesting paths (hung workers, SIGKILLed workers) are driven by
+the fault-injection tasks of
 :mod:`repro.runner._testing` rather than pathological programs, so the
 tests are fast and deterministic.
 """
@@ -13,8 +13,7 @@ import time
 
 import pytest
 
-import repro.runner.pool as pool_module
-from repro.runner._testing import crash_task, echo_task, flaky_task, sleep_task
+from repro.runner._testing import crash_task, echo_task, flaky_task
 from repro.runner.pool import TaskOutcome, WorkerPool, analysis_task
 
 pytestmark = pytest.mark.filterwarnings(
@@ -54,69 +53,20 @@ def test_hard_deadline_sigkills_hung_worker():
 
 
 def test_sigkilled_worker_is_quarantined_after_retries():
-    pool = WorkerPool(workers=2, task=crash_task, max_retries=1,
-                      retry_backoff=0.01)
+    """A job whose worker dies on both executions is an ``error``
+    outcome naming the exit code (no status of its own)."""
+    pool = WorkerPool(workers=2, task=crash_task)
     if pool.inprocess:
         pytest.skip("multiprocessing unavailable: cannot observe SIGKILL")
     outcomes = pool.run([{"name": "crash"}])
-    assert outcomes[0].status == "quarantined"
-    assert outcomes[0].status != "unknown"
+    assert outcomes[0].status == "error"
     assert "died" in outcomes[0].error
-    assert "quarantined" in outcomes[0].error
-    assert outcomes[0].executions == 2  # the original + exactly one retry
-
-
-@pytest.fixture
-def fast_watchdog(monkeypatch):
-    monkeypatch.setattr(pool_module, "WATCHDOG_INTERVAL_S", 0.05)
-
-
-def test_memory_watchdog_kills_and_reports_oom(fast_watchdog):
-    # Any live Python worker's RSS dwarfs a 1 kB cap, so the watchdog
-    # must kill it on its first sample -- no balloon task needed.
-    pool = WorkerPool(workers=1, task=sleep_task, max_rss_kb=1,
-                      kill_grace=0.2)
-    if pool.inprocess:
-        pytest.skip("multiprocessing unavailable: no watchdog")
-    start = time.perf_counter()
-    outcomes = pool.run([{"key": "fat", "name": "fat", "delay": 3600.0}])
-    wall = time.perf_counter() - start
-    assert outcomes[0].status == "oom"
-    assert "rss" in outcomes[0].error
-    assert "kB cap" in outcomes[0].error
-    assert wall < 30.0  # killed at the first sample, not the deadline
-
-
-def test_oom_kill_is_not_retried(fast_watchdog):
-    pool = WorkerPool(workers=1, task=sleep_task, max_rss_kb=1,
-                      max_retries=3, kill_grace=0.2)
-    if pool.inprocess:
-        pytest.skip("multiprocessing unavailable: no watchdog")
-    outcomes = pool.run([{"key": "fat", "name": "fat", "delay": 3600.0}])
-    assert outcomes[0].status == "oom"
-    assert outcomes[0].executions == 1  # a deterministic balloon:
-    # respawning it would only re-balloon
-
-
-def test_retry_delay_is_seeded_capped_exponential():
-    pool = WorkerPool(workers=1, task=echo_task,
-                      retry_backoff=0.1, retry_backoff_cap=1.0)
-    payload = {"key": "j1", "name": "j1"}
-    delays = [pool.retry_delay(payload, n) for n in range(1, 8)]
-    # deterministic: same job, same execution => same delay
-    assert delays == [pool.retry_delay(payload, n) for n in range(1, 8)]
-    # exponential floor with full jitter, capped
-    for n, delay in enumerate(delays, start=1):
-        base = 0.1 * (2 ** (n - 1))
-        assert min(base, 1.0) <= delay <= min(2 * base, 1.0) + 1e-9
-    assert delays[-1] == 1.0  # the cap
-    # a different job draws a different jitter stream
-    other = pool.retry_delay({"key": "j2", "name": "j2"}, 1)
-    assert other != delays[0]
+    assert f"exit code {-signal.SIGKILL}" in outcomes[0].error
+    assert outcomes[0].executions == 2  # the original + exactly one respawn
 
 
 def test_flaky_worker_recovers_on_retry(tmp_path):
-    pool = WorkerPool(workers=1, task=flaky_task, max_retries=1)
+    pool = WorkerPool(workers=1, task=flaky_task)
     if pool.inprocess:
         pytest.skip("multiprocessing unavailable")
     marker = tmp_path / "attempt.marker"
@@ -132,21 +82,6 @@ def test_task_exception_is_error_without_retry():
     assert outcomes[0].status == "error"
     assert "simulated crash" in outcomes[0].error
     assert outcomes[0].executions == 1  # deterministic: not retried
-
-
-def test_on_outcome_false_cancels_the_rest():
-    pool = WorkerPool(workers=2, task=echo_task)
-    if pool.inprocess:
-        pytest.skip("multiprocessing unavailable")
-    start = time.perf_counter()
-    outcomes = pool.run(
-        [{"name": "slow", "delay": 3600.0}, {"name": "fast", "value": 7}],
-        on_outcome=lambda o: False)  # first landing outcome stops the run
-    wall = time.perf_counter() - start
-    assert wall < 30.0
-    by_name = {o.payload["name"]: o for o in outcomes}
-    assert by_name["fast"].status == "ok"
-    assert by_name["slow"].status == "cancelled"
 
 
 class _SecondSpawnFails:
@@ -202,14 +137,6 @@ def test_inprocess_degradation_still_executes():
     assert pool.inprocess
     outcomes = pool.run([{"name": "a", "value": 1}, {"name": "b", "value": 2}])
     assert [o.result["value"] for o in outcomes] == [1, 2]
-
-
-def test_inprocess_cancellation():
-    pool = WorkerPool(task=echo_task, inprocess=True)
-    outcomes = pool.run([{"value": 1}, {"value": 2}, {"value": 3}],
-                        on_outcome=lambda o: False)
-    assert [o.status for o in outcomes] == ["ok", "cancelled", "cancelled"]
-    assert outcomes[1].executions == 0
 
 
 def test_analysis_task_row_shape():
