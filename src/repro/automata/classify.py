@@ -103,23 +103,6 @@ def is_semideterministic(auto: GBA) -> bool:
     return sdba_parts(auto) is not None
 
 
-def is_elevator(auto: GBA) -> bool:
-    """Is every reachable SCC inherently weak or internally deterministic?
-
-    Elevator automata (*Sky Is Not the Limit*, Havlena/Lengal/Smahlikova
-    2021) generalize semideterministic BAs: nondeterminism confined to
-    non-accepting prefix SCCs is harmless, so billing such an automaton
-    as general-``RANK`` is over-pessimistic -- rank-based complementation
-    needs only a constant rank bound (see :func:`elevator_rank_bound`),
-    and the modular dispatch avoids rank tracking for it entirely.
-    """
-    from repro.automata.complement.modular.analyze import SCCClass, condensation
-    if not auto.is_ba():
-        return False
-    return all(comp.scc_class is not SCCClass.GENERAL
-               for comp in condensation(auto).components)
-
-
 def elevator_rank_bound(auto: GBA) -> int:
     """Tightest known cap on the ranks a rank-based complement needs.
 

@@ -25,7 +25,7 @@ from repro.automata.complement.dba import complement_dba
 from repro.automata.complement.ncsb import (MacroState, NCSBLazy,
                                             NCSBOriginal, subsumes,
                                             subsumes_b)
-from repro.automata.complement.rank_based import RankComplement, complement_rank
+from repro.automata.complement.rank_based import RankComplement
 from repro.automata.complement.modular import (Condensation, ModularComplement,
                                                SCCClass, condensation)
 from repro.automata.complement.dispatch import (ComplementKind, classify_kind,
@@ -36,7 +36,7 @@ __all__ = [
     "complement_finite_trace",
     "complement_dba",
     "MacroState", "NCSBOriginal", "NCSBLazy", "subsumes", "subsumes_b",
-    "RankComplement", "complement_rank",
+    "RankComplement",
     "SCCClass", "Condensation", "condensation", "ModularComplement",
     "ComplementKind", "classify_kind", "complement", "implicit_complement",
     "kind_applies",

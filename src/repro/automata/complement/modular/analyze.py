@@ -115,7 +115,9 @@ def condensation(auto: GBA, deadline: float | None = None) -> Condensation:
     components = tuple(
         Component(i, frozenset(members),
                   _classify_scc(auto, frozenset(members), accepting))
-        for i, members in enumerate(tarjan_sccs(auto, deadline)))
+        for i, members in enumerate(tarjan_sccs(
+            auto.initial_states(), lambda q: sorted(auto.post(q), key=repr),
+            deadline)))
     return Condensation(auto, components)
 
 

@@ -7,9 +7,8 @@ reachable subset ``pool`` (the running subset construction all partials
 re-admit entrants from), one partial state per active class, and a
 round-robin ``turn`` counter.
 
-The counter is the standard degeneralization of the product's
-generalized acceptance (mirrors :func:`repro.automata.ops.degeneralize`):
-at each macro-state the counter advances past every partial that is
+The counter is the standard counter degeneralization of the
+product's generalized acceptance: at each macro-state the counter advances past every partial that is
 accepting there, in order, starting from ``turn``; the macro-state is
 accepting (and the counter wraps to 0) iff it advances past the last
 partial.  A word is accepted iff on some branch every partial accepts

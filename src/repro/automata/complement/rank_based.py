@@ -118,9 +118,3 @@ class RankComplement:
             else:
                 owing2 = evens
             yield _make(g, owing2)
-
-
-def complement_rank(auto: GBA, max_rank: int | None = None) -> GBA:
-    """Materialized rank-based complement (reachable part)."""
-    from repro.automata.gba import materialize
-    return materialize(RankComplement(auto, max_rank))

@@ -67,11 +67,10 @@ class SubsumptionOracle(EmptyOracle):
     ``<='``-maximal complement macro-states are kept (a smaller-language
     macro-state subsumed by a recorded empty one is empty too).
 
-    For the two known relations (Eq. 4 ``subsumes`` and Eq. 5
-    ``subsumes_b``) the antichain scan runs over an interned bitset
-    encoding of the macro-state components (:class:`MacroEncoder`), with
-    a component-size pre-filter in front of the bitwise checks; custom
-    relations fall back to the generic frozenset path.
+    ``relation`` is Eq. 4 ``subsumes`` or Eq. 5 ``subsumes_b``; the
+    antichain scan runs over an interned bitset encoding of the
+    macro-state components (:class:`MacroEncoder`), with a
+    component-size pre-filter in front of the bitwise checks.
 
     ``simulation`` (pairs ``(q, r)`` = "``q`` is direct-simulated by
     ``r``" on the prepared SDBA) coarsens the order: components that
@@ -83,25 +82,23 @@ class SubsumptionOracle(EmptyOracle):
     def __init__(self, relation: Callable[[MacroState, MacroState], bool],
                  simulation: set[tuple[State, State]] | None = None):
         super().__init__()
-        self._relation = relation
-        self._use_bits = relation in (subsumes, subsumes_b)
+        if relation not in (subsumes, subsumes_b):
+            raise ValueError("the antichain orders are subsumes and subsumes_b")
         self._check_b = relation is subsumes_b
         self._encoder = MacroEncoder()
         #: ``down[r]`` = bitmask of ``{q : q direct-simulated by r}``;
         #: None disables the coarsened path.
         self._down: dict[State, int] | None = None
         self._closure_cache: dict[frozenset, tuple[int, int]] = {}
-        if (simulation is not None and self._use_bits
-                and any(p != r for p, r in simulation)):
+        if simulation is not None and any(p != r for p, r in simulation):
             bit = self._encoder.bit
             down: dict[State, int] = {}
             for q, r in simulation:
                 down[r] = down.get(r, 0) | bit(q)
             self._down = down
         #: Per-group entries: ``(macro, raw, closure)`` -- bitset
-        #: encodings, ``closure`` only on the coarsened path, both None
-        #: on the generic path.
-        self._groups: dict[State, list[tuple[MacroState, tuple[int, ...] | None,
+        #: encodings, ``closure`` only on the coarsened path.
+        self._groups: dict[State, list[tuple[MacroState, tuple[int, ...],
                                              tuple[int, ...] | None]]] = {}
         self._size = 0
         self.prefilter_skips = 0
@@ -135,13 +132,11 @@ class SubsumptionOracle(EmptyOracle):
             self._closure_cache[states] = cached
         return cached
 
-    def _subsumed(self, small: tuple[MacroState, tuple[int, ...] | None,
+    def _subsumed(self, small: tuple[MacroState, tuple[int, ...],
                                      tuple[int, ...] | None],
-                  big: tuple[MacroState, tuple[int, ...] | None,
+                  big: tuple[MacroState, tuple[int, ...],
                              tuple[int, ...] | None]) -> bool:
         """Is ``small`` subsumed by ``big`` (``small <=' big``)?"""
-        if not self._use_bits:
-            return self._relation(small[0], big[0])
         sn, sc, ss, sb, sln, slc, sls, slb = small[1]
         bn, bc, bs, bb, bln, blc, bls, blb = big[1]
         if self._down is None:
@@ -174,10 +169,8 @@ class SubsumptionOracle(EmptyOracle):
             self.sim_subsumption_hits += 1
         return hit
 
-    def _entry(self, macro: MacroState) -> tuple[MacroState, tuple[int, ...] | None,
+    def _entry(self, macro: MacroState) -> tuple[MacroState, tuple[int, ...],
                                                  tuple[int, ...] | None]:
-        if not self._use_bits:
-            return macro, None, None
         raw = self._encoder.encode(macro)
         if self._down is None:
             return macro, raw, None
@@ -185,15 +178,12 @@ class SubsumptionOracle(EmptyOracle):
         (cs, cls), (cb, clb) = self._closure(macro.s), self._closure(macro.b)
         return macro, raw, (cn, cc, cs, cb, cln, clc, cls, clb)
 
-    def _covered(self, entry: tuple[MacroState, tuple[int, ...] | None,
+    def _covered(self, entry: tuple[MacroState, tuple[int, ...],
                                     tuple[int, ...] | None],
                  group: list) -> bool:
         """``any(self._subsumed(entry, existing) for existing in group)``
         as one loop over locals, with the same answer and counts: the hot
         antichain scan of ``contains`` and ``add``."""
-        if not self._use_bits:
-            relation, macro = self._relation, entry[0]
-            return any(relation(macro, existing[0]) for existing in group)
         sn, sc, ss, sb, sln, slc, sls, slb = entry[1]
         if not self._check_b:
             # Eq. 4 ignores B: an all-ones mask of unbounded size passes

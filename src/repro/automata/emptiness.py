@@ -18,6 +18,10 @@ of Section 6 (Eq. 10).
 
 The implementation is iterative (explicit DFS frames) so automata with
 hundreds of thousands of states do not hit Python's recursion limit.
+So is :func:`tarjan_sccs`, the one SCC search behind lasso extraction
+(:func:`find_accepting_lasso`), word membership
+(:func:`repro.automata.words.accepts`) and the condensation analysis of
+modular complementation.
 """
 
 from __future__ import annotations
@@ -321,59 +325,58 @@ def is_empty(auto: ImplicitGBA, **kwargs) -> bool:
 def is_empty_naive(auto: GBA) -> bool:
     """Reference emptiness check (for tests): reachable SCC analysis.
 
-    Computes SCCs of the reachable explicit graph with Tarjan's
-    algorithm and looks for a non-trivial SCC hitting every set.
+    Computes SCCs of the reachable explicit graph with
+    :func:`tarjan_sccs` and looks for a non-trivial SCC hitting every set.
     """
     return find_accepting_lasso(auto) is None
 
 
-def _tarjan_sccs(auto: GBA, deadline: float | None = None) -> list[list[State]]:
+def tarjan_sccs(roots: Iterable[State],
+                successors: Callable[[State], Iterable[State]],
+                deadline: float | None = None) -> Iterator[list[State]]:
+    """SCCs of the graph reachable from ``roots``, in Tarjan emission order.
+
+    Every SCC is emitted after all distinct SCCs reachable from it
+    (reverse topological order of the condensation DAG); successors are
+    visited in the order ``successors`` lists them.  A generator, so a
+    caller looking for one component stops the search there.  The
+    search is iterative (explicit DFS frames).  ``deadline`` (absolute
+    ``perf_counter`` seconds) raises :class:`ExplorationTimeout`.
+    """
     index: dict[State, int] = {}
     low: dict[State, int] = {}
     on_stack: set[State] = set()
     stack: list[State] = []
-    counter = [0]
-    sccs: list[list[State]] = []
-
-    reachable: list[State] = []
-    seen: set[State] = set(auto.initial_states())
-    queue = deque(seen)
-    while queue:
-        q = queue.popleft()
-        reachable.append(q)
-        for t in auto.post(q):
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
-
-    steps = [0]
-
-    def strongconnect(v: State) -> None:
+    counter = 0
+    steps = 0
+    for root in roots:
+        if root in index:
+            continue
         # One unconditional check per root, then every 512 loop steps:
-        # small automata still notice an expired deadline, big ones pay
+        # small graphs still notice an expired deadline, big ones pay
         # one perf_counter call per half-K states.
         if deadline is not None and time.perf_counter() > deadline:
             raise ExplorationTimeout(deadline)
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack.add(root)
         work: list[tuple[State, Iterator[State]]] = [
-            (v, iter(sorted(auto.post(v), key=repr)))]
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        on_stack.add(v)
+            (root, iter(successors(root)))]
         while work:
-            steps[0] += 1
-            if (deadline is not None and steps[0] % 512 == 0
+            steps += 1
+            if (deadline is not None and steps % 512 == 0
                     and time.perf_counter() > deadline):
                 raise ExplorationTimeout(deadline)
             node, it = work[-1]
             advanced = False
             for w in it:
                 if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
+                    index[w] = low[w] = counter
+                    counter += 1
                     stack.append(w)
                     on_stack.add(w)
-                    work.append((w, iter(sorted(auto.post(w), key=repr))))
+                    work.append((w, iter(successors(w))))
                     advanced = True
                     break
                 if w in on_stack:
@@ -392,29 +395,22 @@ def _tarjan_sccs(auto: GBA, deadline: float | None = None) -> list[list[State]]:
                     component.append(w)
                     if w == node:
                         break
-                sccs.append(component)
-
-    for v in reachable:
-        if v not in index:
-            strongconnect(v)
-    return sccs
+                yield component
 
 
-#: Public alias: SCCs of the reachable part, in Tarjan emission order
-#: (every SCC is emitted after all distinct SCCs reachable from it --
-#: reverse topological order of the condensation DAG).  Used by the
-#: condensation analyzer of the modular complementation subsystem.
-tarjan_sccs = _tarjan_sccs
-
-
-def _scc_is_accepting(auto: GBA, component: list[State]) -> bool:
+def accepting_scc(component: list[State],
+                  successors: Callable[[State], Iterable[State]],
+                  accepting_sets_of: Callable[[State], Iterable[int]],
+                  k: int) -> bool:
+    """Does the SCC hold an edge and a state of each of the ``k`` sets?"""
     members = set(component)
-    has_edge = any(t in members for q in component for t in auto.post(q))
-    if not has_edge:
+    if not any(t in members for q in component for t in successors(q)):
         return False
-    needed = set(range(auto.acceptance_count))
+    needed = set(range(k))
     for q in component:
-        needed -= auto.accepting_sets_of(q)
+        needed -= accepting_sets_of(q)
+        if not needed:
+            return True
     return not needed
 
 
@@ -429,11 +425,12 @@ def find_accepting_lasso(auto: GBA,
     :class:`ExplorationTimeout` instead of overrunning a cooperative
     budget on a large remainder.
     """
-    target_scc: set[State] | None = None
-    for component in _tarjan_sccs(auto, deadline=deadline):
-        if _scc_is_accepting(auto, component):
-            target_scc = set(component)
-            break
+    k = auto.acceptance_count
+    components = tarjan_sccs(auto.initial_states(),
+                             lambda q: sorted(auto.post(q), key=repr),
+                             deadline)
+    target_scc = next((set(c) for c in components if accepting_scc(
+        c, auto.post, auto.accepting_sets_of, k)), None)
     if target_scc is None:
         return None
 
@@ -445,7 +442,7 @@ def find_accepting_lasso(auto: GBA,
 
     period: list[Symbol] = []
     current = entry
-    for j in range(auto.acceptance_count):
+    for j in range(k):
         if j in auto.accepting_sets_of(current):
             continue
         segment, current = _bfs_path(

@@ -164,14 +164,6 @@ class GBA:
 
     # -- construction helpers --------------------------------------------------
 
-    def with_acc_sets(self, acc_sets: Iterable[Iterable[State]]) -> "GBA":
-        return GBA(self._alphabet, self._trans, self._initial, acc_sets,
-                   states=self._states)
-
-    def with_initial(self, initial: Iterable[State]) -> "GBA":
-        return GBA(self._alphabet, self._trans, initial, self._acc,
-                   states=self._states)
-
     def map_states(self, fn) -> "GBA":
         """Apply a state-renaming bijection."""
         trans = {(fn(q), a): [fn(t) for t in targets]
@@ -179,12 +171,6 @@ class GBA:
         return GBA(self._alphabet, trans, [fn(q) for q in self._initial],
                    [[fn(q) for q in f] for f in self._acc],
                    states=[fn(q) for q in self._states])
-
-    def renumbered(self) -> "GBA":
-        """Rename states to consecutive integers (stable sorted order)."""
-        order = {q: i for i, q in enumerate(
-            sorted(self._states, key=lambda s: (str(type(s)), str(s))))}
-        return self.map_states(lambda q: order[q])
 
     def __repr__(self) -> str:
         return (f"GBA(|Q|={len(self._states)}, |Sigma|={len(self._alphabet)}, "

@@ -1,15 +1,13 @@
 """Basic operations on (generalized) Buechi automata.
 
-Completion, disjoint union, GBA intersection (both explicit and
-on-the-fly), degeneralization to plain BAs, reachability and trimming.
+Completion, disjoint union and the on-the-fly GBA intersection.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable
 
-from repro.automata.gba import GBA, ImplicitGBA, State, Symbol, ba, materialize
+from repro.automata.gba import GBA, ImplicitGBA, State, Symbol
 
 #: Canonical sink state used by :func:`complete`.
 SINK = "__sink__"
@@ -111,83 +109,3 @@ class ProductGBA:
         shift = self._left.acceptance_count
         return (frozenset(self._left.accepting_sets_of(p))
                 | frozenset(j + shift for j in self._right.accepting_sets_of(q)))
-
-
-def intersect(left: GBA, right: GBA) -> GBA:
-    """Materialized intersection (reachable part of the product)."""
-    return materialize(ProductGBA(left, right))
-
-
-def degeneralize(auto: GBA) -> GBA:
-    """Convert a GBA to an equivalent BA via the counter construction.
-
-    States become ``(q, i)`` where ``i`` counts the next awaited
-    acceptance set; the BA accepting set is ``F_0 x {0}``
-    (counter wrap-around).  A ``k = 0`` automaton gets one trivial
-    acceptance set containing every state.
-    """
-    k = auto.acceptance_count
-    if k == 0:
-        return ba(auto.alphabet, auto.transitions, auto.initial_states(),
-                  auto.states, states=auto.states)
-    if k == 1:
-        return auto
-
-    def advance(q: State, i: int) -> int:
-        """Counter after crediting every set satisfied at ``q`` from ``i`` on."""
-        while i < k and i in auto.accepting_sets_of(q):
-            i += 1
-        return i
-
-    transitions: dict[tuple[State, Symbol], set[State]] = {}
-    initial = {(q, 0) for q in auto.initial_states()}
-    queue: deque[tuple[State, int]] = deque(initial)
-    seen: set[tuple[State, int]] = set(initial)
-    accepting: set[tuple[State, int]] = set()
-    while queue:
-        q, i = queue.popleft()
-        j = advance(q, i)
-        if j == k:  # counter completed a full round at this state
-            accepting.add((q, i))
-            j = 0
-        for symbol in auto.alphabet:
-            for q2 in auto.successors(q, symbol):
-                target = (q2, j)
-                transitions.setdefault(((q, i), symbol), set()).add(target)
-                if target not in seen:
-                    seen.add(target)
-                    queue.append(target)
-    return ba(auto.alphabet, transitions, initial, accepting, states=seen)
-
-
-def reachable_states(auto: GBA) -> frozenset[State]:
-    seen: set[State] = set(auto.initial_states())
-    queue: deque[State] = deque(seen)
-    while queue:
-        state = queue.popleft()
-        for target in auto.post(state):
-            if target not in seen:
-                seen.add(target)
-                queue.append(target)
-    return frozenset(seen)
-
-
-def restrict(auto: GBA, keep: Iterable[State]) -> GBA:
-    """Sub-automaton induced by ``keep`` (initial states intersected)."""
-    keep = frozenset(keep)
-    transitions = {}
-    for (q, a), targets in auto.transitions.items():
-        if q in keep:
-            kept = targets & keep
-            if kept:
-                transitions[(q, a)] = kept
-    return GBA(auto.alphabet, transitions,
-               auto.initial_states() & keep,
-               [f & keep for f in auto.acc_sets],
-               states=keep)
-
-
-def trim(auto: GBA) -> GBA:
-    """Restrict to reachable states (useless-state removal lives in
-    :mod:`repro.automata.emptiness`)."""
-    return restrict(auto, reachable_states(auto))

@@ -1,42 +1,28 @@
-"""Early simulation relations (Section 6.1).
+"""Direct simulation and simulation quotients (Section 6.1).
 
-The paper introduces two trace simulations to prove that the macro-state
-subsumptions under-approximate language inclusion:
+``p`` is **direct-simulated** by ``r`` when Duplicator, starting in
+``r``, can answer every move of Spoiler from ``p`` with a move on the
+same symbol so that, at every step, an accepting Spoiler state is
+matched by an accepting Duplicator state.  Direct simulation implies
+the paper's early and early+1 simulations (Eqs. 11 and 12), which in
+turn imply language inclusion (Proposition 6.1); the engine uses it to
+quotient the subtrahend (:func:`quotient`) and to coarsen the
+subsumption antichain.
 
-- ``pi_p`` is **early+1 simulated** by ``pi_r`` (Eq. 12) iff between
-  every two accepting visits of ``pi_p`` (positions ``i < j``), ``pi_r``
-  visits an accepting state at some ``k`` with ``i < k <= j``;
-- ``pi_p`` is **early simulated** by ``pi_r`` (Eq. 11) iff additionally
-  ``pi_r``'s first accepting visit happens no later than ``pi_p``'s
-  (the ``i = -1`` case).
-
-State-level simulation quantifies over a Duplicator strategy.  Both
-relations are *safety* conditions on the product play -- a violation is
-a finite prefix in which Spoiler closes an accepting window that
-Duplicator failed to serve -- so the winning regions are greatest
-fixpoints over a monitored product game:
-
-    game node:  (p, r, owing)
-
-``owing`` records that Spoiler has visited F since Duplicator's last
-F-visit; Spoiler visiting F again while still owing (without Duplicator
-serving at the same step) is the losing move.
-
-The fixpoints are solved with worklist/counter algorithms in the style
-of Henzinger--Henzinger--Kopke: each game node keeps, per Spoiler move,
-a counter of surviving Duplicator replies; when a node dies its
-predecessors' counters are decremented, and a counter hitting zero
-kills the dependent nodes.  Counters are initialized lazily from
+The relation is a greatest fixpoint, solved with the worklist/counter
+algorithm of Henzinger--Henzinger--Kopke: each pair keeps, per
+Spoiler move, a counter of surviving Duplicator replies; when a pair
+dies its predecessors' counters are decremented, and a counter hitting
+zero kills the dependent pairs.  Counters are initialized lazily from
 per-``(r, a)`` successor tallies, so total work is proportional to
 ``states x edges`` instead of iterating the full relation to a
-fixpoint.  The solvers charge the ambient
+fixpoint.  The solver charges the ambient
 :class:`~repro.core.budget.Budget` (``charge_simulation``), making the
 reduction safe to leave on for large automata.
 
-Proposition 6.1 (``early <= early+1 <= language inclusion``) is checked
-by the test suite against word sampling, and Lemma 6.2 (the NCSB
-subsumptions are early simulations) against the actual complement
-automata.
+Proposition 6.1 and Lemma 6.2 (the NCSB subsumptions are early
+simulations) are checked by the test suite against a chaotic-iteration
+solver of the early games and against the actual complement automata.
 """
 
 from __future__ import annotations
@@ -50,20 +36,6 @@ from repro.obs import metrics as _metrics
 
 #: Deadline-poll stride for the solver worklist loops.
 _POLL_EVERY = 4096
-
-
-def _violates(owing: bool, p_acc: bool, r_acc: bool) -> bool:
-    """Spoiler closes an owed window without Duplicator serving it."""
-    return owing and p_acc and not r_acc
-
-
-def _step(owing: bool, p_acc: bool, r_acc: bool) -> bool:
-    """Monitor update after a joint move to ``(p, r)`` (no violation)."""
-    if r_acc:
-        owing = False
-    if p_acc:
-        owing = True
-    return owing
 
 
 def _edge_index(auto: GBA, states: list[State], alphabet: list):
@@ -80,131 +52,12 @@ def _edge_index(auto: GBA, states: list[State], alphabet: list):
     return succ, pred
 
 
-def _simulation_pairs(auto: GBA, initial_owing: bool) -> set[tuple[State, State]]:
-    """Pairs ``(p, r)`` with ``p`` simulated by ``r``.
-
-    ``initial_owing`` selects the relation: ``True`` adds the paper's
-    ``i = -1`` obligation (early simulation), ``False`` gives early+1.
-
-    Worklist solver over the monitored product game: a node ``(p, r, o)``
-    dies when for some Spoiler move ``(a, p')`` the counter of surviving
-    valid Duplicator replies reaches zero; deaths propagate backwards
-    through the predecessor lists.
-    """
-    if not auto.is_ba():
-        raise ValueError("early simulations are defined on BAs")
-    accepting = auto.accepting
-    states = sorted(auto.states, key=repr)
-    n = len(states)
-    budget = current_budget()
-    if budget is not None:
-        budget.charge_simulation(2 * n * n)
-    _metrics.inc("simulation.pairs", 2 * n * n)
-    alphabet = sorted(auto.alphabet, key=str)
-    succ, pred = _edge_index(auto, states, alphabet)
-
-    # Per (r, a) reply tallies: all successors / accepting successors.
-    n_all: dict[tuple[State, object], int] = {}
-    n_f: dict[tuple[State, object], int] = {}
-    for key, targets in succ.items():
-        n_all[key] = len(targets)
-        n_f[key] = sum(1 for t in targets if t in accepting)
-
-    def init_cnt(p2: State, r: State, o: bool, a) -> int:
-        """Valid replies from node ``(., r, o)`` to Spoiler move ``(a, p2)``
-        while every node is still alive."""
-        if o and p2 in accepting:
-            return n_f.get((r, a), 0)
-        return n_all.get((r, a), 0)
-
-    dead: set[tuple[State, State, bool]] = set()
-    queue: deque[tuple[State, State, bool]] = deque()
-
-    def kill(node: tuple[State, State, bool]) -> None:
-        if node not in dead:
-            dead.add(node)
-            queue.append(node)
-
-    # Seed: nodes with an unanswerable Spoiler move under the initial
-    # (everything-alive) counters.
-    for p in states:
-        for a in alphabet:
-            p_moves = succ.get((p, a))
-            if not p_moves:
-                continue
-            p_has_acc = any(p2 in accepting for p2 in p_moves)
-            for r in states:
-                na = n_all.get((r, a), 0)
-                if na == 0:
-                    kill((p, r, False))
-                    kill((p, r, True))
-                elif p_has_acc and n_f.get((r, a), 0) == 0:
-                    kill((p, r, True))
-
-    # Propagate deaths.  Counters are created lazily at their first
-    # decrement: every earlier death touching a key passes through this
-    # same loop, so a missing counter still holds its initial value.
-    cnt: dict[tuple[State, State, bool, object], int] = {}
-    polls = 0
-    while queue:
-        p2, r2, o2 = queue.popleft()
-        p2_acc = p2 in accepting
-        r2_acc = r2 in accepting
-        for a in alphabet:
-            r_preds = pred.get((r2, a))
-            if not r_preds:
-                continue
-            p_preds = pred.get((p2, a), ())
-            for o in (False, True):
-                # Was the reply r2 (from some node (., r, o), against
-                # Spoiler move (a, p2)) valid and did it land on owing o2?
-                if _violates(o, p2_acc, r2_acc):
-                    continue
-                if _step(o, p2_acc, r2_acc) != o2:
-                    continue
-                for r in r_preds:
-                    polls += 1
-                    if budget is not None and polls % _POLL_EVERY == 0:
-                        budget.check_deadline("simulation")
-                    key = (p2, r, o, a)
-                    count = cnt.get(key)
-                    if count is None:
-                        count = init_cnt(p2, r, o, a)
-                    count -= 1
-                    cnt[key] = count
-                    if count == 0:
-                        for p in p_preds:
-                            kill((p, r, o))
-
-    # Project to state pairs: process position 0 (the states themselves).
-    result: set[tuple[State, State]] = set()
-    for p in states:
-        p_acc = p in accepting
-        for r in states:
-            r_acc = r in accepting
-            if _violates(initial_owing, p_acc, r_acc):
-                continue
-            if (p, r, _step(initial_owing, p_acc, r_acc)) not in dead:
-                result.add((p, r))
-    return result
-
-
-def early_simulation(auto: GBA) -> set[tuple[State, State]]:
-    """The early simulation ``<=_e`` of Eq. 11 as a set of state pairs."""
-    return _simulation_pairs(auto, initial_owing=True)
-
-
-def early_plus_one_simulation(auto: GBA) -> set[tuple[State, State]]:
-    """The early+1 simulation ``<=_{e+1}`` of Eq. 12 as a set of state pairs."""
-    return _simulation_pairs(auto, initial_owing=False)
-
-
 def direct_simulation(auto: GBA,
                       parts: tuple[Iterable[State], Iterable[State]] | None = None,
                       ) -> set[tuple[State, State]]:
     """Classical direct simulation (``p in F  =>  r in F`` stepwise).
 
-    Strictly stronger than both early simulations; used for
+    Contained in both early simulations of Eqs. 11 and 12; used for
     simulation-based state-space reduction (:func:`quotient`) and for
     coarsening the subsumption antichain.
 
@@ -285,7 +138,9 @@ def direct_simulation(auto: GBA,
                 if any(init_cnt(p2, r, a) == 0 for p2 in p_moves):
                     remove((p, r))
 
-    # Propagate removals (lazy counters: see _simulation_pairs).
+    # Propagate removals.  Counters are created lazily at their first
+    # decrement: every earlier removal touching a key passes through this
+    # same loop, so a missing counter still holds its initial value.
     cnt: dict[tuple[State, State, object], int] = {}
     polls = 0
     while removed:

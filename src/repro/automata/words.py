@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from repro.automata.gba import GBA, ImplicitGBA, Symbol
+from repro.automata.gba import ImplicitGBA, Symbol
 
 
 @dataclass(frozen=True)
@@ -86,108 +86,31 @@ def accepts(auto: ImplicitGBA, word: UPWord) -> bool:
     """Does the GBA accept the ultimately periodic word?
 
     Runs the standard product-with-lasso construction: positions of the
-    word form a lasso graph; we search the (position, state) product for
-    a reachable cycle through the loop part that hits every acceptance
-    set.  Works for any implicit GBA; the product is explored on the fly.
+    word form a lasso graph, and the word is accepted iff the
+    ``(position, state)`` product reachable from the initial states has
+    an SCC with an edge that hits every acceptance set.  Such an SCC
+    lies in the loop part (stem positions only move forward).  Works
+    for any implicit GBA: the SCC search explores the product on the
+    fly and stops at the first accepting component.
     """
+    # Imported here: the emptiness module imports this one for UPWord.
+    from repro.automata.emptiness import accepting_scc, tarjan_sccs
+    last = len(word.prefix) + len(word.period) - 1
+    edges: dict[tuple[int, object], list[tuple[int, object]]] = {}
+
+    def successors(node: tuple[int, object]) -> list[tuple[int, object]]:
+        out = edges.get(node)
+        if out is None:
+            pos, q = node
+            nxt = pos + 1 if pos < last else len(word.prefix)
+            out = edges[node] = [(nxt, q2) for q2 in
+                                 auto.successors(q, word.at(pos))]
+        return out
+
+    def accepting_sets_of(node: tuple[int, object]) -> frozenset[int]:
+        return auto.accepting_sets_of(node[1])
+
     k = auto.acceptance_count
-    stem_len = len(word.prefix)
-    loop_len = len(word.period)
-
-    def position_after(pos: int) -> int:
-        nxt = pos + 1
-        if nxt >= stem_len + loop_len:
-            nxt = stem_len
-        return nxt
-
-    # Forward exploration of product states (pos, q).
-    start = [(0 if stem_len + loop_len > 0 else 0, q) for q in auto.initial_states()]
-    seen = set(start)
-    stack = list(start)
-    loop_nodes: set[tuple[int, object]] = set()
-    edges: dict[tuple[int, object], set[tuple[int, object]]] = {}
-    while stack:
-        pos, q = stack.pop()
-        if pos >= stem_len:
-            loop_nodes.add((pos, q))
-        symbol = word.at(pos)
-        nxt_pos = position_after(pos)
-        for q2 in auto.successors(q, symbol):
-            node = (nxt_pos, q2)
-            edges.setdefault((pos, q), set()).add(node)
-            if node not in seen:
-                seen.add(node)
-                stack.append(node)
-
-    # Accepting iff the subgraph induced by loop nodes has a reachable SCC
-    # containing a state from every acceptance set (and at least one edge).
-    return _has_accepting_scc(loop_nodes, edges, auto, k)
-
-
-def _has_accepting_scc(nodes, edges, auto: ImplicitGBA, k: int) -> bool:
-    """Tarjan SCC over the loop part; non-trivial SCC hitting all sets."""
-    index: dict = {}
-    lowlink: dict = {}
-    on_stack: set = set()
-    stack: list = []
-    counter = [0]
-    found = [False]
-
-    def strongconnect(v) -> None:
-        work = [(v, iter(sorted(edges.get(v, ()), key=repr)))]
-        index[v] = lowlink[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        on_stack.add(v)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in nodes:
-                    continue
-                if w not in index:
-                    index[w] = lowlink[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(sorted(edges.get(w, ()), key=repr))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    lowlink[node] = min(lowlink[node], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    component.append(w)
-                    if w == node:
-                        break
-                if _component_accepting(component, edges, auto, k):
-                    found[0] = True
-
-    for v in nodes:
-        if v not in index:
-            strongconnect(v)
-            if found[0]:
-                return True
-    return found[0]
-
-
-def _component_accepting(component, edges, auto: ImplicitGBA, k: int) -> bool:
-    members = set(component)
-    has_edge = any(w in members for v in component for w in edges.get(v, ()))
-    if not has_edge:
-        return False
-    needed = set(range(k))
-    for pos_q in component:
-        needed -= auto.accepting_sets_of(pos_q[1])
-        if not needed:
-            return True
-    return not needed
+    roots = [(0, q) for q in auto.initial_states()]
+    return any(accepting_scc(c, successors, accepting_sets_of, k)
+               for c in tarjan_sccs(roots, successors))

@@ -18,12 +18,12 @@ from repro.benchgen.programs import (BenchProgram, program_suite,
 from repro.benchgen.sdba_corpus import (harvest_sdbas, random_sdba,
                                         sdba_corpus)
 from repro.benchgen.scaled import (interleaved_counters, nested_loops,
-                                   phase_chain, scaled_suite,
+                                   phase_chain,
                                    sequential_loops)
 
 __all__ = [
     "BenchProgram", "program_suite", "suite_by_name",
     "harvest_sdbas", "random_sdba", "sdba_corpus",
-    "interleaved_counters", "nested_loops", "phase_chain", "scaled_suite",
+    "interleaved_counters", "nested_loops", "phase_chain",
     "sequential_loops",
 ]

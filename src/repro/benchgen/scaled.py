@@ -91,14 +91,3 @@ def phase_chain(k: int) -> BenchProgram:
              "            x := x - 1"]
     source = "\n".join(lines) + "\n"
     return BenchProgram(f"phases_{k}", "scaled", source, "terminating")
-
-
-def scaled_suite(max_k: int = 4) -> list[BenchProgram]:
-    """All families for sizes 1..max_k."""
-    out: list[BenchProgram] = []
-    for k in range(1, max_k + 1):
-        out.append(interleaved_counters(k))
-        out.append(sequential_loops(k))
-        out.append(nested_loops(k))
-        out.append(phase_chain(k))
-    return out

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from repro.core.stages import Stage
+from repro.faults import FaultPlan
 
 
 class StageSequence:
@@ -139,7 +140,8 @@ class AnalysisConfig:
 
         Missing keys take the field defaults (so hand-written manifest
         entries can name only the knobs they change).  Unknown keys,
-        unknown stage names and values of the wrong JSON type raise
+        unknown stage names, values of the wrong JSON type and a
+        ``fault_plan`` that :meth:`FaultPlan.from_json` rejects raise
         ``ValueError`` naming the key, so a malformed manifest entry is
         rejected before any job runs.
         """
@@ -155,6 +157,11 @@ class AnalysisConfig:
             _check_type(key, value, cls.__dataclass_fields__[key].type)
         if stages is not None:
             kwargs["stages"] = _parse_stages(stages)
+        if kwargs.get("fault_plan"):
+            try:
+                FaultPlan.from_json(kwargs["fault_plan"])
+            except ValueError as err:
+                raise ValueError(f"config key 'fault_plan': {err}") from None
         return cls(**kwargs)
 
     def describe(self) -> str:

@@ -56,10 +56,13 @@ from repro.ranking.nontermination import (_drift_keeps_guard,
 REPLAY_ROUNDS = 16
 
 
-def _allowance(timeout: float | None) -> float:
+def allowance(timeout: float | None) -> float:
     """Wall-clock the screen may spend; generous enough for the cheap
     re-checks, bounded so a screened run cannot blow far past its
-    configured deadline (the pool's kill grace is the hard stop)."""
+    configured deadline.  The worker pool's hard deadline for a budget
+    covers the budget plus this allowance (plus its kill grace), so a
+    verdict reached just before the budget runs out is screened, not
+    SIGKILLed."""
     if timeout is None:
         return 10.0
     return max(1.0, 0.25 * timeout)
@@ -76,7 +79,7 @@ def screen(result: TerminationResult, timeout: float | None = None,
     if result.verdict is Verdict.UNKNOWN:
         return result
     _metrics.inc("firewall.screens")
-    deadline = time.perf_counter() + _allowance(timeout)
+    deadline = time.perf_counter() + allowance(timeout)
     with faults.suspended(), use_budget(None), fm.use_memo(), \
             statements.use_memo():
         if result.verdict is Verdict.TERMINATING:

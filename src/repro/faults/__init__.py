@@ -96,6 +96,16 @@ class FaultPlan:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown fault-plan keys: {sorted(unknown)}")
+        for key, value in data.items():
+            if key == "sites":
+                ok = (isinstance(value, list)
+                      and all(isinstance(site, str) for site in value))
+            else:  # seed is an int, the rates and delay numbers
+                ok = not isinstance(value, bool) and isinstance(
+                    value, int if key == "seed" else (int, float))
+            if not ok:
+                raise ValueError(f"fault-plan key {key!r} has the wrong "
+                                 f"type: {value!r}")
         if "sites" in data:
             data["sites"] = tuple(data["sites"])
         return cls(**data)

@@ -11,8 +11,7 @@ precede their parents in the file); each is one JSON object per line::
      "t0": 0.0123, "dur": 0.0456, "attrs": {"kind": "sdba-lazy"}}
 
 ``t0`` is seconds since the tracer's epoch; ``dur`` is the span's
-duration.  Instant events use ``{"type": "event", ..., "t": ...}`` and
-a ``{"type": "metrics", "data": ...}`` record carries a
+duration.  A ``{"type": "metrics", "data": ...}`` record carries a
 metrics-registry snapshot (see :meth:`Tracer.record_metrics`).
 
 The *current tracer* is a module-level slot read by instrumented code
@@ -57,9 +56,6 @@ class NullTracer:
     def span(self, name: str, **attrs) -> _NullSpan:
         return _NULL_SPAN
 
-    def event(self, name: str, **attrs) -> None:
-        pass
-
     def close(self) -> None:
         pass
 
@@ -101,7 +97,7 @@ class Span:
 
 
 class Tracer:
-    """Collects span/event records; optionally streams them to a file.
+    """Collects span and metrics records; optionally streams them to a file.
 
     Records are always kept in :attr:`records` (so ``--profile`` needs
     no file); with ``path`` given, each record is additionally written
@@ -146,13 +142,6 @@ class Tracer:
         self._emit({"type": "span", "id": span.id, "parent": span.parent,
                     "name": span.name, "t0": round(span.t0, 9),
                     "dur": round(end - span.t0, 9), "attrs": span.attrs})
-
-    def event(self, name: str, **attrs) -> None:
-        """Record an instant (zero-duration) event under the open span."""
-        parent = self._stack[-1].id if self._stack else None
-        self._emit({"type": "event", "parent": parent, "name": name,
-                    "t": round(time.perf_counter() - self._epoch, 9),
-                    "attrs": attrs})
 
     # -- sink -----------------------------------------------------------------
 

@@ -17,10 +17,11 @@ module ``M_uvw`` (Section 3.1.1):
 - loop positions map to the strongest postconditions of
   ``oldrnk := f(v); v_1 ... v_i`` from the loop-head predicate.
 
-``validate_certificate`` checks all four Definition 3.1 conditions
-mechanically; the construction above passes it by design (strongest
-postconditions + the Podelski--Rybalchenko guarantees), and the module
-builders re-use the same checker for their own Hoare obligations.
+The construction satisfies Definition 3.1 by design (strongest
+postconditions + the Podelski--Rybalchenko guarantees).  The one
+mechanical check of those conditions is
+:func:`repro.core.module.validate_module`, run on the lasso module
+:func:`repro.core.stages.build_lasso_module` builds from a certificate.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from repro.logic.atoms import atom_le
 from repro.logic.linconj import TRUE
 from repro.logic.predicates import OLDRNK, Pred
 from repro.logic.terms import LinTerm, var
-from repro.program.statements import Statement, hoare_valid
+from repro.program.statements import hoare_valid
 from repro.ranking.synthesis import LassoProof, ProofKind
 
 
@@ -198,27 +199,3 @@ def _template_loop_preds(loop, head: Pred, rank: LinTerm,
         else:
             return None
     return [head] + [options[k] for k in choice] + [head]
-
-
-def validate_certificate(cert: RankCertificate, stem: tuple[Statement, ...],
-                         loop: tuple[Statement, ...]) -> list[str]:
-    """Check the four conditions of Definition 3.1; returns violations."""
-    problems: list[str] = []
-    init = cert.stem_preds[0]
-    if init.fin_disjuncts or not Pred.of_inf(TRUE).entails(init):
-        problems.append("initial predicate is not equivalent to oldrnk = oo")
-    head = cert.head
-    rank_bound = Pred((TRUE,), (TRUE.and_([atom_le(cert.ranking,
-                                                   var(OLDRNK) - 1)]),))
-    if not head.entails(rank_bound):
-        problems.append("accepting predicate does not force f(v) < oldrnk")
-    for i, stmt in enumerate(stem):
-        pre, post = cert.stem_preds[i], cert.stem_preds[i + 1]
-        if not hoare_valid(pre, stmt, post):
-            problems.append(f"stem triple {i} invalid: {{{pre}}} {stmt} {{{post}}}")
-    for i, stmt in enumerate(loop):
-        pre, post = cert.loop_preds[i], cert.loop_preds[i + 1]
-        update = cert.ranking if i == 0 else None
-        if not hoare_valid(pre, stmt, post, oldrnk_update=update):
-            problems.append(f"loop triple {i} invalid: {{{pre}}} {stmt} {{{post}}}")
-    return problems

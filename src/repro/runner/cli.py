@@ -9,8 +9,8 @@ streams rows to a resumable JSONL store::
 It uses the deterministic exit-code scheme shared by every
 ``python -m repro`` subcommand: **0** all rows conclusive, **2** some
 row unknown / timed out, **3** error rows or unusable input (a
-malformed manifest, reported as one ``bench: ...`` line on stderr
-before any job runs).
+malformed manifest or fault plan, reported as one ``bench: ...`` line
+on stderr before any job runs).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import json
 import os
 import sys
 
+from repro.faults import FaultPlan
 from repro.runner import report as runner_report
 from repro.runner.corpus import (expand_manifest, load_manifest, run_corpus,
                                  suite_manifest)
@@ -32,7 +33,8 @@ def bench_main(argv: list[str] | None = None) -> int:
         description="Evaluate a corpus manifest through the worker pool.",
         epilog="exit codes: 0 = all rows conclusive, 2 = some row "
                "unknown or timed out, 3 = error rows (a task that raised "
-               "or a worker that died twice) or a malformed manifest")
+               "or a worker that died twice), a malformed manifest or "
+               "a malformed fault plan")
     parser.add_argument("manifest", nargs="?", default=None,
                         help="corpus manifest JSON (default: the full "
                              "benchgen suite)")
@@ -40,7 +42,8 @@ def bench_main(argv: list[str] | None = None) -> int:
                         help="worker processes (default: min(cpu, 8))")
     parser.add_argument("--task-timeout", type=float, default=None,
                         help="per-task budget in seconds (overrides the "
-                             "manifest; hard-killed one grace period past it)")
+                             "manifest; hard-killed once the firewall's "
+                             "screening allowance and a grace period past it)")
     parser.add_argument("--store", default="results.jsonl",
                         help="append-only JSONL result store "
                              "(default: results.jsonl)")
@@ -86,22 +89,21 @@ def bench_main(argv: list[str] | None = None) -> int:
         else:
             manifest = suite_manifest(task_timeout=args.task_timeout)
         expand_manifest(manifest)  # reject malformed programs and configs
+        if args.fault_plan:
+            text = args.fault_plan
+            if os.path.isfile(text):
+                with open(text, encoding="utf-8") as fh:
+                    text = fh.read()
+            FaultPlan.from_json(text)  # reject malformed plans up front
+            # The plan lands in every config dict, so it travels to the
+            # workers and -- being part of the job key -- gives each
+            # fault plan its own store rows.
+            entries = manifest.get("configs") or [{}]
+            manifest["configs"] = [dict(entry, fault_plan=text)
+                                   for entry in entries]
     except (OSError, ValueError) as err:
         print(f"bench: {err}", file=sys.stderr)
         return 3
-    if args.fault_plan:
-        text = args.fault_plan
-        if os.path.isfile(text):
-            with open(text, encoding="utf-8") as fh:
-                text = fh.read()
-        from repro.faults import FaultPlan
-        FaultPlan.from_json(text)  # reject malformed plans up front
-        # The plan lands in every config dict, so it travels to the
-        # workers and -- being part of the job key -- gives each fault
-        # plan its own store rows.
-        entries = manifest.get("configs") or [{}]
-        manifest["configs"] = [dict(entry, fault_plan=text)
-                               for entry in entries]
 
     def on_row(row: dict) -> None:
         print(f"  {row.get('program', '?'):<24} [{row.get('config', '?')}] "

@@ -6,9 +6,10 @@ single enormous SCC sweep, a pathological solver call, a bug).  The
 evaluation harness therefore runs every job in its own subprocess and
 enforces the budget from outside:
 
-- **hard deadline**: a worker that overruns ``timeout + kill_grace``
-  is SIGKILLed and the job recorded as ``timeout`` -- the cooperative
-  budget gets ``kill_grace`` seconds to return gracefully first,
+- **hard deadline**: a worker that overruns its ``timeout``, the
+  firewall's screening allowance for that timeout and ``kill_grace``
+  is SIGKILLed and the job recorded as ``timeout`` -- a verdict reached
+  at the budget still gets screened and returned first,
 - **crash isolation**: a worker death (segfault, kernel OOM kill,
   interpreter abort) never takes the harness down; the job is
   respawned once, immediately, and a second death is recorded as an
@@ -51,6 +52,7 @@ except ImportError:  # pragma: no cover - exotic platforms
 import repro.faults as _faults
 from repro.core.api import prove_termination
 from repro.core.config import AnalysisConfig
+from repro.core.firewall import allowance
 from repro.core.refinement import Verdict
 from repro.program.parser import ParseError, parse_program
 
@@ -230,8 +232,8 @@ class WorkerPool:
     """Executes payloads through ``task`` with bounded concurrency.
 
     ``task_timeout`` is the default cooperative budget; a payload's own
-    ``timeout`` key overrides it.  The hard deadline of a job is its
-    cooperative budget plus ``kill_grace`` seconds (no budget = no hard
+    ``timeout`` key overrides it.  The hard deadline of a job is
+    :meth:`kill_after` its cooperative budget (no budget = no hard
     deadline).  ``on_outcome`` (passed to :meth:`run`) observes every
     outcome as it lands -- the corpus driver streams rows into the
     store this way.
@@ -295,6 +297,14 @@ class WorkerPool:
                 deliver(self._run_inprocess(index, payload))
         return [outcomes[i] for i in range(len(payloads))]
 
+    def kill_after(self, budget: float | None) -> float | None:
+        """Seconds after spawn at which a job with ``budget`` is
+        SIGKILLed: the budget, the firewall's screening allowance for it
+        (:func:`repro.core.firewall.allowance`) and ``kill_grace``."""
+        if budget is None:
+            return None
+        return budget + allowance(budget) + self.kill_grace
+
     # -- in-process degradation -------------------------------------------------
 
     def _run_inprocess(self, index: int, payload: dict) -> TaskOutcome:
@@ -342,8 +352,8 @@ class WorkerPool:
             finally:
                 child.close()
             now = time.perf_counter()
-            budget = payload.get("timeout")
-            deadline = now + budget + self.kill_grace if budget is not None else None
+            kill_after = self.kill_after(payload.get("timeout"))
+            deadline = now + kill_after if kill_after is not None else None
             running[parent] = _Running(index, payload, execution, proc,
                                        parent, now, deadline)
 

@@ -3,9 +3,7 @@
 import pytest
 
 from repro.automata.gba import GBA, StateLimitExceeded, ba, materialize
-from repro.automata.ops import (SINK, ProductGBA, complete, degeneralize,
-                                intersect, reachable_states, restrict, trim,
-                                union)
+from repro.automata.ops import SINK, ProductGBA, complete, union
 from repro.automata.words import UPWord, accepts
 
 SIGMA = frozenset({"a", "b"})
@@ -57,13 +55,11 @@ def test_accepting_requires_single_set():
         _ = auto.accepting
 
 
-def test_map_states_and_renumbered():
+def test_map_states():
     auto = simple_ba()
     mapped = auto.map_states(lambda q: q.upper())
     assert mapped.states == {"Q0", "Q1"}
     assert mapped.successors("Q0", "a") == {"Q1"}
-    renum = auto.renumbered()
-    assert renum.states == {0, 1}
 
 
 def test_materialize_equals_explicit():
@@ -214,7 +210,7 @@ def test_intersection_language():
                {("p0", "b"): {"p1"}, ("p0", "a"): {"p0"},
                 ("p1", "b"): {"p1"}, ("p1", "a"): {"p0"}},
                ["p0"], ["p1"])
-    both = intersect(inf_a, inf_b)
+    both = materialize(ProductGBA(inf_a, inf_b))
     assert both.acceptance_count == 2
     assert accepts(both, UPWord((), ("a", "b")))
     assert not accepts(both, UPWord((), ("a",)))
@@ -225,40 +221,3 @@ def test_product_requires_same_alphabet():
     other = ba({"a"}, {("q", "a"): {"q"}}, ["q"], ["q"])
     with pytest.raises(ValueError):
         ProductGBA(simple_ba(), other)
-
-
-def test_degeneralize_two_conditions():
-    auto = GBA(SIGMA,
-               {("x", "a"): {"y"}, ("y", "b"): {"x"}, ("y", "a"): {"y"},
-                ("x", "b"): {"x"}},
-               ["x"], [["x"], ["y"]])
-    deg = degeneralize(auto)
-    assert deg.acceptance_count == 1
-    for word in [UPWord((), ("a", "b")), UPWord((), ("a",)),
-                 UPWord((), ("b",)), UPWord(("a",), ("b", "a")),
-                 UPWord((), ("a", "a", "b"))]:
-        assert accepts(deg, word) == accepts(auto, word), str(word)
-
-
-def test_degeneralize_k_zero():
-    auto = GBA(SIGMA, {("q", "a"): {"q"}}, ["q"], [])
-    deg = degeneralize(auto)
-    assert deg.acceptance_count == 1
-    assert accepts(deg, UPWord((), ("a",)))
-
-
-def test_reachable_and_trim():
-    auto = ba(SIGMA,
-              {("q0", "a"): {"q1"}, ("island", "a"): {"island"}},
-              ["q0"], ["q1"], states={"q0", "q1", "island"})
-    assert reachable_states(auto) == {"q0", "q1"}
-    trimmed = trim(auto)
-    assert "island" not in trimmed.states
-
-
-def test_restrict_drops_cross_edges():
-    auto = simple_ba()
-    sub = restrict(auto, {"q0"})
-    assert sub.states == {"q0"}
-    assert sub.successors("q0", "a") == frozenset()
-    assert sub.successors("q0", "b") == {"q0"}

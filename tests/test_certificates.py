@@ -1,13 +1,21 @@
-"""Tests for rank-certificate construction (Definition 3.1)."""
+"""Tests for rank-certificate construction (Definition 3.1).
 
+Certificates are checked the way the engine checks them: as the lasso
+module :func:`build_lasso_module` makes of them, by
+:func:`validate_module`.
+"""
+
+from dataclasses import replace
+
+from repro.core.module import validate_module
+from repro.core.stages import build_lasso_module
 from repro.logic.atoms import atom_gt, atom_le
 from repro.logic.linconj import TRUE, conj
 from repro.logic.predicates import OLDRNK, Pred
 from repro.logic.terms import var
 from repro.program.statements import Assign, Assume
-from repro.ranking.certificate import (build_certificate,
-                                       rank_decrease_pred,
-                                       validate_certificate)
+from repro.ranking.certificate import (RankCertificate, build_certificate,
+                                       rank_decrease_pred)
 from repro.ranking.lasso import Lasso
 from repro.ranking.synthesis import prove_lasso
 
@@ -21,7 +29,7 @@ def certify(stem, loop):
     proof = prove_lasso(lasso)
     assert proof.is_terminating, proof.kind
     cert = build_certificate(proof)
-    problems = validate_certificate(cert, proof.lasso.stem, proof.lasso.loop)
+    problems = validate_module(build_lasso_module(proof, cert))
     assert problems == [], problems
     return proof, cert
 
@@ -67,7 +75,7 @@ def test_stem_infeasible_certificate():
     lasso = Lasso([zero, GUARD], [GUARD, DEC])
     proof = prove_lasso(lasso)
     cert = build_certificate(proof)
-    problems = validate_certificate(cert, proof.lasso.stem, proof.lasso.loop)
+    problems = validate_module(build_lasso_module(proof, cert))
     assert problems == []
     # everything from the infeasibility point on is bottom
     assert cert.stem_preds[2].is_unsat()
@@ -78,18 +86,16 @@ def test_validator_catches_bad_certificates():
     # sabotage: claim the loop keeps x unchanged
     bad = cert.loop_preds.copy()
     bad[1] = Pred.of_fin(conj(atom_gt(x, 99)))
-    from repro.ranking.certificate import RankCertificate
     broken = RankCertificate(cert.stem_preds, bad, cert.ranking)
-    problems = validate_certificate(broken, proof.lasso.stem, proof.lasso.loop)
+    problems = validate_module(build_lasso_module(proof, broken))
     assert problems
 
 
 def test_validator_checks_initial_shape():
     proof, cert = certify([GUARD], [GUARD, DEC])
-    from repro.ranking.certificate import RankCertificate
     bad_init = [Pred.of_fin(TRUE)] + cert.stem_preds[1:]
     broken = RankCertificate(bad_init, cert.loop_preds, cert.ranking)
-    problems = validate_certificate(broken, proof.lasso.stem, proof.lasso.loop)
+    problems = validate_module(build_lasso_module(proof, broken))
     assert any("oldrnk" in p for p in problems)
 
 
@@ -97,11 +103,9 @@ def test_validator_catches_mutated_rank_coefficients():
     # Firewall threat model: the certificate is internally consistent
     # but its ranking term was corrupted after synthesis.
     proof, cert = certify([GUARD], [GUARD, DEC])
-    from repro.ranking.certificate import RankCertificate
     broken = RankCertificate(cert.stem_preds, cert.loop_preds,
                              cert.ranking + 5)
-    problems = validate_certificate(broken, proof.lasso.stem,
-                                    proof.lasso.loop)
+    problems = validate_module(build_lasso_module(proof, broken))
     assert problems
 
 
@@ -115,12 +119,12 @@ def test_validator_catches_dropped_invariant_conjunct():
     loop = [GUARD, Assign("x", x - w)]
     proof, cert = certify(stem, loop)
     assert proof.needs_invariant
-    from repro.ranking.certificate import RankCertificate
-    bad = cert.loop_preds.copy()
-    bad[0] = rank_decrease_pred(cert.ranking)  # invariant conjunct gone
-    broken = RankCertificate(cert.stem_preds, bad, cert.ranking)
-    problems = validate_certificate(broken, proof.lasso.stem,
-                                    proof.lasso.loop)
+    # The module's loop head carries stem_preds[-1] (loop_preds[0] is
+    # the same position), so drop the invariant conjunct from both.
+    head = rank_decrease_pred(cert.ranking)  # invariant conjunct gone
+    broken = RankCertificate(cert.stem_preds[:-1] + [head],
+                             [head] + cert.loop_preds[1:], cert.ranking)
+    problems = validate_module(build_lasso_module(proof, broken))
     assert problems
 
 
@@ -131,7 +135,8 @@ def test_validator_catches_stem_not_establishing_head():
     proof, cert = certify([Assign("w", ONE)], [GUARD, Assign("x", x - w)])
     assert proof.needs_invariant
     wrong_stem = [Assign("w", var("none") * 0)]
-    problems = validate_certificate(cert, wrong_stem, proof.lasso.loop)
+    wrong = replace(proof, lasso=Lasso(wrong_stem, proof.lasso.loop))
+    problems = validate_module(build_lasso_module(wrong, cert))
     assert problems
 
 

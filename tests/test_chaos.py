@@ -25,8 +25,8 @@ from repro.faults import FaultPlan
 
 TIMEOUT = 5.0
 #: Slack past the timeout before a run counts as a deadline overrun:
-#: the firewall allowance plus scheduling noise (mirrors the worker
-#: pool's kill grace).
+#: the firewall allowance plus scheduling noise (the worker pool's hard
+#: deadline covers the same allowance plus its kill grace).
 SLACK = 10.0
 
 COUNTDOWN = """

@@ -181,6 +181,7 @@ def test_cli_bench_error_rows_exit_3(tmp_path, capsys):
     ({"bogus_knob": 1}, "bogus_knob"),
     ({"timeout": "5"}, "timeout"),
     ([1], "JSON object"),
+    ({"fault_plan": '{"sed": 1}'}, "fault_plan"),
 ])
 def test_cli_bench_rejects_malformed_config(tmp_path, capsys, config, named):
     """One stderr line naming the key and exit 3, before any job runs."""
@@ -222,6 +223,26 @@ def test_cli_bench_rejects_malformed_manifest(tmp_path, capsys, manifest,
     assert code == 3
     assert err.count("\n") == 1 and err.startswith("bench: "), err
     assert named in err, err
+    assert not store.exists()
+
+
+@pytest.mark.parametrize("plan", ['{"sed": 1}', "not json",
+                                  '{"sites": 5}', '{"crash_rate": "high"}'])
+def test_cli_bench_rejects_malformed_fault_plan(tmp_path, capsys, plan):
+    """One stderr line and exit 3, before any job runs."""
+    import json
+
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({
+        "name": "plan", "task_timeout": 30,
+        "programs": [{"name": "a", "source": TERMINATING}],
+    }))
+    store = tmp_path / "results.jsonl"
+    code = main(["bench", str(manifest), "--inprocess", "--quiet",
+                 "--store", str(store), "--fault-plan", plan])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.count("\n") == 1 and err.startswith("bench: "), err
     assert not store.exists()
 
 

@@ -20,7 +20,7 @@ from repro.automata.complement.finite_trace import (complement_finite_trace,
 from repro.automata.complement.ncsb import (MacroState, NCSBLazy,
                                             NCSBOriginal, prepare_sdba,
                                             subsumes, subsumes_b)
-from repro.automata.complement.rank_based import complement_rank
+from repro.automata.complement.rank_based import RankComplement
 from repro.automata.gba import ba, materialize
 from repro.automata.ops import complete
 from repro.automata.words import UPWord, accepts
@@ -220,8 +220,10 @@ def test_subsumption_underapproximates_language_inclusion(seed):
             for r in states:
                 if p is r or not relation(p, r):
                     continue
-                lang_p = explored.with_initial([p])
-                lang_r = explored.with_initial([r])
+                lang_p = ba(explored.alphabet, explored.transitions, [p],
+                            explored.accepting, states=explored.states)
+                lang_r = ba(explored.alphabet, explored.transitions, [r],
+                            explored.accepting, states=explored.states)
                 for word in sample:
                     if accepts(lang_p, word):
                         assert accepts(lang_r, word), (
@@ -247,7 +249,7 @@ def random_general_ba(seed: int, n: int = 3):
 @pytest.mark.parametrize("seed", range(12))
 def test_rank_based_complement_correct(seed):
     auto = random_general_ba(seed)
-    comp = complement_rank(auto)
+    comp = materialize(RankComplement(auto))
     assert_complement(auto, comp, words(80, seed + 2000), f"rank[{seed}]")
 
 
@@ -255,7 +257,7 @@ def test_rank_based_all_accepting_has_empty_complement():
     auto = complete(ba(set(SIGMA),
                        {("q", "a"): {"q"}, ("q", "b"): {"q"}},
                        ["q"], ["q"]))
-    comp = complement_rank(auto)
+    comp = materialize(RankComplement(auto))
     for word in words(40, 9):
         assert not accepts(comp, word)
 

@@ -1,7 +1,9 @@
 """Tests for Algorithm 1 (remove_useless) and lasso extraction.
 
 The modified Gaiser--Schwoon algorithm is cross-checked against a naive
-Tarjan-based reference on random GBAs (hypothesis).
+Tarjan-based reference on random GBAs (hypothesis), and the one Tarjan
+SCC search (behind ``accepts`` and ``find_accepting_lasso``) against a
+reachability-closure oracle.
 """
 
 import random
@@ -170,7 +172,9 @@ def test_useful_states_have_nonempty_language(auto):
     # nonempty language in the result; the result is a sub-automaton of
     # the input, so the state it names is nonempty in the input too.
     for q in useful.states:
-        assert not is_empty_naive(useful.with_initial([q])), f"state {q}"
+        from_q = GBA(useful.alphabet, useful.transitions, [q],
+                     useful.acc_sets, states=useful.states)
+        assert not is_empty_naive(from_q), f"state {q}"
     assert len(useful.states) <= _reachable_nonempty(auto)
 
 
@@ -182,7 +186,9 @@ def test_useless_states_have_empty_language(auto):
     # exactly as many states as the naive reference finds reachable and
     # nonempty, and each one it keeps is nonempty.
     assert len(useful.states) == _reachable_nonempty(auto)
-    assert all(not is_empty_naive(useful.with_initial([q]))
+    assert all(not is_empty_naive(GBA(useful.alphabet, useful.transitions,
+                                      [q], useful.acc_sets,
+                                      states=useful.states))
                for q in useful.states)
 
 
@@ -198,7 +204,8 @@ def _reachable_nonempty(auto: GBA) -> int:
         reachable.add(q)
         stack.extend(auto.post(q))
     return sum(1 for q in reachable
-               if not is_empty_naive(auto.with_initial([q])))
+               if not is_empty_naive(GBA(auto.alphabet, auto.transitions, [q],
+                                         auto.acc_sets, states=auto.states)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -209,6 +216,78 @@ def test_extracted_lasso_is_accepted(auto):
         assert is_empty_naive(auto)
     else:
         assert accepts(auto, word)
+
+
+# -- the one SCC search, against a reachability-closure oracle ----------------------
+
+
+def _seeded_gba(seed: int, k: int) -> GBA:
+    rng = random.Random(seed)
+    states = list(range(rng.randint(1, 6)))
+    transitions = {}
+    for q in states:
+        for s in SIGMA:
+            targets = {t for t in states if rng.random() < 0.35}
+            if targets:
+                transitions[(q, s)] = targets
+    acc_sets = [[q for q in states if rng.random() < 0.4] for _ in range(k)]
+    initial = rng.sample(states, rng.randint(1, min(2, len(states))))
+    return GBA(set(SIGMA), transitions, initial, acc_sets, states=states)
+
+
+def _accepts_by_closure(auto: GBA, word: UPWord) -> bool:
+    """``u v^w`` is accepted iff some reachable node ``v`` of the
+    ``(position, state)`` lasso product reaches itself, and every
+    acceptance set has a state on a node that ``v`` reaches and that
+    reaches ``v`` back."""
+    end = len(word.prefix) + len(word.period)
+
+    def post(node):
+        pos, q = node
+        nxt = pos + 1 if pos + 1 < end else len(word.prefix)
+        return {(nxt, t) for t in auto.successors(q, word.at(pos))}
+
+    def reach_plus(sources):
+        seen, todo = set(), [t for s in sources for t in post(s)]
+        while todo:
+            node = todo.pop()
+            if node not in seen:
+                seen.add(node)
+                todo.extend(post(node))
+        return seen
+
+    initial = {(0, q) for q in auto.initial_states()}
+    closure = {node: reach_plus([node])
+               for node in initial | reach_plus(initial)}
+    for node, forward in closure.items():
+        if node not in forward:
+            continue
+        cycle = {other for other in forward if node in closure[other]}
+        if all(any(j in auto.accepting_sets_of(q) for _, q in cycle)
+               for j in range(auto.acceptance_count)):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_scc_search_agrees_with_reachability_closure(k):
+    rng = random.Random(2018 + k)
+    for seed in range(60):
+        auto = _seeded_gba(seed * 7 + k, k)
+        sample = [UPWord(tuple(rng.choice(SIGMA)
+                               for _ in range(rng.randint(0, 3))),
+                         tuple(rng.choice(SIGMA)
+                               for _ in range(rng.randint(1, 3))))
+                  for _ in range(25)]
+        for word in sample:
+            assert accepts(auto, word) == _accepts_by_closure(auto, word), (
+                seed, str(word))
+        lasso = find_accepting_lasso(auto)
+        if lasso is None:
+            assert not any(_accepts_by_closure(auto, w) for w in sample), seed
+        else:
+            assert accepts(auto, lasso), (seed, str(lasso))
+            assert _accepts_by_closure(auto, lasso), (seed, str(lasso))
 
 
 # -- cooperative deadline on edge-heavy frontiers ----------------------------------

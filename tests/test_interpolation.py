@@ -121,7 +121,9 @@ def test_stem_interpolants_none_for_feasible():
 
 def test_interpolant_certificate_validates():
     from repro.program.statements import Assign, Assume
-    from repro.ranking.certificate import build_certificate, validate_certificate
+    from repro.core.module import validate_module
+    from repro.core.stages import build_lasso_module
+    from repro.ranking.certificate import build_certificate
     from repro.ranking.lasso import Lasso
     from repro.ranking.synthesis import prove_lasso
 
@@ -132,4 +134,4 @@ def test_interpolant_certificate_validates():
     lasso = Lasso(stem, [Assign("x", x - 1)])
     proof = prove_lasso(lasso)
     cert = build_certificate(proof, interpolate=True)
-    assert validate_certificate(cert, proof.lasso.stem, proof.lasso.loop) == []
+    assert validate_module(build_lasso_module(proof, cert)) == []

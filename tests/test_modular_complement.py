@@ -13,8 +13,7 @@ import random
 
 import pytest
 
-from repro.automata.classify import (elevator_rank_bound, is_elevator,
-                                     is_semideterministic)
+from repro.automata.classify import elevator_rank_bound, is_semideterministic
 from repro.automata.complement import (ComplementKind, classify_kind,
                                        implicit_complement, kind_applies)
 from repro.automata.complement.modular import (ModularComplement, SCCClass,
@@ -22,8 +21,8 @@ from repro.automata.complement.modular import (ModularComplement, SCCClass,
 from repro.automata.complement.rank_based import RankComplement
 from repro.automata.difference import difference
 from repro.automata.emptiness import is_empty_naive
-from repro.automata.gba import ba, materialize
-from repro.automata.ops import complete, intersect
+from repro.automata.gba import GBA, ba, materialize
+from repro.automata.ops import ProductGBA, complete
 from repro.automata.words import UPWord, accepts
 from repro.core.config import AnalysisConfig
 
@@ -100,7 +99,7 @@ def test_condensation_trivial_and_rejecting_components():
 
 
 def test_condensation_requires_ba():
-    gba = ba(SIGMA, {("q", "a"): {"q"}}, ["q"], ["q"]).with_acc_sets([])
+    gba = GBA(SIGMA, {("q", "a"): {"q"}}, ["q"], [])
     with pytest.raises(ValueError):
         condensation(gba)
 
@@ -135,11 +134,13 @@ def test_is_elevator_positive_and_negative():
          ("r", "a"): {"r", "t"}, ("r", "b"): {"r"},
          ("t", "a"): {"t"}, ("t", "b"): {"t"}},
         ["p"], ["q", "t"]))
-    assert is_elevator(elevator)
+    assert all(c.scc_class is not SCCClass.GENERAL
+               for c in condensation(elevator).components)
     assert not is_semideterministic(elevator)
     assert classify_kind(elevator) is ComplementKind.RANK
     # a general SCC disqualifies
-    assert not is_elevator(mixed_ba())
+    assert any(c.scc_class is SCCClass.GENERAL
+               for c in condensation(mixed_ba()).components)
 
 
 def test_elevator_rank_bound_constant_for_elevators():
@@ -197,9 +198,10 @@ def test_modular_intersection_with_input_is_empty():
     for seed in range(15):
         auto = random_general_ba(seed)
         comp = materialize(ModularComplement(auto))
-        assert is_empty_naive(intersect(auto, comp)), seed
+        assert is_empty_naive(materialize(ProductGBA(auto, comp))), seed
     auto = mixed_ba()
-    assert is_empty_naive(intersect(auto, materialize(ModularComplement(auto))))
+    comp = materialize(ModularComplement(auto))
+    assert is_empty_naive(materialize(ProductGBA(auto, comp)))
 
 
 def test_modular_vs_rank_on_sdba_corpus_samples():
@@ -218,7 +220,9 @@ def test_modular_requires_complete_ba():
     incomplete = ba(SIGMA, {("q", "a"): {"q"}}, ["q"], ["q"])
     with pytest.raises(ValueError):
         ModularComplement(incomplete)
-    gba = complete(incomplete).with_acc_sets([])
+    completed = complete(incomplete)
+    gba = GBA(completed.alphabet, completed.transitions,
+              completed.initial_states(), [], states=completed.states)
     with pytest.raises(ValueError):
         ModularComplement(gba)
 

@@ -84,7 +84,6 @@ def test_null_tracer_is_allocation_free_and_default(tmp_path):
     with s1 as entered:
         assert entered is s1
         entered.set(anything="goes")
-    NULL_TRACER.event("nothing")
     NULL_TRACER.close()
     # no files appear anywhere
     assert list(tmp_path.iterdir()) == []

@@ -1,7 +1,7 @@
 """Hypothesis property tests for the automata algorithms.
 
-Complement correctness, Proposition 5.2, difference semantics, and
-degeneralization are checked against word-sampling oracles on
+Complement correctness, Proposition 5.2 and difference semantics are
+checked against word-sampling oracles on
 hypothesis-generated automata (which shrink to minimal counterexamples
 on failure, unlike the seeded generators elsewhere in the suite).
 """
@@ -15,7 +15,7 @@ from repro.automata.complement.ncsb import NCSBLazy, NCSBOriginal, prepare_sdba
 from repro.automata.difference import difference
 from repro.automata.emptiness import remove_useless
 from repro.automata.gba import GBA, ba, materialize
-from repro.automata.ops import complete, degeneralize
+from repro.automata.ops import complete
 from repro.automata.words import UPWord, accepts
 
 SIGMA = ("a", "b")
@@ -111,16 +111,6 @@ def test_subsumption_toggle_preserves_language_emptiness(a, b):
     without = difference(minuend, b, subsumption=False)
     assert with_sub.is_empty == without.is_empty
     assert with_sub.stats.explored_states <= without.stats.explored_states
-
-
-@settings(max_examples=50, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(small_gbas(), st.lists(up_words(), min_size=5, max_size=12))
-def test_degeneralization_preserves_language(gba, words):
-    deg = degeneralize(gba)
-    assert deg.acceptance_count == 1
-    for word in words:
-        assert accepts(deg, word) == accepts(gba, word)
 
 
 @settings(max_examples=50, deadline=None,

@@ -14,6 +14,7 @@ import time
 import pytest
 
 from repro.runner._testing import crash_task, echo_task, flaky_task
+from repro.core.firewall import allowance
 from repro.runner.pool import TaskOutcome, WorkerPool, analysis_task
 
 pytestmark = pytest.mark.filterwarnings(
@@ -49,7 +50,21 @@ def test_hard_deadline_sigkills_hung_worker():
     assert outcomes[0].status == "timeout"
     assert "SIGKILL" in outcomes[0].error
     assert outcomes[1].status == "ok"
-    assert wall < 30.0  # killed at ~0.4s, not after an hour
+    assert wall < 30.0  # killed at ~1.4s, not after an hour
+
+
+def test_hard_deadline_covers_the_firewall_allowance():
+    """A verdict reached at the budget is screened before the SIGKILL:
+    the kill lands after the budget, the screen's allowance for that
+    budget and the grace."""
+    pool = WorkerPool(workers=1, task=echo_task, kill_grace=1.0)
+    assert allowance(5.0) == 1.25
+    assert pool.kill_after(5.0) == 5.0 + 1.25 + 1.0
+    assert pool.kill_after(0.2) == 0.2 + 1.0 + 1.0  # the 1 s floor
+    for budget in (0.0, 0.5, 3.0, 5.0, 30.0, 600.0):
+        assert pool.kill_after(budget) == (budget + allowance(budget)
+                                           + pool.kill_grace)
+    assert pool.kill_after(None) is None  # no budget, no hard deadline
 
 
 def test_sigkilled_worker_is_quarantined_after_retries():

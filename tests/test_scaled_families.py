@@ -4,7 +4,7 @@ import pytest
 
 from repro import AnalysisConfig, prove_termination
 from repro.benchgen.scaled import (interleaved_counters, nested_loops,
-                                   phase_chain, scaled_suite,
+                                   phase_chain,
                                    sequential_loops)
 from repro.program.cfg import build_cfg
 from repro.program.interp import Interpreter
@@ -27,13 +27,6 @@ def test_families_parse_and_terminate_concretely(generator, k):
 def test_families_reject_nonpositive_size(generator):
     with pytest.raises(ValueError):
         generator(0)
-
-
-def test_scaled_suite_shape():
-    suite = scaled_suite(3)
-    assert len(suite) == 12
-    assert len({p.name for p in suite}) == 12
-    assert all(p.family == "scaled" for p in suite)
 
 
 @pytest.mark.parametrize("k", [1, 2])

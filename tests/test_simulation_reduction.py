@@ -85,12 +85,14 @@ def test_coarse_subsumption_underapproximates_language_inclusion(
     checked = 0
     for small in macro_states:
         small_entry = oracle._entry(small)
-        lang_small = complement.with_initial([small])
+        lang_small = ba(complement.alphabet, complement.transitions, [small],
+                        complement.accepting, states=complement.states)
         for big in macro_states:
             if not oracle._subsumed(small_entry, oracle._entry(big)):
                 continue
             checked += 1
-            lang_big = complement.with_initial([big])
+            lang_big = ba(complement.alphabet, complement.transitions, [big],
+                          complement.accepting, states=complement.states)
             for word in sample:
                 if accepts(lang_small, word):
                     assert accepts(lang_big, word), (small, big, str(word))
@@ -118,10 +120,10 @@ def test_trivial_simulation_falls_back_to_raw_path():
     assert oracle._down is None
 
 
-def test_custom_relation_ignores_simulation():
-    oracle = SubsumptionOracle(lambda small, big: False,
-                               simulation={("d0", "d1")})
-    assert oracle._down is None
+def test_oracle_rejects_custom_relation():
+    with pytest.raises(ValueError):
+        SubsumptionOracle(lambda small, big: False,
+                          simulation={("d0", "d1")})
 
 
 # -- subtrahend quotienting --------------------------------------------------------
