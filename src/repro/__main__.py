@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from repro.core.config import AnalysisConfig, StageSequence
@@ -101,10 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trace", metavar="FILE", default=None,
                         help="write a JSONL span trace of the run "
                              "(render with python -m repro.obs.report)")
-    parser.add_argument("--trace-dir", metavar="DIR", default=None,
-                        help="like --trace, but the file lands in DIR as "
-                             "trace_<program>.jsonl -- the same layout "
-                             "`bench --trace-dir` uses for its workers")
     parser.add_argument("--checkpoint-dir", metavar="DIR", default=None,
                         help="durable refinement checkpoints: certified "
                              "rounds are persisted there after each round "
@@ -153,11 +148,6 @@ def main(argv: list[str] | None = None) -> int:
 
 def run_single(argv: list[str]) -> int:
     args = build_parser().parse_args(argv)
-    if args.trace_dir and not args.trace:
-        stem = "stdin" if args.file == "-" else \
-            os.path.splitext(os.path.basename(args.file))[0]
-        os.makedirs(args.trace_dir, exist_ok=True)
-        args.trace = os.path.join(args.trace_dir, f"trace_{stem}.jsonl")
     source = (sys.stdin.read() if args.file == "-"
               else open(args.file, encoding="utf-8").read())
     try:

@@ -21,12 +21,18 @@ Resource discipline: every run owns a :class:`~repro.core.budget.Budget`
 ``use_budget``, so the solver and automata layers can poll it without
 parameter threading; ``difference_state_limit`` bounds each difference.
 Cap overruns surface as typed
-:class:`~repro.core.budget.ResourceExhausted` errors caught here at
-round boundaries: a deadline always ends the run (UNKNOWN/timeout, in
-one handler), while a state or constraint blowup first walks the
-*degradation ladder* -- the same proof re-generalized at structurally
-cheaper stages -- and only becomes UNKNOWN when every rung blows up
-too.  Each fallback is recorded as an ``Incident`` on the run's stats.
+:class:`~repro.core.budget.ResourceExhausted` errors.  A deadline always
+ends the run (UNKNOWN/timeout, in one handler).  Any other blowup
+follows one fallback rule: each round tries its candidate modules in
+order -- the library hit (if any), the module :func:`generalize` builds
+from the configured stage sequence, then the :data:`DEGRADATION_LADDER`
+rungs below the stage that module reached (a build blowup counts as a
+blown ``nondet``) -- and takes the first one whose subtraction stays
+within the caps.  Each blown candidate is one ``budget.degraded``
+incident naming the component (``library``, ``generalize`` or
+``difference``); a round whose candidates run out, or whose lasso proof
+blows a cap, ends the run at one exit with one ``budget.exhausted``
+incident.
 
 Every module joins the decomposition through one step, whichever of
 the three sources it came from -- a re-checked checkpoint record, a
@@ -81,9 +87,9 @@ FM_CONSTRAINT_CAP = 20_000
 #: skips the reduction, never the analysis.
 SIMULATION_CAP = 200_000
 
-#: The degradation ladder: when subtracting a module blows a resource
-#: cap, the proof is re-generalized at the next rung and the subtraction
-#: retried.  Ordered from the most general module (worst-case
+#: The degradation ladder: when building or subtracting a module blows a
+#: resource cap, the proof is re-generalized at the next rung and the
+#: subtraction retried.  Ordered from the most general module (worst-case
 #: complementation) down to the finite-trace module whose complement is
 #: trivial; the lasso module sits between the semideterministic and
 #: deterministic powerset stages because it is semideterministic but
@@ -170,10 +176,11 @@ class RefinementEngine:
                         fm_constraint_cap=FM_CONSTRAINT_CAP,
                         simulation_cap=SIMULATION_CAP)
         with use_budget(budget):
-            return self._refine(tracer, deadline)
+            return self._refine(tracer, budget)
 
-    def _refine(self, tracer, deadline: float | None) -> TerminationResult:
+    def _refine(self, tracer, budget: Budget) -> TerminationResult:
         config = self._config
+        deadline = budget.deadline
         registry = obs_metrics.registry()
         collector = self._collector
         name = self._cfg.name
@@ -184,8 +191,12 @@ class RefinementEngine:
         round_start = time.perf_counter()
         round_base: dict[str, int] = {}
         # The round in flight once it has a RefinementRound; the
-        # deadline handler records it before ending the run.
+        # deadline handler and the exhaustion exit record it.
         round_stats: RefinementRound | None = None
+        # The round's last blowup as (component, stage, error): the
+        # ladder starts below that stage, and the exhaustion exit
+        # reports it.
+        failure: tuple[str, str, ResourceExhausted] | None = None
         library = self._library
         checkpoint = self._checkpoint
 
@@ -237,35 +248,48 @@ class RefinementEngine:
                 state_limit=config.difference_state_limit,
                 deadline=deadline)
 
-        def degrade(failed: CertifiedModule, proof, exc: ResourceExhausted,
-                    index: int):
-            """Walk the ladder below ``failed``'s stage; retry the
-            subtraction at each rung.  Returns ``(module, result)`` on
-            success, ``(None, last_exc)`` when every rung blows up.
-            Deadline overruns propagate -- time cannot be degraded away.
-            """
-            tried = {failed.stage}
-            last: ResourceExhausted = exc
-            for stage in ladder_tail(failed.stage):
-                if stage.value in tried:
-                    continue
-                try:
-                    candidate = generalize(
-                        proof, (stage,), alphabet, interpolants=False)
-                except ResourceExhausted as gen_exc:
-                    last = _unless_deadline(gen_exc)
-                    continue
-                if candidate.stage in tried:
-                    continue
-                tried.add(candidate.stage)
-                note("budget.degraded", "refinement",
-                     f"{failed.stage} -> {candidate.stage} "
-                     f"after {last.resource}", index)
-                try:
-                    return candidate, subtract(current, candidate)
-                except ResourceExhausted as retry_exc:
-                    last = _unless_deadline(retry_exc)
-            return None, last
+        def build(proof, stages: tuple[Stage, ...], *,
+                  interpolants: bool = False) -> CertifiedModule:
+            with tracer.span("generalize") as gen_span:
+                module = generalize(proof, stages, alphabet,
+                                    interpolants=interpolants)
+                gen_span.set(stage=module.stage,
+                             states=len(module.automaton.states))
+            return module
+
+        def attempt(component: str, stage: str, make, index: int):
+            """Build one candidate module of the round and subtract it
+            from the remainder: ``(module, result)``, or None when
+            ``make`` has no module or a cap blew.  A blowup is one
+            ``budget.degraded`` incident naming the component that blew
+            -- ``component`` itself, or ``difference`` for a fresh
+            module's subtraction -- and becomes the round's ``failure``.
+            Deadlines propagate to the run's one handler."""
+            nonlocal failure
+            module = None
+            try:
+                module = make()
+                if module is None:
+                    return None
+                round_stats.stage = module.stage
+                round_stats.module_states = len(module.automaton.states)
+                return module, subtract(current, module)
+            except ResourceExhausted as exc:
+                _unless_deadline(exc)
+                if module is not None:
+                    stage = module.stage
+                    if component == "generalize":
+                        component = "difference"
+                failure = (component, stage, exc)
+                note("budget.degraded", component,
+                     f"{stage}: {exc.resource}: {exc.detail}", index)
+                return None
+
+        def rung(proof, stage: Stage) -> CertifiedModule | None:
+            # generalize() falls back to the lasso module when the stage
+            # does not apply; that module is its own rung.
+            module = build(proof, (stage,))
+            return module if module.stage == stage.value else None
 
         def admit(module: CertifiedModule, result,
                   round_stats: RefinementRound | None = None, *,
@@ -338,8 +362,8 @@ class RefinementEngine:
 
             for index in range(config.max_refinements):
                 round_stats = None
-                if deadline is not None and time.perf_counter() > deadline:
-                    raise DeadlineExceeded("refinement", deadline)
+                failure = None
+                budget.check_deadline("refinement")
                 round_start = time.perf_counter()
                 round_base = registry.counts()
                 with tracer.span("round", index=index) as round_span:
@@ -358,9 +382,8 @@ class RefinementEngine:
                     if library is not None:
                         # Reuse before synthesis: a published module that
                         # accepts this counterexample and passes the
-                        # re-check is subtracted with zero prover/LP
-                        # work.  The library is advisory -- any failure
-                        # below just falls through to synthesis.
+                        # re-check is the round's first candidate, with
+                        # zero prover/LP work.  The library is advisory.
                         try:
                             with tracer.span("library-lookup") as lib_span:
                                 hit = library.match(word, alphabet)
@@ -368,138 +391,108 @@ class RefinementEngine:
                         except Exception as exc:  # noqa: BLE001 - advisory
                             note("library.error", "library",
                                  f"{type(exc).__name__}: {exc}", index)
+                    taken = None
                     if hit is not None:
-                        round_stats = RefinementRound(
-                            word=str(word), proof_kind="library",
-                            stage=hit.stage,
-                            module_states=len(hit.automaton.states))
-                        round_span.set(library=True, stage=hit.stage)
+                        round_stats = RefinementRound(word=str(word),
+                                                      proof_kind="library")
+                        taken = attempt("library", hit.stage,
+                                        lambda: hit, index)
+
+                    proof = None
+                    if taken is None:
+                        round_stats = None
+                        lasso = Lasso.from_word(word)
                         try:
-                            result = subtract(current, hit)
+                            with tracer.span("prove-lasso") as proof_span:
+                                proof = prove_lasso(lasso)
+                                proof_span.set(kind=proof.kind.value)
                         except ResourceExhausted as exc:
-                            # A reused module blowing a cap is a miss in
-                            # disguise: synthesize fresh, which can walk
-                            # the degradation ladder stage by stage.
-                            _unless_deadline(exc)
-                            note("library.degraded", "library",
-                                 f"reused {hit.stage} module blew "
-                                 f"{exc.resource}; synthesizing fresh",
-                                 index)
-                            round_stats = None
-                        else:
-                            if admit(hit, result, round_stats):
-                                return finish(Verdict.TERMINATING)
-                            continue
-
-                    lasso = Lasso.from_word(word)
-                    try:
-                        with tracer.span("prove-lasso") as proof_span:
-                            proof = prove_lasso(lasso)
-                            proof_span.set(kind=proof.kind.value)
-                    except ResourceExhausted as exc:
-                        _unless_deadline(exc)
-                        note("budget.exhausted", "prove-lasso",
-                             f"{exc.resource}: {exc.detail}", index)
-                        return finish(
-                            Verdict.UNKNOWN,
-                            reason=f"resource exhausted: {exc.resource}")
-                    round_span.set(proof=proof.kind.value)
-                    round_stats = RefinementRound(word=str(word),
-                                                  proof_kind=proof.kind.value)
-                    if proof.kind is ProofKind.NONTERMINATING:
-                        record(round_stats)
-                        # Report the canonicalized lasso's word, not the
-                        # sampled one: Lasso.from_word may rotate the
-                        # period, and the nontermination witness state is
-                        # a loop-head state of the *rotated* loop --
-                        # replaying the sampled period from it could
-                        # block at the rotated-away guard.
-                        return finish(Verdict.NONTERMINATING,
-                                      witness=proof.witness, word=lasso.word())
-                    if not proof.is_terminating:
-                        record(round_stats)
-                        return finish(Verdict.UNKNOWN, word=word,
-                                      reason=f"lasso not provable: {word}")
-
-                    if deadline is not None and time.perf_counter() > deadline:
-                        raise DeadlineExceeded("refinement", deadline)
-                    try:
-                        with tracer.span("generalize") as gen_span:
-                            module = generalize(
-                                proof, config.stages, alphabet,
-                                interpolants=config.interpolant_modules)
-                            gen_span.set(stage=module.stage,
-                                         states=len(module.automaton.states))
-                    except ResourceExhausted as exc:
-                        # Re-generalize at the cheap end of the ladder:
-                        # the finite/lasso modules exist for every proof
-                        # and need no powerset construction or solver
-                        # calls.
-                        _unless_deadline(exc)
-                        note("budget.degraded", "generalize",
-                             f"{exc.resource} -> fallback module", index)
-                        try:
-                            module = generalize(
-                                proof, (Stage.FINITE, Stage.LASSO), alphabet,
-                                interpolants=False)
-                        except ResourceExhausted as exc2:
-                            _unless_deadline(exc2)
+                            failure = ("prove-lasso", "",
+                                       _unless_deadline(exc))
+                            break
+                        round_span.set(proof=proof.kind.value)
+                        round_stats = RefinementRound(
+                            word=str(word), proof_kind=proof.kind.value)
+                        if proof.kind is ProofKind.NONTERMINATING:
                             record(round_stats)
-                            note("budget.exhausted", "generalize",
-                                 f"{exc2.resource}: {exc2.detail}", index)
-                            return finish(
-                                Verdict.UNKNOWN,
-                                reason=f"resource exhausted: {exc2.resource}")
-                    round_stats.stage = module.stage
-                    round_stats.module_states = len(module.automaton.states)
-                    round_span.set(stage=module.stage)
+                            # Report the canonicalized lasso's word, not
+                            # the sampled one: Lasso.from_word may rotate
+                            # the period, and the nontermination witness
+                            # state is a loop-head state of the *rotated*
+                            # loop -- replaying the sampled period from
+                            # it could block at the rotated-away guard.
+                            return finish(Verdict.NONTERMINATING,
+                                          witness=proof.witness,
+                                          word=lasso.word())
+                        if not proof.is_terminating:
+                            record(round_stats)
+                            return finish(Verdict.UNKNOWN, word=word,
+                                          reason=f"lasso not provable: {word}")
+
+                        # Fresh synthesis: the configured sequence's
+                        # module, then the ladder rungs below the stage
+                        # it reached.  A build blowup counts as a blown
+                        # nondet, the stage every sequence ends with.
+                        budget.check_deadline("refinement")
+                        taken = attempt(
+                            "generalize", Stage.NONDET.value,
+                            lambda: build(
+                                proof, config.stages,
+                                interpolants=config.interpolant_modules),
+                            index)
+                        if taken is None:
+                            for stage in ladder_tail(failure[1]):
+                                taken = attempt(
+                                    "generalize", stage.value,
+                                    lambda: rung(proof, stage), index)
+                                if taken is not None:
+                                    break
+                    if taken is None:
+                        break  # every candidate blew a cap
+
+                    module, result = taken
+                    round_span.set(stage=module.stage, library=proof is None)
                     # With interpolant modules on, the O(1)-complement
                     # finite module still comes for free: subtract it in
                     # the same round so coverage is a strict superset of
                     # the stage-1 path.
-                    companion: CertifiedModule | None = None
-                    if (config.interpolant_modules
+                    companion = None
+                    if (proof is not None and config.interpolant_modules
                             and proof.kind is ProofKind.STEM_INFEASIBLE
                             and module.stage != Stage.FINITE.value):
-                        companion = build_finite_module(proof, alphabet)
-                    try:
-                        result = subtract(current, module)
-                    except ResourceExhausted as exc:
-                        _unless_deadline(exc)
-                        module, result = degrade(module, proof, exc, index)
-                        if module is None:
-                            last = result  # (None, last_exc) from degrade
-                            record(round_stats)
-                            note("budget.exhausted", "difference",
-                                 f"{last.resource}: {last.detail}", index)
-                            reason = ("difference state limit"
-                                      if last.resource == "difference-states"
-                                      else f"resource exhausted: "
-                                           f"{last.resource}")
-                            return finish(Verdict.UNKNOWN, reason=reason)
-                        round_stats.stage = module.stage
-                        round_stats.module_states = len(
-                            module.automaton.states)
-                        round_span.set(stage=module.stage, degraded=True)
-                    extra = None
-                    if companion is not None and not result.is_empty:
-                        try:
-                            extra = subtract(result.automaton, companion)
-                        except ResourceExhausted:
-                            # Includes deadline overruns: the companion is
-                            # an optional extra subtraction, and the next
-                            # round's deadline check ends the run if time
-                            # is truly up.
-                            pass
-                    if admit(module, result, round_stats, fresh=True,
-                             companion=(companion, extra)
-                             if extra is not None else None):
+                        extra_module = build_finite_module(proof, alphabet)
+                        if not result.is_empty:
+                            try:
+                                companion = (extra_module, subtract(
+                                    result.automaton, extra_module))
+                            except ResourceExhausted:
+                                # Includes deadline overruns: the
+                                # companion is an optional extra
+                                # subtraction, and the next round's
+                                # deadline check ends the run if time is
+                                # truly up.
+                                pass
+                    if admit(module, result, round_stats,
+                             fresh=proof is not None, companion=companion):
                         return finish(Verdict.TERMINATING)
+            else:
+                return finish(Verdict.UNKNOWN,
+                              reason="refinement budget exhausted")
         except DeadlineExceeded:
             if round_stats is not None:
                 record(round_stats)
             return finish(Verdict.UNKNOWN, reason="timeout")
-        return finish(Verdict.UNKNOWN, reason="refinement budget exhausted")
+        # The one exhaustion exit: the round's lasso proof or its last
+        # candidate blew a cap.
+        component, _, exc = failure
+        if round_stats is not None:
+            record(round_stats)
+        note("budget.exhausted", component, f"{exc.resource}: {exc.detail}",
+             index)
+        reason = ("difference state limit"
+                  if exc.resource == "difference-states"
+                  else f"resource exhausted: {exc.resource}")
+        return finish(Verdict.UNKNOWN, reason=reason)
 
 
 def _unless_deadline(exc: ResourceExhausted) -> ResourceExhausted:

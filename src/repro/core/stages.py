@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 from repro.automata.gba import State, ba
 from repro.core.budget import ResourceExhausted
 from repro.core.module import CertifiedModule
-from repro.logic.predicates import Pred
+from repro.logic.predicates import PRED_FALSE, PRED_TRUE, Pred
 from repro.program.statements import Statement, hoare_valid
 from repro.ranking.certificate import RankCertificate, build_certificate
 from repro.ranking.lasso import Lasso
@@ -131,7 +131,7 @@ def build_finite_module(proof: LassoProof,
     automaton = ba(sigma, transitions, [0], [p], states=range(p + 1))
     certificate: dict[State, Pred] = {
         i: Pred.of_inf(posts[i]) for i in range(p)}
-    certificate[p] = Pred.bottom()
+    certificate[p] = PRED_FALSE
     return CertifiedModule(automaton, proof.ranking.expr, certificate,
                            stage=Stage.FINITE.value, source_word=lasso.word())
 
@@ -158,7 +158,7 @@ class _PowersetBuilder:
     def conj(self, states: frozenset) -> Pred:
         """``AND of I(q) for q in states`` (top for the empty set)."""
         if states not in self._conj_cache:
-            pred = Pred.top()
+            pred = PRED_TRUE
             for q in sorted(states, key=repr):
                 pred = pred.and_(self._cert[q])
             self._conj_cache[states] = pred

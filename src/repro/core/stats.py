@@ -25,19 +25,27 @@ class Incident:
     """A structured record of a degradation or validation failure.
 
     Incidents are the machine-readable audit trail of the robustness
-    layer: when the verdict firewall rejects a certificate, when the
-    budget ladder falls back to a cheaper stage, or when a resource cap
-    turns a run into UNKNOWN, one of these lands in
+    layer: when the verdict firewall rejects a certificate, when a
+    round's candidate module blows a resource cap, or when a cap turns
+    a run into UNKNOWN, one of these lands in
     ``AnalysisStats.incidents`` and the ``incidents.<kind>`` counter
     ticks in the run's metrics registry (both through
-    :meth:`AnalysisStats.record_incident`).  Kinds in use:
+    :meth:`AnalysisStats.record_incident`).  These are every kind
+    recorded:
 
     - ``firewall.certificate`` / ``firewall.emptiness`` /
       ``firewall.witness`` -- a conclusive verdict failed re-validation
       and was downgraded to UNKNOWN,
-    - ``budget.degraded`` -- the refinement loop fell down the stage
-      ladder after a resource blowup,
-    - ``budget.exhausted`` -- a resource cap ended the analysis.
+    - ``budget.degraded`` -- a candidate module blew a cap and the
+      refinement loop moved on to the next one; ``component`` names
+      what blew (``library``, ``generalize`` or ``difference``), or is
+      ``checkpoint`` when re-subtracting restored modules stopped early,
+    - ``budget.exhausted`` -- a cap ended the analysis (the lasso proof
+      or the round's last candidate blew),
+    - ``library.error`` -- the module-library lookup raised; the round
+      went on without it,
+    - ``checkpoint.rejected`` -- a persisted checkpoint failed its
+      re-check and the run started cold.
     """
 
     kind: str

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from repro.logic.atoms import Atom, atom_eq, atom_le, atom_lt, negate_atom
+from repro.logic.atoms import Atom, atom_eq, negate_atom
 from repro.logic.linconj import TRUE, LinConj
 from repro.logic.terms import LinTerm, var
 
@@ -123,35 +123,6 @@ class Pred:
         """``oldrnk finite AND conj`` (conj may mention oldrnk)."""
         return Pred((), _prune([conj]))
 
-    @staticmethod
-    def top() -> "Pred":
-        return Pred((TRUE,), (TRUE,))
-
-    @staticmethod
-    def bottom() -> "Pred":
-        return Pred((), ())
-
-    @staticmethod
-    def oldrnk_is_infinite(conj: LinConj = TRUE) -> "Pred":
-        """The initial-state predicate ``oldrnk = oo`` of Definition 3.1."""
-        return Pred.of_inf(conj)
-
-    @staticmethod
-    def rank_decreased(rank: LinTerm, extra: LinConj = TRUE) -> "Pred":
-        """``f(v) < oldrnk AND extra`` -- vacuous in the ``oo`` case.
-
-        This is the accepting-state predicate shape of Definition 3.1.
-        """
-        fin = extra.and_(atom_lt(rank, var(OLDRNK)))
-        return Pred(_prune([extra]), _prune([fin]))
-
-    @staticmethod
-    def rank_bounded(rank: LinTerm, extra: LinConj = TRUE) -> "Pred":
-        """``0 <= f(v) <= oldrnk AND extra`` -- the loop-body shape."""
-        inf = extra.and_(atom_le(0, rank))
-        fin = inf.and_(atom_le(rank, var(OLDRNK)))
-        return Pred(_prune([inf]), _prune([fin]))
-
     # -- logical structure ------------------------------------------------------
 
     def is_sat(self) -> bool:
@@ -163,17 +134,6 @@ class Pred:
     def and_(self, other: "Pred") -> "Pred":
         inf = [a.and_(b) for a in self.inf_disjuncts for b in other.inf_disjuncts]
         fin = [a.and_(b) for a in self.fin_disjuncts for b in other.fin_disjuncts]
-        return Pred(_prune(inf), _prune(fin))
-
-    def or_(self, other: "Pred") -> "Pred":
-        return Pred(_prune(self.inf_disjuncts + other.inf_disjuncts),
-                    _prune(self.fin_disjuncts + other.fin_disjuncts))
-
-    def and_atoms(self, atoms: Iterable[Atom], *, fin_only: bool = False) -> "Pred":
-        """Conjoin program-variable atoms to both cases (or the finite one)."""
-        atoms = tuple(atoms)
-        inf = self.inf_disjuncts if fin_only else tuple(d.and_(atoms) for d in self.inf_disjuncts)
-        fin = tuple(d.and_(atoms) for d in self.fin_disjuncts)
         return Pred(_prune(inf), _prune(fin))
 
     def entails(self, other: "Pred") -> bool:
@@ -223,20 +183,6 @@ class Pred:
         for d in self.fin_disjuncts:
             fin.append(d.project_away([OLDRNK]).and_(eq))
         return Pred((), _prune(fin))
-
-    def sample_models(self) -> list[tuple[bool, dict]]:
-        """One rational model per satisfiable disjunct, tagged with
-        whether it came from the ``oldrnk = oo`` case."""
-        out = []
-        for d in self.inf_disjuncts:
-            model = d.find_model()
-            if model is not None:
-                out.append((True, model))
-        for d in self.fin_disjuncts:
-            model = d.find_model()
-            if model is not None:
-                out.append((False, model))
-        return out
 
     def __str__(self) -> str:
         parts = []

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from repro.logic.atoms import atom_le
 from repro.logic.linconj import TRUE
-from repro.logic.predicates import OLDRNK, Pred
+from repro.logic.predicates import OLDRNK, PRED_FALSE, Pred
 from repro.logic.terms import LinTerm, var
 from repro.program.statements import hoare_valid
 from repro.ranking.synthesis import LassoProof, ProofKind
@@ -91,14 +91,14 @@ def build_certificate(proof: LassoProof, *,
         stem_preds = []
         for index in range(len(lasso.stem) + 1):
             post = posts[index]
-            stem_preds.append(Pred.of_inf(post) if post.is_sat() else Pred.bottom())
+            stem_preds.append(Pred.of_inf(post) if post.is_sat() else PRED_FALSE)
         head = stem_preds[-1]
         loop_preds = [head]
         current = head
         for stmt in lasso.loop:
             current = stmt.sp_pred(current)
             loop_preds.append(current)
-        loop_preds[-1] = Pred.bottom()  # unreachable loop head re-entry
+        loop_preds[-1] = PRED_FALSE  # unreachable loop head re-entry
         return RankCertificate(stem_preds, loop_preds, rank)
 
     if proof.needs_invariant:

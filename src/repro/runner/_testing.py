@@ -16,7 +16,11 @@ import time
 
 
 def echo_task(payload: dict) -> dict:
-    """Return the payload's ``value`` (optionally after ``delay`` s)."""
+    """Return the payload's ``value`` (optionally after ``delay`` s).
+    With ``pid_file`` set, the worker first writes its pid there."""
+    if payload.get("pid_file"):
+        with open(payload["pid_file"], "w", encoding="utf-8") as fh:
+            fh.write(str(os.getpid()))
     delay = payload.get("delay", 0.0)
     if delay:
         time.sleep(delay)

@@ -10,6 +10,8 @@ enforces the budget from outside:
   firewall's screening allowance for that timeout and ``kill_grace``
   is SIGKILLed and the job recorded as ``timeout`` -- a verdict reached
   at the budget still gets screened and returned first,
+- **no orphans**: a worker exits as soon as the pool's process is
+  gone, so a SIGKILLed harness leaves no job running behind it,
 - **crash isolation**: a worker death (segfault, kernel OOM kill,
   interpreter abort) never takes the harness down; the job is
   respawned once, immediately, and a second death is recorded as an
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import os
 import signal
+import threading
 import time
 import traceback
 from collections import deque
@@ -195,8 +198,14 @@ def _maybe_fault_worker(config: AnalysisConfig, *, same_process: bool) -> None:
             os.kill(os.getpid(), signal.SIGKILL)
 
 
-def _worker_main(task: Callable[[dict], dict], payload: dict, conn) -> None:
-    """Subprocess body: run the task, ship the result."""
+def _worker_main(task: Callable[[dict], dict], payload: dict, conn,
+                 parent: int) -> None:
+    """Subprocess body: run the task, ship the result.  The worker
+    exits as soon as the pool's process ``parent`` is gone: a daemon
+    child is reaped only at its parent's normal exit, so a SIGKILLed
+    harness would otherwise leave it running (and checkpointing)."""
+    threading.Thread(target=_exit_with_parent, args=(parent,),
+                     daemon=True).start()
     try:
         result = task(payload)
         conn.send(("ok", result))
@@ -211,6 +220,12 @@ def _worker_main(task: Callable[[dict], dict], payload: dict, conn) -> None:
             conn.close()
         except Exception:
             pass
+
+
+def _exit_with_parent(parent: int) -> None:
+    while os.getppid() == parent:
+        time.sleep(0.2)
+    os._exit(1)
 
 
 class _Running:
@@ -343,7 +358,8 @@ class WorkerPool:
             parent, child = self._ctx.Pipe(duplex=False)
             try:
                 proc = self._ctx.Process(
-                    target=_worker_main, args=(self.task, payload, child),
+                    target=_worker_main,
+                    args=(self.task, payload, child, os.getpid()),
                     daemon=True)
                 proc.start()
             except BaseException:

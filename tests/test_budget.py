@@ -122,6 +122,152 @@ def test_incident_serialization_round_trip():
     assert restored.incidents[0].round == 2
 
 
+# -- the one fallback rule ------------------------------------------------------
+
+
+def _degraded(result, component: str) -> list[str]:
+    """Stage labels of the run's ``budget.degraded`` incidents from
+    ``component``, in the order they were recorded."""
+    return [i.detail.split(":")[0] for i in result.stats.incidents
+            if i.kind == "budget.degraded" and i.component == component]
+
+
+def _exhausted(result) -> list:
+    return [i for i in result.stats.incidents if i.kind == "budget.exhausted"]
+
+
+def _ladder_positions(stages: list[str]) -> list[int]:
+    return [[s.value for s in refinement.DEGRADATION_LADDER].index(stage)
+            for stage in stages]
+
+
+def test_subtraction_blowups_walk_the_ladder_in_order():
+    config = AnalysisConfig.single_stage(difference_state_limit=0,
+                                         timeout=10.0)
+    result = prove_termination_source(NESTED, config)
+    walk = _ladder_positions(_degraded(result, "difference"))
+    assert len(walk) >= 2 and walk == sorted(set(walk)), walk
+    assert walk[0] == 0  # the configured nondet module blew first
+    (last,) = _exhausted(result)
+    assert last is result.stats.incidents[-1]
+    assert last.component == "difference"
+    assert result.reason == "difference state limit"
+
+
+def test_build_blowups_walk_the_whole_ladder(monkeypatch):
+    """A blowup building any module: the configured sequence counts as
+    a blown nondet, then every rung below it blows in ladder order."""
+    def blow(proof, sequence, alphabet, **kwargs):
+        raise ResourceExhausted("fm-constraints", "forced")
+
+    monkeypatch.setattr(refinement, "generalize", blow)
+    result = prove_termination_source(COUNTDOWN, AnalysisConfig(timeout=10.0))
+    assert _degraded(result, "generalize") == [
+        stage.value for stage in refinement.DEGRADATION_LADDER]
+    (last,) = _exhausted(result)
+    assert last.component == "generalize"
+    assert result.verdict is Verdict.UNKNOWN
+    assert result.reason == "resource exhausted: fm-constraints"
+
+
+def test_configured_build_blowup_enters_the_ladder_below_nondet(monkeypatch):
+    config = AnalysisConfig(timeout=10.0)
+    real = refinement.generalize
+
+    def blow_configured(proof, sequence, alphabet, **kwargs):
+        if tuple(sequence) == config.stages:
+            raise ResourceExhausted("fm-constraints", "forced")
+        return real(proof, sequence, alphabet, **kwargs)
+
+    monkeypatch.setattr(refinement, "generalize", blow_configured)
+    result = prove_termination_source(NESTED, config)
+    assert result.verdict is Verdict.TERMINATING
+    rounds = result.stats.rounds
+    assert _degraded(result, "generalize") == ["nondet"] * len(rounds)
+    assert not _exhausted(result)
+    below = {stage.value for stage in refinement.ladder_tail("nondet")}
+    assert all(r.stage in below for r in rounds), [r.stage for r in rounds]
+
+
+def test_blown_library_hit_falls_through_to_fresh_synthesis(
+        tmp_path, monkeypatch):
+    from repro.core.library import ModuleLibrary
+    path = tmp_path / "lib.jsonl"
+    config = AnalysisConfig(timeout=10.0)
+    cold = prove_termination_source(COUNTDOWN, config,
+                                    library=ModuleLibrary(path))
+    assert cold.verdict is Verdict.TERMINATING
+
+    library = ModuleLibrary(path)
+    hits = []
+    match = library.match
+
+    def recording_match(word, alphabet):
+        hit = match(word, alphabet)
+        if hit is not None:
+            hits.append(hit.automaton)
+        return hit
+
+    real = refinement.difference
+
+    def blow_hits(minuend, subtrahend, **kwargs):
+        if any(subtrahend is automaton for automaton in hits):
+            raise ResourceExhausted("difference-states", "forced")
+        return real(minuend, subtrahend, **kwargs)
+
+    library.match = recording_match
+    monkeypatch.setattr(refinement, "difference", blow_hits)
+    warm = prove_termination_source(COUNTDOWN, config, library=library)
+    assert warm.verdict is Verdict.TERMINATING
+    assert hits
+    assert len(_degraded(warm, "library")) == len(hits)
+    assert [i.component for i in warm.stats.incidents] == ["library"] * len(hits)
+    # every round's module came from fresh synthesis
+    assert all(r.proof_kind != "library" for r in warm.stats.rounds)
+    assert warm.stats.counter("ranking.syntheses") > 0
+
+
+def _blow_prove_lasso(monkeypatch):
+    def blow(lasso):
+        raise ResourceExhausted("fm-constraints", "forced")
+    monkeypatch.setattr(refinement, "prove_lasso", blow)
+
+
+def _blow_generalize(monkeypatch):
+    def blow(proof, sequence, alphabet, **kwargs):
+        raise ResourceExhausted("stage-states", "forced")
+    monkeypatch.setattr(refinement, "generalize", blow)
+
+
+def _tiny_fm_cap(monkeypatch):
+    monkeypatch.setattr(refinement, "FM_CONSTRAINT_CAP", 1)
+
+
+@pytest.mark.parametrize("program, config, force", [
+    (NESTED, AnalysisConfig(difference_state_limit=0, timeout=10.0), None),
+    (NESTED, AnalysisConfig.single_stage(difference_state_limit=0,
+                                         timeout=10.0), None),
+    (NESTED, AnalysisConfig(interpolant_modules=True,
+                            difference_state_limit=0, timeout=10.0), None),
+    (COUNTDOWN, AnalysisConfig(timeout=10.0), _blow_prove_lasso),
+    (COUNTDOWN, AnalysisConfig(timeout=10.0), _blow_generalize),
+    (NESTED, AnalysisConfig(timeout=10.0), _tiny_fm_cap),
+], ids=["difference", "difference-single", "difference-interp",
+        "prove-lasso", "generalize", "fm-cap"])
+def test_a_cap_ends_a_run_with_exactly_one_exhausted_incident(
+        monkeypatch, program, config, force):
+    if force is not None:
+        force(monkeypatch)
+    result = prove_termination_source(program, config)
+    assert result.verdict is Verdict.UNKNOWN
+    (last,) = _exhausted(result)
+    resource = last.detail.split(":")[0]
+    assert result.reason == ("difference state limit"
+                             if resource == "difference-states"
+                             else f"resource exhausted: {resource}")
+    assert result.stats.counter("incidents.budget.exhausted") == 1
+
+
 # -- the portfolio short-circuit ----------------------------------------------
 
 

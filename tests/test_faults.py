@@ -185,7 +185,7 @@ def test_flipped_entailments_never_enter_the_hoare_memo(monkeypatch):
 def test_an_active_plan_neither_reads_nor_writes_the_hoare_memo():
     from repro.logic.atoms import atom_ge
     from repro.logic.linconj import conj
-    from repro.logic.predicates import Pred
+    from repro.logic.predicates import PRED_FALSE, Pred
     from repro.logic.terms import var
     from repro.program.statements import Assign, hoare_valid, use_memo
     stmt = Assign("x", var("x") - 1)
@@ -196,7 +196,7 @@ def test_an_active_plan_neither_reads_nor_writes_the_hoare_memo():
         # poison every stored answer: serving one would show
         for key, answer in memo.items():
             memo[key] = (not answer if isinstance(answer, bool)
-                         else Pred.bottom() if isinstance(answer, Pred)
+                         else PRED_FALSE if isinstance(answer, Pred)
                          else conj())
         poisoned = dict(memo)
         with faults.use_plan(FaultPlan(seed=0)):

@@ -93,7 +93,7 @@ def test_reserved_oldrnk_protected():
 
 def test_sp_pred_keeps_oldrnk_case_split():
     stmt = Assign("x", x + 1)
-    pre = Pred.rank_decreased(x)
+    pre = Pred((TRUE,), (conj(atom_lt(x, var(OLDRNK))),))  # x < oldrnk
     post = stmt.sp_pred(pre)
     # the oldrnk-infinite case survives program statements
     assert post.inf_disjuncts
@@ -114,7 +114,7 @@ def test_hoare_valid_with_oldrnk_update():
     # {x < oldrnk} oldrnk := x; x := x - 1 {x < oldrnk}: after the update
     # oldrnk = old x, then x decreases, so x < oldrnk again.
     stmt = Assign("x", x - 1)
-    pred = Pred.rank_decreased(x)
+    pred = Pred((TRUE,), (conj(atom_lt(x, var(OLDRNK))),))
     assert hoare_valid(pred, stmt, pred, oldrnk_update=x)
     # without the update the triple fails on the finite case
     grow = Assign("x", x + 1)

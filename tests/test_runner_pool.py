@@ -8,7 +8,10 @@ tests are fast and deterministic.
 
 from __future__ import annotations
 
+import os
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -65,6 +68,55 @@ def test_hard_deadline_covers_the_firewall_allowance():
         assert pool.kill_after(budget) == (budget + allowance(budget)
                                            + pool.kill_grace)
     assert pool.kill_after(None) is None  # no budget, no hard deadline
+
+
+def _running(pid: int) -> bool:
+    """True while ``pid`` runs (a zombie awaiting its reaper does not)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"),
+                    reason="needs /proc to tell a live worker from a zombie")
+def test_worker_exits_when_its_parent_is_killed(tmp_path):
+    """A SIGKILLed harness leaves no worker running its job behind."""
+    if WorkerPool(workers=1, task=echo_task).inprocess:
+        pytest.skip("multiprocessing unavailable: no worker subprocesses")
+    pid_file = tmp_path / "worker.pid"
+    script = (
+        "from repro.runner._testing import echo_task\n"
+        "from repro.runner.pool import WorkerPool\n"
+        "WorkerPool(workers=1, task=echo_task).run(\n"
+        f"    [{{'delay': 60.0, 'pid_file': {str(pid_file)!r}}}])\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    parent = subprocess.Popen([sys.executable, "-c", script], env=env)
+    worker = None
+    try:
+        give_up = time.monotonic() + 30.0
+        while worker is None:
+            assert parent.poll() is None, "parent exited before its worker ran"
+            assert time.monotonic() < give_up, "worker never started"
+            try:
+                worker = int(pid_file.read_text(encoding="utf-8"))
+            except (FileNotFoundError, ValueError):
+                time.sleep(0.05)
+        parent.kill()
+        parent.wait()
+        give_up = time.monotonic() + 5.0
+        while _running(worker) and time.monotonic() < give_up:
+            time.sleep(0.05)
+        assert not _running(worker), "worker outlived its killed parent"
+    finally:
+        if parent.poll() is None:
+            parent.kill()
+            parent.wait()
+        if worker is not None and _running(worker):
+            os.kill(worker, signal.SIGKILL)
 
 
 def test_sigkilled_worker_is_quarantined_after_retries():
