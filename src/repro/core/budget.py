@@ -46,7 +46,7 @@ class ResourceExhausted(ReproError):
     """A budget cap was exceeded.
 
     ``resource`` names the cap (``"deadline"``, ``"difference-states"``,
-    ``"fm-constraints"``, ``"stage-states"``, ``"simulation"``); the
+    ``"fm-constraints"``, ``"simulation"``); the
     refinement loop keys its recovery on it.
     """
 

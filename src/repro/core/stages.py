@@ -8,16 +8,22 @@ nondeterministic module of Section 3.1.5.  ``generalize`` walks a
 configured stage sequence and returns the first module whose language
 contains the sampled word ``u v^w`` -- the guarantee the refinement loop
 needs to make progress.
+
+Stages 2 and 3 are one powerset exploration (``_explore``) over the
+delta-wedge successors of ``M_uvw``; they differ only in the successor
+rule it is given.  ``generalize`` tries the sampled lasso first and
+the proofs of its loop rotations only when every strong stage (finite,
+det, semi) of the sequence failed on it; a sequence without strong
+stages proves no rotation.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.automata.gba import State, ba
-from repro.core.budget import ResourceExhausted
 from repro.core.module import CertifiedModule
 from repro.logic.predicates import PRED_FALSE, PRED_TRUE, Pred
 from repro.program.statements import Statement, hoare_valid
@@ -45,13 +51,6 @@ INTERPOLANT_STAGE = "interp"
 
 #: States each powerset stage (det/semi) may build before it gives up.
 STAGE_STATE_BUDGET = 4096
-
-
-class StageBlowup(ResourceExhausted):
-    """A powerset-based stage exceeded its state budget."""
-
-    def __init__(self, detail: str = ""):
-        super().__init__("stage-states", detail)
 
 
 # -- stage 0: the initial certified lasso module --------------------------------
@@ -147,7 +146,6 @@ class _PowersetBuilder:
         self._all_states = sorted(base.automaton.states, key=repr)
         self._cert = base.certificate
         self._ranking = base.ranking
-        self._budget = STAGE_STATE_BUDGET
         self._conj_cache: dict[frozenset, Pred] = {}
         self._wedge_cache: dict[tuple[frozenset, Statement], frozenset] = {}
 
@@ -199,82 +197,82 @@ class _PowersetBuilder:
         """The additional stage-3 successor: ``delta_and \\ {qf}``."""
         return self.delta_wedge(states, stmt) - self._accepting
 
-    def charge(self, count: int) -> None:
-        self._budget -= count
-        if self._budget < 0:
-            raise StageBlowup("powerset stage exceeded its state budget")
+
+def _explore(base: CertifiedModule, stage: Stage, start: State,
+             successors: Callable[[_PowersetBuilder, State, Statement],
+                                  Iterable[State]],
+             view: Callable[[State], tuple[frozenset, bool]],
+             ) -> CertifiedModule | None:
+    """The powerset exploration of stages 2 and 3; ``successors`` is the
+    stage's rule.
+
+    Breadth-first from ``start``, statements in ``str`` order.
+    ``view(state)`` is the set of base states a state stands for and
+    whether it may accept: it accepts when it may and that set is in
+    F_det, and its certificate is the set's conjunction.  Returns
+    ``None`` once more than :data:`STAGE_STATE_BUDGET` states beyond
+    ``start`` are found.
+    """
+    builder = _PowersetBuilder(base)
+    alphabet = sorted(builder.alphabet, key=str)
+    transitions: dict[tuple[State, Statement], set[State]] = {}
+    seen: set[State] = {start}
+    queue: deque[State] = deque([start])
+    while queue:
+        current = queue.popleft()
+        for stmt in alphabet:
+            targets = successors(builder, current, stmt)
+            transitions.setdefault((current, stmt), set()).update(targets)
+            for target in targets:
+                if target not in seen:
+                    if len(seen) > STAGE_STATE_BUDGET:
+                        return None
+                    seen.add(target)
+                    queue.append(target)
+    views = {q: view(q) for q in seen}
+    accepting = {q for q, (states, may_accept) in views.items()
+                 if may_accept and builder.is_accepting_state(states)}
+    automaton = ba(builder.alphabet, transitions, [start], accepting,
+                   states=seen)
+    certificate = {q: builder.conj(states) for q, (states, _) in views.items()}
+    return CertifiedModule(automaton, base.ranking, certificate,
+                           stage=stage.value, source_word=base.source_word)
+
+
+def _det_successors(builder: _PowersetBuilder, states: frozenset,
+                    stmt: Statement) -> tuple[frozenset]:
+    return (builder.det_successor(states, stmt),)
+
+
+def _semi_successors(builder: _PowersetBuilder, state: tuple[frozenset, str],
+                     stmt: Statement) -> set[tuple[frozenset, str]]:
+    """A stem state (phase ``"n"``) whose wedge reaches the accepting
+    state may enter the deterministic part (``"d"``) or stay."""
+    states, phase = state
+    det_target = builder.det_successor(states, stmt)
+    if phase == "d":
+        return {(det_target, "d")}
+    if builder.has_accepting(builder.delta_wedge(states, stmt)):
+        return {(det_target, "d"),
+                (builder.nondet_successor(states, stmt), "n")}
+    return {(det_target, "n")}
 
 
 def build_deterministic_module(base: CertifiedModule,
                                ) -> CertifiedModule | None:
     """``M_det`` (Definition 3.2): the deterministic powerset module."""
-    builder = _PowersetBuilder(base)
     start = frozenset(base.automaton.initial_states())
-    transitions: dict[tuple[State, Statement], set[State]] = {}
-    seen: set[frozenset] = {start}
-    queue: deque[frozenset] = deque([start])
-    try:
-        while queue:
-            current = queue.popleft()
-            for stmt in sorted(builder.alphabet, key=str):
-                target = builder.det_successor(current, stmt)
-                transitions.setdefault((current, stmt), set()).add(target)
-                if target not in seen:
-                    builder.charge(1)
-                    seen.add(target)
-                    queue.append(target)
-    except StageBlowup:
-        return None
-    accepting = {q for q in seen if builder.is_accepting_state(q)}
-    automaton = ba(builder.alphabet, transitions, [start], accepting,
-                   states=seen)
-    certificate = {q: builder.conj(q) for q in seen}
-    return CertifiedModule(automaton, base.ranking, certificate,
-                           stage=Stage.DETERMINISTIC.value,
-                           source_word=base.source_word)
+    return _explore(base, Stage.DETERMINISTIC, start, _det_successors,
+                    lambda states: (states, True))
 
 
 def build_semideterministic_module(base: CertifiedModule,
                                    ) -> CertifiedModule | None:
     """``M_semi`` (Section 3.1.4): ``M_det`` enriched with nondeterministic
     stay-in-the-stem successors; the result is a normalized SDBA."""
-    builder = _PowersetBuilder(base)
-    start: tuple[frozenset, str] = (frozenset(base.automaton.initial_states()), "n")
-    transitions: dict[tuple[State, Statement], set[State]] = {}
-    seen: set[tuple[frozenset, str]] = {start}
-    queue: deque[tuple[frozenset, str]] = deque([start])
-    try:
-        while queue:
-            current = queue.popleft()
-            states, phase = current
-            for stmt in sorted(builder.alphabet, key=str):
-                det_target = builder.det_successor(states, stmt)
-                targets: set[tuple[frozenset, str]] = set()
-                if phase == "d":
-                    targets.add((det_target, "d"))
-                else:
-                    wedge = builder.delta_wedge(states, stmt)
-                    if builder.has_accepting(wedge):
-                        targets.add((det_target, "d"))
-                        targets.add((builder.nondet_successor(states, stmt), "n"))
-                    else:
-                        targets.add((det_target, "n"))
-                transitions.setdefault((current, stmt), set()).update(targets)
-                for target in targets:
-                    if target not in seen:
-                        builder.charge(1)
-                        seen.add(target)
-                        queue.append(target)
-    except StageBlowup:
-        return None
-    accepting = {(q, phase) for (q, phase) in seen
-                 if phase == "d" and builder.is_accepting_state(q)}
-    automaton = ba(builder.alphabet, transitions, [start], accepting,
-                   states=seen)
-    certificate = {(q, phase): builder.conj(q) for (q, phase) in seen}
-    return CertifiedModule(automaton, base.ranking, certificate,
-                           stage=Stage.SEMIDET.value,
-                           source_word=base.source_word)
+    start = (frozenset(base.automaton.initial_states()), "n")
+    return _explore(base, Stage.SEMIDET, start, _semi_successors,
+                    lambda state: (state[0], state[1] == "d"))
 
 
 # -- stage 4: nondeterministic module --------------------------------------------------
@@ -351,13 +349,14 @@ def generalize(proof: LassoProof,
                sequence: Sequence[Stage],
                program_alphabet: Iterable[Statement],
                *,
-               rotate: bool = True,
                interpolants: bool = False) -> CertifiedModule:
     """Run the multi-stage generalization (Section 3.1).
 
-    Walks the sampled alignment through ``sequence`` first, then the
-    loop rotations (see :func:`_rotation_proofs`); returns the first
-    module whose language contains the sampled word.  Falls back to the
+    Walks the sampled alignment through the strong stages of
+    ``sequence`` first, then the loop rotations (see
+    :func:`_rotation_proofs`; a sequence without strong stages proves no
+    rotation), then the weak stages; returns the first module whose
+    language contains the sampled word.  Falls back to the
     lasso module itself (which accepts exactly that word) if every
     stage fails -- the refinement loop always makes progress.
 
@@ -384,7 +383,7 @@ def generalize(proof: LassoProof,
     # The sampled alignment is tried in full first; rotations only rescue
     # when every strong stage of the sampled alignment failed.
     base_module: CertifiedModule | None = None
-    for candidate in (_rotation_proofs(proof) if rotate else iter([proof])):
+    for candidate in (_rotation_proofs(proof) if strong else [proof]):
         lasso_module = build_lasso_module(candidate,
                                           build_certificate(candidate))
         if base_module is None:

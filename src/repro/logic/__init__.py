@@ -13,8 +13,9 @@ disjunctions) of linear constraints over rational-valued variables:
   predicates used by rank certificates (Definition 3.1 of the paper),
 - :mod:`repro.logic.lp` -- an exact rational feasibility check (phase-I
   simplex) for the Farkas-lemma ranking synthesis and interpolants,
-- :mod:`repro.logic.interpolation` -- Farkas sequence interpolants for
-  infeasible statement paths.
+- :mod:`repro.logic.interpolation` -- the Farkas implication encoding
+  (shared with the ranking synthesis), refutations and sequence
+  interpolants for infeasible statement paths.
 
 All arithmetic uses :class:`fractions.Fraction`; floats never enter
 soundness-critical paths.

@@ -27,17 +27,16 @@ it is sound in the UNSAT direction (rational-UNSAT implies
 integer-UNSAT), which is the direction every soundness-critical caller
 relies on.
 
-With ``tighten`` (the default) each new row is also tightened over the
-integers, exactly as :meth:`Atom.tighten_integral` tightens an atom:
-divide by the gcd ``g`` of the variable coefficients and round the
-constant ``d`` by floor division (``t + d < 0`` becomes
-``t/g + d//g + 1 <= 0``, ``t + d <= 0`` becomes ``t/g + ceil(d/g) <= 0``,
-and an equality with ``g`` not dividing ``d`` is a contradiction).  A
-row with a nonzero coefficient of a rational-valued variable
-(:data:`~repro.logic.atoms.RATIONAL_VARS`, i.e. ``oldrnk``) is only
-scaled, never rounded.  So every atom returned is the tightened atom of
-its row, and the output is atom for atom what the textbook procedure on
-``Fraction`` atoms gives.
+Each new row is also tightened over the integers, exactly as
+:meth:`Atom.tighten_integral` tightens an atom: divide by the gcd ``g``
+of the variable coefficients and round the constant ``d`` by floor
+division (``t + d < 0`` becomes ``t/g + d//g + 1 <= 0``, ``t + d <= 0``
+becomes ``t/g + ceil(d/g) <= 0``, and an equality with ``g`` not
+dividing ``d`` is a contradiction).  A row with a nonzero coefficient
+of a rational-valued variable (:data:`~repro.logic.atoms.RATIONAL_VARS`,
+i.e. ``oldrnk``) is only scaled, never rounded.  So every atom returned
+is the tightened atom of its row, and the output is atom for atom what
+the textbook procedure on ``Fraction`` atoms gives.
 
 Inside :func:`use_memo` (one analysis run, see
 :func:`repro.core.api.prove_termination`) :func:`eliminate` answers a
@@ -93,8 +92,7 @@ _RELS = (Rel.LE, Rel.LT, Rel.EQ)
 Row = tuple[int, ...]
 
 
-def _row(vals: list[int], rel: int, tighten: bool,
-         rational: tuple[int, ...]) -> Row | None:
+def _row(vals: list[int], rel: int, rational: tuple[int, ...]) -> Row | None:
     """The normalized row of ``vals[:-1]·v + vals[-1] REL 0``.
 
     ``None`` if it is trivially true; raises :class:`_Contradiction` if
@@ -107,7 +105,7 @@ def _row(vals: list[int], rel: int, tighten: bool,
         if (d < 0 and rel != _EQ) or (d == 0 and rel != _LT):
             return None
         raise _Contradiction()
-    if tighten and not any(vals[k] for k in rational):
+    if not any(vals[k] for k in rational):
         if rel == _LT:
             d, rel = d // g + 1, _LE
         elif rel == _LE:
@@ -129,8 +127,7 @@ def _dedupe(rows: list[Row | None]) -> list[Row]:
     return [r for r in dict.fromkeys(rows) if r is not None]
 
 
-def _step(rows: list[Row], k: int, tighten: bool,
-          rational: tuple[int, ...]) -> list[Row]:
+def _step(rows: list[Row], k: int, rational: tuple[int, ...]) -> list[Row]:
     """Eliminate column ``k``: pivot on an equality, else FM-combine."""
     for i, e in enumerate(rows):
         c = e[k]
@@ -141,7 +138,7 @@ def _step(rows: list[Row], k: int, tighten: bool,
             for r in rows[:i] + rows[i + 1:]:
                 a = sign * r[k]
                 pivoted.append(_row([c * x - a * y for x, y in zip(r, ev)],
-                                    r[-1], tighten, rational) if a else r)
+                                    r[-1], rational) if a else r)
             return _dedupe(pivoted)
     lowers: list[Row] = []   # coefficient < 0: lower bounds
     uppers: list[Row] = []   # coefficient > 0: upper bounds
@@ -153,11 +150,11 @@ def _step(rows: list[Row], k: int, tighten: bool,
         for up in uppers:
             rel = _LT if _LT in (lo[-1], up[-1]) else _LE
             out.append(_row([x * up[k] + y * cl for x, y in zip(lo, up[:-1])],
-                            rel, tighten, rational))
+                            rel, rational))
     return _dedupe(out)
 
 
-def _rows(atoms: Sequence[Atom], names: Iterable[str] | None, tighten: bool,
+def _rows(atoms: Sequence[Atom], names: Iterable[str] | None,
           systems: list[tuple[int, list[Row]]] | None = None
           ) -> tuple[list[str], list[Row]]:
     """The one elimination kernel behind :func:`eliminate` and :func:`find_model`.
@@ -181,7 +178,7 @@ def _rows(atoms: Sequence[Atom], names: Iterable[str] | None, tighten: bool,
         for n, c in term._coeffs:
             vals[index[n]] = c.numerator * (den // c.denominator)
         vals[-1] = const.numerator * (den // const.denominator)
-        rows.append(_row(vals, _RELS.index(atom.rel), tighten, rational))
+        rows.append(_row(vals, _RELS.index(atom.rel), rational))
     current = _dedupe(rows)
     budget = current_budget()
     for name in variables if names is None else names:
@@ -194,12 +191,11 @@ def _rows(atoms: Sequence[Atom], names: Iterable[str] | None, tighten: bool,
         if k is not None:
             if systems is not None:
                 systems.append((k, current))
-            current = _step(current, k, tighten, rational)
+            current = _step(current, k, rational)
     return variables, current
 
 
-def eliminate(atoms: Sequence[Atom], names: Iterable[str], *,
-              tighten: bool = True) -> list[Atom] | None:
+def eliminate(atoms: Sequence[Atom], names: Iterable[str]) -> list[Atom] | None:
     """Project the conjunction onto the complement of ``names``.
 
     Returns the projected atom list, or ``None`` if the conjunction is
@@ -208,30 +204,25 @@ def eliminate(atoms: Sequence[Atom], names: Iterable[str], *,
     result iff it extends to a valuation of all variables satisfying the
     input.  Inside :func:`use_memo` a repeated query is answered from
     the memo.
-
-    ``tighten=False`` ("rational mode", used by tests only) rounds
-    nothing, but every atom still comes back as its row's primitive
-    scaling (coprime integer variable coefficients), and atoms that are
-    positive multiples of one another count as duplicates.
     """
     if _MEMO is None:
-        return _eliminate(atoms, names, tighten)
-    key = (tuple(atoms), tuple(names), tighten)
+        return _eliminate(atoms, names)
+    key = (tuple(atoms), tuple(names))
     hit = _MEMO.get(key, _MISS)
     if hit is _MISS:
-        result = _eliminate(key[0], key[1], tighten)
+        result = _eliminate(*key)
         _MEMO[key] = None if result is None else tuple(result)
         return result
     _metrics.inc("logic.fm.memo_hits")
     return None if hit is None else list(hit)
 
 
-def _eliminate(atoms: Sequence[Atom], names: Iterable[str],
-               tighten: bool) -> list[Atom] | None:
+def _eliminate(atoms: Sequence[Atom],
+               names: Iterable[str]) -> list[Atom] | None:
     """The uncached elimination behind :func:`eliminate`."""
     _metrics.inc("logic.fm.eliminations")
     try:
-        variables, rows = _rows(atoms, names, tighten)
+        variables, rows = _rows(atoms, names)
     except _Contradiction:
         return None
     out = []
@@ -244,13 +235,13 @@ def _eliminate(atoms: Sequence[Atom], names: Iterable[str],
     return out
 
 
-def satisfiable(atoms: Sequence[Atom], *, tighten: bool = True) -> bool:
+def satisfiable(atoms: Sequence[Atom]) -> bool:
     """Exact rational satisfiability of a conjunction of atoms."""
     _metrics.inc("logic.fm.sat_checks")
     names = set()
     for atom in atoms:
         names |= atom.variables()
-    return eliminate(atoms, sorted(names), tighten=tighten) is not None
+    return eliminate(atoms, sorted(names)) is not None
 
 
 def _pick_value(lower: Fraction | None, lower_strict: bool,
@@ -287,7 +278,7 @@ def _ceil(f: Fraction) -> int:
     return -((-f.numerator) // f.denominator)
 
 
-def find_model(atoms: Sequence[Atom], *, tighten: bool = True,
+def find_model(atoms: Sequence[Atom], *,
                prefer: dict[str, Fraction] | None = None) -> dict[str, Fraction] | None:
     """Find a rational model of the conjunction, or ``None`` if UNSAT.
 
@@ -301,7 +292,7 @@ def find_model(atoms: Sequence[Atom], *, tighten: bool = True,
     # values can be back-substituted in reverse order.
     systems: list[tuple[int, list[Row]]] = []
     try:
-        variables, _ = _rows(atoms, None, tighten, systems)
+        variables, _ = _rows(atoms, None, systems)
     except _Contradiction:
         return None
     values = [Fraction(0)] * len(variables)

@@ -1,4 +1,14 @@
-"""Farkas-based sequence interpolants for infeasible statement paths.
+"""Farkas' lemma encodings and sequence interpolants.
+
+Both Farkas callers reduce their question to one implication over a
+system of rows ``A z <= b`` (:func:`farkas_rows`, laid out densely by
+:func:`relation_matrix`): the consequence ``g . z <= h`` holds iff some
+multipliers ``lambda >= 0`` give ``lambda^T A = g`` and
+``lambda^T b <= h``.  :func:`add_farkas_implication` adds exactly those
+constraints to a :class:`~repro.logic.lp.LinearProgram`.  The
+Podelski--Rybalchenko ranking synthesis of :mod:`repro.ranking` asks it
+with unknown ``g`` and ``h``; a refutation (:func:`farkas_refutation`)
+is the implication ``rows |= 0 <= -1``.
 
 For an infeasible conjunction ``A_1 & A_2 & ... & A_n`` (grouped by the
 statement that contributed each constraint), a *sequence interpolant*
@@ -23,6 +33,7 @@ re-checked by the callers' Hoare validator anyway).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -50,6 +61,70 @@ def farkas_rows(atoms: Iterable[Atom]) -> list[LinTerm]:
     return rows
 
 
+@dataclass
+class RelationMatrix:
+    """``A z <= b`` with named columns."""
+
+    columns: tuple[str, ...]
+    rows: list[list[Fraction]]
+    bounds: list[Fraction]
+
+
+def relation_matrix(terms: Sequence[LinTerm],
+                    columns: Sequence[str]) -> RelationMatrix:
+    """Lay Farkas rows ``term <= 0`` out as ``A z <= b`` over ``columns``."""
+    columns = tuple(columns)
+    index = {name: i for i, name in enumerate(columns)}
+    rows: list[list[Fraction]] = []
+    bounds: list[Fraction] = []
+    for term in terms:
+        # term <= 0  ->  coeffs . z <= -constant
+        row = [Fraction(0)] * len(columns)
+        for name, c in term.coeffs.items():
+            if name not in index:
+                raise ValueError(f"constraint mentions unknown variable {name!r}")
+            row[index[name]] = c
+        rows.append(row)
+        bounds.append(-term.constant)
+    return RelationMatrix(columns, rows, bounds)
+
+
+def add_farkas_implication(lp: LinearProgram, matrix: RelationMatrix,
+                           goal_coeffs: dict[str, int],
+                           goal_bound_var: int | None,
+                           goal_bound_const: Fraction,
+                           prefix: str) -> list[int]:
+    """Constrain ``lp`` so that ``matrix |= goal . z <= bound`` by Farkas.
+
+    ``goal_coeffs`` maps column names to LP variable indices (the
+    unknown coefficients of the consequence; a column it leaves out has
+    coefficient 0); ``goal_bound_var`` is an optional LP variable added
+    to the constant bound.  Returns the fresh multiplier variables
+    ``lambda >= 0`` (named with ``prefix``), one per matrix row.
+    """
+    lambdas = [lp.new_var(f"{prefix}_l{j}") for j in range(len(matrix.rows))]
+    for i, column in enumerate(matrix.columns):
+        coeffs: dict[int, Fraction] = {}
+        for j, lam in enumerate(lambdas):
+            a = matrix.rows[j][i]
+            if a != 0:
+                coeffs[lam] = a
+        goal_var = goal_coeffs.get(column)
+        if goal_var is not None:
+            coeffs[goal_var] = coeffs.get(goal_var, Fraction(0)) - 1
+        lp.add_eq(coeffs, 0)
+    # lambda^T b <= bound_const + bound_var
+    bound_coeffs: dict[int, Fraction] = {}
+    for j, lam in enumerate(lambdas):
+        if matrix.bounds[j] != 0:
+            bound_coeffs[lam] = matrix.bounds[j]
+    if goal_bound_var is not None:
+        bound_coeffs[goal_bound_var] = bound_coeffs.get(
+            goal_bound_var, Fraction(0)) - 1
+    lp.add_le(bound_coeffs, goal_bound_const)
+    return lambdas
+
+
 def farkas_refutation(groups: Sequence[Sequence[Atom]]) -> list[list[Fraction]] | None:
     """Nonnegative multipliers deriving ``0 <= -1`` from the groups.
 
@@ -59,36 +134,17 @@ def farkas_refutation(groups: Sequence[Sequence[Atom]]) -> list[list[Fraction]] 
     conjunction is (rationally) satisfiable.
     """
     rows = [farkas_rows(group) for group in groups]
+    terms = [term for group_rows in rows for term in group_rows]
+    columns = sorted({name for term in terms for name in term.variables()})
     lp = LinearProgram()
-    multipliers = [[lp.new_var(f"l{g}_{i}") for i in range(len(group_rows))]
-                   for g, group_rows in enumerate(rows)]
-
-    variables = sorted({name
-                        for group_rows in rows
-                        for term in group_rows
-                        for name in term.variables()})
-    # sum of lambda_i * coeff_i(v) = 0 for every variable v
-    for v in variables:
-        coeffs: dict[int, Fraction] = {}
-        for group_rows, lams in zip(rows, multipliers):
-            for term, lam in zip(group_rows, lams):
-                c = term.coeff(v)
-                if c != 0:
-                    coeffs[lam] = coeffs.get(lam, Fraction(0)) + c
-        lp.add_eq(coeffs, 0)
-    # sum of lambda_i * constant_i <= -1
-    const_coeffs: dict[int, Fraction] = {}
-    for group_rows, lams in zip(rows, multipliers):
-        for term, lam in zip(group_rows, lams):
-            if term.constant != 0:
-                const_coeffs[lam] = (const_coeffs.get(lam, Fraction(0))
-                                     + term.constant)
-    lp.add_ge(const_coeffs, 1)
-
+    lambdas = add_farkas_implication(lp, relation_matrix(terms, columns),
+                                     {}, None, Fraction(-1), "l")
     point = lp.check_feasible()
     if point is None:
         return None
-    return [[point[lam] for lam in lams] for lams in multipliers]
+    multipliers = iter(lambdas)
+    return [[point[next(multipliers)] for _ in group_rows]
+            for group_rows in rows]
 
 
 def sequence_interpolants(groups: Sequence[Sequence[Atom]]) -> list[LinConj] | None:

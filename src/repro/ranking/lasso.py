@@ -18,7 +18,7 @@ A sampled counterexample word ``u v^w`` *is* a lasso-shaped program
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.automata.words import UPWord
 from repro.logic.atoms import Atom, Rel, atom_eq
@@ -33,6 +33,38 @@ def primed(name: str) -> str:
 
 def _stage_name(name: str, index: int) -> str:
     return f"{name}!v{index}"
+
+
+def _ssa_path(statements: Sequence[Statement], variables: Iterable[str],
+             ) -> tuple[list[list[Atom]], list[dict[str, str]]]:
+    """A statement path in SSA form: its atom groups and its versions.
+
+    Every assignment or havoc of ``v`` at position ``k`` stages ``v``
+    through the fresh version ``v!vk``.  Returns ``(groups, versions)``:
+    ``groups[k]`` holds the atoms statement ``k`` contributes, over the
+    versions current before it, and ``versions[k]`` names each variable's
+    version after the first ``k`` statements (``versions[0]`` is the
+    identity).  Raises :class:`TypeError` on any other statement kind.
+    """
+    current = {v: v for v in variables}
+    terms: dict[str, LinTerm] = {v: var(v) for v in current}
+    groups: list[list[Atom]] = []
+    versions = [current]
+    for index, stmt in enumerate(statements):
+        group: list[Atom] = []
+        if isinstance(stmt, Assume):
+            group = [atom.substitute(terms) for atom in stmt.cond.atoms]
+        elif isinstance(stmt, (Assign, Havoc)):
+            fresh = _stage_name(stmt.var, index)
+            if isinstance(stmt, Assign):
+                group = [atom_eq(var(fresh), stmt.expr.substitute(terms))]
+            current = {**current, stmt.var: fresh}
+            terms = {**terms, stmt.var: var(fresh)}
+        else:
+            raise TypeError(f"unsupported statement in a lasso: {stmt!r}")
+        groups.append(group)
+        versions.append(current)
+    return groups, versions
 
 
 @dataclass(frozen=True)
@@ -114,28 +146,12 @@ class Lasso:
         versions and eliminated by projection, so the result is the
         exact (rational) composition of the statement relations.
         """
-        versions: dict[str, LinTerm] = {v: var(v) for v in self.variables}
-        atoms: list[Atom] = []
-        temps: list[str] = []
-        for index, stmt in enumerate(self.loop):
-            if isinstance(stmt, Assume):
-                for atom in stmt.cond.atoms:
-                    atoms.append(atom.substitute(versions))
-            elif isinstance(stmt, Assign):
-                fresh = _stage_name(stmt.var, index)
-                temps.append(fresh)
-                atoms.append(atom_eq(var(fresh), stmt.expr.substitute(versions)))
-                versions = dict(versions)
-                versions[stmt.var] = var(fresh)
-            elif isinstance(stmt, Havoc):
-                fresh = _stage_name(stmt.var, index)
-                temps.append(fresh)
-                versions = dict(versions)
-                versions[stmt.var] = var(fresh)
-            else:
-                raise TypeError(f"unsupported statement in a lasso: {stmt!r}")
+        groups, versions = _ssa_path(self.loop, self.variables)
+        atoms = [atom for group in groups for atom in group]
+        temps = [versions[k + 1][stmt.var] for k, stmt in enumerate(self.loop)
+                 if not isinstance(stmt, Assume)]
         for name in self.variables:
-            atoms.append(atom_eq(var(primed(name)), versions[name]))
+            atoms.append(atom_eq(var(primed(name)), var(versions[-1][name])))
         rel = LinConj(atoms).project_away(temps)
         return LoopRelation(rel, self.variables)
 
@@ -153,34 +169,16 @@ class Lasso:
         """
         from repro.logic.interpolation import sequence_interpolants
 
-        versions: dict[str, LinTerm] = {v: var(v) for v in self.variables}
-        cut_names: list[dict[str, str]] = [{v: v for v in self.variables}]
-        groups: list[list[Atom]] = []
-        for index, stmt in enumerate(self.stem):
-            group: list[Atom] = []
-            if isinstance(stmt, Assume):
-                for atom in stmt.cond.atoms:
-                    group.append(atom.substitute(versions))
-            elif isinstance(stmt, Assign):
-                fresh = _stage_name(stmt.var, index)
-                group.append(atom_eq(var(fresh), stmt.expr.substitute(versions)))
-                versions = dict(versions)
-                versions[stmt.var] = var(fresh)
-            elif isinstance(stmt, Havoc):
-                fresh = _stage_name(stmt.var, index)
-                versions = dict(versions)
-                versions[stmt.var] = var(fresh)
-            else:
-                return None
-            groups.append(group)
-            cut_names.append({v: next(iter(versions[v].variables()), v)
-                              for v in self.variables})
+        try:
+            groups, versions = _ssa_path(self.stem, self.variables)
+        except TypeError:
+            return None
         chain = sequence_interpolants(groups)
         if chain is None:
             return None
         # rename each interpolant's SSA versions back to program variables
         renamed: list[LinConj] = []
-        for interpolant, names in zip(chain, cut_names):
+        for interpolant, names in zip(chain, versions):
             back = {ssa: v for v, ssa in names.items()}
             renamed.append(interpolant.rename(back))
         return renamed

@@ -22,12 +22,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from repro.core.budget import current_budget
+from repro.logic.interpolation import (add_farkas_implication, farkas_rows,
+                                       relation_matrix)
 from repro.logic.linconj import TRUE, LinConj
 from repro.logic.lp import LinearProgram
 from repro.logic.terms import LinTerm
 from repro.obs import metrics as _metrics
 from repro.obs.trace import get_tracer
-from repro.ranking.farkas import add_farkas_implication, relation_matrix
 from repro.ranking.lasso import Lasso, LoopRelation, primed
 from repro.ranking.nontermination import (NontermWitness,
                                           find_nontermination_witness)
@@ -107,7 +108,7 @@ def _synthesize_ranking(relation: LoopRelation, invariant: LinConj,
                  len(_candidate_rankings(variables)))
     _metrics.inc("ranking.lp_syntheses")
     columns = list(variables) + [primed(v) for v in variables]
-    matrix = relation_matrix(rel, columns)
+    matrix = relation_matrix(farkas_rows(rel.atoms), columns)
 
     lp = LinearProgram()
     coeff_vars = {v: lp.new_var(f"c_{v}", lower=None) for v in variables}

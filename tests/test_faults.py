@@ -144,8 +144,8 @@ def test_flipped_entailments_never_enter_the_solver_memo(monkeypatch):
         assert injected["solver.entailment"]["flip"] > 0
         assert memo
         # every stored answer is the honest uncached elimination
-        for (atoms, names, tighten), answer in memo.items():
-            fresh = fm.eliminate(atoms, names, tighten=tighten)
+        for (atoms, names), answer in memo.items():
+            fresh = fm.eliminate(atoms, names)
             assert answer == (None if fresh is None else tuple(fresh))
 
 

@@ -5,7 +5,6 @@ over a small integer grid (hypothesis generates random conjunctions).
 """
 
 from fractions import Fraction
-from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -127,11 +126,6 @@ def test_integer_tightening_gives_int_unsat():
     assert c.is_unsat()
 
 
-def test_rational_mode_without_tightening():
-    assert satisfiable([atom_gt(x, 0).tighten_integral()]) is True
-    assert satisfiable([atom_gt(x, 0), atom_lt(x, 1)], tighten=False) is True
-
-
 def test_projection():
     c = conj(atom_le(x, y), atom_le(y, z))
     p = c.project_away(["y"])
@@ -219,9 +213,10 @@ def small_atoms(draw):
 @given(st.lists(small_atoms(), min_size=1, max_size=4))
 def test_sat_agrees_with_bruteforce_on_integer_grid(atoms):
     names = {n for a in atoms for n in a.variables()}
-    fm_sat = satisfiable(atoms, tighten=False)
+    fm_sat = satisfiable(atoms)
     grid_sat = brute_force_sat(atoms, names)
-    # Rational satisfiability over-approximates integer-grid satisfiability.
+    # FM satisfiability (rows tightened over the integers) over-approximates
+    # integer-grid satisfiability.
     if grid_sat:
         assert fm_sat, f"grid-sat but FM-unsat: {[str(a) for a in atoms]}"
     if not fm_sat:
@@ -284,25 +279,24 @@ def elimination_orders(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(memo_atoms(), min_size=1, max_size=5), elimination_orders(),
-       st.booleans())
-def test_memo_answers_exactly_as_the_uncached_solver(atoms, order, tighten):
+@given(st.lists(memo_atoms(), min_size=1, max_size=5), elimination_orders())
+def test_memo_answers_exactly_as_the_uncached_solver(atoms, order):
     assert fm._MEMO is None
-    reference = eliminate(atoms, order, tighten=tighten)
+    reference = eliminate(atoms, order)
     registry = obs_metrics.MetricsRegistry()
     with obs_metrics.use_registry(registry), fm.use_memo() as memo:
         # same atoms in the same order (or UNSAT) on every call, and what
         # a caller does to a returned list never reaches the memo
-        first = eliminate(atoms, order, tighten=tighten)
+        first = eliminate(atoms, order)
         assert first == reference
         if first is not None:
             first.reverse()
             first.append(atom_le(x, 0))
-        second = eliminate(atoms, order, tighten=tighten)
+        second = eliminate(atoms, order)
         assert second == reference
         if second is not None:
             second.clear()
-        assert eliminate(atoms, order, tighten=tighten) == reference
+        assert eliminate(atoms, order) == reference
     assert fm._MEMO is None
     assert len(memo) == 1
     counters = registry.snapshot()["counters"]
@@ -316,8 +310,7 @@ def test_memo_key_keeps_atom_and_elimination_order():
         eliminate(atoms, ["y", "x"])
         eliminate(list(reversed(atoms)), ["y", "x"])
         eliminate(atoms, ["x", "y"])
-        eliminate(atoms, ["y", "x"], tighten=False)
-    assert len(memo) == 4
+    assert len(memo) == 3
 
 
 def test_memo_never_stores_a_query_over_the_fm_cap():
@@ -384,12 +377,10 @@ def test_row_kernel_eliminates_exactly_as_the_fraction_oracle(atoms, order):
                                      max_size=2))
 def test_row_kernel_models_match_the_fraction_oracle(atoms, prefer):
     for hint in (None, prefer):
-        for tighten in (True, False):
-            model = find_model(atoms, tighten=tighten, prefer=hint)
-            expected = fm_reference.find_model(atoms, tighten=tighten,
-                                               prefer=hint)
-            assert model == expected
-            assert model is None or list(model) == list(expected)
+        model = find_model(atoms, prefer=hint)
+        expected = fm_reference.find_model(atoms, prefer=hint)
+        assert model == expected
+        assert model is None or list(model) == list(expected)
 
 
 def _fm_outcome(solver, atoms, order, cap):
@@ -445,25 +436,3 @@ def test_rows_whose_oldrnk_cancels_are_rounded():
     for atoms in (pivoted, combined):
         assert (eliminate(atoms, ["oldrnk"])
                 == fm_reference.eliminate(atoms, ["oldrnk"]))
-
-
-def _primitive(atom):
-    """The positive multiple of ``atom`` with coprime integer coefficients."""
-    coeffs = atom.term.coeffs.values()
-    den = lcm(*(c.denominator for c in coeffs))
-    return Atom(atom.term * Fraction(den, gcd(*(int(c * den) for c in coeffs))),
-                atom.rel)
-
-
-@settings(max_examples=300, deadline=None)
-@given(CONJUNCTIONS, ORDERS)
-def test_rational_mode_returns_positive_multiples_of_the_oracle(atoms, order):
-    # Without tightening the rows round nothing but still scale every atom
-    # to coprime integer coefficients, so oracle atoms that are positive
-    # multiples of one another come back once, at the first of them.
-    result = eliminate(atoms, order, tighten=False)
-    expected = fm_reference.eliminate(atoms, order, tighten=False)
-    if expected is None:
-        assert result is None
-        return
-    assert result == list(dict.fromkeys(_primitive(a) for a in expected))

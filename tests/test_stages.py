@@ -16,6 +16,7 @@ from repro.logic.atoms import atom_gt, atom_lt
 from repro.logic.linconj import conj
 from repro.logic.terms import var
 from repro.program.statements import Assign, Assume
+from repro.ranking import synthesis
 from repro.ranking.certificate import build_certificate
 from repro.ranking.lasso import Lasso
 from repro.ranking.synthesis import prove_lasso
@@ -100,10 +101,18 @@ def test_deterministic_module_is_dba_and_valid():
     assert validate_module(module) == []
 
 
-def test_deterministic_module_respects_budget(monkeypatch):
-    monkeypatch.setattr(stages, "STAGE_STATE_BUDGET", 0)
+@pytest.mark.parametrize("build", [build_deterministic_module,
+                                   build_semideterministic_module],
+                         ids=["det", "semi"])
+def test_deterministic_module_respects_budget(monkeypatch, build):
     base = build_lasso_module(sort_proof())
-    assert build_deterministic_module(base) is None
+    states = len(build(base).automaton.states)
+    # the budget counts the states found beyond the start state
+    monkeypatch.setattr(stages, "STAGE_STATE_BUDGET", states - 1)
+    assert build(base) is not None
+    for budget in (states - 2, 0):
+        monkeypatch.setattr(stages, "STAGE_STATE_BUDGET", budget)
+        assert build(base) is None
 
 
 # -- stage 3 ---------------------------------------------------------------------------
@@ -177,6 +186,36 @@ def test_generalize_single_stage():
     module = generalize(proof, StageSequence.SINGLE,
                         {OUTER_GUARD, SET_J, INNER_GUARD, INC_J})
     assert module.stage == Stage.NONDET.value
+
+
+def _count_rotation_proofs(monkeypatch) -> list:
+    calls = []
+    prove = synthesis.prove_lasso
+
+    def counting(lasso, **kwargs):
+        calls.append(lasso)
+        return prove(lasso, **kwargs)
+
+    monkeypatch.setattr(synthesis, "prove_lasso", counting)
+    return calls
+
+
+def test_single_stage_proves_no_rotation(monkeypatch):
+    # without a strong stage no rotation could be used, so none is proved
+    proof = sort_proof()
+    assert len(proof.lasso.loop) >= 2
+    calls = _count_rotation_proofs(monkeypatch)
+    module = generalize(proof, StageSequence.SINGLE,
+                        {OUTER_GUARD, SET_J, INNER_GUARD, INC_J})
+    assert module.language_contains(SORT_LASSO.word())
+    assert calls == []
+
+
+def test_failed_strong_stage_proves_the_rotations(monkeypatch):
+    calls = _count_rotation_proofs(monkeypatch)
+    generalize(sort_proof(), (Stage.FINITE,),
+               {OUTER_GUARD, SET_J, INNER_GUARD, INC_J})
+    assert len(calls) == len(SORT_LASSO.loop) - 1
 
 
 def test_generalize_always_returns_containing_module():
