@@ -152,8 +152,8 @@ def run_suite(programs, config, workers: int | None = None):
     With ``workers`` > 1 (default: ``REPRO_BENCH_WORKERS``) programs
     are dispatched through the :mod:`repro.runner` worker pool --
     hard deadlines and crash isolation, at the price of results being
-    reconstructed from the rows workers ship back (verdict + stats;
-    no module automata).
+    reconstructed from the rows workers ship back (verdict and reason
+    only).
     """
     workers = WORKERS if workers is None else workers
     if workers > 1:
@@ -174,7 +174,6 @@ def run_suite(programs, config, workers: int | None = None):
 
 def _run_suite_pooled(programs, config, workers: int):
     from repro.core.refinement import TerminationResult, Verdict
-    from repro.core.stats import AnalysisStats
     from repro.runner.pool import WorkerPool, analysis_task
 
     payloads = [{"name": bench.name, "source": bench.source,
@@ -188,12 +187,8 @@ def _run_suite_pooled(programs, config, workers: int):
     for bench, outcome in zip(programs, outcomes):
         row = outcome.result if outcome.status == "ok" and outcome.result else {}
         verdict = Verdict(row.get("verdict", "unknown"))
-        stats = (AnalysisStats.from_dict(row["stats"]) if row.get("stats")
-                 else AnalysisStats(program=bench.name,
-                                    total_seconds=outcome.seconds,
-                                    gave_up_reason=outcome.status))
-        results[bench.name] = TerminationResult(verdict, stats=stats,
-                                                reason=row.get("reason"))
+        results[bench.name] = TerminationResult(
+            verdict, reason=row.get("reason", outcome.status))
         if verdict.value == bench.expected:
             solved += 1
         else:

@@ -43,7 +43,7 @@ def main() -> None:
               f"(difference: {rnd.difference_states} states, "
               f"complement: {', '.join(kinds) or '-'})")
     print()
-    print(result.stats.summary())
+    print(result.summary())
     assert result.verdict.value == "terminating"
 
 

@@ -38,7 +38,8 @@ scripts can branch on the outcome without scraping output:
   every row of the corpus is conclusive (``bench``/``report``),
 - **2** -- inconclusive: verdict UNKNOWN or timeout, or some corpus
   row is,
-- **3** -- error: unparsable program, error rows, or an empty store.
+- **3** -- error: an unparsable or unreadable program, a bad option
+  value, error rows, or an empty store.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro",
         description="Automata-based program termination checking (PLDI'18).",
         epilog="exit codes: 0 = conclusive verdict, 2 = unknown/timeout, "
-               "3 = parse error")
+               "3 = parse error, unreadable file or bad option value")
     parser.add_argument("file", help="program file ('-' reads stdin)")
     parser.add_argument("--single-stage", action="store_true",
                         help="always generalize to M_nondet (baseline of [33])")
@@ -113,14 +114,14 @@ def build_parser() -> argparse.ArgumentParser:
                              "certifies (see README 'Warm-starting a corpus "
                              "from a module library')")
     parser.add_argument("--stats-json", metavar="FILE", default=None,
-                        help="write the run's AnalysisStats (rounds, "
-                             "metrics) as JSON")
+                        help="write the run's JSON record (the one "
+                             "--json prints) to FILE")
     parser.add_argument("--profile", action="store_true",
                         help="print the per-phase time breakdown after "
                              "the run")
     parser.add_argument("--json", action="store_true",
-                        help="print one JSON object (verdict, reason, "
-                             "rounds, seconds, module kinds) to stdout")
+                        help="print the run's JSON record (verdict, "
+                             "reason, modules, rounds, metrics) to stdout")
     return parser
 
 
@@ -148,25 +149,16 @@ def main(argv: list[str] | None = None) -> int:
 
 def run_single(argv: list[str]) -> int:
     args = build_parser().parse_args(argv)
-    source = (sys.stdin.read() if args.file == "-"
-              else open(args.file, encoding="utf-8").read())
+    stages = (StageSequence.SINGLE if args.single_stage
+              else StageSequence.BY_NAME[args.sequence])
+    aliases = {"auto": None, "rank": "rank-based", "ncsb": "ncsb-lazy"}
     try:
+        if args.file == "-":
+            source = sys.stdin.read()
+        else:
+            with open(args.file, encoding="utf-8") as fh:
+                source = fh.read()
         program = parse_program(source)
-    except ParseError as err:
-        print(f"parse error: {err}", file=sys.stderr)
-        return 3
-
-    def analyze():
-        if args.portfolio:
-            from repro.core.api import prove_termination_portfolio
-            return prove_termination_portfolio(
-                source, timeout=args.timeout,
-                checkpoint_dir=args.checkpoint_dir,
-                module_library=args.module_library)
-        stages = (StageSequence.SINGLE if args.single_stage
-                  else StageSequence.BY_NAME[args.sequence])
-        aliases = {"auto": None, "rank": "rank-based", "ncsb": "ncsb-lazy"}
-        complement_kind = aliases.get(args.complement, args.complement)
         config = AnalysisConfig(stages=stages,
                                 lazy_complement=not args.no_lazy,
                                 subsumption=not args.no_subsumption,
@@ -175,9 +167,24 @@ def run_single(argv: list[str]) -> int:
                                 interpolant_modules=args.interpolants,
                                 via_semidet=args.via_semidet,
                                 modular_complement=not args.no_modular,
-                                complement_kind=complement_kind,
+                                complement_kind=aliases.get(args.complement,
+                                                            args.complement),
                                 timeout=args.timeout,
                                 max_refinements=args.max_refinements)
+    except ParseError as err:
+        print(f"parse error: {err}", file=sys.stderr)
+        return 3
+    except (OSError, ValueError) as err:
+        print(f"run: {err}", file=sys.stderr)
+        return 3
+
+    def analyze():
+        if args.portfolio:
+            from repro.core.api import prove_termination_portfolio
+            return prove_termination_portfolio(
+                source, timeout=config.timeout,
+                checkpoint_dir=args.checkpoint_dir,
+                module_library=args.module_library)
         checkpoint = None
         if args.checkpoint_dir:
             # Keyed without the wall-clock budget, like the portfolio
@@ -198,46 +205,24 @@ def run_single(argv: list[str]) -> int:
         try:
             with use_tracer(tracer):
                 result = analyze()
-            # prove_termination scopes a fresh registry per run and
-            # snapshots it into the stats; mirror it into the trace.
-            tracer.record_metrics(result.stats.metrics)
         finally:
             tracer.close()
     else:
         result = analyze()
+    code = 0 if result.verdict.value != "unknown" else 2
 
-    if args.stats_json:
-        payload = result.stats.to_dict()
-        payload["verdict"] = result.verdict.value
-        if result.attempts:
-            payload["attempts"] = [a.to_dict() for a in result.attempts]
-        with open(args.stats_json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-
-    if args.json:
-        stats = result.stats
-        payload = {
-            "verdict": result.verdict.value,
-            "reason": result.reason,
-            "program": stats.program,
-            "config": stats.config,
-            "rounds": stats.iterations,
-            "seconds": stats.total_seconds,
-            "modules_by_stage": dict(stats.modules_by_stage),
-            "module_kinds": [m.stage for m in result.modules],
-            "stats": stats.to_dict(),
-        }
-        if result.witness_word is not None:
-            payload["witness_word"] = str(result.witness_word)
-        if result.attempts:
-            payload["attempts"] = [a.to_dict() for a in result.attempts]
-        print(json.dumps(payload, indent=2))
-        return 0 if result.verdict.value != "unknown" else 2
+    if args.stats_json or args.json:
+        record = json.dumps(result.to_dict(), indent=2)
+        if args.stats_json:
+            with open(args.stats_json, "w", encoding="utf-8") as fh:
+                fh.write(record + "\n")
+        if args.json:
+            print(record)
+            return code
 
     print(result.verdict.value.upper())
     if args.quiet:
-        return 0 if result.verdict.value != "unknown" else 2
+        return code
     if result.reason:
         print(f"reason: {result.reason}")
     if result.witness is not None:
@@ -248,12 +233,12 @@ def run_single(argv: list[str]) -> int:
         for k, module in enumerate(result.modules):
             print(f"  [{k}] stage={module.stage:7s} "
                   f"|Q|={len(module.automaton.states):3d}  f(v) = {module.ranking}")
-    print(f"\n{result.stats.summary()}")
+    print(f"\n{result.summary()}")
     if args.profile and tracer is not None:
         from repro.obs.report import aggregate, render
         print("\nper-phase time breakdown:")
         print(render(aggregate(tracer.records)))
-    return 0 if result.verdict.value != "unknown" else 2
+    return code
 
 
 if __name__ == "__main__":

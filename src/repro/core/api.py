@@ -176,6 +176,5 @@ def prove_termination_portfolio(program: Program | str,
     if result is None:
         # The whole budget was spent before the first attempt could run.
         result = TerminationResult(Verdict.UNKNOWN, reason="timeout")
-        result.stats.gave_up_reason = "timeout"
     result.attempts = attempts
     return result

@@ -96,6 +96,11 @@ class AnalysisConfig:
     fault_plan: str | None = None
 
     def __post_init__(self):
+        for key in ("max_refinements", "difference_state_limit", "timeout"):
+            value = getattr(self, key)
+            if value is not None and value < 0:
+                raise ValueError(f"config key {key!r} must not be negative, "
+                                 f"got {value!r}")
         if self.complement_kind is not None:
             from repro.automata.complement.dispatch import ComplementKind
             ComplementKind(self.complement_kind)  # typo check: raises ValueError

@@ -91,12 +91,10 @@ def screen(result: TerminationResult, timeout: float | None = None,
         return result
     for kind, detail in problems:
         result.stats.record_incident(Incident(kind, "firewall", detail))
-    first_kind, first_detail = problems[0]
-    downgraded = TerminationResult(
+    _, first_detail = problems[0]
+    return TerminationResult(
         Verdict.UNKNOWN, result.modules, None, None, result.stats,
         reason=f"firewall: {first_detail}", attempts=result.attempts)
-    downgraded.stats.gave_up_reason = downgraded.reason
-    return downgraded
 
 
 def _check_terminating(result: TerminationResult,

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import enum
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.automata.complement.dispatch import ComplementKind, kind_applies
@@ -137,6 +138,43 @@ class TerminationResult:
     def __repr__(self) -> str:
         return f"TerminationResult({self.verdict.value}, modules={len(self.modules)})"
 
+    def summary(self) -> str:
+        """One line: program, config, rounds, modules per stage, seconds."""
+        stages = Counter(m.stage for m in self.modules)
+        listed = ", ".join(f"{k}={v}" for k, v in sorted(stages.items()))
+        return (f"{self.stats.program} [{self.stats.config}]: "
+                f"{self.stats.iterations} rounds, modules: {listed or 'none'}, "
+                f"{self.stats.total_seconds:.3f}s")
+
+    def to_dict(self) -> dict:
+        """The run's one JSON record: what ``run --json`` prints,
+        ``run --stats-json`` writes and every ``bench`` store row
+        carries.  Each fact appears once; counts such as modules per
+        stage or rounds are derived from ``modules`` and ``rounds``.
+        ``attempts`` (portfolio runs only) lists every attempt's
+        per-run part, the deciding one last."""
+        stats = self.stats.to_dict()
+        witness = self.witness
+        record = {
+            "program": self.stats.program,
+            "config": stats["config"],
+            "verdict": self.verdict.value,
+            "reason": self.reason,
+            "seconds": stats["seconds"],
+            "witness": None if witness is None else {
+                "kind": witness.kind,
+                "state": {k: str(v) for k, v in sorted(witness.state.items())}},
+            "witness_word": (None if self.witness_word is None
+                             else str(self.witness_word)),
+            "modules": [{"stage": m.stage,
+                         "states": len(m.automaton.states),
+                         "ranking": str(m.ranking)} for m in self.modules],
+        }
+        record.update(stats)  # config and seconds keep their places
+        if self.attempts:
+            record["attempts"] = [a.to_dict() for a in self.attempts]
+        return record
+
 
 class RefinementEngine:
     """Drives the analysis of one program."""
@@ -202,7 +240,7 @@ class RefinementEngine:
 
         def finish(verdict: Verdict, *, witness=None, word=None,
                    reason: str | None = None) -> TerminationResult:
-            stats = collector.finish(name, config.describe(), reason)
+            stats = collector.finish(name, config.describe())
             result = TerminationResult(verdict, modules, witness, word,
                                        stats, reason)
             if verdict is Verdict.TERMINATING:
@@ -217,7 +255,7 @@ class RefinementEngine:
                 key: value - round_base.get(key, 0)
                 for key, value in registry.counts().items()
                 if value != round_base.get(key, 0)}
-            collector.stats.record_round(round_stats)
+            collector.stats.rounds.append(round_stats)
 
         def note(kind: str, component: str, detail: str,
                  index: int | None) -> None:
@@ -304,16 +342,13 @@ class RefinementEngine:
             nonlocal current
             current = result.automaton
             added = [module]
-            if round_stats is None:
-                collector.stats.modules_by_stage[module.stage] += 1
-            else:
+            if round_stats is not None:
                 if result.kind in (ComplementKind.SDBA_ORIGINAL,
                                    ComplementKind.SDBA_LAZY):
                     # the Figure 4 corpus: every SDBA sent to NCSB
                     collector.observe_sdba(module.automaton)
                 if companion is not None:
                     extra_module, extra = companion
-                    collector.stats.modules_by_stage[extra_module.stage] += 1
                     round_stats.companion_stage = extra_module.stage
                     current = extra.automaton
                     added.insert(0, extra_module)

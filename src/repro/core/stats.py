@@ -13,8 +13,7 @@ captured for the Figure 4 corpus.
 from __future__ import annotations
 
 import time
-from collections import Counter
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 from repro.automata.gba import GBA
 from repro.obs import metrics as _metrics
@@ -81,15 +80,17 @@ class RefinementRound:
 
 @dataclass
 class AnalysisStats:
-    """Aggregated statistics of one analysis run."""
+    """What one analysis run observed: its rounds, counts and incidents.
+
+    Only stored facts live here; :meth:`TerminationResult.to_dict
+    <repro.core.refinement.TerminationResult.to_dict>` turns a run into
+    its one JSON record.
+    """
 
     program: str = ""
     config: str = ""
     rounds: list[RefinementRound] = field(default_factory=list)
-    modules_by_stage: Counter = field(default_factory=Counter)
     total_seconds: float = 0.0
-    peak_difference_states: int = 0
-    gave_up_reason: str | None = None
     #: Snapshot of the run's metrics registry (see :mod:`repro.obs.metrics`):
     #: ``{"counters": ..., "gauges": ..., "histograms": ...}``.  The
     #: only record of the run's counts; read one with :meth:`counter`.
@@ -100,6 +101,11 @@ class AnalysisStats:
     @property
     def iterations(self) -> int:
         return len(self.rounds)
+
+    @property
+    def peak_difference_states(self) -> int:
+        """The largest remainder any round ended with."""
+        return max((r.difference_states for r in self.rounds), default=0)
 
     def counter(self, name: str) -> int:
         """The run's total of counter ``name`` (0 when it never ticked),
@@ -114,55 +120,16 @@ class AnalysisStats:
         self.incidents.append(incident)
         _metrics.inc(f"incidents.{incident.kind}")
 
-    def record_round(self, round_stats: RefinementRound) -> None:
-        self.rounds.append(round_stats)
-        if round_stats.stage:
-            self.modules_by_stage[round_stats.stage] += 1
-        self.peak_difference_states = max(self.peak_difference_states,
-                                          round_stats.difference_states)
-
-    def summary(self) -> str:
-        stages = ", ".join(f"{k}={v}" for k, v in sorted(self.modules_by_stage.items()))
-        return (f"{self.program} [{self.config}]: {self.iterations} rounds, "
-                f"modules: {stages or 'none'}, {self.total_seconds:.3f}s")
-
     def to_dict(self) -> dict:
-        """JSON-ready view of the full stats (``--stats-json`` payload)."""
+        """The per-run part of a run's record (also one portfolio
+        attempt's entry)."""
         return {
-            "program": self.program,
             "config": self.config,
-            "iterations": self.iterations,
-            "total_seconds": self.total_seconds,
-            "peak_difference_states": self.peak_difference_states,
-            "gave_up_reason": self.gave_up_reason,
-            "modules_by_stage": dict(self.modules_by_stage),
+            "seconds": self.total_seconds,
             "rounds": [asdict(r) for r in self.rounds],
             "metrics": self.metrics,
             "incidents": [i.to_dict() for i in self.incidents],
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AnalysisStats":
-        """Inverse of :meth:`to_dict` (extra keys are ignored)."""
-        stats = cls(program=data.get("program", ""),
-                    config=data.get("config", ""),
-                    total_seconds=data.get("total_seconds", 0.0),
-                    peak_difference_states=data.get("peak_difference_states", 0),
-                    gave_up_reason=data.get("gave_up_reason"),
-                    metrics=data.get("metrics", {}))
-        stats.rounds = [_known(RefinementRound, r)
-                        for r in data.get("rounds", ())]
-        stats.modules_by_stage = Counter(data.get("modules_by_stage", {}))
-        stats.incidents = [_known(Incident, i)
-                           for i in data.get("incidents", ())]
-        return stats
-
-
-def _known(cls, data: dict):
-    """``cls`` built from the keys of ``data`` it has fields for: older
-    payloads carry round fields that have since moved to ``counters``."""
-    names = {f.name for f in fields(cls)}
-    return cls(**{k: v for k, v in data.items() if k in names})
 
 
 class StatsCollector:
@@ -178,9 +145,8 @@ class StatsCollector:
         if self.capture_sdbas:
             self.sdbas.append(automaton)
 
-    def finish(self, program: str, config: str, reason: str | None) -> AnalysisStats:
+    def finish(self, program: str, config: str) -> AnalysisStats:
         self.stats.program = program
         self.stats.config = config
         self.stats.total_seconds = time.perf_counter() - self._start
-        self.stats.gave_up_reason = reason
         return self.stats

@@ -45,7 +45,6 @@ class TraceReport:
     phases: dict[str, PhaseAgg] = field(default_factory=dict)
     wall: float = 0.0
     spans: list[dict] = field(default_factory=list)
-    metrics: dict = field(default_factory=dict)
     #: Spans the tracer closed as ``truncated`` (still open when the
     #: run ended) -- their durations are lower bounds, not self-times.
     truncated: int = 0
@@ -75,7 +74,6 @@ class TraceReport:
                          "t0": s.get("t0", 0.0),
                          "attrs": s.get("attrs", {})}
                         for s in self.hottest(top)],
-            "metrics": self.metrics,
         }
 
 
@@ -102,9 +100,6 @@ def aggregate(records: list[dict]) -> TraceReport:
     spans = [r for r in records
              if r.get("type") == "span" and r.get("name") is not None]
     report.spans = spans
-    for record in records:
-        if record.get("type") == "metrics":
-            report.metrics = record.get("data", {})
     child_time: dict[int, float] = {}
     for span in spans:
         parent = span.get("parent")
@@ -158,11 +153,6 @@ def render(report: TraceReport, top: int = 5) -> str:
                 detail = (detail + " " if detail else "") + "(truncated)"
             lines.append(f"  {1000.0 * s.get('dur', 0.0):>9.2f}ms  "
                          f"{s['name']:<18} {detail}")
-    counters = report.metrics.get("counters") if report.metrics else None
-    if counters:
-        lines.append("\nmetrics (counters):")
-        for name, value in counters.items():
-            lines.append(f"  {name:<40} {value}")
     return "\n".join(lines)
 
 

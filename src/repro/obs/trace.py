@@ -11,8 +11,8 @@ precede their parents in the file); each is one JSON object per line::
      "t0": 0.0123, "dur": 0.0456, "attrs": {"kind": "sdba-lazy"}}
 
 ``t0`` is seconds since the tracer's epoch; ``dur`` is the span's
-duration.  A ``{"type": "metrics", "data": ...}`` record carries a
-metrics-registry snapshot (see :meth:`Tracer.record_metrics`).
+duration.  Traces carry only spans; a run's counts live in its
+record (:meth:`repro.core.refinement.TerminationResult.to_dict`).
 
 The *current tracer* is a module-level slot read by instrumented code
 via :func:`get_tracer`.  It defaults to :data:`NULL_TRACER`, whose
@@ -97,7 +97,7 @@ class Span:
 
 
 class Tracer:
-    """Collects span and metrics records; optionally streams them to a file.
+    """Collects span records; optionally streams them to a file.
 
     Records are always kept in :attr:`records` (so ``--profile`` needs
     no file); with ``path`` given, each record is additionally written
@@ -152,10 +152,6 @@ class Tracer:
             # Flush per record: a SIGKILLed worker loses at most the
             # record being written, never the whole trace.
             self._file.flush()
-
-    def record_metrics(self, data: dict) -> None:
-        """Emit a metrics record carrying an already-taken snapshot."""
-        self._emit({"type": "metrics", "data": data})
 
     def close(self) -> None:
         """Emit still-open spans as truncated, then close the file.

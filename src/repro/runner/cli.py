@@ -106,9 +106,9 @@ def bench_main(argv: list[str] | None = None) -> int:
         return 3
 
     def on_row(row: dict) -> None:
-        print(f"  {row.get('program', '?'):<24} [{row.get('config', '?')}] "
+        print(f"  {row.get('name', '?'):<24} [{row.get('config_name', '?')}] "
               f"{row.get('status', '?'):<14} "
-              f"{float(row.get('seconds') or 0.0):7.2f}s", flush=True)
+              f"{runner_report.row_seconds(row):7.2f}s", flush=True)
 
     pool = WorkerPool(workers=args.workers, task=analysis_task,
                       task_timeout=args.task_timeout

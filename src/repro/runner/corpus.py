@@ -51,7 +51,8 @@ from repro.benchgen.programs import BenchProgram
 from repro.benchgen.scaled import (interleaved_counters, nested_loops,
                                    phase_chain, sequential_loops)
 from repro.core.config import AnalysisConfig
-from repro.runner.pool import TaskOutcome, WorkerPool, analysis_task
+from repro.runner.pool import (TaskOutcome, WorkerPool, analysis_task,
+                                job_fields)
 from repro.runner.report import STATUSES
 from repro.runner.store import ResultStore, code_version, job_key
 
@@ -142,7 +143,12 @@ def _expand_programs(manifest: dict) -> list[BenchProgram]:
                              f"got {entry!r}")
         if "suite" in entry:
             family = entry["suite"]
-            for bench in program_suite():
+            suite = program_suite()
+            families = sorted({bench.family for bench in suite})
+            if family != "*" and family not in families:
+                raise ValueError(f"unknown suite family {family!r} "
+                                 f"(have {families} or '*')")
+            for bench in suite:
                 if family in ("*", bench.family):
                     add(bench)
         elif "scaled" in entry:
@@ -207,24 +213,14 @@ def expand_manifest(manifest: dict,
     return jobs
 
 
-def _placeholder_row(job_payload: dict, outcome: TaskOutcome) -> dict:
-    """A store row for a job whose worker never reported (timeout/kill)."""
-    return {"key": job_payload.get("key"),
-            "program": job_payload.get("name"),
-            "family": job_payload.get("family"),
-            "expected": job_payload.get("expected"),
-            "config": job_payload.get("config_name"),
-            "status": outcome.status,
-            "error": outcome.error,
-            "seconds": outcome.seconds}
-
-
 def outcome_row(outcome: TaskOutcome) -> dict:
-    """Fold a pool outcome into one JSON-ready store row."""
+    """Fold a pool outcome into one JSON-ready store row: the task's row
+    (the run's record plus its job fields), or the job fields alone for
+    a job whose worker never reported (timeout, kill, crash)."""
     if outcome.status == "ok" and outcome.result is not None:
         row = dict(outcome.result)
     else:
-        row = _placeholder_row(outcome.payload, outcome)
+        row = job_fields(outcome.payload, outcome.status, outcome.error)
     row["executions"] = outcome.executions
     row["wall_seconds"] = outcome.seconds
     return row

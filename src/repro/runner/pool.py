@@ -77,14 +77,27 @@ class TaskOutcome:
     executions: int = 1
 
 
+def job_fields(payload: dict, status: str, error: str | None = None) -> dict:
+    """A store row's own fields beside the run's record: the job's
+    identity from its payload and how the job ended."""
+    return {"key": payload.get("key"), "name": payload.get("name"),
+            "family": payload.get("family"),
+            "expected": payload.get("expected"),
+            "config_name": payload.get("config_name"),
+            "status": status, "error": error}
+
+
 def analysis_task(payload: dict) -> dict:
     """The worker entry point: analyze one program under one config.
 
     ``payload`` keys: ``source`` (program text), ``config`` (an
     :meth:`AnalysisConfig.to_dict` dict), ``timeout`` (cooperative
     budget in seconds, intersected with the config's own), plus
-    pass-through metadata (``key``/``name``/``family``/``expected``/
-    ``config_name``).  Returns a JSON-ready result row.
+    the job's own fields (``key``/``name``/``family``/``expected``/
+    ``config_name``).  Returns the run's record
+    (:meth:`~repro.core.refinement.TerminationResult.to_dict`) plus
+    :func:`job_fields`; a program that does not parse has no record,
+    only an ``error`` row.
 
     With ``trace_dir`` set, the analysis runs under its own JSONL
     tracer writing ``trace_<job id>.jsonl`` into that directory
@@ -101,16 +114,9 @@ def analysis_task(payload: dict) -> dict:
     synthesis and publishes what it certifies
     (:mod:`repro.core.library`).  Both stores count their work in the
     run's metrics registry, which the row carries under
-    ``row["stats"]["metrics"]``.
+    ``row["metrics"]``.
     """
-    t0 = time.perf_counter()
     name = payload.get("name", "<anonymous>")
-
-    def base_row() -> dict:
-        return {"key": payload.get("key"), "program": name,
-                "family": payload.get("family"),
-                "expected": payload.get("expected")}
-
     tracer = None
     trace_dir = payload.get("trace_dir")
     if trace_dir:
@@ -145,37 +151,20 @@ def analysis_task(payload: dict) -> dict:
                 result = prove_termination(program, config,
                                            checkpoint=checkpoint,
                                            library=library)
-            tracer.record_metrics(result.stats.metrics)
         else:
             result = prove_termination(program, config,
                                        checkpoint=checkpoint,
                                        library=library)
     except ParseError as err:
-        row = base_row()
-        row.update(config=payload.get("config_name", ""), status="error",
-                   error=f"parse error: {err}",
-                   seconds=time.perf_counter() - t0)
-        return row
+        return job_fields(payload, "error", f"parse error: {err}")
     finally:
         if tracer is not None:
             tracer.close()
 
-    stats = result.stats
     status = result.verdict.value
     if result.verdict is Verdict.UNKNOWN and result.reason == "timeout":
         status = "timeout"
-    row = base_row()
-    row.update(
-        config=payload.get("config_name") or config.describe(),
-        status=status,
-        verdict=result.verdict.value,
-        reason=result.reason,
-        rounds=stats.iterations,
-        seconds=stats.total_seconds,
-        modules_by_stage=dict(stats.modules_by_stage),
-        stats=stats.to_dict(),
-    )
-    return row
+    return {**result.to_dict(), **job_fields(payload, status)}
 
 
 def _maybe_fault_worker(config: AnalysisConfig, *, same_process: bool) -> None:

@@ -3,12 +3,14 @@
 ``aggregate_rows`` folds JSONL rows into one line per configuration:
 verdict counts, solved (verdict matches the manifest's expectation,
 where one was given), timeouts, errors, and wall-clock totals -- the
-shape of the paper's Table 3.  Because every completed row embeds its
-run's :mod:`repro.obs` metrics snapshot, the aggregate also sums
-every counter of those snapshots (refinement rounds, difference
-explorations, cache hits, checkpoint and library work) across the
-corpus, giving the per-configuration cost profile without re-tracing
-anything.
+shape of the paper's Table 3.  A row is a run's record
+(:meth:`repro.core.refinement.TerminationResult.to_dict`) plus the
+job's own fields; rows are grouped by the job's ``config_name``.
+Because every completed row carries its run's :mod:`repro.obs` metrics
+snapshot, the aggregate also sums every counter of those snapshots
+(refinement rounds, difference explorations, cache hits, checkpoint
+and library work) across the corpus, giving the per-configuration cost
+profile without re-tracing anything.
 
 ``python -m repro report results.jsonl [--json]`` renders it.
 """
@@ -55,11 +57,18 @@ class ConfigAgg:
         return self.total_seconds / self.jobs if self.jobs else 0.0
 
 
+def row_seconds(row: dict) -> float:
+    """A row's analysis seconds: its record's, or the job's wall-clock
+    when the run left no record (a killed or crashed worker)."""
+    return float(row["seconds"] if "seconds" in row
+                 else row.get("wall_seconds") or 0.0)
+
+
 def aggregate_rows(rows) -> dict[str, ConfigAgg]:
     """Fold result rows into per-configuration aggregates."""
     aggs: dict[str, ConfigAgg] = {}
     for row in rows:
-        config = row.get("config") or "?"
+        config = row.get("config_name") or row.get("config") or "?"
         agg = aggs.get(config)
         if agg is None:
             agg = aggs[config] = ConfigAgg(config)
@@ -76,10 +85,10 @@ def aggregate_rows(rows) -> dict[str, ConfigAgg]:
                 agg.solved += 1
             elif verdict in ("terminating", "nonterminating"):
                 agg.unsound += 1
-        seconds = float(row.get("seconds") or 0.0)
+        seconds = row_seconds(row)
         agg.total_seconds += seconds
         agg.max_seconds = max(agg.max_seconds, seconds)
-        counters = (row.get("stats") or {}).get("metrics", {}).get("counters", {})
+        counters = (row.get("metrics") or {}).get("counters", {})
         for name, value in counters.items():
             agg.counters[name] = agg.counters.get(name, 0) + value
     return aggs

@@ -80,6 +80,31 @@ def test_cli_parse_error(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+def test_cli_missing_file_is_an_error(tmp_path, capsys):
+    """One ``run: ...`` line on stderr and exit 3, not a traceback."""
+    missing = tmp_path / "missing.t"
+    assert main(["run", str(missing)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("run: ") and "missing.t" in captured.err
+
+
+@pytest.mark.parametrize("flag, value, named", [
+    ("--max-refinements", "-1", "max_refinements"),
+    ("--timeout", "-2", "timeout"),
+])
+def test_cli_negative_budget_is_an_error(tmp_path, capsys, flag, value, named):
+    path = tmp_path / "prog.t"
+    path.write_text(TERMINATING)
+    for extra in ([], ["--portfolio"]):
+        assert main(["run", flag, value, *extra, str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("run: ") and named in captured.err
+
+
 def test_cli_configuration_flags(tmp_path, capsys):
     path = tmp_path / "prog.t"
     path.write_text(TERMINATING)
@@ -112,10 +137,48 @@ def test_cli_json_output(tmp_path, capsys):
     assert main(["run", "--json", str(path)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["verdict"] == "terminating"
-    assert payload["rounds"] >= 1
+    assert len(payload["rounds"]) >= 1
     assert payload["seconds"] > 0
-    assert payload["module_kinds"]
-    assert payload["stats"]["metrics"]["counters"]["refinement.rounds"] >= 1
+    assert [m["stage"] for m in payload["modules"]]
+    assert payload["metrics"]["counters"]["refinement.rounds"] == \
+        len(payload["rounds"])
+    assert "attempts" not in payload
+
+
+def test_cli_record_is_the_bench_row_record(tmp_path, capsys):
+    """``--json`` prints exactly the record ``--stats-json`` writes, and
+    a ``bench`` row of the same program and config is that record plus
+    the job's own fields."""
+    import json
+
+    path = tmp_path / "prog.t"
+    path.write_text(TERMINATING)
+    stats = tmp_path / "s.json"
+    assert main(["run", "--json", "--stats-json", str(stats),
+                 str(path)]) == 0
+    printed = capsys.readouterr().out
+    assert printed == stats.read_text()
+    record = json.loads(printed)
+
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({
+        "name": "record", "task_timeout": 60,
+        "programs": [{"file": "prog.t", "expected": "terminating"}],
+        "configs": [{"name": "default"}],
+    }))
+    store = tmp_path / "results.jsonl"
+    assert main(["bench", str(manifest), "--inprocess", "--quiet",
+                 "--store", str(store)]) == 0
+    capsys.readouterr()
+    (row,) = [json.loads(line) for line in store.read_text().splitlines()]
+    job = {"key", "name", "family", "expected", "config_name", "status",
+           "executions", "wall_seconds", "error"}
+    assert set(row) == set(record) | job
+    assert not set(record) & job
+    assert row["status"] == "terminating" and row["error"] is None
+    for key in ("program", "config", "verdict", "reason", "modules"):
+        assert row[key] == record[key], key
+    assert row["metrics"]["counters"] == record["metrics"]["counters"]
 
 
 def test_cli_json_nonterminating_witness(capsys):
@@ -208,6 +271,7 @@ def test_cli_bench_rejects_malformed_config(tmp_path, capsys, config, named):
     ({"programs": ["suite"]}, "program entry"),
     ({"programs": [{"scaled": "nested_loops", "k": "2"}]}, "'k'"),
     ({"programs": [{"glob": "no_such_dir/*.t"}]}, "matched no files"),
+    ({"programs": [{"suite": "count_down"}]}, "unknown suite family"),
 ])
 def test_cli_bench_rejects_malformed_manifest(tmp_path, capsys, manifest,
                                               named):
@@ -281,6 +345,7 @@ def test_cli_run_portfolio(tmp_path, capsys):
     assert code == 0
     assert payload["verdict"] == "terminating"
     assert payload["attempts"]
+    assert payload["attempts"][-1]["rounds"] == payload["rounds"]
 
 
 def _restored_rounds(argv, capsys) -> int:
@@ -288,7 +353,7 @@ def _restored_rounds(argv, capsys) -> int:
 
     assert main(argv + ["--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    return payload["stats"]["metrics"]["counters"].get(
+    return payload["metrics"]["counters"].get(
         "checkpoint.rounds_restored", 0)
 
 

@@ -35,7 +35,7 @@ for name in sys.argv[1:]:
     out[name] = {
         "verdict": result.verdict.value,
         "rounds": stats.iterations,
-        "modules_by_stage": dict(sorted(stats.modules_by_stage.items())),
+        "stages": [m.stage for m in result.modules],
         "words": [r.word for r in stats.rounds],
         "logic.fm.eliminations": stats.counter("logic.fm.eliminations"),
         "difference.explored_states":

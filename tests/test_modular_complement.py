@@ -397,13 +397,13 @@ def test_cli_complement_flag(tmp_path, capsys):
 def test_report_sums_unknown_counters(tmp_path, capsys):
     from repro.runner.report import aggregate_rows, main
     rows = [{
-        "program": "p", "config": "c", "status": "terminating",
+        "program": "p", "config_name": "c", "status": "terminating",
         "verdict": "terminating", "expected": "terminating", "seconds": 0.1,
-        "stats": {"metrics": {"counters": {
+        "metrics": {"counters": {
             "refinement.rounds": 2,
             "difference.calls": 3,
             "from.a.future.schema": 7,
-        }}},
+        }},
     } for _ in range(2)]
     store = tmp_path / "results.jsonl"
     store.write_text("".join(json.dumps(r) + "\n" for r in rows))
@@ -419,9 +419,9 @@ def test_report_sums_unknown_counters(tmp_path, capsys):
 def test_report_no_warning_when_all_counters_known(tmp_path, capsys):
     from repro.runner.report import main
     rows = [{
-        "program": "p", "config": "c", "status": "terminating",
+        "program": "p", "config_name": "c", "status": "terminating",
         "verdict": "terminating", "expected": "terminating", "seconds": 0.1,
-        "stats": {"metrics": {"counters": {"refinement.rounds": 1}}},
+        "metrics": {"counters": {"refinement.rounds": 1}},
     }]
     store = tmp_path / "results.jsonl"
     store.write_text("".join(json.dumps(r) + "\n" for r in rows))

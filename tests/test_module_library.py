@@ -260,13 +260,9 @@ def test_stats_round_trip_carries_library_counters(tmp_path):
     path = tmp_path / "lib.jsonl"
     run(COUNTDOWN, ModuleLibrary(path))
     warm = run(COUNTDOWN, ModuleLibrary(path))
-    from repro.core.stats import AnalysisStats
-    data = warm.stats.to_dict()
-    hits = warm.stats.counter("library.hits")
-    assert data["metrics"]["counters"]["library.hits"] == hits > 0
-    rebuilt = AnalysisStats.from_dict(data)
-    assert rebuilt.counter("library.hits") == hits
-    assert rebuilt.counter("library.misses") == \
+    counters = json.loads(json.dumps(warm.to_dict()))["metrics"]["counters"]
+    assert counters["library.hits"] == warm.stats.counter("library.hits") > 0
+    assert counters.get("library.misses", 0) == \
         warm.stats.counter("library.misses")
 
 
@@ -297,4 +293,4 @@ def test_corpus_run_threads_library_and_counts_hits(tmp_path):
     row = summary.rows[0]
     assert row["status"] == "terminating"
     assert "library" not in row  # the row's metrics are the one count
-    assert row["stats"]["metrics"]["counters"]["library.hits"] > 0
+    assert row["metrics"]["counters"]["library.hits"] > 0

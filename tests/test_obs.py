@@ -6,7 +6,6 @@ import time
 from repro.core.api import (prove_termination, prove_termination_portfolio,
                             prove_termination_source)
 from repro.core.config import AnalysisConfig
-from repro.core.stats import AnalysisStats
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import aggregate, load_records, render
@@ -206,35 +205,35 @@ def test_consecutive_runs_do_the_same_solver_work():
         assert first[name] == second[name], name
 
 
-# -- stats round-trip ---------------------------------------------------------
+# -- the run's record ---------------------------------------------------------
 
 
-def test_analysis_stats_to_dict_round_trip():
+def test_record_holds_each_fact_once():
     result = prove_termination_source(TERMINATING)
-    payload = json.loads(json.dumps(result.stats.to_dict()))
-    restored = AnalysisStats.from_dict(payload)
-    assert restored.program == result.stats.program
-    assert restored.config == result.stats.config
-    assert restored.total_seconds == result.stats.total_seconds
-    assert restored.peak_difference_states == result.stats.peak_difference_states
-    assert restored.gave_up_reason == result.stats.gave_up_reason
-    assert restored.modules_by_stage == result.stats.modules_by_stage
-    assert restored.iterations == result.stats.iterations
-    assert restored.rounds == result.stats.rounds
-    assert restored.metrics == result.stats.metrics
-    # a second trip is a fixpoint
-    assert restored.to_dict() == result.stats.to_dict()
+    record = json.loads(json.dumps(result.to_dict()))
+    assert list(record) == ["program", "config", "verdict", "reason",
+                            "seconds", "witness", "witness_word", "modules",
+                            "rounds", "metrics", "incidents"]
+    assert record["program"] == result.stats.program
+    assert record["verdict"] == "terminating" and record["reason"] is None
+    assert record["seconds"] == result.stats.total_seconds
+    assert [m["stage"] for m in record["modules"]] == \
+        [m.stage for m in result.modules]
+    assert [m["states"] for m in record["modules"]] == \
+        [len(m.automaton.states) for m in result.modules]
+    assert [r["word"] for r in record["rounds"]] == \
+        [r.word for r in result.stats.rounds]
+    assert record["metrics"] == result.stats.metrics
 
 
-def test_from_dict_ignores_extra_keys():
-    stats = AnalysisStats.from_dict({"program": "p", "verdict": "terminating",
-                                     "unknown_future_key": 1})
-    assert stats.program == "p"
-    assert stats.rounds == []
-    # ... in rounds too
-    stats = AnalysisStats.from_dict(
-        {"rounds": [{"word": "w", "proof_kind": "ranked", "future": 1}]})
-    assert stats.rounds[0].word == "w" and stats.rounds[0].counters == {}
+def test_record_of_a_nonterminating_run_names_its_witness():
+    result = prove_termination_source(DIVERGING)
+    record = json.loads(json.dumps(result.to_dict()))
+    assert record["verdict"] == "nonterminating"
+    assert record["witness"]["kind"] == result.witness.kind
+    assert set(record["witness"]["state"]) == set(result.witness.state)
+    assert record["witness_word"] == str(result.witness_word)
+    assert record["modules"] == []
 
 
 # -- portfolio attempts -------------------------------------------------------
@@ -249,6 +248,10 @@ def test_portfolio_records_all_attempts():
     assert len(result.attempts) == 2
     assert result.attempts[-1] is result.stats
     assert all(a.rounds for a in result.attempts)
+    attempts = result.to_dict()["attempts"]
+    assert [a["config"] for a in attempts] == \
+        [a.config for a in result.attempts]
+    assert "attempts" not in prove_termination_source(TERMINATING).to_dict()
 
 
 # -- report -------------------------------------------------------------------
@@ -259,7 +262,6 @@ def _traced_analysis(tmp_path):
     with Tracer(str(path)) as tracer:
         with use_tracer(tracer):
             result = prove_termination_source(TERMINATING)
-        tracer.record_metrics(result.stats.metrics)
     return result, path
 
 
@@ -279,7 +281,8 @@ def test_traced_analysis_report_accounts_wall_clock(tmp_path):
     rendered = render(report)
     assert "accounted:" in rendered
     assert "analysis" in rendered and "difference" in rendered
-    assert "metrics (counters):" in rendered
+    # traces carry only spans: counts live in the run's record
+    assert all(r["type"] == "span" for r in load_records(str(path)))
 
 
 def test_report_cli_main(tmp_path, capsys):
@@ -293,7 +296,6 @@ def test_report_cli_main(tmp_path, capsys):
     assert payload["accounted"] >= 0.9
     assert "analysis" in payload["phases"]
     assert len(payload["hottest"]) <= 3
-    assert payload["metrics"]["counters"]["refinement.rounds"] >= 1
 
 
 def test_report_cli_empty_trace(tmp_path, capsys):
@@ -323,14 +325,12 @@ def test_cli_trace_stats_json_and_profile(tmp_path, capsys):
 
     report = aggregate(load_records(str(trace)))
     assert report.accounted >= 0.9
-    assert report.metrics["counters"]["refinement.rounds"] >= 1
 
     payload = json.loads(stats.read_text())
     assert payload["verdict"] == "terminating"
-    assert payload["iterations"] >= 1
+    assert payload["metrics"]["counters"]["refinement.rounds"] == \
+        len(payload["rounds"]) >= 1
     assert payload["metrics"]["counters"]["difference.calls"] >= 1
-    restored = AnalysisStats.from_dict(payload)
-    assert restored.iterations == payload["iterations"]
     # the CLI restores the no-op tracer afterwards
     assert get_tracer() is NULL_TRACER
 

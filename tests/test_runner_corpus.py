@@ -41,7 +41,7 @@ def tiny_manifest(**extra) -> dict:
 
 
 def row_counter(row: dict, name: str) -> int:
-    return row["stats"]["metrics"]["counters"].get(name, 0)
+    return row["metrics"]["counters"].get(name, 0)
 
 
 def inprocess_pool(**kwargs) -> WorkerPool:
@@ -243,7 +243,8 @@ def test_run_corpus_through_real_workers(tmp_path):
     assert summary.by_status == {"terminating": 1, "nonterminating": 1}
     rows = list(read_rows(store))
     assert all(r["executions"] == 1 for r in rows)
-    assert all(r.get("stats") for r in rows)  # full stats travel back
+    # the full record travels back
+    assert all(r["rounds"] and r["metrics"]["counters"] for r in rows)
 
 
 def test_quarantined_rows_survive_every_retry_knob(tmp_path):
@@ -452,8 +453,9 @@ def test_analysis_task_trace_dir_writes_reportable_trace(tmp_path):
     report = aggregate(load_records(str(trace)))
     assert report.phases["analysis"].calls == 1
     assert report.accounted >= 0.9
-    # the worker's metrics snapshot rode along in the trace
-    assert report.metrics["counters"]["refinement.rounds"] >= 1
+    # the trace carries the spans, the row the counts
+    assert report.phases["round"].calls == len(row["rounds"]) == \
+        row["metrics"]["counters"]["refinement.rounds"]
 
 
 def test_run_corpus_trace_dir_one_trace_per_job(tmp_path):

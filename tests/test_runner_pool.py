@@ -212,10 +212,13 @@ def test_analysis_task_row_shape():
                          "expected": "terminating"})
     assert row["status"] == "terminating"
     assert row["verdict"] == "terminating"
-    assert row["key"] == "k1"
-    assert row["rounds"] >= 1
+    assert row["key"] == "k1" and row["name"] == "t"
+    assert row["expected"] == "terminating" and row["error"] is None
+    assert row["program"] == "t" and row["config"].startswith("multi(i)")
+    assert len(row["rounds"]) >= 1
     assert row["seconds"] > 0
-    assert row["stats"]["metrics"]["counters"]["refinement.rounds"] >= 1
+    assert row["metrics"]["counters"]["refinement.rounds"] == \
+        len(row["rounds"])
 
 
 def test_analysis_task_cooperative_timeout_status():
