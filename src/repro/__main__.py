@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from repro.core.config import AnalysisConfig, StageSequence
@@ -147,6 +148,19 @@ def main(argv: list[str] | None = None) -> int:
     return run_single(argv)
 
 
+def _check_stats_path(path: str) -> None:
+    """Raise ``OSError`` unless the ``--stats-json`` file can be written."""
+    if os.path.isdir(path):
+        raise OSError(f"--stats-json {path!r} is a directory")
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise OSError(f"--stats-json {path!r}: no such directory "
+                      f"{directory!r}")
+    if not os.access(directory, os.W_OK):
+        raise OSError(f"--stats-json {path!r}: directory {directory!r} "
+                      f"is not writable")
+
+
 def run_single(argv: list[str]) -> int:
     args = build_parser().parse_args(argv)
     stages = (StageSequence.SINGLE if args.single_stage
@@ -171,6 +185,9 @@ def run_single(argv: list[str]) -> int:
                                                             args.complement),
                                 timeout=args.timeout,
                                 max_refinements=args.max_refinements)
+        if args.stats_json:
+            # checked before the analysis, so a bad path costs no run
+            _check_stats_path(args.stats_json)
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 3

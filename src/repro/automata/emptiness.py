@@ -128,7 +128,10 @@ def remove_useless(auto: ImplicitGBA, *,
     dfsnum: dict[State, int] = {}
     counter = [0]
     scc_stack: list[tuple[State, frozenset[int]]] = []  # SCCs in the paper
-    act_stack: list[State] = []
+    # Active states with their F(q), read once at push: a state found
+    # useful adds its DFS number to the result's acceptance lists.
+    act_stack: list[tuple[State, frozenset[int]]] = []
+    acc: list[list[int]] = [[] for _ in range(auto.acceptance_count)]
     act_set: set[State] = set()
     # Explored edges are streamed into a per-source index and retired the
     # moment the source is classified: useless sources drop their edges,
@@ -164,8 +167,9 @@ def remove_useless(auto: ImplicitGBA, *,
             if (deadline is not None and stats.explored_states % 256 == 0
                     and time.perf_counter() > deadline):
                 raise ExplorationTimeout(deadline)
-            scc_stack.append((state, auto.accepting_sets_of(state)))
-            act_stack.append(state)
+            conditions = auto.accepting_sets_of(state)
+            scc_stack.append((state, conditions))
+            act_stack.append((state, conditions))
             act_set.add(state)
             pending[state] = []
             frames.append(_Frame(state, edge_iter(state)))
@@ -225,11 +229,13 @@ def remove_useless(auto: ImplicitGBA, *,
                 scc_stack.pop()
                 members: list[State] = []
                 while True:
-                    member = act_stack.pop()
+                    member, conditions = act_stack.pop()
                     act_set.discard(member)
                     members.append(member)
                     if frame.is_nemp:
                         useful.add(member)
+                        for j in conditions:
+                            acc[j].append(dfsnum[member])
                     else:
                         oracle.add(member)
                         stats.useless_states += 1
@@ -270,10 +276,11 @@ def remove_useless(auto: ImplicitGBA, *,
             exc.partial_stats = stats
             raise
 
-        # In DFS order, so no set built here depends on the hash seed.
+        # In DFS order, so no set built here depends on the hash seed
+        # or on the order in which the SCCs closed.
         order = sorted(useful, key=dfsnum.__getitem__)
-        acc = [[dfsnum[q] for q in order if j in auto.accepting_sets_of(q)]
-               for j in range(auto.acceptance_count)]
+        for f in acc:
+            f.sort()
         result = GBA(auto.alphabet, transitions,
                      [dfsnum[q] for q in auto.initial_states() if q in useful],
                      acc, states=[dfsnum[q] for q in order])

@@ -24,6 +24,9 @@ from typing import Hashable, Iterable, Mapping, Protocol, runtime_checkable
 State = Hashable
 Symbol = Hashable
 
+_NO_SETS: frozenset[int] = frozenset()
+_FIRST_SET: frozenset[int] = frozenset((0,))
+
 
 @runtime_checkable
 class ImplicitGBA(Protocol):
@@ -84,6 +87,10 @@ class GBA:
         #: with symbols in sorted order.  Built once on first use; never
         #: invalidated -- a GBA is immutable after construction.
         self._out_index: dict[State, tuple[tuple[Symbol, State], ...]] | None = None
+        #: Lazily built ``F(q)`` map of a GBA with k != 1 sets: state ->
+        #: indices of the acceptance sets holding it, for states in at
+        #: least one set.
+        self._acc_index: dict[State, tuple[int, ...]] | None = None
 
     # -- ImplicitGBA protocol -----------------------------------------------
 
@@ -102,7 +109,25 @@ class GBA:
         return self._trans.get((state, symbol), frozenset())
 
     def accepting_sets_of(self, state: State) -> frozenset[int]:
-        return frozenset(j for j, f in enumerate(self._acc) if state in f)
+        if len(self._acc) == 1:
+            # a BA needs no map: F(q) is {0} or empty
+            return _FIRST_SET if state in self._acc[0] else _NO_SETS
+        index = self._acc_index
+        if index is None:
+            index = self._build_acc_index()
+        return frozenset(index.get(state, ()))
+
+    def _build_acc_index(self) -> dict[State, tuple[int, ...]]:
+        # Equal index tuples are shared, and the map holds no frozenset
+        # per state: a GBA with many acceptance sets keeps it small.
+        shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+        index = {}
+        for state in self._states:
+            key = tuple([j for j, f in enumerate(self._acc) if state in f])
+            if key:
+                index[state] = shared.setdefault(key, key)
+        self._acc_index = index
+        return index
 
     # -- explicit-only accessors -----------------------------------------------
 

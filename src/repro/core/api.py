@@ -25,6 +25,7 @@ from repro.program import statements
 from repro.program.ast import Program
 from repro.program.cfg import build_cfg
 from repro.program.parser import parse_program
+from repro.ranking import synthesis
 
 
 def prove_termination(program: Program,
@@ -59,10 +60,11 @@ def prove_termination(program: Program,
     One fresh metrics registry spans the whole run -- building the
     control-flow graph, the engine and the firewall's re-check alike --
     so its snapshot, ``result.stats.metrics``, holds every count.  One
-    Fourier--Motzkin memo (:func:`repro.logic.fourier_motzkin.use_memo`)
-    and one postcondition and Hoare-triple memo
-    (:func:`repro.program.statements.use_memo`) span the CFG build and
-    the engine; the firewall opens its own.
+    Fourier--Motzkin memo (:func:`repro.logic.fourier_motzkin.use_memo`),
+    one postcondition and Hoare-triple memo
+    (:func:`repro.program.statements.use_memo`) and one Farkas-LP memo
+    (:func:`repro.ranking.synthesis.use_memo`) span the CFG build and
+    the engine; the firewall opens its own solver memos.
     """
     config = config or AnalysisConfig()
     if library is not None and not hasattr(library, "match"):
@@ -71,7 +73,7 @@ def prove_termination(program: Program,
     plan = faults.resolve_plan(config.fault_plan)
     registry = obs_metrics.MetricsRegistry()
     with obs_metrics.use_registry(registry):
-        with fm.use_memo(), statements.use_memo():
+        with fm.use_memo(), statements.use_memo(), synthesis.use_memo():
             engine = RefinementEngine(build_cfg(program), config, collector,
                                       checkpoint=checkpoint, library=library)
             if plan is not None:

@@ -11,7 +11,6 @@ which improves the precision of the rational decision procedure.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _gcd
 from typing import Mapping
@@ -37,12 +36,35 @@ class Rel(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
 class Atom:
-    """A normalized linear constraint ``term rel 0``."""
+    """A normalized linear constraint ``term rel 0``.
 
-    term: LinTerm
-    rel: Rel
+    An immutable value: ``term`` and ``rel`` are never reassigned.  The
+    hash is computed once, at construction, because atoms key every
+    solver memo and every conjunction's atom set; equality checks
+    identity, then the hash, and only then the term and relation.
+    """
+
+    __slots__ = ("term", "rel", "_hash")
+
+    def __init__(self, term: LinTerm, rel: Rel):
+        self.term = term
+        self.rel = rel
+        self._hash = hash((term, rel))
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Atom):
+            return NotImplemented
+        return (self._hash == other._hash and self.rel is other.rel
+                and self.term == other.term)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"Atom(term={self.term!r}, rel={self.rel!r})"
 
     def variables(self) -> frozenset[str]:
         return self.term.variables()

@@ -140,9 +140,14 @@ class LinConj:
     # -- value protocol -----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, LinConj):
             return NotImplemented
-        return frozenset(self._atoms) == frozenset(other._atoms)
+        # The hash is the atom set's, so unequal hashes settle it
+        # without building the two sets.
+        return (self._hash == other._hash
+                and frozenset(self._atoms) == frozenset(other._atoms))
 
     def __hash__(self) -> int:
         return self._hash

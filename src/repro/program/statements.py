@@ -39,7 +39,7 @@ and ``logic.hoare.memo_hits`` count the answers served from the memo.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Iterator, TypeVar
 
@@ -102,9 +102,32 @@ def _fresh(name: str, taken: frozenset[str]) -> str:
     return candidate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Statement:
-    """Base class of atomic statements.  Value identity = semantics."""
+    """Base class of atomic statements.  Value identity = semantics.
+
+    Statements are every automaton's symbols, so they key the product
+    states, successor memos and Hoare-triple memos of the whole
+    analysis.  Each one computes its hash once, at construction, from
+    its fields; equality checks identity, then the class and the hash,
+    and only then compares the fields.
+    """
+
+    def __post_init__(self) -> None:
+        key = tuple(getattr(self, f.name) for f in fields(self))
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Statement):
+            return NotImplemented
+        return (type(self) is type(other) and self._hash == other._hash
+                and self._key == other._key)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def sp_conj(self, pre: LinConj) -> LinConj:
         """Strongest postcondition on a single conjunction."""
@@ -154,7 +177,7 @@ class Statement:
         return self.text
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Assume(Statement):
     """A guard ``assume(cond)`` with a conjunction of linear atoms.
 
@@ -185,7 +208,7 @@ class Assume(Statement):
         return f"Assume({self.text!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Assign(Statement):
     """A linear assignment ``var := expr``."""
 
@@ -195,6 +218,7 @@ class Assign(Statement):
     def __post_init__(self) -> None:
         if self.var == OLDRNK:
             raise ValueError("programs must not assign the reserved oldrnk variable")
+        super().__post_init__()
 
     def _sp_conj(self, pre: LinConj) -> LinConj:
         taken = pre.variables() | self.expr.variables() | {self.var}
@@ -220,7 +244,7 @@ class Assign(Statement):
         return f"Assign({self.text!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Havoc(Statement):
     """Nondeterministic assignment ``havoc var`` (any integer)."""
 
@@ -229,6 +253,7 @@ class Havoc(Statement):
     def __post_init__(self) -> None:
         if self.var == OLDRNK:
             raise ValueError("programs must not havoc the reserved oldrnk variable")
+        super().__post_init__()
 
     def _sp_conj(self, pre: LinConj) -> LinConj:
         return pre.project_away([self.var])

@@ -88,7 +88,8 @@ def bench_main(argv: list[str] | None = None) -> int:
             manifest = load_manifest(args.manifest)
         else:
             manifest = suite_manifest(task_timeout=args.task_timeout)
-        expand_manifest(manifest)  # reject malformed programs and configs
+        # reject malformed programs, configs and task timeouts
+        expand_manifest(manifest, task_timeout=args.task_timeout)
         if args.fault_plan:
             text = args.fault_plan
             if os.path.isfile(text):

@@ -197,9 +197,19 @@ def _expand_configs(manifest: dict) -> list[tuple[str, dict]]:
 def expand_manifest(manifest: dict,
                     task_timeout: float | None = None,
                     version: str | None = None) -> list[CorpusJob]:
-    """The manifest's full job matrix, with stable resume keys."""
+    """The manifest's full job matrix, with stable resume keys.
+
+    Raises ``ValueError`` on a malformed manifest, and on a task
+    timeout (``task_timeout`` or the manifest's) that is not a
+    non-negative number.
+    """
     timeout = (task_timeout if task_timeout is not None
                else manifest.get("task_timeout"))
+    if timeout is not None and (isinstance(timeout, bool)
+                                or not isinstance(timeout, (int, float))
+                                or not timeout >= 0):
+        raise ValueError(f"task timeout must be a non-negative number, "
+                         f"got {timeout!r}")
     version = version if version is not None else code_version()
     jobs: list[CorpusJob] = []
     configs = _expand_configs(manifest)

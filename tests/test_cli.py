@@ -105,6 +105,26 @@ def test_cli_negative_budget_is_an_error(tmp_path, capsys, flag, value, named):
         assert captured.err.startswith("run: ") and named in captured.err
 
 
+@pytest.mark.parametrize("target", ["no_such_dir/s.json", "."])
+def test_cli_bad_stats_json_path_fails_before_the_run(tmp_path, capsys,
+                                                      monkeypatch, target):
+    """One ``run: ...`` line and exit 3, and no analysis is started."""
+    import repro.__main__ as cli_main
+
+    def never(*args, **kwargs):
+        raise AssertionError("the analysis ran before the path check")
+
+    monkeypatch.setattr(cli_main, "prove_termination", never)
+    path = tmp_path / "prog.t"
+    path.write_text(TERMINATING)
+    assert main(["run", "--stats-json", str(tmp_path / target),
+                 str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("run: --stats-json "), captured.err
+
+
 def test_cli_configuration_flags(tmp_path, capsys):
     path = tmp_path / "prog.t"
     path.write_text(TERMINATING)
@@ -272,6 +292,8 @@ def test_cli_bench_rejects_malformed_config(tmp_path, capsys, config, named):
     ({"programs": [{"scaled": "nested_loops", "k": "2"}]}, "'k'"),
     ({"programs": [{"glob": "no_such_dir/*.t"}]}, "matched no files"),
     ({"programs": [{"suite": "count_down"}]}, "unknown suite family"),
+    ({"programs": [{"suite": "*"}], "task_timeout": -1}, "task timeout"),
+    ({"programs": [{"suite": "*"}], "task_timeout": "5"}, "task timeout"),
 ])
 def test_cli_bench_rejects_malformed_manifest(tmp_path, capsys, manifest,
                                               named):
@@ -287,6 +309,24 @@ def test_cli_bench_rejects_malformed_manifest(tmp_path, capsys, manifest,
     assert code == 3
     assert err.count("\n") == 1 and err.startswith("bench: "), err
     assert named in err, err
+    assert not store.exists()
+
+
+def test_cli_bench_rejects_negative_task_timeout(tmp_path, capsys):
+    """One stderr line and exit 3, before any job runs."""
+    import json
+
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({
+        "name": "t", "programs": [{"name": "a", "source": TERMINATING}],
+    }))
+    store = tmp_path / "results.jsonl"
+    code = main(["bench", str(manifest), "--inprocess", "--quiet",
+                 "--store", str(store), "--task-timeout", "-1"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.count("\n") == 1 and err.startswith("bench: "), err
+    assert "task timeout" in err
     assert not store.exists()
 
 

@@ -122,6 +122,16 @@ def test_remove_useless_preserves_language(gba, words):
         assert accepts(useful, word) == accepts(gba, word)
 
 
+@settings(max_examples=100, deadline=None)
+@given(small_gbas())
+def test_accepting_sets_of_matches_a_scan_of_the_sets(gba):
+    for state in list(gba.states) + ["not a state"]:
+        expected = frozenset(j for j, f in enumerate(gba.acc_sets)
+                             if state in f)
+        assert gba.accepting_sets_of(state) == expected
+        assert gba.accepting_sets_of(state) == expected  # served again
+
+
 @settings(max_examples=50, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(small_gbas(), st.lists(up_words(), min_size=3, max_size=8))

@@ -11,6 +11,10 @@ from repro.automata.words import UPWord
 from repro.program.statements import Assign, Assume, Havoc
 from repro.ranking.lasso import Lasso, primed
 from repro.ranking.nontermination import find_nontermination_witness
+from repro import faults
+from repro.faults import FaultPlan
+from repro.obs import metrics as obs_metrics
+from repro.ranking import synthesis
 from repro.ranking.synthesis import (ProofKind, prove_lasso,
                                      synthesize_ranking)
 
@@ -221,3 +225,65 @@ def test_fractional_fixed_point_rejected():
     witness = find_nontermination_witness(lasso, lasso.loop_relation(),
                                           TRUE)
     assert witness is None
+
+
+# -- the per-run Farkas-LP memo ----------------------------------------------------
+
+
+def _lp_relation():
+    # the relation of test_ranking_needs_lp_offset: only the LP ranks it
+    guard = Assume(conj(atom_ge(x, -5)), "x>=-5")
+    return Lasso([guard], [guard, DEC_X]).loop_relation()
+
+
+def _synthesize_twice(relation):
+    registry = obs_metrics.MetricsRegistry()
+    with obs_metrics.use_registry(registry):
+        first = synthesize_ranking(relation)
+        second = synthesize_ranking(relation)
+    return first, second, registry.snapshot()["counters"]
+
+
+def test_lp_memo_hit_returns_the_first_ranking():
+    honest = synthesize_ranking(_lp_relation())
+    with synthesis.use_memo() as memo:
+        first, second, counters = _synthesize_twice(_lp_relation())
+        assert len(memo) == 1
+    assert first == second == honest
+    assert counters["ranking.syntheses"] == 2
+    assert counters["ranking.lp_syntheses"] == 2
+    assert counters["ranking.lp_memo_hits"] == 1
+    assert counters["logic.lp.solves"] == 1
+
+
+def test_lp_memo_is_off_outside_its_scope():
+    assert synthesis._MEMO is None
+    first, second, counters = _synthesize_twice(_lp_relation())
+    assert first == second
+    assert "ranking.lp_memo_hits" not in counters
+    assert counters["logic.lp.solves"] == 2
+
+
+def test_lp_memo_is_bypassed_under_a_fault_plan():
+    with synthesis.use_memo() as memo, faults.use_plan(FaultPlan(seed=1)):
+        first, second, counters = _synthesize_twice(_lp_relation())
+        assert memo == {}
+    assert first == second
+    assert "ranking.lp_memo_hits" not in counters
+    assert counters["logic.lp.solves"] == 2
+
+
+def test_lp_memo_never_stores_a_raising_question(monkeypatch):
+    from repro.logic.lp import LinearProgram
+
+    def fail(self):
+        raise RuntimeError("deadline")
+
+    with synthesis.use_memo() as memo:
+        monkeypatch.setattr(LinearProgram, "check_feasible", fail)
+        with pytest.raises(RuntimeError):
+            synthesize_ranking(_lp_relation())
+        monkeypatch.undo()
+        assert memo == {}
+        assert synthesize_ranking(_lp_relation()) is not None
+        assert len(memo) == 1
