@@ -9,6 +9,11 @@
 3. running Algorithm 1 (:func:`repro.automata.emptiness.remove_useless`)
    over the product, so only states on useful paths are ever built.
 
+By default (``cache=True``) the product is a
+:class:`~repro.automata.ops.NumberedProduct`, which numbers each
+``(qA, qhat)`` pair when first reached: Algorithm 1 and the antichain
+below then key their tables by ints.
+
 When ``B`` is complemented through NCSB, the ``emp`` set of Algorithm 1
 is maintained as the subsumption antichain ``ceil(emp)`` of Eq. 10:
 a product state ``(qA, qhat)`` is known-useless if some recorded
@@ -36,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.automata.classify import sdba_parts
 from repro.automata.complement.dispatch import (KIND_GUARDS, ComplementKind,
@@ -47,7 +52,7 @@ from repro.automata.complement.ncsb import (MacroEncoder, MacroState,
 import repro.faults as _faults
 from repro.automata.emptiness import EmptyOracle, RemovalStats, remove_useless
 from repro.automata.gba import CachedImplicitGBA, GBA, ImplicitGBA, State
-from repro.automata.ops import ProductGBA
+from repro.automata.ops import NumberedProduct, ProductGBA
 from repro.automata.simulation import direct_simulation, quotient
 from repro.core.budget import DeadlineExceeded, ResourceExhausted
 from repro.obs import metrics as _metrics
@@ -77,11 +82,20 @@ class SubsumptionOracle(EmptyOracle):
     tolerate it compare modulo the simulation's down-closure (see the
     module docstring for which components, per relation, and why).  A
     trivial relation (identity only) is ignored.
+
+    ``pairs`` (a numbered product's id -> pair list) lets states be
+    product ids.  Each state's group key and entry are read from a
+    table filled on its first query.
     """
 
     def __init__(self, relation: Callable[[MacroState, MacroState], bool],
-                 simulation: set[tuple[State, State]] | None = None):
+                 simulation: set[tuple[State, State]] | None = None,
+                 pairs: Sequence[State] | None = None):
         super().__init__()
+        self._pairs = pairs
+        #: state -> (group key, entry or None for a non-macro state)
+        self._keyed: dict[State, tuple[State, tuple | None]] = {}
+        self._entries: dict[MacroState, tuple] = {}
         if relation not in (subsumes, subsumes_b):
             raise ValueError("the antichain orders are subsumes and subsumes_b")
         self._check_b = relation is subsumes_b
@@ -178,6 +192,18 @@ class SubsumptionOracle(EmptyOracle):
         (cs, cls), (cb, clb) = self._closure(macro.s), self._closure(macro.b)
         return macro, raw, (cn, cc, cs, cb, cln, clc, cls, clb)
 
+    def _key(self, state: State) -> tuple[State, tuple | None]:
+        """Fill the state's table row: its group key and entry."""
+        q_a, macro = self._split(
+            state if self._pairs is None else self._pairs[state])
+        entry = None
+        if macro is not None:
+            entry = self._entries.get(macro)
+            if entry is None:
+                entry = self._entries[macro] = self._entry(macro)
+        keyed = self._keyed[state] = (q_a, entry)
+        return keyed
+
     def _covered(self, entry: tuple[MacroState, tuple[int, ...],
                                     tuple[int, ...] | None],
                  group: list) -> bool:
@@ -213,11 +239,10 @@ class SubsumptionOracle(EmptyOracle):
         return False
 
     def add(self, state: State) -> None:
-        q_a, macro = self._split(state)
-        if macro is None:
+        q_a, entry = self._keyed.get(state) or self._key(state)
+        if entry is None:
             super().add(state)
             return
-        entry = self._entry(macro)
         group = self._groups.setdefault(q_a, [])
         if self._covered(entry, group):
             return  # already covered
@@ -229,13 +254,13 @@ class SubsumptionOracle(EmptyOracle):
         _metrics.gauge("difference.antichain.peak").max_of(self._size)
 
     def contains(self, state: State) -> bool:
-        q_a, macro = self._split(state)
-        if macro is None:
+        q_a, entry = self._keyed.get(state) or self._key(state)
+        if entry is None:
             return super().contains(state)
         group = self._groups.get(q_a)
         if not group:
             return False
-        return self._covered(self._entry(macro), group)
+        return self._covered(entry, group)
 
     def __len__(self) -> int:
         return self._size + super().__len__()
@@ -351,9 +376,12 @@ def difference(minuend: ImplicitGBA, subtrahend: GBA, *,
     ``cache`` (default on) installs the shared successor-index /
     memoization layer: an implicit minuend is wrapped in a
     :class:`~repro.automata.gba.CachedImplicitGBA` (explicit GBAs
-    already carry their own lazily built edge index), and so is the
-    product itself, giving Algorithm 1 precomputed per-state sorted
-    edge lists instead of a fresh alphabet sort per pushed state.
+    already carry their own lazily built edge index), and the product
+    is a :class:`~repro.automata.ops.NumberedProduct`, whose sorted
+    edge list per id is built once.  ``cache=False`` explores the plain
+    :class:`~repro.automata.ops.ProductGBA` over pairs, sorting the
+    alphabet per pushed state; both give the same automaton and counts
+    but the cache's own.
 
     ``simulation_reduction`` (default on) quotients the subtrahend by
     direct-simulation equivalence before complementation and coarsens
@@ -381,15 +409,14 @@ def difference(minuend: ImplicitGBA, subtrahend: GBA, *,
                               reduced_from=module_states)
             heuristic_modular = (kind is None
                                  and used_kind is ComplementKind.MODULAR)
-            wrappers: list[CachedImplicitGBA] = []
+            caches: list[CachedImplicitGBA | NumberedProduct] = []
             left = minuend
             if cache and not isinstance(left, (GBA, CachedImplicitGBA)):
                 left = CachedImplicitGBA(left)
-                wrappers.append(left)
-            product: ImplicitGBA = ProductGBA(left, comp)
+                caches.append(left)
+            product = (NumberedProduct if cache else ProductGBA)(left, comp)
             if cache:
-                product = CachedImplicitGBA(product)
-                wrappers.append(product)
+                caches.append(product)
             oracle: EmptyOracle | None = None
             ncsb_kinds = (ComplementKind.SDBA_ORIGINAL,
                           ComplementKind.SDBA_LAZY,
@@ -400,13 +427,15 @@ def difference(minuend: ImplicitGBA, subtrahend: GBA, *,
                 relation = subsumes_b if uses_lazy else subsumes
                 simulation = (_subtrahend_simulation(comp)
                               if simulation_reduction else None)
-                oracle = SubsumptionOracle(relation, simulation=simulation)
+                oracle = SubsumptionOracle(
+                    relation, simulation=simulation,
+                    pairs=product.pairs if cache else None)
             def register(stats: RemovalStats) -> None:
-                """Fold the wrapper/oracle counters into ``stats`` and
+                """Fold the cache/oracle counters into ``stats`` and
                 account the attempt in the metrics registry."""
-                for wrapper in wrappers:
-                    stats.cache_hits += wrapper.cache_hits
-                    stats.cache_misses += wrapper.cache_misses
+                for layer in caches:
+                    stats.cache_hits += layer.cache_hits
+                    stats.cache_misses += layer.cache_misses
                 if isinstance(oracle, SubsumptionOracle):
                     stats.prefilter_skips = oracle.prefilter_skips
                     stats.sim_subsumption_hits = oracle.sim_subsumption_hits

@@ -67,8 +67,8 @@ class RemovalStats:
     useless_states: int = 0
     subsumption_hits: int = 0
     #: Successor-cache hits/misses of the memoization layer (filled in by
-    #: ``difference`` when its :class:`~repro.automata.gba.CachedImplicitGBA`
-    #: wrappers are active).
+    #: ``difference`` on its cached path: the numbered product's edge
+    #: lists and any :class:`~repro.automata.gba.CachedImplicitGBA`).
     cache_hits: int = 0
     cache_misses: int = 0
     #: Peak number of explored edges buffered at any point.  Edges are
@@ -144,8 +144,8 @@ def remove_useless(auto: ImplicitGBA, *,
 
     edge_index = getattr(auto, "edges_from", None)
     if edge_index is not None:
-        # Indexed path (explicit GBAs and CachedImplicitGBA wrappers):
-        # one precomputed sorted (symbol, target) list per state.
+        # Indexed path (explicit GBAs, CachedImplicitGBA wrappers and
+        # numbered products): one sorted (symbol, target) list per state.
         def edge_iter(state: State) -> Iterator[tuple[Symbol, State]]:
             return iter(edge_index(state))
     else:
@@ -264,7 +264,10 @@ def remove_useless(auto: ImplicitGBA, *,
 
     with get_tracer().span("emptiness"):
         try:
-            for initial in sorted(auto.initial_states(), key=repr):
+            # Roots in ``repr`` order; a numbered product orders its
+            # ids by their pairs (``NumberedProduct.root_key``).
+            for initial in sorted(auto.initial_states(),
+                                  key=getattr(auto, "root_key", repr)):
                 if initial not in useful and not oracle.contains(initial):
                     if initial not in dfsnum:
                         construct(initial)

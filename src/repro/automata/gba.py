@@ -90,7 +90,7 @@ class GBA:
         #: Lazily built ``F(q)`` map of a GBA with k != 1 sets: state ->
         #: indices of the acceptance sets holding it, for states in at
         #: least one set.
-        self._acc_index: dict[State, tuple[int, ...]] | None = None
+        self._acc_index: dict[State, frozenset[int]] | None = None
 
     # -- ImplicitGBA protocol -----------------------------------------------
 
@@ -115,15 +115,15 @@ class GBA:
         index = self._acc_index
         if index is None:
             index = self._build_acc_index()
-        return frozenset(index.get(state, ()))
+        return index.get(state, _NO_SETS)
 
-    def _build_acc_index(self) -> dict[State, tuple[int, ...]]:
-        # Equal index tuples are shared, and the map holds no frozenset
-        # per state: a GBA with many acceptance sets keeps it small.
-        shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+    def _build_acc_index(self) -> dict[State, frozenset[int]]:
+        # Equal index sets are shared, so a GBA with many acceptance
+        # sets keeps the map small, and a lookup allocates nothing.
+        shared: dict[frozenset[int], frozenset[int]] = {}
         index = {}
         for state in self._states:
-            key = tuple([j for j, f in enumerate(self._acc) if state in f])
+            key = frozenset([j for j, f in enumerate(self._acc) if state in f])
             if key:
                 index[state] = shared.setdefault(key, key)
         self._acc_index = index
@@ -208,29 +208,25 @@ class CachedImplicitGBA:
     Generalizes the memoization hand-rolled in the NCSB constructions
     (``_NCSBBase.successors``): every protocol query is answered once
     from the wrapped automaton and then served from per-state caches.
-    The wrapper also exposes :meth:`edges_from`, the per-state sorted
-    outgoing-edge list used by Algorithm 1, so the exploration never
-    re-sorts the alphabet per visited state.
+    ``difference`` wraps an implicit minuend in it; the product itself
+    is a :class:`~repro.automata.ops.NumberedProduct`, which keeps its
+    own edge lists and reads the wrapper through :meth:`successors`.
 
     Invariants: caches are filled lazily and never invalidated -- the
     wrapped automaton must be immutable after construction (true for
     every automaton in this codebase).  ``cache_hits``/``cache_misses``
-    count successor lookups, a :meth:`successors` set or an
-    :meth:`edges_from` list (a miss fills the entry, a hit re-reads
-    it), and are threaded into
+    count :meth:`successors` lookups (a miss fills the entry, a hit
+    re-reads it), and are threaded into
     :class:`~repro.automata.emptiness.RemovalStats` by ``difference``.
     """
 
     def __init__(self, inner: ImplicitGBA):
         self._inner = inner
         self._alphabet = frozenset(inner.alphabet)
-        self._sorted_alphabet: tuple[Symbol, ...] = tuple(
-            sorted(self._alphabet, key=str))
         self._acceptance_count = inner.acceptance_count
         self._initial: tuple[State, ...] | None = None
         self._succ: dict[tuple[State, Symbol], tuple[State, ...]] = {}
         self._acc_of: dict[State, frozenset[int]] = {}
-        self._edges: dict[State, tuple[tuple[Symbol, State], ...]] = {}
         self.cache_hits = 0
         self.cache_misses = 0
 
@@ -269,28 +265,6 @@ class CachedImplicitGBA:
         if cached is None:
             cached = frozenset(self._inner.accepting_sets_of(state))
             self._acc_of[state] = cached
-        return cached
-
-    # -- successor index ---------------------------------------------------------
-
-    def edges_from(self, state: State) -> tuple[tuple[Symbol, State], ...]:
-        """Outgoing ``(symbol, target)`` edges, symbols in sorted order.
-
-        Built straight from the wrapped automaton, bypassing the
-        per-``(state, symbol)`` memo of :meth:`successors`: a traversal
-        asks for each state's edges once, so that memo would only grow.
-        Counts one miss per list built and one hit per re-read.
-        """
-        cached = self._edges.get(state)
-        if cached is None:
-            self.cache_misses += 1
-            successors = self._inner.successors
-            cached = tuple([(symbol, target)
-                            for symbol in self._sorted_alphabet
-                            for target in successors(state, symbol)])
-            self._edges[state] = cached
-        else:
-            self.cache_hits += 1
         return cached
 
     def __repr__(self) -> str:

@@ -1,6 +1,7 @@
 """Basic operations on (generalized) Buechi automata.
 
-Completion, disjoint union and the on-the-fly GBA intersection.
+Completion, disjoint union and the on-the-fly GBA intersection, over
+pairs or over ints numbered on discovery.
 """
 
 from __future__ import annotations
@@ -109,3 +110,84 @@ class ProductGBA:
         shift = self._left.acceptance_count
         return (frozenset(self._left.accepting_sets_of(p))
                 | frozenset(j + shift for j in self._right.accepting_sets_of(q)))
+
+
+class NumberedProduct(ProductGBA):
+    """:class:`ProductGBA` over dense ints, numbered on discovery.
+
+    :attr:`pairs` maps an id back to its pair.  Each id's edge list is
+    built once, in :class:`ProductGBA`'s order (symbols by ``str``, left
+    targets in their iteration order): the left side is asked once per
+    left state and symbol, the right side once per id and symbol, and
+    only when the left side has a successor.  ``cache_misses`` counts
+    the lists built and ``cache_hits`` their re-reads.
+    """
+
+    def __init__(self, left: ImplicitGBA, right: ImplicitGBA):
+        super().__init__(left, right)
+        self._symbols = tuple(sorted(left.alphabet, key=str))
+        self.pairs: list[tuple[State, State]] = []
+        self._ids: dict[tuple[State, State], int] = {}
+        self._edges: list[tuple[tuple[Symbol, int], ...] | None] = []
+        #: left state -> its nonempty ``(symbol, left targets)`` rows
+        self._rows: dict[State, tuple[tuple[Symbol, Iterable[State]], ...]] = {}
+        #: ``F(q)`` by the two sides' answers: equal unions are shared
+        self._joined: dict[tuple[frozenset, frozenset], frozenset[int]] = {}
+        self._initial: list[int] | None = None
+        self.cache_hits = 0
+        self.cache_misses = 0
+
+    def _number(self, pair: tuple[State, State]) -> int:
+        state = self._ids[pair] = len(self.pairs)
+        self.pairs.append(pair)
+        self._edges.append(None)
+        return state
+
+    def initial_states(self) -> list[int]:
+        if self._initial is None:
+            self._initial = [self._number(pair)
+                             for pair in super().initial_states()]
+        return self._initial
+
+    def root_key(self, state: int) -> str:
+        """Algorithm 1's root order: its pair's ``repr`` (the ints' own
+        would put 10 before 2)."""
+        return repr(self.pairs[state])
+
+    def successors(self, state: int, symbol: Symbol) -> list[int]:
+        return [target for a, target in self.edges_from(state) if a == symbol]
+
+    def accepting_sets_of(self, state: int) -> frozenset[int]:
+        p, q = pair = self.pairs[state]
+        key = (self._left.accepting_sets_of(p),
+               self._right.accepting_sets_of(q))
+        joined = self._joined.get(key)
+        if joined is None:
+            joined = self._joined[key] = super().accepting_sets_of(pair)
+        return joined
+
+    def edges_from(self, state: int) -> tuple[tuple[Symbol, int], ...]:
+        """Outgoing ``(symbol, target id)`` edges, symbols in sorted order."""
+        edges = self._edges[state]
+        if edges is not None:
+            self.cache_hits += 1
+            return edges
+        self.cache_misses += 1
+        p, q = self.pairs[state]
+        rows = self._rows.get(p)
+        if rows is None:
+            left = self._left.successors
+            rows = self._rows[p] = tuple(
+                (symbol, lefts) for symbol in self._symbols
+                if (lefts := left(p, symbol)))
+        right, ids, out = self._right.successors, self._ids, []
+        for symbol, lefts in rows:
+            rights = right(q, symbol)
+            for p2 in lefts:
+                for q2 in rights:
+                    target = ids.get((p2, q2))
+                    if target is None:
+                        target = self._number((p2, q2))
+                    out.append((symbol, target))
+        edges = self._edges[state] = tuple(out)
+        return edges

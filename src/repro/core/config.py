@@ -72,7 +72,7 @@ class AnalysisConfig:
     #: cannot complement fall back to the dispatch for that subtraction.
     complement_kind: str | None = None
     #: Use the successor-index / memoization layer in the difference
-    #: pipeline (CachedImplicitGBA wrappers + per-state edge lists).
+    #: pipeline (a numbered product with per-state edge lists).
     #: Off is only useful for ablation benchmarks.
     kernel_cache: bool = True
     #: Simulation-based reduction (Section 6.1): quotient the module

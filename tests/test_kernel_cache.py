@@ -1,15 +1,17 @@
 """Tests for the successor-index / memoization layer of the kernel.
 
 Covers the CachedImplicitGBA wrapper, the lazily built GBA edge index,
-the streaming of Algorithm 1's edges (bounded auxiliary memory), the
-bitset-encoded subsumption antichain, and a corpus-level cross-check of
-``difference`` under every (subsumption, cache) combination against the
-naive materialized-product emptiness reference.
+the numbered product, the streaming of Algorithm 1's edges (bounded
+auxiliary memory), the bitset-encoded subsumption antichain, and a
+corpus-level cross-check of ``difference`` under every (subsumption,
+cache) combination against the naive materialized-product emptiness
+reference.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -17,10 +19,10 @@ from repro.automata.complement.dispatch import implicit_complement
 from repro.automata.complement.ncsb import (MacroEncoder, MacroState,
                                             subsumes, subsumes_b)
 from repro.automata.difference import SubsumptionOracle, difference
-from repro.automata.emptiness import (find_accepting_lasso, is_empty_naive,
-                                      remove_useless)
+from repro.automata.emptiness import (RemovalStats, find_accepting_lasso,
+                                      is_empty_naive, remove_useless)
 from repro.automata.gba import CachedImplicitGBA, GBA, ba, materialize
-from repro.automata.ops import ProductGBA
+from repro.automata.ops import NumberedProduct, ProductGBA
 from repro.automata.words import accepts
 from repro.benchgen.sdba_corpus import random_sdba
 from tests.shapes import isomorphic
@@ -60,34 +62,6 @@ def test_cached_wrapper_is_equivalent_and_counts_hits():
     assert set(first) == set(comp.successors(state, symbol))
     assert cached.accepting_sets_of(state) == frozenset(
         comp.accepting_sets_of(state))
-
-
-def test_cached_wrapper_edge_index_is_sorted_and_complete():
-    sdba = random_sdba(11)
-    comp, _ = implicit_complement(sdba)
-    cached = CachedImplicitGBA(comp)
-    state = next(iter(cached.initial_states()))
-    edges = cached.edges_from(state)
-    assert cached.cache_misses == 1 and cached.cache_hits == 0
-    assert edges is cached.edges_from(state)  # interned
-    assert cached.cache_misses == 1 and cached.cache_hits == 1
-    # built from the wrapped automaton: the per-(state, symbol) memo of
-    # successors() stays empty
-    assert cached._succ == {}
-    symbols = [str(symbol) for symbol, _ in edges]
-    assert symbols == sorted(symbols)
-    expected = {(symbol, target)
-                for symbol in comp.alphabet
-                for target in comp.successors(state, symbol)}
-    assert set(edges) == expected
-    assert edges == tuple((symbol, target)
-                          for symbol in sorted(comp.alphabet, key=str)
-                          for target in comp.successors(state, symbol))
-    for target in {target for _, target in edges}:
-        cached.edges_from(target)
-    assert cached.cache_misses == 1 + len({target for _, target in edges}
-                                          - {state})
-    assert cached._succ == {}
 
 
 def test_gba_edge_index_matches_transitions():
@@ -300,7 +274,8 @@ def test_difference_configurations_agree_with_naive_reference(seed):
             assert accepts(minuend, witness), config
             assert not accepts(subtrahend, witness), config
 
-    # cache on/off is pure memoization: identical automata and counters
+    # cache on/off is pure memoization: identical automata and counters,
+    # the antichain's among them (the cached path keys it by product id)
     for subsumption in (True, False):
         on, off = results[(subsumption, True)], results[(subsumption, False)]
         assert on.automaton.states == off.automaton.states
@@ -308,5 +283,109 @@ def test_difference_configurations_agree_with_naive_reference(seed):
         assert on.stats.useful_states == off.stats.useful_states
         assert on.stats.useless_states == off.stats.useless_states
         assert on.stats.explored_states == off.stats.explored_states
+        assert on.stats.explored_edges == off.stats.explored_edges
+        assert on.stats.subsumption_hits == off.stats.subsumption_hits
+        assert on.stats.prefilter_skips == off.stats.prefilter_skips
+        assert (on.stats.sim_subsumption_hits
+                == off.stats.sim_subsumption_hits)
     # caching actually engaged on the cached runs
     assert results[(True, True)].stats.cache_misses > 0
+
+
+def test_many_initial_states_keep_the_plain_root_order():
+    """Twelve initial states 12..23, each on its own cycle of a distinct
+    length: the roots' order fixes every DFS number.  Product ids
+    0..11 sorted by their own ``repr`` would run 0, 1, 10, 11, 2, ...;
+    the numbered product must start from its pairs' ``repr`` order."""
+    subtrahend = random_sdba(3)
+    sigma = subtrahend.alphabet
+    transitions = {}
+    for root in range(12, 24):
+        cycle = [root] + [(root, i) for i in range(root - 11)]
+        for source, target in zip(cycle, cycle[1:] + cycle[:1]):
+            for symbol in sigma:
+                transitions[(source, symbol)] = {target}
+    minuend = ba(sigma, transitions, range(12, 24),
+                 {q for q, _ in transitions})
+    assert len(minuend.initial_states()) == 12
+    on = difference(minuend, subtrahend, cache=True)
+    off = difference(minuend, subtrahend, cache=False)
+    assert on.automaton.states == off.automaton.states
+    assert dict(on.automaton.transitions) == dict(off.automaton.transitions)
+    assert on.automaton.initial_states() == off.automaton.initial_states()
+    # every counter but the cache's own, which only the cached run keeps
+    cache_fields = {"cache_hits", "cache_misses"}
+    for field in fields(RemovalStats):
+        if field.name not in cache_fields:
+            assert (getattr(on.stats, field.name)
+                    == getattr(off.stats, field.name)), field.name
+    assert on.stats.cache_misses == on.stats.explored_states
+
+
+# -- numbered product ------------------------------------------------------------
+
+
+def test_numbered_product_mirrors_the_pair_product():
+    subtrahend = random_sdba(4)
+    minuend = random_minuend(4, subtrahend.alphabet)
+    comp, _ = implicit_complement(subtrahend, minuend.alphabet)
+    plain = ProductGBA(minuend, comp)
+    numbered = NumberedProduct(minuend, comp)
+    assert numbered.acceptance_count == plain.acceptance_count
+    assert [numbered.pairs[i] for i in numbered.initial_states()] \
+        == plain.initial_states()
+    frontier = list(numbered.initial_states())
+    seen = set(frontier)
+    while frontier:
+        state = frontier.pop()
+        pair = numbered.pairs[state]
+        edges = numbered.edges_from(state)
+        assert [(symbol, numbered.pairs[target]) for symbol, target in edges] \
+            == [(symbol, target)
+                for symbol in sorted(plain.alphabet, key=str)
+                for target in plain.successors(pair, symbol)]
+        assert numbered.accepting_sets_of(state) \
+            == plain.accepting_sets_of(pair)
+        for symbol in plain.alphabet:
+            assert [numbered.pairs[target]
+                    for target in numbered.successors(state, symbol)] \
+                == plain.successors(pair, symbol)
+        for _, target in edges:
+            if target not in seen:
+                seen.add(target)
+                frontier.append(target)
+    # one edge list per id, each built once and re-read after; the ids
+    # are dense
+    assert numbered.cache_misses == len(seen) == len(numbered.pairs)
+    hits = numbered.cache_hits
+    state = numbered.initial_states()[0]
+    assert numbered.edges_from(state) is numbered.edges_from(state)
+    assert numbered.cache_hits == hits + 2
+
+
+@pytest.mark.parametrize("relation", [subsumes, subsumes_b])
+def test_oracle_over_product_ids_matches_oracle_over_pairs(relation):
+    universe = [f"q{i}" for i in range(8)]
+    rng = random.Random(1110)
+    pairs = [(rng.choice(["qa", "qb"]), _random_macro(rng, universe))
+             for _ in range(150)]
+    numbered = SubsumptionOracle(relation, pairs=pairs)
+    plain = SubsumptionOracle(relation)
+    for i in range(300):
+        state = rng.randrange(len(pairs))
+        if i % 3 == 0:
+            numbered.add(state)
+            plain.add(pairs[state])
+        assert numbered.contains(state) == plain.contains(pairs[state])
+        assert len(numbered) == len(plain)
+    assert numbered._groups == plain._groups
+    assert numbered.prefilter_skips == plain.prefilter_skips
+
+
+def test_gba_accepting_sets_of_returns_shared_sets():
+    auto = GBA({"a"}, {("p", "a"): {"q"}, ("q", "a"): {"p", "r"},
+                       ("r", "a"): {"r"}},
+               ["p"], [["p", "q"], ["q", "r"], ["q"]])
+    assert auto.accepting_sets_of("q") == {0, 1, 2}
+    assert auto.accepting_sets_of("q") is auto.accepting_sets_of("q")
+    assert auto.accepting_sets_of("x") == frozenset()
