@@ -17,8 +17,10 @@ disjunctions) of linear constraints over rational-valued variables:
   (shared with the ranking synthesis), refutations and sequence
   interpolants for infeasible statement paths.
 
-All arithmetic uses :class:`fractions.Fraction`; floats never enter
-soundness-critical paths.
+All arithmetic is exact: ints where integral, :class:`fractions.Fraction`
+otherwise, floats never.  Terms store their integral coefficients as
+ints, which is what Fourier--Motzkin and integral tightening compute
+on; the public term accessors and the LP hand out ``Fraction``.
 """
 
 from repro.logic.terms import LinTerm, term, const, var

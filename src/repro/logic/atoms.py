@@ -6,16 +6,21 @@ comparisons (``lhs <= rhs`` etc.) to this form.  Atoms over
 integer-valued variables additionally admit *integral tightening*
 (``t < 0`` becomes ``t <= -1`` when all coefficients are integral),
 which improves the precision of the rational decision procedure.
+
+An atom's term stores ints where integral, ``Fraction`` otherwise,
+floats never (see :mod:`repro.logic.terms`); tightening scales and
+rounds on ints and builds a ``Fraction`` only for the non-integral
+constant of a scaled atom over a rational-valued variable.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from math import gcd as _gcd
+from math import gcd as _gcd, lcm as _lcm
 from typing import Mapping
 
-from repro.logic.terms import Coeff, LinTerm, _as_term
+from repro.logic.terms import Coeff, LinTerm, _as_term, _frac
 
 #: Names of rational-valued variables.  Program variables are
 #: integer-valued, but the auxiliary rank variable of the certificates
@@ -73,7 +78,7 @@ class Atom:
         """Constant atom that always holds."""
         if not self.term.is_constant():
             return False
-        c = self.term.constant
+        c = self.term._constant
         if self.rel is Rel.LE:
             return c <= 0
         if self.rel is Rel.LT:
@@ -130,45 +135,47 @@ class Atom:
         and an unsound "unsat" here becomes an unsound accepting state
         in the powerset modules.
         """
-        coeffs = self.term.coeffs
-        if not coeffs:
+        items = self.term._coeffs
+        if not items:
             return self
-        scale = Fraction(1)
-        lcm = 1
-        for c in coeffs.values():
-            lcm = lcm * c.denominator // _gcd(lcm, c.denominator)
-        gcd = 0
-        for c in coeffs.values():
-            gcd = _gcd(gcd, abs(c.numerator * (lcm // c.denominator)))
-        scale = Fraction(lcm, gcd if gcd else 1)
-        term = self.term * scale if scale != 1 else self.term
-        if any(name in RATIONAL_VARS for name in coeffs):
+        # Scale by den/g: den clears the coefficients' denominators, g is
+        # the gcd of the cleared coefficients.  All of it on ints.
+        den = 1
+        for _, c in items:
+            if type(c) is not int:
+                den = _lcm(den, c.denominator)
+        if den != 1:
+            items = tuple((n, c.numerator * (den // c.denominator))
+                          for n, c in items)
+        g = _gcd(*(c for _, c in items))
+        if g != 1:
+            items = tuple((n, c // g) for n, c in items)
+        # the scaled constant num/dnm = constant * den / g, dnm > 0
+        d = self.term._constant
+        num, dnm = d.numerator * den, d.denominator * g
+        scaled = den != 1 or g != 1
+        if any(name in RATIONAL_VARS for name, _ in items):
             # scaling is exact over the rationals; the integral rounding
             # below is not, and oldrnk takes fractional values
-            return Atom(term, self.rel) if scale != 1 else self
-        d = term.constant
-        linear = term - d
+            if not scaled:
+                return self
+            return Atom(LinTerm._from_sorted(items, _frac(Fraction(num, dnm))),
+                        self.rel)
         if self.rel is Rel.LT:
             # linear + d < 0  over ints  <=>  linear <= -floor(d) - 1
-            return Atom(linear + Fraction(_floor(d) + 1), Rel.LE)
-        if self.rel is Rel.LE and d.denominator != 1:
-            # linear <= -d  <=>  linear <= floor(-d)  <=>  linear + ceil(d) <= 0
-            return Atom(linear + Fraction(_ceil(d)), Rel.LE)
-        if self.rel is Rel.EQ and d.denominator != 1:
+            return Atom(LinTerm._from_sorted(items, num // dnm + 1), Rel.LE)
+        if num % dnm:
+            if self.rel is Rel.LE:
+                # linear <= -d  <=>  linear <= floor(-d)  <=>  linear + ceil(d) <= 0
+                return Atom(LinTerm._from_sorted(items, -(-num // dnm)), Rel.LE)
             # coprime integer coefficients cannot sum to a fraction
             return Atom(LinTerm({}, 1), Rel.EQ)  # trivially false
-        return Atom(linear + d, self.rel) if scale != 1 else self
+        if not scaled:
+            return self
+        return Atom(LinTerm._from_sorted(items, num // dnm), self.rel)
 
     def __str__(self) -> str:
         return f"{self.term} {self.rel} 0"
-
-
-def _floor(f: Fraction) -> int:
-    return f.numerator // f.denominator
-
-
-def _ceil(f: Fraction) -> int:
-    return -((-f.numerator) // f.denominator)
 
 
 def atom_le(lhs: LinTerm | Coeff, rhs: LinTerm | Coeff) -> Atom:

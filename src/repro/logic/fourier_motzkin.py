@@ -1,7 +1,8 @@
 """Fourier--Motzkin elimination over exact rationals, on integer rows.
 
 The engine operates on lists of normalized :class:`~repro.logic.atoms.Atom`
-objects and provides:
+objects -- coefficients and constants are ints where integral,
+``Fraction`` otherwise, floats never -- and provides:
 
 - :func:`eliminate` -- project away a set of variables,
 - :func:`satisfiable` -- exact rational satisfiability of a conjunction,
@@ -12,9 +13,13 @@ objects and provides:
 One elimination converts its atoms once into *rows* and converts back
 only at the end.  A row is a tuple of Python ints: one coefficient per
 variable of a call-local sorted index, then the constant, then a
-relation code; it is divided by the gcd of its entries.  Over the
-rationals an atom is equivalent to each of its positive scalings, so no
-``Fraction`` is built inside the loop.  Equalities are eliminated by
+relation code; it is divided by the gcd of its entries.  An atom whose
+term holds only ints is copied into its row as is; one with a
+``Fraction`` entry is scaled by the lcm of its denominators first.
+Over the rationals an atom is equivalent to each of its positive
+scalings, so no ``Fraction`` is built inside the loop, and converting
+back builds one only for a non-integral constant of a row of a
+rational-valued variable.  Equalities are eliminated by
 pivoting: the first equality ``e`` with coefficient ``c`` of the
 variable turns a row ``r`` with coefficient ``a`` into
 ``|c|*r - sign(c)*a*e``.  Inequalities are eliminated by pairwise
@@ -172,12 +177,19 @@ def _rows(atoms: Sequence[Atom], names: Iterable[str] | None,
     rows: list[Row | None] = []
     for atom in atoms:
         term = atom.term
-        const = term._constant
-        den = lcm(const.denominator, *(c.denominator for _, c in term._coeffs))
         vals = [0] * (len(variables) + 1)
+        const = term._constant
+        integral = type(const) is int
         for n, c in term._coeffs:
-            vals[index[n]] = c.numerator * (den // c.denominator)
-        vals[-1] = const.numerator * (den // const.denominator)
+            vals[index[n]] = c
+            if type(c) is not int:
+                integral = False
+        vals[-1] = const
+        if not integral:
+            # a Fraction entry: scale the row to integers by the lcm of
+            # the denominators (int entries have denominator 1)
+            den = lcm(*(v.denominator for v in vals))
+            vals = [v.numerator * (den // v.denominator) for v in vals]
         rows.append(_row(vals, _RELS.index(atom.rel), rational))
     current = _dedupe(rows)
     budget = current_budget()
@@ -227,11 +239,15 @@ def _eliminate(atoms: Sequence[Atom],
         return None
     out = []
     for r in rows:
+        # g > 1 only on a row of a rational-valued variable, which
+        # ``_row`` divides by the gcd of all its entries, constant
+        # included: only there can the constant come back a Fraction
         g = gcd(*r[:-2])
-        items = tuple((variables[k], Fraction(c // g))
+        items = tuple((variables[k], c // g)
                       for k, c in enumerate(r[:-2]) if c)
-        out.append(Atom(LinTerm._from_sorted(items, Fraction(r[-2], g)),
-                        _RELS[r[-1]]))
+        d = r[-2]
+        d = d // g if d % g == 0 else Fraction(d, g)
+        out.append(Atom(LinTerm._from_sorted(items, d), _RELS[r[-1]]))
     return out
 
 
@@ -267,7 +283,8 @@ def _pick_value(lower: Fraction | None, lower_strict: bool,
         if int_low <= 0 <= int_high:
             return Fraction(0)
         return Fraction(int_low if abs(int_low) <= abs(int_high) else int_high)
-    return (lower + upper) / 2
+    # Fraction(_, 2), not ``/ 2``: int bounds would make a float midpoint
+    return Fraction(lower + upper, 2)
 
 
 def _floor(f: Fraction) -> int:
@@ -306,6 +323,7 @@ def find_model(atoms: Sequence[Atom], *,
             c = r[k]
             if not c:
                 continue
+            # rest starts as a Fraction, so ``-rest / c`` never goes float
             rest = sum((x * v for x, v in zip(r[k + 1:-2], values[k + 1:])),
                        Fraction(r[-2]))
             bound, strict = -rest / c, r[-1] == _LT
@@ -319,7 +337,7 @@ def find_model(atoms: Sequence[Atom], *,
         if cand is not None and (
                 (lower is None or cand > lower or (cand == lower and not ls))
                 and (upper is None or cand < upper or (cand == upper and not us))):
-            values[k] = cand
+            values[k] = Fraction(cand)  # an int hint must not leak as an int
         else:
             values[k] = _pick_value(lower, ls, upper, us)
     model = dict(zip(reversed(variables), reversed(values)))

@@ -3,6 +3,25 @@
 A :class:`LinTerm` represents ``c_1*x_1 + ... + c_n*x_n + d`` with exact
 rational coefficients.  Terms are hashable values: all operations return
 new terms.
+
+Coefficients and the constant are stored as ints where integral,
+``Fraction`` otherwise, floats never: almost every term of a program is
+integral, and int arithmetic is several times cheaper than ``Fraction``
+arithmetic in the solver's hot loops.  Python guarantees
+``hash(n) == hash(Fraction(n))``, ``n == Fraction(n)`` and
+``str(n) == str(Fraction(n))``, so the stored form changes no hash, no
+equality and no printed term.  The hash stays ``hash((coeffs,
+constant))`` for the same reason: every set and dict of atoms iterates
+in the order it gave before.  (CPython hashes -1 and -2 alike, so
+``a - 1 <= 0`` and ``a - 2 <= 0`` collide; a different hash would move
+every set order, so the collision is kept.)
+
+The public accessors -- :attr:`LinTerm.coeffs`, :attr:`LinTerm.constant`,
+:meth:`LinTerm.coeff` and :meth:`LinTerm.evaluate` -- return
+``Fraction``, so rational code outside the solver (parser, ranking
+functions, Farkas LP, interpolation, interpreter, codec, firewall)
+never meets an int that ``/`` would turn into a float.  The solver's
+hot paths read ``_coeffs`` and ``_constant`` directly.
 """
 
 from __future__ import annotations
@@ -14,18 +33,24 @@ from typing import Iterable, Mapping, Union
 Coeff = Union[int, Fraction]
 
 
-def _frac(value: Coeff) -> Fraction:
-    if isinstance(value, Fraction):
+def _frac(value: Coeff) -> Coeff:
+    """``value`` in stored form: an int if integral, else a ``Fraction``."""
+    if type(value) is int:
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, Rational):
-        return Fraction(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, Rational):  # bool, other exact rationals
+        return _frac(Fraction(value))
     raise TypeError(f"expected an exact rational, got {value!r} ({type(value).__name__})")
 
 
+def _as_fraction(value: Coeff) -> Fraction:
+    """A stored value as a ``Fraction``, for the public accessors."""
+    return value if type(value) is Fraction else Fraction(value)
+
+
 class LinTerm:
-    """A linear term ``sum(coeffs[v] * v) + constant`` with Fraction coefficients."""
+    """A linear term ``sum(coeffs[v] * v) + constant`` with exact coefficients."""
 
     __slots__ = ("_coeffs", "_constant", "_hash")
 
@@ -37,14 +62,15 @@ class LinTerm:
                 if f != 0:
                     items.append((name, f))
         items.sort()
-        self._coeffs: tuple[tuple[str, Fraction], ...] = tuple(items)
-        self._constant: Fraction = _frac(constant)
+        self._coeffs: tuple[tuple[str, Coeff], ...] = tuple(items)
+        self._constant: Coeff = _frac(constant)
         self._hash = hash((self._coeffs, self._constant))
 
     @classmethod
-    def _from_sorted(cls, items: tuple[tuple[str, Fraction], ...],
-                     constant: Fraction) -> LinTerm:
-        """A term from nonzero ``(name, coefficient)`` items already sorted by name."""
+    def _from_sorted(cls, items: tuple[tuple[str, Coeff], ...],
+                     constant: Coeff) -> LinTerm:
+        """A term from nonzero ``(name, coefficient)`` items already sorted
+        by name, every value already in stored form."""
         self = object.__new__(cls)
         self._coeffs = items
         self._constant = constant
@@ -54,17 +80,17 @@ class LinTerm:
     @property
     def coeffs(self) -> dict[str, Fraction]:
         """Variable -> coefficient mapping (zero coefficients omitted)."""
-        return dict(self._coeffs)
+        return {name: _as_fraction(c) for name, c in self._coeffs}
 
     @property
     def constant(self) -> Fraction:
-        return self._constant
+        return _as_fraction(self._constant)
 
     def coeff(self, name: str) -> Fraction:
         """Coefficient of variable ``name`` (0 if absent)."""
         for var_name, c in self._coeffs:
             if var_name == name:
-                return c
+                return _as_fraction(c)
         return Fraction(0)
 
     def variables(self) -> frozenset[str]:
@@ -79,7 +105,7 @@ class LinTerm:
         other = _as_term(other)
         coeffs = dict(self._coeffs)
         for name, c in other._coeffs:
-            coeffs[name] = coeffs.get(name, Fraction(0)) + c
+            coeffs[name] = coeffs.get(name, 0) + c
         return LinTerm(coeffs, self._constant + other._constant)
 
     __radd__ = __add__
@@ -119,10 +145,10 @@ class LinTerm:
 
     def rename(self, mapping: Mapping[str, str]) -> LinTerm:
         """Rename variables according to ``mapping`` (missing names kept)."""
-        coeffs: dict[str, Fraction] = {}
+        coeffs: dict[str, Coeff] = {}
         for name, c in self._coeffs:
             new = mapping.get(name, name)
-            coeffs[new] = coeffs.get(new, Fraction(0)) + c
+            coeffs[new] = coeffs.get(new, 0) + c
         return LinTerm(coeffs, self._constant)
 
     def evaluate(self, valuation: Mapping[str, Coeff]) -> Fraction:
@@ -132,7 +158,7 @@ class LinTerm:
             if name not in valuation:
                 raise KeyError(f"valuation missing variable {name!r}")
             total += c * _frac(valuation[name])
-        return total
+        return _as_fraction(total)
 
     # -- value protocol -------------------------------------------------------
 

@@ -15,6 +15,7 @@ Three layers of coverage:
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import os
@@ -143,6 +144,74 @@ def test_gba_round_trip_rejects_out_of_range():
     with pytest.raises(CodecError):
         gba_from_dict({"states": 1, "initial": [0], "acc": [],
                        "transitions": [[0, 7, [0]]]}, ordered)
+
+
+# -- ints where integral: the store format does not move ---------------------
+
+
+def _fraction_backed(term):
+    """``term`` as stored before ints: every value a ``Fraction``."""
+    from repro.logic.terms import LinTerm
+    return LinTerm._from_sorted(
+        tuple((n, Fraction(c)) for n, c in term._coeffs),
+        Fraction(term._constant))
+
+
+def _fraction_backed_module(module):
+    from repro.logic.atoms import Atom
+    from repro.logic.linconj import LinConj
+    from repro.logic.predicates import Pred
+
+    def conj(c):
+        return LinConj(Atom(_fraction_backed(a.term), a.rel) for a in c.atoms)
+
+    certificate = {q: Pred(tuple(map(conj, p.inf_disjuncts)),
+                           tuple(map(conj, p.fin_disjuncts)))
+                   for q, p in module.certificate.items()}
+    return dataclasses.replace(module, ranking=_fraction_backed(module.ranking),
+                               certificate=certificate)
+
+
+def _certificate_atoms(module) -> list:
+    return sorted((a for p in module.certificate.values()
+                   for d in p.inf_disjuncts + p.fin_disjuncts for a in d.atoms),
+                  key=str)
+
+
+def test_int_backed_terms_encode_as_fraction_pairs():
+    from repro.logic.terms import LinTerm
+    term = LinTerm({"x": 3, "y": Fraction(-1, 3)}, Fraction(6, 2))
+    assert type(term._constant) is int and type(term.coeff("x")) is Fraction
+    assert term_to_dict(term) == {"coeffs": {"x": [3, 1], "y": [-1, 3]},
+                                  "constant": [3, 1]}
+    assert (json.dumps(term_to_dict(term))
+            == json.dumps(term_to_dict(_fraction_backed(term))))
+    back = term_from_dict(term_to_dict(term))
+    assert back == term and type(back._constant) is int
+
+
+def test_records_of_fraction_built_modules_decode_to_equal_atoms(tmp_path):
+    from repro.core.library import binding, decode_record, encode_record
+    from repro.program.cfg import build_cfg
+    program = parse_program(NESTED)
+    result = prove_termination(program, AnalysisConfig())
+    alphabet = build_cfg(program).alphabet()
+    olds = [_fraction_backed_module(m) for m in result.modules]
+    assert olds and any(_certificate_atoms(m) for m in olds)
+    for new, old in zip(result.modules, olds):
+        # a library entry: same JSON, so the same entry id
+        record = encode_record(old, program="p")
+        assert record == encode_record(new, program="p")
+        back = decode_record(json.loads(json.dumps(record)), binding(alphabet))
+        assert back.ranking == old.ranking
+        assert _certificate_atoms(back) == _certificate_atoms(old)
+    # a checkpoint record
+    checkpoint = Checkpointer(str(tmp_path), "fraction-built")
+    assert checkpoint.save(olds)
+    restored = Checkpointer(str(tmp_path), "fraction-built").restore(alphabet)
+    assert ([_certificate_atoms(m) for m in restored]
+            == [_certificate_atoms(m) for m in olds])
+    assert [m.ranking for m in restored] == [m.ranking for m in olds]
 
 
 # -- save / restore mechanics --------------------------------------------------

@@ -161,8 +161,26 @@ def test_find_model_prefers_integers():
 
 
 def test_find_model_prefer_hint():
-    m = conj(atom_ge(x, 0), atom_le(x, 100)).find_model(prefer={"x": Fraction(42)})
-    assert m is not None and m["x"] == 42
+    for hint in (Fraction(42), 42):
+        m = conj(atom_ge(x, 0), atom_le(x, 100)).find_model(prefer={"x": hint})
+        # an int hint comes back a Fraction, like every model value
+        assert m == {"x": 42} and type(m["x"]) is Fraction
+
+
+def test_pick_value_midpoint_of_int_bounds_is_exact():
+    # int bounds must not make ``(lower + upper) / 2`` a float
+    value = fm._pick_value(0, True, 1, True)
+    assert value == Fraction(1, 2) and type(value) is Fraction
+
+
+def test_find_model_bounds_from_int_rows_stay_exact():
+    r = var("oldrnk")
+    # bound -(-1) / 2 from int row entries
+    m = find_model([atom_eq(2 * r, 1)])
+    assert m == {"oldrnk": Fraction(1, 2)} and type(m["oldrnk"]) is Fraction
+    # no integer in (1/3, 2/3): the midpoint of two Fraction bounds
+    m = find_model([atom_gt(3 * r, 1), atom_lt(3 * r, 2)])
+    assert m == {"oldrnk": Fraction(1, 2)} and type(m["oldrnk"]) is Fraction
 
 
 def test_find_model_none_when_unsat():
