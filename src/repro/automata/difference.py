@@ -58,9 +58,9 @@ from repro.core.budget import DeadlineExceeded, ResourceExhausted
 from repro.obs import metrics as _metrics
 from repro.obs.trace import get_tracer
 
-#: Skip the simulation solvers above this many subtrahend states, in
-#: engine runs and standalone library use alike: the solvers are
-#: near-linear in ``states x edges``, but the reduction is an
+#: Skip the simulation solver above this many subtrahend states, in
+#: engine runs and standalone library use alike: the solver works on
+#: one ``states``-bit mask per state, but the reduction is an
 #: optimization and must never dominate the difference itself.
 _SIM_STATE_GUARD = 512
 
@@ -283,9 +283,11 @@ def _reduced_subtrahend(subtrahend: GBA,
 
     Part-respecting on SDBAs (so semideterminism survives the merge).
     The reduction is refused -- the original automaton returned -- when
-    it would worsen the complementation class (or break a pinned
-    ``kind``'s requirements), and when the simulation budget blows
-    (plain :class:`ResourceExhausted`; deadlines propagate).
+    no two states are mutually similar (:func:`quotient` then builds no
+    automaton), when it would worsen the complementation class (or
+    break a pinned ``kind``'s requirements), and when the simulation
+    budget blows (plain :class:`ResourceExhausted`; deadlines
+    propagate).
     """
     n = len(subtrahend.states)
     if n <= 1 or n > _SIM_STATE_GUARD or not subtrahend.is_ba():

@@ -12,7 +12,7 @@ incidents, store traffic, ...) travels with its result.  It is the one
 record of a run's counts: each refinement round keeps only the nonzero
 :meth:`~MetricsRegistry.counts` deltas over that round.  The
 simulation-based reduction layer adds ``simulation.pairs`` (candidate
-pairs handed to the solvers), ``reduction.quotients`` /
+pairs ``n·n`` per solve of an ``n``-state automaton), ``reduction.quotients`` /
 ``reduction.states_removed`` (subtrahend quotienting) and
 ``difference.antichain.sim_hits`` (antichain hits only the
 simulation-coarsened order found).

@@ -243,17 +243,23 @@ def test_quotient_merges_twins():
     assert len(reduced.states) == 2
 
 
-# -- the worklist solver vs. naive chaotic iteration --------------------------------
+# -- the mask solver vs. naive chaotic iteration ------------------------------------
 #
-# The production solver is a worklist/counter implementation
-# (Henzinger--Henzinger--Kopke style); this reference is the original
-# chaotic-iteration fixpoint, kept here as an executable spec.
+# The production solver keeps one candidate-simulator bitmask per state
+# and refines the masks with a worklist (``sim[p] &= Pre_a(sim[p'])``);
+# this reference is the textbook chaotic-iteration fixpoint over
+# explicit pairs, kept here as an executable spec.  ``parts`` restricts
+# it the way the solver's ``parts`` does: a pair must sit in one block,
+# and states in no block form a block of their own.
 
-def naive_direct_simulation(auto):
+def naive_direct_simulation(auto, parts=None):
     accepting = auto.accepting
+    part_of = ({q: i for i, block in enumerate(parts) for q in block}
+               if parts is not None else {})
     states = sorted(auto.states, key=repr)
     related = {(p, r) for p in states for r in states
-               if (p not in accepting) or (r in accepting)}
+               if ((p not in accepting) or (r in accepting))
+               and part_of.get(p) == part_of.get(r)}
     changed = True
     while changed:
         changed = False
@@ -271,10 +277,97 @@ def naive_direct_simulation(auto):
     return related
 
 
+def varied_ba(seed: int):
+    """A random BA of 1-12 states over 1-3 symbols; some states are dead
+    ends and some automata have an empty accepting set."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 12)
+    sigma = ("a", "b", "c")[:rng.randint(1, 3)]
+    states = [f"q{i}" for i in range(n)]
+    density = rng.choice((0.15, 0.3, 0.5))
+    transitions = {}
+    for q in states:
+        if rng.random() < 0.2:
+            continue  # a dead end
+        for s in sigma:
+            targets = {t for t in states if rng.random() < density}
+            if targets:
+                transitions[(q, s)] = targets
+    accepting = ([] if rng.random() < 0.2
+                 else [q for q in states if rng.random() < 0.4])
+    return ba(set(sigma), transitions, [states[0]], accepting, states=states)
+
+
 @pytest.mark.parametrize("seed", range(15))
 def test_worklist_solvers_match_naive_fixpoints(seed):
     auto = random_ba(seed * 31 + 7, n=4 + seed % 3)
     assert direct_simulation(auto) == naive_direct_simulation(auto)
+
+
+def test_varied_bas_cover_dead_ends_and_empty_acceptance():
+    autos = [varied_ba(seed) for seed in range(60)]
+    assert any(not auto.accepting for auto in autos)
+    assert any(len(auto.states) == 1 for auto in autos)
+    assert any(len(auto.states) == 12 for auto in autos)
+    assert any(not auto.post(q) for auto in autos for q in auto.states)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_mask_solver_equals_naive_on_varied_bas(seed):
+    auto = varied_ba(seed)
+    assert direct_simulation(auto) == naive_direct_simulation(auto)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_mask_solver_equals_naive_on_sdbas_with_parts(seed):
+    from repro.automata.classify import sdba_parts
+    from repro.benchgen.sdba_corpus import random_sdba as corpus_sdba
+    for auto in (random_sdba(seed), corpus_sdba(seed)):
+        parts = sdba_parts(auto)
+        assert parts is not None
+        assert (direct_simulation(auto, parts=parts)
+                == naive_direct_simulation(auto, parts))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_mask_solver_equals_naive_with_states_outside_every_block(seed):
+    auto = varied_ba(seed + 1000)
+    states = sorted(auto.states)
+    rng = random.Random(seed)
+    rng.shuffle(states)
+    cut = len(states) // 3
+    parts = (states[:cut], states[cut:2 * cut])  # the last third is in no block
+    relation = direct_simulation(auto, parts=parts)
+    assert relation == naive_direct_simulation(auto, parts)
+    outside = set(states[2 * cut:])
+    for p, r in relation:
+        assert (p in outside) == (r in outside)
+
+
+@pytest.fixture(scope="module")
+def suite_modules():
+    """Certified module automata of two suite programs (10 rounds)."""
+    from repro.benchgen import suite_by_name
+    from repro.core.api import prove_termination
+    from repro.core.config import AnalysisConfig
+    modules = []
+    for name in ("sort", "triple_nest"):
+        program = suite_by_name()[name].parse()
+        result = prove_termination(
+            program, AnalysisConfig(timeout=60, max_refinements=10))
+        modules.extend(m.automaton for m in result.modules)
+    return modules
+
+
+def test_mask_solver_equals_naive_on_suite_modules(suite_modules):
+    from repro.automata.classify import sdba_parts
+    assert len(suite_modules) >= 12
+    for auto in suite_modules:
+        parts = sdba_parts(auto)
+        assert parts is not None
+        assert (direct_simulation(auto, parts=parts)
+                == naive_direct_simulation(auto, parts))
+        assert direct_simulation(auto) == naive_direct_simulation(auto)
 
 
 # -- part-respecting variant and SDBA quotients ------------------------------------
@@ -332,3 +425,50 @@ def test_simulation_pairs_metric_counts_solver_work():
         counters = registry.snapshot()["counters"]
     n = len(auto.states)
     assert counters["simulation.pairs"] == n * n
+
+
+def test_simulation_pairs_metric_counts_parts_solves_too():
+    from repro.automata.classify import sdba_parts
+    from repro.obs.metrics import MetricsRegistry, use_registry
+    auto = random_sdba(2)
+    with use_registry(MetricsRegistry()) as registry:
+        direct_simulation(auto, parts=sdba_parts(auto))
+        quotient(auto, parts=sdba_parts(auto))
+        counters = registry.snapshot()["counters"]
+    n = len(auto.states)
+    assert counters["simulation.pairs"] == 2 * n * n
+
+
+def test_deadline_passing_mid_solve_raises_from_the_solvers_poll(monkeypatch):
+    import types
+
+    import repro.automata.simulation as simulation
+    import repro.core.budget as budget_module
+    from repro.core.budget import Budget, DeadlineExceeded, use_budget
+    readings = []
+
+    def perf_counter():
+        # The up-front poll of ``charge_simulation`` reads the clock
+        # first, before the deadline; every later reading is past it.
+        readings.append(None)
+        return 0.0 if len(readings) == 1 else 1000.0
+
+    monkeypatch.setattr(budget_module, "time",
+                        types.SimpleNamespace(perf_counter=perf_counter))
+    monkeypatch.setattr(simulation, "_POLL_EVERY", 1)
+    auto = random_ba(0, n=6)
+    with use_budget(Budget(deadline=100.0)):
+        with pytest.raises(DeadlineExceeded) as info:
+            direct_simulation(auto)
+    assert info.value.detail == "simulation"
+    assert len(readings) == 2
+
+
+def test_quotient_returns_the_automaton_when_nothing_merges():
+    # a 3-cycle that accepts only in one state: no two states are
+    # mutually similar, so there is no smaller automaton to build
+    auto = ba(set(SIGMA),
+              {("p", "a"): {"q"}, ("q", "a"): {"r"}, ("r", "a"): {"p"}},
+              ["p"], ["p"], states={"p", "q", "r"})
+    assert {(q, q) for q in auto.states} <= direct_simulation(auto)
+    assert quotient(auto) is auto
