@@ -21,8 +21,12 @@ from repro.automata.gba import GBA, State, Symbol
 
 
 def is_complete(auto: GBA) -> bool:
-    """Total transition function on every state?"""
-    return all(auto.successors(q, a) for q in auto.states for a in auto.alphabet)
+    """Total transition function on every state?
+
+    A GBA keeps one entry per ``(state, symbol)`` with a nonempty target
+    set, so it is complete exactly when it has ``|Q| * |Sigma|`` of them.
+    """
+    return len(auto.transitions) == len(auto.states) * len(auto.alphabet)
 
 
 def is_deterministic(auto: GBA) -> bool:
@@ -120,19 +124,21 @@ def elevator_rank_bound(auto: GBA) -> int:
 def is_normalized_sdba(auto: GBA) -> bool:
     """SDBA satisfying both entry requirements of Section 2."""
     parts = sdba_parts(auto)
-    if parts is None:
+    return parts is not None and entries_accepting(auto, *parts)
+
+
+def entries_accepting(auto: GBA, q1: frozenset[State],
+                      q2: frozenset[State]) -> bool:
+    """Section 2's entry requirements on the ``(Q1, Q2)`` split of
+    :func:`sdba_parts`: every initial ``Q2`` state and every target of a
+    ``Q1 -> Q2`` transition is accepting."""
+    rejecting = q2 - auto.accepting
+    if not rejecting:
+        return True
+    if not rejecting.isdisjoint(auto.initial_states()):
         return False
-    q1, q2 = parts
-    accepting = auto.accepting
-    for q in auto.initial_states():
-        if q in q2 and q not in accepting:
-            return False
-    for q in q1:
-        for a in auto.alphabet:
-            for target in auto.successors(q, a):
-                if target in q2 and target not in accepting:
-                    return False
-    return True
+    return all(rejecting.isdisjoint(targets)
+               for (q, _), targets in auto.transitions.items() if q in q1)
 
 
 def normalize_sdba(auto: GBA) -> GBA:

@@ -17,6 +17,17 @@ BAs over macro-states ``(N, C, S, B)``; the difference construction of
 Section 4 explores them lazily.  The subsumption relations of Section 6
 (``subsumes`` = Eq. 4, ``subsumes_b`` = Eq. 5) live here too.
 
+A construction numbers the states of its SDBA in ``repr`` order
+(:attr:`_NCSBBase.order`), and every macro-state component is an int
+bitmask over those numbers.  The successor function is mask arithmetic:
+per symbol, a row of successor masks (one per state, built on the
+symbol's first use) gives the image of a component as the OR of the
+rows of its set bits, and ``Q1``/``Q2``/``F`` are masks too.  The
+guesses are enumerated by size and then in ascending bit order, so the
+successor lists come out in the order of a ``repr``-sorted enumeration
+of state sets.  :meth:`_NCSBBase.decode` turns a macro-state back into
+state sets, for tests and printing.
+
 The input SDBA must be *complete* and *normalized* (Section 2: every
 ``Q1 -> Q2`` entry and every initial ``Q2`` state is accepting); use
 :func:`repro.automata.classify.normalize_sdba` and
@@ -27,10 +38,10 @@ The input SDBA must be *complete* and *normalized* (Section 2: every
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 import repro.faults as _faults
-from repro.automata.classify import (is_complete, is_normalized_sdba,
+from repro.automata.classify import (entries_accepting, is_complete,
                                      normalize_sdba, sdba_parts)
 from repro.automata.gba import GBA, State, Symbol
 from repro.automata.ops import complete
@@ -40,32 +51,45 @@ from repro.obs import metrics as _metrics
 class MacroState(NamedTuple):
     """An NCSB macro-state ``(N, C, S, B)`` with ``B <= C``, ``S ^ F = {}``.
 
-    A named tuple, so hashing and equality run as C tuple operations --
-    every product-state lookup of the difference hashes one.  The hash
-    is ``hash((n, c, s, b))`` and the ``repr`` the field-named form;
-    set iteration orders (and with them the exploration order and the
-    counterexample found) depend on the first, the ``key=repr`` sort of
-    initial states on the second, so the fields keep this order.
+    Each component is an int bitmask over the states of the
+    construction's SDBA: bit ``i`` is the ``i``-th state of
+    :attr:`_NCSBBase.order`.  A named tuple of ints, so hashing and
+    equality run as C tuple operations -- every product-state lookup of
+    the difference hashes one -- and neither depends on the hash seed.
+    Set inclusion is ``x & y == y``; an int's ``>=`` is numeric
+    comparison, not inclusion.
     """
 
-    n: frozenset[State]
-    c: frozenset[State]
-    s: frozenset[State]
-    b: frozenset[State]
+    n: int
+    c: int
+    s: int
+    b: int
 
     def is_accepting(self) -> bool:
         return not self.b
 
-    def __str__(self) -> str:
-        def fmt(xs: frozenset) -> str:
-            return "{" + ",".join(sorted(map(str, xs))) + "}"
-        return f"({fmt(self.n)},{fmt(self.c)},{fmt(self.s)},{fmt(self.b)})"
+
+def image(row: list[int], mask: int) -> int:
+    """OR of ``row[i]`` over the set bits ``i`` of ``mask``: the image
+    of a state set under a per-state successor row."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= row[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
-def _powerset(items: Iterable[State]) -> Iterator[frozenset[State]]:
-    items = sorted(items, key=repr)
-    return (frozenset(c) for r in range(len(items) + 1)
-            for c in combinations(items, r))
+def _subsets(free: int) -> list[int]:
+    """Every subset of the mask ``free``: by size, then in ascending bit
+    order (``itertools.combinations`` over the set bits)."""
+    bits = []
+    while free:
+        low = free & -free
+        bits.append(low)
+        free ^= low
+    return [sum(chosen) for r in range(len(bits) + 1)
+            for chosen in combinations(bits, r)]
 
 
 def prepare_sdba(auto: GBA, alphabet: Iterable[Symbol] | None = None) -> GBA:
@@ -85,13 +109,17 @@ class _NCSBBase:
             raise ValueError("NCSB expects a BA")
         if not is_complete(auto):
             raise ValueError("NCSB expects a complete automaton; call prepare_sdba")
-        if not is_normalized_sdba(auto):
+        parts = sdba_parts(auto)  # None when Q2 is not deterministic
+        if parts is None or not entries_accepting(auto, *parts):
             raise ValueError("NCSB expects a normalized SDBA; call prepare_sdba")
-        parts = sdba_parts(auto)
-        assert parts is not None
         self._auto = auto
-        self._q1, self._q2 = parts
-        self._f = auto.accepting
+        self._parts = parts
+        self._order = tuple(sorted(auto.states, key=repr))
+        self._bit = {q: 1 << i for i, q in enumerate(self._order)}
+        self._q1, self._q2 = self.mask(parts[0]), self.mask(parts[1])
+        self._f = self.mask(auto.accepting)
+        #: symbol -> successor mask of each state, in bit order
+        self._rows: dict[Symbol, list[int]] = {}
         self._succ_cache: dict[tuple[MacroState, Symbol], list[MacroState]] = {}
         self._metric_expansions = f"complement.{self.KIND}.expansions"
         self._metric_macrostates = f"complement.{self.KIND}.macrostates"
@@ -105,7 +133,34 @@ class _NCSBBase:
     @property
     def parts(self) -> tuple[frozenset[State], frozenset[State]]:
         """The ``(Q1, Q2)`` split of the prepared SDBA."""
-        return self._q1, self._q2
+        return self._parts
+
+    @property
+    def order(self) -> tuple[State, ...]:
+        """The SDBA's states in bit order (``repr`` order)."""
+        return self._order
+
+    def mask(self, states: Iterable[State]) -> int:
+        """The bitmask of a set of SDBA states."""
+        bit, out = self._bit, 0
+        for q in states:
+            out |= bit[q]
+        return out
+
+    def decode(self, macro: MacroState) -> tuple[frozenset[State], ...]:
+        """The four components of ``macro`` as sets of SDBA states."""
+        order = self._order
+        return tuple(frozenset(order[i] for i in range(mask.bit_length())
+                               if mask >> i & 1)
+                     for mask in macro)
+
+    def _row(self, symbol: Symbol) -> list[int]:
+        row = self._rows.get(symbol)
+        if row is None:
+            succ, mask = self._auto.successors, self.mask
+            row = self._rows[symbol] = [mask(succ(q, symbol))
+                                        for q in self._order]
+        return row
 
     # -- ImplicitGBA protocol ------------------------------------------------
 
@@ -118,10 +173,9 @@ class _NCSBBase:
         return 1
 
     def initial_states(self) -> list[MacroState]:
-        initial = self._auto.initial_states()
-        q2_init = frozenset(initial & self._q2)
-        return [MacroState(frozenset(initial & self._q1), q2_init,
-                           frozenset(), q2_init)]
+        initial = self.mask(self._auto.initial_states())
+        q2_init = initial & self._q2
+        return [MacroState(initial & self._q1, q2_init, 0, q2_init)]
 
     def accepting_sets_of(self, state: MacroState) -> frozenset[int]:
         return frozenset([0]) if state.is_accepting() else frozenset()
@@ -134,36 +188,11 @@ class _NCSBBase:
         if cached is None:
             if _faults._ACTIVE is not None:
                 _faults.perturb("complement.ncsb")
-            cached = self._compute_successors(state, symbol)
+            cached = self._compute_successors(state, self._row(symbol))
             self._succ_cache[key] = cached
             _metrics.inc(self._metric_expansions)
             _metrics.inc(self._metric_macrostates, len(cached))
         return cached
-
-    # -- shared delta helpers ---------------------------------------------------
-
-    def _delta1(self, states: frozenset[State], symbol: Symbol) -> frozenset[State]:
-        """Successors of Q1 states staying in Q1."""
-        out: set[State] = set()
-        for q in states:
-            out |= self._auto.successors(q, symbol) & self._q1
-        return frozenset(out)
-
-    def _delta_t(self, states: frozenset[State], symbol: Symbol) -> frozenset[State]:
-        """Successors of Q1 states entering Q2 (all accepting, by normalization)."""
-        out: set[State] = set()
-        for q in states:
-            out |= self._auto.successors(q, symbol) & self._q2
-        return frozenset(out)
-
-    def _delta2(self, states: frozenset[State], symbol: Symbol) -> frozenset[State]:
-        """Deterministic successors of Q2 states."""
-        out: set[State] = set()
-        for q in states:
-            succ = self._auto.successors(q, symbol)
-            assert len(succ) == 1, "Q2 must be deterministic and complete"
-            out |= succ
-        return frozenset(out)
 
 
 class NCSBOriginal(_NCSBBase):
@@ -171,26 +200,30 @@ class NCSBOriginal(_NCSBBase):
 
     KIND = "ncsb-original"
 
-    def _compute_successors(self, state: MacroState, symbol: Symbol) -> list[MacroState]:
-        n2 = self._delta1(state.n, symbol)
-        s_min = self._delta2(state.s, symbol)
-        if s_min & self._f:
+    def _compute_successors(self, state: MacroState,
+                            row: list[int]) -> list[MacroState]:
+        f = self._f
+        n, c, s, b = state
+        s_min = image(row, s)
+        if s_min & f:
             return []  # a safe run touched an accepting state: blocked
-        pool = self._delta_t(state.n, symbol) | self._delta2(state.c | state.s, symbol)
-        c_min = self._delta2(state.c - self._f, symbol)  # rule 5
+        c_min = image(row, c & ~f)  # rule 5
         if c_min & s_min:
             return []  # rules 3-5 are unsatisfiable together
+        succ_n = image(row, n)
+        n2 = succ_n & self._q1
+        pool = (succ_n & self._q2) | image(row, c | s)
         # Mandatory C members: c_min plus every accepting pool state.
-        c_base = c_min | (pool & self._f)
+        c_base = c_min | (pool & f)
         if c_base & s_min:
             return []
-        free = pool - c_base - s_min
+        free = pool & ~c_base & ~s_min
+        succ_b = image(row, b)
         out: list[MacroState] = []
-        for extra_s in _powerset(free):
-            c2 = c_base | (free - extra_s)
-            s2 = s_min | extra_s
-            b2 = c2 if not state.b else self._delta2(state.b, symbol) & c2
-            out.append(MacroState(n2, c2, s2, b2))
+        for extra_s in _subsets(free):
+            c2 = c_base | (free & ~extra_s)
+            out.append(MacroState(n2, c2, s_min | extra_s,
+                                  c2 if not b else succ_b & c2))
         return out
 
 
@@ -199,102 +232,53 @@ class NCSBLazy(_NCSBBase):
 
     KIND = "ncsb-lazy"
 
-    def _compute_successors(self, state: MacroState, symbol: Symbol) -> list[MacroState]:
-        n2 = self._delta1(state.n, symbol)
-        s_min = self._delta2(state.s, symbol)
-        if s_min & self._f:
+    def _compute_successors(self, state: MacroState,
+                            row: list[int]) -> list[MacroState]:
+        f = self._f
+        n, c, s, b = state
+        s_min = image(row, s)
+        if s_min & f:
             return []  # rule a4/b4: safe runs stay safe
-        if not state.b:
+        if not b:
             # Rules a1-a6: B empty (accepting macro-state): free guessing of
             # every non-accepting, non-safe pool state.
-            pool = (self._delta_t(state.n, symbol)
-                    | self._delta2(state.c | state.s, symbol))
-            free = pool - self._f - s_min
+            succ_n = image(row, n)
+            n2 = succ_n & self._q1
+            pool = (succ_n & self._q2) | image(row, c | s)
+            free = pool & ~f & ~s_min
             out: list[MacroState] = []
-            for extra_s in _powerset(free):
-                c2 = pool - s_min - extra_s
-                s2 = s_min | extra_s
-                out.append(MacroState(n2, c2, s2, c2))  # rule a6: B' = C'
+            for extra_s in _subsets(free):
+                c2 = pool & ~s_min & ~extra_s
+                out.append(MacroState(n2, c2, s_min | extra_s, c2))  # rule a6: B' = C'
             return out
         # Rules b1-b6: B nonempty: only successors of accepting B states
         # may be guessed into S.
-        b_min = self._delta2(state.b - self._f, symbol)  # rule b6
+        b_min = image(row, b & ~f)  # rule b6
         if b_min & s_min:
             return []  # rules b3+b4+b6 conflict
-        b_pool = self._delta2(state.b, symbol)
-        free = b_pool - b_min - s_min - self._f  # S' excludes accepting states
-        dt = self._delta_t(state.n, symbol)
-        c_all = self._delta2(state.c, symbol) | dt
+        b_pool = image(row, b)
+        free = b_pool & ~b_min & ~s_min & ~f  # S' excludes accepting states
+        succ_n = image(row, n)
+        n2 = succ_n & self._q1
+        c_all = image(row, c) | (succ_n & self._q2)
         out = []
-        for extra_s in _powerset(free):
+        for extra_s in _subsets(free):
             s2 = s_min | extra_s
-            b2 = b_pool - s2
-            c2 = c_all - s2  # rule b5
-            out.append(MacroState(n2, c2, s2, b2))
+            out.append(MacroState(n2, c_all & ~s2, s2, b_pool & ~s2))  # rule b5
         return out
 
 
 # -- subsumption (Section 6) -----------------------------------------------------
 
-class MacroEncoder:
-    """Interned bitset encoding of :class:`MacroState` components.
-
-    Bit positions are assigned to SDBA states lazily on first encounter,
-    so the encoder needs no up-front universe; each component frozenset
-    and each macro-state is interned, making repeated encodings O(1).
-    A component set becomes an int bitmask, so the superset tests of the
-    subsumption relations (Eqs. 4/5) reduce to single-word ``&``/``==``
-    operations -- the hot loop of the ``ceil(emp)`` antichain.
-
-    An encoded macro is ``(n, c, s, b, ln, lc, ls, lb)``: four bitmasks
-    plus the component sizes, used as a cheap antichain pre-filter
-    (``x ⊇ y`` needs ``|x| >= |y|``).
-    """
-
-    def __init__(self) -> None:
-        self._bit_of: dict[State, int] = {}
-        self._set_cache: dict[frozenset, int] = {}
-        self._macro_cache: dict[MacroState, tuple[int, ...]] = {}
-
-    def bit(self, state: State) -> int:
-        """The (lazily assigned) bit of a single SDBA state."""
-        bit = self._bit_of.get(state)
-        if bit is None:
-            bit = 1 << len(self._bit_of)
-            self._bit_of[state] = bit
-        return bit
-
-    def _bits(self, states: frozenset) -> int:
-        cached = self._set_cache.get(states)
-        if cached is None:
-            bit_of = self._bit_of
-            cached = 0
-            for q in states:
-                bit = bit_of.get(q)
-                if bit is None:
-                    bit = 1 << len(bit_of)
-                    bit_of[q] = bit
-                cached |= bit
-            self._set_cache[states] = cached
-        return cached
-
-    def encode(self, macro: MacroState) -> tuple[int, ...]:
-        cached = self._macro_cache.get(macro)
-        if cached is None:
-            cached = (self._bits(macro.n), self._bits(macro.c),
-                      self._bits(macro.s), self._bits(macro.b),
-                      len(macro.n), len(macro.c), len(macro.s), len(macro.b))
-            self._macro_cache[macro] = cached
-        return cached
-
 
 def subsumes(small: MacroState, big: MacroState) -> bool:
     """``small <= big`` in the relation of Eq. 4: componentwise superset
     on N, C, S.  Implies language inclusion for NCSB-Original macro-states."""
-    return (small.n >= big.n) and (small.c >= big.c) and (small.s >= big.s)
+    return (small.n & big.n == big.n and small.c & big.c == big.c
+            and small.s & big.s == big.s)
 
 
 def subsumes_b(small: MacroState, big: MacroState) -> bool:
     """``small <=_B big`` of Eq. 5: additionally ``B`` superset.  Implies
     language inclusion for both NCSB variants."""
-    return subsumes(small, big) and (small.b >= big.b)
+    return subsumes(small, big) and small.b & big.b == big.b

@@ -47,8 +47,8 @@ from repro.automata.classify import sdba_parts
 from repro.automata.complement.dispatch import (KIND_GUARDS, ComplementKind,
                                                 classify_kind,
                                                 implicit_complement)
-from repro.automata.complement.ncsb import (MacroEncoder, MacroState,
-                                            subsumes, subsumes_b)
+from repro.automata.complement.ncsb import (MacroState, image, subsumes,
+                                            subsumes_b)
 import repro.faults as _faults
 from repro.automata.emptiness import EmptyOracle, RemovalStats, remove_useless
 from repro.automata.gba import CachedImplicitGBA, GBA, ImplicitGBA, State
@@ -73,15 +73,17 @@ class SubsumptionOracle(EmptyOracle):
     macro-state subsumed by a recorded empty one is empty too).
 
     ``relation`` is Eq. 4 ``subsumes`` or Eq. 5 ``subsumes_b``; the
-    antichain scan runs over an interned bitset encoding of the
-    macro-state components (:class:`MacroEncoder`), with a
-    component-size pre-filter in front of the bitwise checks.
+    antichain scan reads the macro-state's component bitmasks directly,
+    with a component-size (popcount) pre-filter in front of the bitwise
+    checks.
 
     ``simulation`` (pairs ``(q, r)`` = "``q`` is direct-simulated by
     ``r``" on the prepared SDBA) coarsens the order: components that
     tolerate it compare modulo the simulation's down-closure (see the
     module docstring for which components, per relation, and why).  A
-    trivial relation (identity only) is ignored.
+    trivial relation (identity only) is ignored; a nontrivial one needs
+    ``complement``, the NCSB construction whose :attr:`order` numbers
+    the bits of the macro-states.
 
     ``pairs`` (a numbered product's id -> pair list) lets states be
     product ids.  Each state's group key and entry are read from a
@@ -90,7 +92,8 @@ class SubsumptionOracle(EmptyOracle):
 
     def __init__(self, relation: Callable[[MacroState, MacroState], bool],
                  simulation: set[tuple[State, State]] | None = None,
-                 pairs: Sequence[State] | None = None):
+                 pairs: Sequence[State] | None = None,
+                 complement=None):
         super().__init__()
         self._pairs = pairs
         #: state -> (group key, entry or None for a non-macro state)
@@ -99,16 +102,18 @@ class SubsumptionOracle(EmptyOracle):
         if relation not in (subsumes, subsumes_b):
             raise ValueError("the antichain orders are subsumes and subsumes_b")
         self._check_b = relation is subsumes_b
-        self._encoder = MacroEncoder()
-        #: ``down[r]`` = bitmask of ``{q : q direct-simulated by r}``;
-        #: None disables the coarsened path.
-        self._down: dict[State, int] | None = None
-        self._closure_cache: dict[frozenset, tuple[int, int]] = {}
+        #: ``down[i]`` = bitmask of ``{q : q direct-simulated by the
+        #: state of bit i}``; None disables the coarsened path.
+        self._down: list[int] | None = None
+        self._closure_cache: dict[int, tuple[int, int]] = {}
         if simulation is not None and any(p != r for p, r in simulation):
-            bit = self._encoder.bit
-            down: dict[State, int] = {}
+            if complement is None:
+                raise ValueError("a simulation needs the complement that "
+                                 "numbers the macro-state bits")
+            index = {q: i for i, q in enumerate(complement.order)}
+            down = [1 << i for i in range(len(index))]
             for q, r in simulation:
-                down[r] = down.get(r, 0) | bit(q)
+                down[index[r]] |= 1 << index[q]
             self._down = down
         #: Per-group entries: ``(macro, raw, closure)`` -- bitset
         #: encodings, ``closure`` only on the coarsened path.
@@ -132,18 +137,13 @@ class SubsumptionOracle(EmptyOracle):
             return state[0], state[1]
         return state, None
 
-    def _closure(self, states: frozenset) -> tuple[int, int]:
+    def _closure(self, states: int) -> tuple[int, int]:
         """Bitmask and popcount of the simulation down-closure of a
-        component set (every state simulated by some member)."""
+        component mask (every state simulated by some member)."""
         cached = self._closure_cache.get(states)
         if cached is None:
-            down = self._down
-            bit = self._encoder.bit
-            mask = 0
-            for q in states:
-                mask |= down.get(q) or bit(q)
-            cached = (mask, mask.bit_count())
-            self._closure_cache[states] = cached
+            mask = image(self._down, states)
+            cached = self._closure_cache[states] = (mask, mask.bit_count())
         return cached
 
     def _subsumed(self, small: tuple[MacroState, tuple[int, ...],
@@ -185,11 +185,13 @@ class SubsumptionOracle(EmptyOracle):
 
     def _entry(self, macro: MacroState) -> tuple[MacroState, tuple[int, ...],
                                                  tuple[int, ...] | None]:
-        raw = self._encoder.encode(macro)
+        n, c, s, b = macro
+        raw = (n, c, s, b, n.bit_count(), c.bit_count(), s.bit_count(),
+               b.bit_count())
         if self._down is None:
             return macro, raw, None
-        (cn, cln), (cc, clc) = self._closure(macro.n), self._closure(macro.c)
-        (cs, cls), (cb, clb) = self._closure(macro.s), self._closure(macro.b)
+        (cn, cln), (cc, clc) = self._closure(n), self._closure(c)
+        (cs, cls), (cb, clb) = self._closure(s), self._closure(b)
         return macro, raw, (cn, cc, cs, cb, cln, clc, cls, clb)
 
     def _key(self, state: State) -> tuple[State, tuple | None]:
@@ -431,7 +433,8 @@ def difference(minuend: ImplicitGBA, subtrahend: GBA, *,
                               if simulation_reduction else None)
                 oracle = SubsumptionOracle(
                     relation, simulation=simulation,
-                    pairs=product.pairs if cache else None)
+                    pairs=product.pairs if cache else None,
+                    complement=comp)
             def register(stats: RemovalStats) -> None:
                 """Fold the cache/oracle counters into ``stats`` and
                 account the attempt in the metrics registry."""

@@ -155,11 +155,14 @@ def test_ncsb_macro_state_invariants():
     for construction in (NCSBOriginal(prepared), NCSBLazy(prepared)):
         explored = materialize(construction)
         accepting = explored.accepting
+        f = construction.mask(prepared.accepting)
         for macro in explored.states:
             assert isinstance(macro, MacroState)
-            assert macro.b <= macro.c, "B must be a subset of C"
-            assert not (macro.s & prepared.accepting), "S avoids F"
+            assert macro.b & macro.c == macro.b, "B must be a subset of C"
+            assert not (macro.s & f), "S avoids F"
             assert (macro in accepting) == (not macro.b)
+            n, c, s, b = construction.decode(macro)
+            assert b <= c and not (s & prepared.accepting)
 
 
 def test_ncsb_requires_prepared_input():
@@ -170,29 +173,44 @@ def test_ncsb_requires_prepared_input():
 
 # -- subsumption relations --------------------------------------------------------------
 
+#: name -> bit of the hand-built macro-states below
+_BITS = {name: 1 << i for i, name in enumerate(
+    ("q0", "q1", "q2", "q3", "q4", "x", "y", "c1", "c2", "s1", "nope"))}
+
+
 def _macro(n=(), c=(), s=(), b=()):
-    return MacroState(frozenset(n), frozenset(c), frozenset(s), frozenset(b))
+    def mask(names):
+        return sum(_BITS[q] for q in set(names))
+    return MacroState(mask(n), mask(c), mask(s), mask(b))
+
+
+def _fmt(components) -> str:
+    """``({..},{..},{..},{..})`` with each component's names sorted."""
+    return "(" + ",".join("{" + ",".join(sorted(map(str, xs))) + "}"
+                          for xs in components) + ")"
 
 
 def test_macro_state_hashes_and_prints_as_its_field_tuple():
-    # Set iteration orders, and so the exploration order and the
-    # counterexample found, follow the hash; the initial-state sort
-    # follows the repr.  Both must be those of the (n, c, s, b) tuple.
+    # Dict lookups of product states hash the macro-state; the
+    # initial-state sort follows the repr.  Both must be those of the
+    # (n, c, s, b) tuple of ints.
     macro = _macro(n={"q1"}, c={"q2", "q3"}, s={"q4"}, b={"q2"})
     assert MacroState.__hash__ is tuple.__hash__
     assert MacroState.__eq__ is tuple.__eq__
     assert MacroState._fields == ("n", "c", "s", "b")
     assert hash(macro) == hash((macro.n, macro.c, macro.s, macro.b))
-    assert repr(macro) == (
-        f"MacroState(n={macro.n!r}, c={macro.c!r}, s={macro.s!r}, "
-        f"b={macro.b!r})")
-    assert repr(_macro()) == ("MacroState(n=frozenset(), c=frozenset(), "
-                              "s=frozenset(), b=frozenset())")
-    assert str(macro) == "({q1},{q2,q3},{q4},{q2})"
+    assert repr(macro) == "MacroState(n=2, c=12, s=16, b=4)"
+    assert repr(_macro()) == "MacroState(n=0, c=0, s=0, b=0)"
     assert not macro.is_accepting()
-    accepting = macro._replace(b=frozenset())
+    accepting = macro._replace(b=0)
     assert accepting.is_accepting()
-    assert str(accepting) == "({q1},{q2,q3},{q4},{})"
+    # decoding goes through the construction that numbers the states
+    construction = NCSBLazy(prepare_sdba(random_sdba_raw(7)))
+    (initial,) = construction.initial_states()
+    assert _fmt(construction.decode(initial)) == "({n0},{},{},{})"
+    names = construction.order
+    assert _fmt(construction.decode(MacroState(1, 2, 4, 2))) == (
+        f"({{{names[0]}}},{{{names[1]}}},{{{names[2]}}},{{{names[1]}}})")
 
 
 def test_subsumes_is_componentwise_superset():
@@ -214,7 +232,8 @@ def test_subsumption_underapproximates_language_inclusion(seed):
     for ctor, relation in ((NCSBOriginal, subsumes), (NCSBLazy, subsumes_b)):
         construction = ctor(prepared)
         explored = materialize(construction)
-        states = sorted(explored.states, key=str)[:14]
+        states = sorted(explored.states,
+                        key=lambda m: _fmt(construction.decode(m)))[:14]
         sample = words(40, seed + 50)
         for p in states:
             for r in states:

@@ -154,8 +154,16 @@ def sdba_suffix_a():
 
 # -- the subsumption oracle --------------------------------------------------------------
 
+#: name -> bit of the hand-built macro-states below
+_BITS: dict[str, int] = {}
+
+
+def _mask(names) -> int:
+    return sum(_BITS.setdefault(q, 1 << len(_BITS)) for q in sorted(set(names)))
+
+
 def _macro(n=(), c=(), s=(), b=()):
-    return MacroState(frozenset(n), frozenset(c), frozenset(s), frozenset(b))
+    return MacroState(_mask(n), _mask(c), _mask(s), _mask(b))
 
 
 def test_oracle_antichain_basics():

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import fields
+from types import SimpleNamespace
 
 import pytest
 
 from repro.automata.complement.dispatch import implicit_complement
-from repro.automata.complement.ncsb import (MacroEncoder, MacroState,
-                                            subsumes, subsumes_b)
+from repro.automata.complement.ncsb import MacroState, subsumes, subsumes_b
 from repro.automata.difference import SubsumptionOracle, difference
 from repro.automata.emptiness import (RemovalStats, find_accepting_lasso,
                                       is_empty_naive, remove_useless)
@@ -135,14 +135,17 @@ def test_retained_edges_match_result_automaton():
 
 
 def _random_macro(rng: random.Random, universe) -> MacroState:
+    """Random components over ``universe``, bit ``i`` standing for
+    ``universe[i]``."""
     def pick():
-        return frozenset(q for q in universe if rng.random() < 0.4)
+        return sum(1 << i for i in range(len(universe)) if rng.random() < 0.4)
     n, c, s = pick(), pick(), pick()
-    return MacroState(n, c, s, frozenset(b for b in c if rng.random() < 0.5))
+    return MacroState(n, c, s, sum(1 << i for i in range(c.bit_length())
+                                   if c >> i & 1 and rng.random() < 0.5))
 
 
 class _RelationAntichain:
-    """The antichain of Eq. 10 computed with ``relation`` on frozensets."""
+    """The antichain of Eq. 10 computed with ``relation`` pairwise."""
 
     def __init__(self, relation):
         self.relation = relation
@@ -204,8 +207,12 @@ def test_one_loop_antichain_scan_matches_pairwise_scan(relation, coarsened):
         simulation = {(q, q) for q in universe}
         simulation |= {(rng.choice(universe), rng.choice(universe))
                        for _ in range(12)}
-    scanned = SubsumptionOracle(relation, simulation=simulation)
-    reference = _PairwiseOracle(relation, simulation=simulation)
+    # the oracle reads only the bit order off the complement
+    numbering = SimpleNamespace(order=tuple(universe))
+    scanned = SubsumptionOracle(relation, simulation=simulation,
+                                complement=numbering)
+    reference = _PairwiseOracle(relation, simulation=simulation,
+                                complement=numbering)
     assert (scanned._down is not None) == coarsened
     for i in range(400):
         state = ("qa" if i % 2 else "qb", _random_macro(rng, universe))
@@ -220,24 +227,10 @@ def test_one_loop_antichain_scan_matches_pairwise_scan(relation, coarsened):
     assert (scanned.sim_subsumption_hits > 0) == coarsened
 
 
-def test_macro_encoder_interns_and_encodes_supersets():
-    enc = MacroEncoder()
-    small = MacroState(frozenset({"a", "b"}), frozenset({"c"}),
-                       frozenset(), frozenset())
-    big = MacroState(frozenset({"a"}), frozenset({"c"}),
-                     frozenset(), frozenset())
-    e_small, e_big = enc.encode(small), enc.encode(big)
-    assert enc.encode(small) is e_small  # interned
-    # small.n >= big.n  <=>  small bits cover big bits
-    assert e_small[0] & e_big[0] == e_big[0]
-    assert e_small[4] == 2 and e_big[4] == 1  # component sizes carried along
-
-
 def test_oracle_prefilter_counts_skips():
     oracle = SubsumptionOracle(subsumes)
-    big = MacroState(frozenset({"a", "b", "c"}), frozenset(), frozenset(),
-                     frozenset())
-    tiny = MacroState(frozenset({"a"}), frozenset(), frozenset(), frozenset())
+    big = MacroState(0b111, 0, 0, 0)  # N = {a, b, c}
+    tiny = MacroState(0b001, 0, 0, 0)  # N = {a}
     oracle.add(("qa", big))
     assert not oracle.contains(("qa", tiny))  # |tiny.n| < |big.n|: prefiltered
     assert oracle.prefilter_skips >= 1

@@ -78,7 +78,8 @@ def test_coarse_subsumption_underapproximates_language_inclusion(
         seed, construction, relation):
     comp = construction(prepare_sdba(random_sdba(seed)))
     simulation = direct_simulation(comp.sdba, parts=comp.parts)
-    oracle = SubsumptionOracle(relation, simulation=simulation)
+    oracle = SubsumptionOracle(relation, simulation=simulation,
+                               complement=comp)
     complement = materialize(comp)
     macro_states = [q for q in complement.states if isinstance(q, MacroState)]
     sample = words(60, seed + 400)
@@ -103,7 +104,8 @@ def test_coarse_subsumption_underapproximates_language_inclusion(
 def test_coarse_order_extends_the_raw_order(seed):
     comp = NCSBLazy(prepare_sdba(random_sdba(seed + 50)))
     simulation = direct_simulation(comp.sdba, parts=comp.parts)
-    coarse = SubsumptionOracle(subsumes_b, simulation=simulation)
+    coarse = SubsumptionOracle(subsumes_b, simulation=simulation,
+                               complement=comp)
     raw = SubsumptionOracle(subsumes_b)
     complement = materialize(comp)
     macro_states = [q for q in complement.states if isinstance(q, MacroState)]
