@@ -4,11 +4,12 @@ Ablation for the shared caching layer of the difference pipeline
 (``difference(..., cache=...)``): cached, the product is a
 ``NumberedProduct`` that numbers each ``(state, macro-state)`` pair on
 discovery and builds each id's sorted edge list once (one cache miss
-per list built, one hit per re-read), so Algorithm 1 and the
-subsumption antichain key their tables by ints; uncached, Algorithm 1
-explores the plain ``ProductGBA`` over pairs and sorts the alphabet per
-pushed state.  An implicit minuend is wrapped in a
-``CachedImplicitGBA``, which the product reads through ``successors``.
+per list built, one hit per re-read); uncached, Algorithm 1 explores
+the plain ``ProductGBA`` over pairs, which it numbers on discovery
+itself.  Either way Algorithm 1 and the subsumption antichain run over
+ints, so the modes differ only in how the product's edges are built.
+An implicit minuend is wrapped in a ``CachedImplicitGBA``, which the
+product reads through ``successors``.
 
 Methodology: for each ``bench_scaling`` family at its largest
 configuration, one default-config analysis run harvests the
@@ -24,26 +25,24 @@ random SDBA corpus, cached vs uncached.
 
 Expected shape: >= 1.5x on the largest configuration (the nested
 family), smaller wins on the shallow families whose differences are
-tiny.  On the Fig. 4 corpus sweep (2-3 symbol alphabets) per-push
-alphabet sorting is already cheap, and the cached path wins by not
-hashing ``(state, macro-state)`` pairs.
+tiny.  On the Fig. 4 corpus sweep (2-3 symbol alphabets) the cached
+path wins by building each id's edge list once.
 
 Measured on a 2-vCPU host with ``REPRO_BENCH_TIMEOUT=3`` and
 ``REPRO_BENCH_RANDOM=5``, six runs: the nested chain has 60 modules
-and its headline was 1.20-1.63x, under the asserted 1.5x in five of
-the six runs (0.38-0.62 s cached against 0.61-0.83 s uncached where
-the times were kept); five runs with the pair product in place of
-the numbered one gave 1.09-1.49x.  The uncached path has caught up
-since the first measurement (0.49 s cached against 1.75 s uncached,
-3.6x), and the per-module direct simulation, which both modes pay, is
-about half of a cached replay.  The other families, in the first and
-last of the six runs: interleaved 2.0-2.1x, sequential 1.3-1.6x,
-phases 1.2-1.3x; the corpus sweep 0.16-0.19 s cached against
-0.25-0.27 s uncached.  The record's ``config.chains`` holds each family's
-chain length, so ``python -m repro trajectory`` only aligns runs that
-replayed chains of the same length.  Each remainder's states are Algorithm 1's DFS
-numbers, so a chain's products stay ``(int, MacroState)`` however long
-it is.  When remainders kept the product's nested pair names instead,
+and its headline was 0.93-1.26x, under the asserted 1.5x in every run
+(0.20-0.23 s cached against 0.20-0.29 s uncached).  It was 1.20-1.63x
+while only the cached path ran Algorithm 1 over ids, and the uncached
+path has caught up since the first measurement (0.49 s cached against
+1.75 s uncached, 3.6x): both modes now share the id loop, the
+antichain's memo and the per-module direct simulation, and differ only
+in the product.  The other families: interleaved 0.91-2.19x,
+sequential 1.19-1.67x, phases 0.77-1.39x; the corpus sweep
+0.07-0.09 s cached against 0.08-0.15 s uncached.  The record's
+``config.chains`` holds each family's chain length, so ``python -m
+repro trajectory`` only aligns runs that replayed chains of the same
+length.  Each remainder's states are Algorithm 1's DFS numbers, so a
+chain's products stay ``(int, MacroState)`` however long it is.  When remainders kept the product's nested pair names instead,
 the same harvest gave a 56-module chain at 1.59 s cached and 13.2 s
 uncached (8.3x): every uncached acceptance query hashed the whole nest.
 """

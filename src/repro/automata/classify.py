@@ -92,7 +92,13 @@ def sdba_parts(auto: GBA) -> tuple[frozenset[State], frozenset[State]] | None:
     ``Q2`` is the set of states reachable from some accepting state --
     the part that must behave deterministically; ``Q1`` is the rest.
     Returns ``None`` when the automaton is not semideterministic.
+    Computed once per automaton (:meth:`GBA.derive`): classification,
+    normalization, quotienting and NCSB all ask for it.
     """
+    return auto.derive(_sdba_parts)
+
+
+def _sdba_parts(auto: GBA) -> tuple[frozenset[State], frozenset[State]] | None:
     accepting = _accepting_states(auto)
     q2 = _reachable_from(auto, accepting)
     for q in q2:

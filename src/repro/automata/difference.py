@@ -11,8 +11,9 @@
 
 By default (``cache=True``) the product is a
 :class:`~repro.automata.ops.NumberedProduct`, which numbers each
-``(qA, qhat)`` pair when first reached: Algorithm 1 and the antichain
-below then key their tables by ints.
+``(qA, qhat)`` pair when first reached; Algorithm 1 and the antichain
+below run over those ints (any other product is numbered on discovery
+by Algorithm 1 itself).
 
 When ``B`` is complemented through NCSB, the ``emp`` set of Algorithm 1
 is maintained as the subsumption antichain ``ceil(emp)`` of Eq. 10:
@@ -65,6 +66,18 @@ from repro.obs.trace import get_tracer
 _SIM_STATE_GUARD = 512
 
 
+def _paired(state: State) -> tuple[State, MacroState]:
+    return state
+
+
+def _bare(state: MacroState) -> tuple[None, MacroState]:
+    return None, state
+
+
+def _plain(state: State) -> tuple[State, None]:
+    return state, None
+
+
 class SubsumptionOracle(EmptyOracle):
     """``ceil(emp)`` of Eq. 10: an antichain of empty product states.
 
@@ -85,19 +98,31 @@ class SubsumptionOracle(EmptyOracle):
     ``complement``, the NCSB construction whose :attr:`order` numbers
     the bits of the macro-states.
 
-    ``pairs`` (a numbered product's id -> pair list) lets states be
-    product ids.  Each state's group key and entry are read from a
-    table filled on its first query.
+    Algorithm 1 asks by id (:meth:`bind`); :meth:`add` and
+    :meth:`contains` take states and number them here.  Each id's row
+    ``[qA, entry, answer]`` is filled on its first query.  The shape of
+    the states -- ``(qA, MacroState)`` pairs, bare macro-states (from
+    standalone complementation, as in the Figure 4 experiments; one
+    group), or anything else (the exact ``emp``) -- is read off the
+    first one and fixed for the oracle.
+
+    ``answer`` remembers a scan's result for as long as it provably
+    holds.  "Covered" is final: :meth:`add` drops only entries the new
+    one subsumes, and the order is transitive, so the covered set only
+    grows.  "Not covered" is the group list it was computed against,
+    reused while that list is the group: :meth:`add` replaces the list
+    whenever it changes the group.  An added id is covered.
     """
 
     def __init__(self, relation: Callable[[MacroState, MacroState], bool],
                  simulation: set[tuple[State, State]] | None = None,
-                 pairs: Sequence[State] | None = None,
                  complement=None):
         super().__init__()
-        self._pairs = pairs
-        #: state -> (group key, entry or None for a non-macro state)
-        self._keyed: dict[State, tuple[State, tuple | None]] = {}
+        self._names: Sequence[State] = ()
+        self._rows: list[list | None] = []
+        #: state -> id, for the state-keyed :meth:`add`/:meth:`contains`
+        self._own: dict[State, int] | None = None
+        self._split: Callable[[State], tuple] | None = None
         self._entries: dict[MacroState, tuple] = {}
         if relation not in (subsumes, subsumes_b):
             raise ValueError("the antichain orders are subsumes and subsumes_b")
@@ -116,7 +141,8 @@ class SubsumptionOracle(EmptyOracle):
                 down[index[r]] |= 1 << index[q]
             self._down = down
         #: Per-group entries: ``(macro, raw, closure)`` -- bitset
-        #: encodings, ``closure`` only on the coarsened path.
+        #: encodings, ``closure`` only on the coarsened path.  A group's
+        #: list is never changed in place.
         self._groups: dict[State, list[tuple[MacroState, tuple[int, ...],
                                              tuple[int, ...] | None]]] = {}
         self._size = 0
@@ -124,18 +150,6 @@ class SubsumptionOracle(EmptyOracle):
         #: Antichain hits that only the simulation-coarsened order found
         #: (the raw componentwise-superset check would have missed them).
         self.sim_subsumption_hits = 0
-
-    @staticmethod
-    def _split(state: State) -> tuple[State, MacroState | None]:
-        """Key a product state by its GBA side; bare macro-states (from
-        standalone complementation, as in the Figure 4 experiments) are
-        grouped under a single key."""
-        if isinstance(state, MacroState):
-            return None, state
-        if isinstance(state, tuple) and len(state) == 2 \
-                and isinstance(state[1], MacroState):
-            return state[0], state[1]
-        return state, None
 
     def _closure(self, states: int) -> tuple[int, int]:
         """Bitmask and popcount of the simulation down-closure of a
@@ -194,17 +208,31 @@ class SubsumptionOracle(EmptyOracle):
         (cs, cls), (cb, clb) = self._closure(s), self._closure(b)
         return macro, raw, (cn, cc, cs, cb, cln, clc, cls, clb)
 
-    def _key(self, state: State) -> tuple[State, tuple | None]:
-        """Fill the state's table row: its group key and entry."""
-        q_a, macro = self._split(
-            state if self._pairs is None else self._pairs[state])
+    def _fill(self, i: int) -> list:
+        """Fill id ``i``'s row: group key, entry (None for a plain
+        state) and no answer yet."""
+        names, rows = self._names, self._rows
+        if len(rows) < len(names):
+            rows.extend([None] * (len(names) - len(rows)))
+        state = names[i]
+        split = self._split
+        if split is None:
+            if isinstance(state, MacroState):
+                split = _bare
+            elif (isinstance(state, tuple) and len(state) == 2
+                  and isinstance(state[1], MacroState)):
+                split = _paired
+            else:
+                split = _plain
+            self._split = split
+        q_a, macro = split(state)
         entry = None
         if macro is not None:
             entry = self._entries.get(macro)
             if entry is None:
                 entry = self._entries[macro] = self._entry(macro)
-        keyed = self._keyed[state] = (q_a, entry)
-        return keyed
+        row = rows[i] = [q_a, entry, None]
+        return row
 
     def _covered(self, entry: tuple[MacroState, tuple[int, ...],
                                     tuple[int, ...] | None],
@@ -240,29 +268,72 @@ class SubsumptionOracle(EmptyOracle):
         self.prefilter_skips += skips
         return False
 
+    def bind(self, names: Sequence[State]) -> tuple[Callable[[int], bool],
+                                                    Callable[[int], None]]:
+        """Ask by id into ``names`` (id -> state) from now on.  The rows
+        start empty; the recorded antichain is kept."""
+        self._names, self._rows, self._own = names, [], None
+        return self._contains_id, self._add_id
+
+    def _id(self, state: State) -> int:
+        """Number ``state`` for the state-keyed :meth:`add` and
+        :meth:`contains`."""
+        own = self._own
+        if own is None:
+            self.bind([])
+            own = self._own = {}
+        i = own.get(state)
+        if i is None:
+            i = own[state] = len(self._names)
+            self._names.append(state)
+        return i
+
     def add(self, state: State) -> None:
-        q_a, entry = self._keyed.get(state) or self._key(state)
-        if entry is None:
-            super().add(state)
-            return
-        group = self._groups.setdefault(q_a, [])
-        if self._covered(entry, group):
+        self._add_id(self._id(state))
+
+    def contains(self, state: State) -> bool:
+        return self._contains_id(self._id(state))
+
+    def _add_id(self, i: int) -> None:
+        rows = self._rows
+        row = (rows[i] if i < len(rows) else None) or self._fill(i)
+        q_a, entry, answer = row
+        if answer is True:
             return  # already covered
-        survivors = [existing for existing in group
-                     if not self._subsumed(existing, entry)]
-        survivors.append(entry)
-        self._size += len(survivors) - len(group)
+        row[2] = True
+        if entry is None:
+            self._emp.add(q_a)
+            return
+        group = self._groups.get(q_a)
+        if group is None:
+            survivors = [entry]
+        elif answer is not group and self._covered(entry, group):
+            return  # already covered
+        else:
+            survivors = [existing for existing in group
+                         if not self._subsumed(existing, entry)]
+            survivors.append(entry)
+            self._size -= len(group)
+        self._size += len(survivors)
         self._groups[q_a] = survivors
         _metrics.gauge("difference.antichain.peak").max_of(self._size)
 
-    def contains(self, state: State) -> bool:
-        q_a, entry = self._keyed.get(state) or self._key(state)
+    def _contains_id(self, i: int) -> bool:
+        rows = self._rows
+        row = (rows[i] if i < len(rows) else None) or self._fill(i)
+        q_a, entry, answer = row
+        if answer is True:
+            return True
         if entry is None:
-            return super().contains(state)
+            return q_a in self._emp
         group = self._groups.get(q_a)
-        if not group:
+        if group is None or answer is group:
             return False
-        return self._covered(entry, group)
+        if self._covered(entry, group):
+            row[2] = True
+            return True
+        row[2] = group
+        return False
 
     def __len__(self) -> int:
         return self._size + super().__len__()
@@ -383,9 +454,9 @@ def difference(minuend: ImplicitGBA, subtrahend: GBA, *,
     already carry their own lazily built edge index), and the product
     is a :class:`~repro.automata.ops.NumberedProduct`, whose sorted
     edge list per id is built once.  ``cache=False`` explores the plain
-    :class:`~repro.automata.ops.ProductGBA` over pairs, sorting the
-    alphabet per pushed state; both give the same automaton and counts
-    but the cache's own.
+    :class:`~repro.automata.ops.ProductGBA` over pairs, which
+    Algorithm 1 numbers as it discovers them; both give the same
+    automaton and counts but the cache's own.
 
     ``simulation_reduction`` (default on) quotients the subtrahend by
     direct-simulation equivalence before complementation and coarsens
@@ -431,10 +502,8 @@ def difference(minuend: ImplicitGBA, subtrahend: GBA, *,
                 relation = subsumes_b if uses_lazy else subsumes
                 simulation = (_subtrahend_simulation(comp)
                               if simulation_reduction else None)
-                oracle = SubsumptionOracle(
-                    relation, simulation=simulation,
-                    pairs=product.pairs if cache else None,
-                    complement=comp)
+                oracle = SubsumptionOracle(relation, simulation=simulation,
+                                           complement=comp)
             def register(stats: RemovalStats) -> None:
                 """Fold the cache/oracle counters into ``stats`` and
                 account the attempt in the metrics registry."""

@@ -11,10 +11,20 @@ traversal that
   difference automaton of Section 4 is explored lazily and only its
   useful part is materialized.
 
-The membership tests on ``emp`` (lines 3 and 11 of Algorithm 1) are
-routed through a pluggable :class:`EmptyOracle`; the difference
-construction substitutes the subsumption-based ``ceil(emp)`` antichain
-of Section 6 (Eq. 10).
+The traversal runs over dense int ids.  A
+:class:`~repro.automata.ops.NumberedProduct` (the difference's product)
+hands out its own; any other input is numbered on discovery by a small
+adapter, so there is one loop.  Per-id arrays replace hashed tables:
+one ``bytearray`` holds each id's state (unseen, active, useful,
+useless) and a list its DFS number.  Each pushed id's edge tuple stays
+on the active stack until its SCC retires, which is the only edge
+buffer.
+
+The membership tests on ``emp`` (lines 3 and 11 of Algorithm 1) ask by
+id: an id classified useless is in ``emp``, and a pluggable
+:class:`EmptyOracle`, bound to the id -> state list, answers the rest.
+The difference construction substitutes the subsumption-based
+``ceil(emp)`` antichain of Section 6 (Eq. 10).
 
 The implementation is iterative (explicit DFS frames) so automata with
 hundreds of thousands of states do not hit Python's recursion limit.
@@ -29,16 +39,22 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.automata.gba import GBA, ImplicitGBA, State, Symbol
+from repro.automata.ops import NumberedProduct
 from repro.automata.words import UPWord
 from repro.core.budget import DeadlineExceeded, ResourceExhausted
 from repro.obs.trace import get_tracer
 
 
 class EmptyOracle:
-    """Exact bookkeeping of states proved useless (the default ``emp``)."""
+    """Exact bookkeeping of states proved useless (the default ``emp``).
+
+    An oracle may answer "empty" for more states than were added (the
+    subsumption antichain does), but an added state stays contained:
+    Algorithm 1 answers for the ids it classified useless itself.
+    """
 
     def __init__(self) -> None:
         self._emp: set[State] = set()
@@ -48,6 +64,13 @@ class EmptyOracle:
 
     def contains(self, state: State) -> bool:
         return state in self._emp
+
+    def bind(self, names: Sequence[State]) -> tuple[Callable[[int], bool],
+                                                    Callable[[int], None]]:
+        """Id-level ``(contains, add)`` over ``names`` (id -> state): the
+        view Algorithm 1 asks through."""
+        contains, add = self.contains, self.add
+        return (lambda i: contains(names[i])), (lambda i: add(names[i]))
 
     def __len__(self) -> int:
         return len(self._emp)
@@ -71,18 +94,19 @@ class RemovalStats:
     #: lists and any :class:`~repro.automata.gba.CachedImplicitGBA`).
     cache_hits: int = 0
     cache_misses: int = 0
-    #: Peak number of explored edges buffered at any point.  Edges are
-    #: streamed into a per-state index and dropped as soon as their
-    #: source is classified useless, so this is proportional to the
-    #: useful/active part -- not to the whole exploration.
+    #: Peak number of explored edges not yet retired.  A state's edges
+    #: are held only until its SCC is classified, so this is
+    #: proportional to the active part -- not to the whole exploration.
     peak_pending_edges: int = 0
     #: Edges of the materialized useful sub-automaton.
     retained_edges: int = 0
     #: Antichain comparisons skipped by the cheap size pre-filter of the
-    #: subsumption oracle.
+    #: subsumption oracle, over the scans it made (an answer that cannot
+    #: have changed is not scanned again).
     prefilter_skips: int = 0
     #: Antichain hits found only by the simulation-coarsened order
-    #: (would have been missed by the raw componentwise-superset check).
+    #: (would have been missed by the raw componentwise-superset check),
+    #: over the scans the oracle made.
     sim_subsumption_hits: int = 0
     #: Per-kind accepting-component counts of a modular complementation
     #: (``{"weak": .., "det": .., "rank": .., "inert": ..}``); None when
@@ -90,18 +114,58 @@ class RemovalStats:
     modular_components: dict | None = None
 
 
-class _Frame:
-    __slots__ = ("state", "edges", "is_nemp")
+class _Numbering:
+    """Numbers an input's states on discovery: the id view a
+    :class:`~repro.automata.ops.NumberedProduct` gives of itself, for
+    explicit GBAs, bare complements and plain products.
 
-    def __init__(self, state: State, edges: Iterator[tuple[Symbol, State]]):
-        self.state = state
-        self.edges = edges
-        self.is_nemp = False
+    ``states`` maps an id back to its state.  Edges come from the
+    input's ``edges_from`` when it has one, else from ``successors``
+    over the alphabet sorted by ``str``.
+    """
+
+    def __init__(self, auto: ImplicitGBA):
+        self._auto = auto
+        self.states: list[State] = []
+        self._ids: dict[State, int] = {}
+        index = getattr(auto, "edges_from", None)
+        if index is None:
+            symbols = sorted(auto.alphabet, key=str)
+            successors = auto.successors
+
+            def index(state: State) -> list[tuple[Symbol, State]]:
+                return [(symbol, target) for symbol in symbols
+                        for target in successors(state, symbol)]
+        self._index = index
+
+    def _id(self, state: State) -> int:
+        i = self._ids.get(state)
+        if i is None:
+            i = self._ids[state] = len(self.states)
+            self.states.append(state)
+        return i
+
+    def initial_states(self) -> list[int]:
+        return [self._id(q) for q in self._auto.initial_states()]
+
+    def root_key(self, i: int) -> str:
+        return repr(self.states[i])
+
+    def accepting_sets_of(self, i: int) -> frozenset[int]:
+        return self._auto.accepting_sets_of(self.states[i])
+
+    def edges_from(self, i: int) -> tuple[tuple[Symbol, int], ...]:
+        number = self._id
+        return tuple((symbol, number(target))
+                     for symbol, target in self._index(self.states[i]))
+
+
+#: Per-id states of Algorithm 1.
+_UNSEEN, _ACTIVE, _USEFUL, _USELESS = 0, 1, 2, 3
 
 
 def remove_useless(auto: ImplicitGBA, *,
                    oracle: EmptyOracle | None = None,
-                   on_transition: Callable[[State, Symbol, State], None] | None = None,
                    state_limit: int | None = None,
                    deadline: float | None = None,
                    ) -> tuple[GBA, RemovalStats]:
@@ -113,182 +177,185 @@ def remove_useless(auto: ImplicitGBA, *,
     its DFS number, so a remainder that is subtracted from again stays
     flat instead of nesting one product pair deeper per round.
     ``oracle`` replaces the exact ``emp`` set (subsumption pruning);
-    ``on_transition`` observes every explored edge, between the
-    input's own states; ``state_limit`` raises :class:`ExplorationLimit`
-    when the traversal grows too big.
+    ``state_limit`` raises :class:`ExplorationLimit` when the traversal
+    grows too big.  Edges are tested in the paper's order: a useful
+    target, then ``emp`` (useless ids and the oracle), then an active
+    one, then an unseen one.
     The traversal runs inside an ``emptiness`` span; its counts live in
     ``stats`` and, via :func:`repro.automata.difference.difference`,
     in the metrics registry.
     """
-    oracle = oracle if oracle is not None else EmptyOracle()
-    stats = RemovalStats()
-    all_conditions = frozenset(range(auto.acceptance_count))
-
-    useful: set[State] = set()
-    dfsnum: dict[State, int] = {}
-    counter = [0]
-    scc_stack: list[tuple[State, frozenset[int]]] = []  # SCCs in the paper
-    # Active states with their F(q), read once at push: a state found
-    # useful adds its DFS number to the result's acceptance lists.
-    act_stack: list[tuple[State, frozenset[int]]] = []
-    acc: list[list[int]] = [[] for _ in range(auto.acceptance_count)]
-    act_set: set[State] = set()
-    # Explored edges are streamed into a per-source index and retired the
-    # moment the source is classified: useless sources drop their edges,
-    # useful ones contribute them to the result right away.  Peak
-    # auxiliary memory is therefore proportional to the useful + active
-    # part of the automaton, never to the full exploration.
-    pending: dict[State, list[tuple[Symbol, State]]] = {}
-    pending_count = 0
-    transitions: dict[tuple[int, Symbol], set[int]] = {}
-
-    edge_index = getattr(auto, "edges_from", None)
-    if edge_index is not None:
-        # Indexed path (explicit GBAs, CachedImplicitGBA wrappers and
-        # numbered products): one sorted (symbol, target) list per state.
-        def edge_iter(state: State) -> Iterator[tuple[Symbol, State]]:
-            return iter(edge_index(state))
+    if isinstance(auto, NumberedProduct):
+        numbered, names = auto, auto.pairs
     else:
-        def edge_iter(state: State) -> Iterator[tuple[Symbol, State]]:
-            for symbol in sorted(auto.alphabet, key=str):
-                for target in auto.successors(state, symbol):
-                    yield symbol, target
+        numbered = _Numbering(auto)
+        names = numbered.states
+    contains = add = None
+    if oracle is not None:
+        contains, add = oracle.bind(names)
+    edges_from = numbered.edges_from
+    accepting_sets_of = numbered.accepting_sets_of
+    perf_counter = time.perf_counter
+    k = auto.acceptance_count
+    all_conditions = frozenset(range(k))
 
-    def construct(root: State) -> None:
-        nonlocal pending_count
-        frames: list[_Frame] = []
-
-        def push(state: State) -> None:
-            counter[0] += 1
-            dfsnum[state] = counter[0]
-            stats.explored_states += 1
-            if state_limit is not None and stats.explored_states > state_limit:
-                raise ExplorationLimit(state_limit)
-            if (deadline is not None and stats.explored_states % 256 == 0
-                    and time.perf_counter() > deadline):
-                raise ExplorationTimeout(deadline)
-            conditions = auto.accepting_sets_of(state)
-            scc_stack.append((state, conditions))
-            act_stack.append((state, conditions))
-            act_set.add(state)
-            pending[state] = []
-            frames.append(_Frame(state, edge_iter(state)))
-
-        push(root)
-        while frames:
-            frame = frames[-1]
-            advanced = False
-            source_edges = pending[frame.state]
-            for symbol, target in frame.edges:
-                stats.explored_edges += 1
-                # Deadline poll on edges too: a single high-fan-out frame
-                # (dense product state) can stream thousands of edges
-                # without ever pushing, so the per-push poll alone could
-                # blow far past a cooperative deadline.
-                if (deadline is not None and stats.explored_edges % 256 == 0
-                        and time.perf_counter() > deadline):
-                    raise ExplorationTimeout(deadline)
-                source_edges.append((symbol, target))
-                pending_count += 1
-                if pending_count > stats.peak_pending_edges:
-                    stats.peak_pending_edges = pending_count
-                if on_transition is not None:
-                    on_transition(frame.state, symbol, target)
-                if target in useful:
-                    frame.is_nemp = True
-                elif oracle.contains(target):
-                    # Line 11 of Algorithm 1: t in ceil(emp).  With the
-                    # subsumption oracle this may prune even *active*
-                    # states (a back edge through a provably empty state
-                    # can never contribute an accepting cycle).
-                    stats.subsumption_hits += 1
-                    continue
-                elif target in act_set:
-                    # Back edge: collapse the potential SCC entries down to
-                    # the entry point of the cycle, joining their conditions.
-                    joined: frozenset[int] = frozenset()
-                    while True:
-                        entry, conditions = scc_stack.pop()
-                        joined |= conditions
-                        if joined == all_conditions:
-                            frame.is_nemp = True
-                        if dfsnum[entry] <= dfsnum[target]:
-                            break
-                    scc_stack.append((entry, joined))
-                elif target not in dfsnum:
-                    push(target)
-                    advanced = True
-                    break
-                # else: target already classified useless -- skip.
-            if advanced:
-                continue
-            # Frame exhausted: maybe close the SCC rooted at this state.
-            frames.pop()
-            state = frame.state
-            if scc_stack and scc_stack[-1][0] == state:
-                scc_stack.pop()
-                members: list[State] = []
-                while True:
-                    member, conditions = act_stack.pop()
-                    act_set.discard(member)
-                    members.append(member)
-                    if frame.is_nemp:
-                        useful.add(member)
-                        for j in conditions:
-                            acc[j].append(dfsnum[member])
-                    else:
-                        oracle.add(member)
-                        stats.useless_states += 1
-                    if member == state:
-                        break
-                # Retire the members' buffered edges.  Every target is
-                # classified by now (a back edge to a still-active state
-                # would have merged the SCCs), so useful -> useful edges
-                # can be committed immediately, under DFS numbers, and
-                # everything else dropped.
-                if frame.is_nemp:
-                    for member in members:
-                        edges = pending.pop(member)
-                        pending_count -= len(edges)
-                        source = dfsnum[member]
-                        for symbol, target in edges:
-                            if target in useful:
-                                transitions.setdefault(
-                                    (source, symbol), set()).add(dfsnum[target])
-                                stats.retained_edges += 1
-                else:
-                    for member in members:
-                        pending_count -= len(pending.pop(member))
-            if frames:
-                frames[-1].is_nemp = frames[-1].is_nemp or frame.is_nemp
+    status = bytearray()
+    dfsnum: list[int] = []
+    # Potential SCCs (the paper's SCCs stack): entry DFS number and the
+    # conditions joined so far.
+    scc_stack: list[tuple[int, frozenset[int]]] = []
+    # Active ids with their F(q), read once at push, and their edge
+    # tuple: a state found useful adds its DFS number to the result's
+    # acceptance lists and commits its useful -> useful edges.
+    act_stack: list[tuple[int, frozenset[int], tuple]] = []
+    acc: list[list[int]] = [[] for _ in range(k)]
+    transitions: dict[tuple[int, Symbol], set[int]] = {}
+    useful: list[int] = []  # DFS numbers, in retirement order
+    counter = explored_states = explored_edges = hits = useless = 0
+    retained = retired = peak = 0
 
     with get_tracer().span("emptiness"):
         try:
-            # Roots in ``repr`` order; a numbered product orders its
-            # ids by their pairs (``NumberedProduct.root_key``).
-            for initial in sorted(auto.initial_states(),
-                                  key=getattr(auto, "root_key", repr)):
-                if initial not in useful and not oracle.contains(initial):
-                    if initial not in dfsnum:
-                        construct(initial)
+            roots = numbered.initial_states()
+            status.extend(bytes(len(names)))
+            dfsnum.extend([0] * len(names))
+            # Roots in ``repr`` order of their states (the ids' own
+            # order would put 10 before 2).
+            for root in sorted(roots, key=numbered.root_key):
+                if status[root] != _UNSEEN or (contains is not None
+                                               and contains(root)):
+                    continue
+                frames: list[tuple[int, int, Iterator, bool]] = []
+                child = root
+                while True:
+                    if child is not None:
+                        # Push: give the child its DFS number and frame.
+                        counter += 1
+                        dfsnum[child] = num = counter
+                        explored_states += 1
+                        if state_limit is not None and explored_states > state_limit:
+                            raise ExplorationLimit(state_limit)
+                        if (deadline is not None and explored_states % 256 == 0
+                                and perf_counter() > deadline):
+                            raise ExplorationTimeout(deadline)
+                        conditions = accepting_sets_of(child)
+                        scc_stack.append((num, conditions))
+                        edges = edges_from(child)
+                        act_stack.append((child, conditions, edges))
+                        status[child] = _ACTIVE
+                        grow = len(names) - len(status)
+                        if grow:
+                            status.extend(bytes(grow))
+                            dfsnum.extend([0] * grow)
+                        state, it, nemp = child, iter(edges), False
+                    child = None
+                    for _, target in it:
+                        explored_edges += 1
+                        # Deadline poll on edges too: a single high-fan-out
+                        # frame (dense product state) can stream thousands
+                        # of edges without ever pushing.
+                        if (deadline is not None and explored_edges % 256 == 0
+                                and perf_counter() > deadline):
+                            raise ExplorationTimeout(deadline)
+                        st = status[target]
+                        if st == _USEFUL:
+                            nemp = True
+                        elif st == _USELESS or (contains is not None
+                                                and contains(target)):
+                            # Line 11 of Algorithm 1: t in ceil(emp).  With
+                            # the subsumption oracle this may prune even
+                            # *active* states (a back edge through a
+                            # provably empty state can never contribute an
+                            # accepting cycle).
+                            hits += 1
+                        elif st == _ACTIVE:
+                            # Back edge: collapse the potential SCC entries
+                            # down to the entry point of the cycle, joining
+                            # their conditions.
+                            low = dfsnum[target]
+                            joined: frozenset[int] = frozenset()
+                            while True:
+                                entry, conditions = scc_stack.pop()
+                                joined |= conditions
+                                if joined == all_conditions:
+                                    nemp = True
+                                if entry <= low:
+                                    break
+                            scc_stack.append((entry, joined))
+                        else:
+                            child = target
+                            break
+                    if child is not None:
+                        frames.append((state, num, it, nemp))
+                        continue
+                    # Frame exhausted: maybe close the SCC rooted here.
+                    if scc_stack and scc_stack[-1][0] == num:
+                        scc_stack.pop()
+                        if explored_edges - retired > peak:
+                            peak = explored_edges - retired
+                        members = []
+                        while True:
+                            member = act_stack.pop()
+                            members.append(member)
+                            if member[0] == state:
+                                break
+                        if nemp:
+                            for member, conditions, _ in members:
+                                status[member] = _USEFUL
+                                source = dfsnum[member]
+                                useful.append(source)
+                                for j in conditions:
+                                    acc[j].append(source)
+                            # Every target is classified by now (a back
+                            # edge to a still-active state would have
+                            # merged the SCCs), so the useful -> useful
+                            # edges are committed under DFS numbers.
+                            for member, _, member_edges in members:
+                                retired += len(member_edges)
+                                source = dfsnum[member]
+                                for symbol, target in member_edges:
+                                    if status[target] == _USEFUL:
+                                        transitions.setdefault(
+                                            (source, symbol), set()).add(
+                                                dfsnum[target])
+                                        retained += 1
+                        else:
+                            for member, _, member_edges in members:
+                                status[member] = _USELESS
+                                if add is not None:
+                                    add(member)
+                                useless += 1
+                                retired += len(member_edges)
+                    if not frames:
+                        break
+                    state, num, it, parent_nemp = frames.pop()
+                    nemp = nemp or parent_nemp
         except ResourceExhausted as exc:  # includes ExplorationTimeout
             # The partial effort must survive the unwind: the difference
             # layer registers explored states/edges even for attempts that
             # blow a budget or deadline (see difference.attempt), so a
-            # retried round is never invisible in the metrics.
-            exc.partial_stats = stats
+            # retried round is never invisible in the metrics.  No result
+            # was built, so it has no useful states.
+            exc.partial_stats = RemovalStats(
+                explored_states=explored_states, explored_edges=explored_edges,
+                useless_states=useless, subsumption_hits=hits,
+                peak_pending_edges=max(peak, explored_edges - retired),
+                retained_edges=retained)
             raise
 
         # In DFS order, so no set built here depends on the hash seed
         # or on the order in which the SCCs closed.
-        order = sorted(useful, key=dfsnum.__getitem__)
+        useful.sort()
         for f in acc:
             f.sort()
-        result = GBA(auto.alphabet, transitions,
-                     [dfsnum[q] for q in auto.initial_states() if q in useful],
-                     acc, states=[dfsnum[q] for q in order])
-        stats.useful_states = len(useful)
-        return result, stats
+        result = GBA._trusted(
+            auto.alphabet, transitions,
+            [dfsnum[q] for q in roots if status[q] == _USEFUL], acc, useful)
+        return result, RemovalStats(
+            explored_states=explored_states, explored_edges=explored_edges,
+            useful_states=len(useful), useless_states=useless,
+            subsumption_hits=hits, peak_pending_edges=peak,
+            retained_edges=retained)
 
 
 class ExplorationLimit(ResourceExhausted):

@@ -19,10 +19,12 @@ from __future__ import annotations
 
 from collections import deque
 from types import MappingProxyType
-from typing import Hashable, Iterable, Mapping, Protocol, runtime_checkable
+from typing import (Callable, Hashable, Iterable, Mapping, Protocol, TypeVar,
+                    runtime_checkable)
 
 State = Hashable
 Symbol = Hashable
+T = TypeVar("T")
 
 _NO_SETS: frozenset[int] = frozenset()
 _FIRST_SET: frozenset[int] = frozenset((0,))
@@ -62,27 +64,55 @@ class GBA:
                  initial: Iterable[State],
                  acc_sets: Iterable[Iterable[State]] = (),
                  states: Iterable[State] | None = None):
-        self._alphabet = frozenset(alphabet)
-        self._initial = frozenset(initial)
-        self._trans: dict[tuple[State, Symbol], frozenset[State]] = {}
-        found: set[State] = set(self._initial)
+        alphabet = frozenset(alphabet)
+        initial = frozenset(initial)
+        trans: dict[tuple[State, Symbol], frozenset[State]] = {}
+        found: set[State] = set(initial)
         for (source, symbol), targets in transitions.items():
-            if symbol not in self._alphabet:
+            if symbol not in alphabet:
                 raise ValueError(f"transition over unknown symbol {symbol!r}")
             targets = frozenset(targets)
             if targets:
-                self._trans[(source, symbol)] = targets
+                trans[(source, symbol)] = targets
                 found.add(source)
                 found |= targets
         if states is not None:
             found |= set(states)
-        self._states = frozenset(found)
-        self._acc: tuple[frozenset[State], ...] = tuple(
-            frozenset(f) for f in acc_sets)
-        for f in self._acc:
-            missing = f - self._states
+        acc = tuple(frozenset(f) for f in acc_sets)
+        for f in acc:
+            missing = f - found
             if missing:
                 raise ValueError(f"accepting states not in the automaton: {missing!r}")
+        self._set(alphabet, trans, initial, acc, frozenset(found))
+
+    @classmethod
+    def _trusted(cls, alphabet: frozenset,
+                 transitions: Mapping[tuple[State, Symbol], Iterable[State]],
+                 initial: Iterable[State],
+                 acc_sets: Iterable[Iterable[State]],
+                 states: Iterable[State]) -> "GBA":
+        """A GBA from parts already known to be consistent, frozen as
+        given: every symbol in ``alphabet``, every target set nonempty,
+        and every state -- initial, source, target, accepting -- listed
+        in ``states``.  Algorithm 1 builds its result this way; anything
+        else goes through the validating constructor."""
+        auto = cls.__new__(cls)
+        auto._set(alphabet,
+                  {key: frozenset(targets)
+                   for key, targets in transitions.items()},
+                  frozenset(initial), tuple(frozenset(f) for f in acc_sets),
+                  frozenset(states))
+        return auto
+
+    def _set(self, alphabet: frozenset,
+             trans: dict[tuple[State, Symbol], frozenset[State]],
+             initial: frozenset[State], acc: tuple[frozenset[State], ...],
+             states: frozenset[State]) -> None:
+        self._alphabet = alphabet
+        self._initial = initial
+        self._trans = trans
+        self._states = states
+        self._acc = acc
         #: Lazily built successor index: state -> ((symbol, target), ...)
         #: with symbols in sorted order.  Built once on first use; never
         #: invalidated -- a GBA is immutable after construction.
@@ -91,6 +121,8 @@ class GBA:
         #: indices of the acceptance sets holding it, for states in at
         #: least one set.
         self._acc_index: dict[State, frozenset[int]] | None = None
+        #: :meth:`derive`'s memo: function -> its value on this automaton.
+        self._derived: dict[Callable[["GBA"], object], object] = {}
 
     # -- ImplicitGBA protocol -----------------------------------------------
 
@@ -176,6 +208,14 @@ class GBA:
         if index is None:
             index = self._build_out_index()
         return index.get(state, ())
+
+    def derive(self, fn: Callable[["GBA"], T]) -> T:
+        """``fn(self)``, computed once per automaton: a GBA is immutable,
+        so a fact derived from it (say, its SDBA split) never changes."""
+        derived = self._derived
+        if fn not in derived:
+            derived[fn] = fn(self)
+        return derived[fn]
 
     def is_ba(self) -> bool:
         return len(self._acc) == 1

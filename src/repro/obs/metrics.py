@@ -15,7 +15,7 @@ simulation-based reduction layer adds ``simulation.pairs`` (candidate
 pairs ``n·n`` per solve of an ``n``-state automaton), ``reduction.quotients`` /
 ``reduction.states_removed`` (subtrahend quotienting) and
 ``difference.antichain.sim_hits`` (antichain hits only the
-simulation-coarsened order found).
+simulation-coarsened order found, over the scans the antichain made).
 
 Instruments are plain ``__slots__`` objects incremented in place --
 cheap enough to stay always-on (the paper-faithful counters in

@@ -55,6 +55,36 @@ def test_accepting_requires_single_set():
         _ = auto.accepting
 
 
+def test_trusted_gba_equals_the_validating_one():
+    # Algorithm 1's result is frozen as given, without re-validation;
+    # on consistent parts it must be the automaton the validating
+    # constructor builds, down to the derived indexes.
+    transitions = {(1, "a"): {2, 3}, (2, "b"): {2}, (3, "a"): {1}}
+    parts = ({"a", "b"}, transitions, [1], [[2], [1, 3]], [1, 2, 3])
+    checked = GBA(*parts[:4], states=parts[4])
+    trusted = GBA._trusted(frozenset(parts[0]), *parts[1:])
+    assert trusted.alphabet == checked.alphabet
+    assert trusted.states == checked.states
+    assert dict(trusted.transitions) == dict(checked.transitions)
+    assert trusted.initial_states() == checked.initial_states()
+    assert trusted.acc_sets == checked.acc_sets
+    for q in checked.states:
+        assert trusted.edges_from(q) == checked.edges_from(q)
+        assert trusted.accepting_sets_of(q) == checked.accepting_sets_of(q)
+
+
+def test_derived_facts_are_computed_once():
+    auto = ba({"a"}, {("p", "a"): {"q"}, ("q", "a"): {"q"}}, ["p"], ["q"])
+    calls = []
+
+    def fact(gba):
+        calls.append(gba)
+        return len(gba.states)
+
+    assert auto.derive(fact) == auto.derive(fact) == 2
+    assert calls == [auto]
+
+
 def test_map_states():
     auto = simple_ba()
     mapped = auto.map_states(lambda q: q.upper())

@@ -92,11 +92,14 @@ def test_oracle_prepopulated():
     assert stats.subsumption_hits >= 1
 
 
-def test_on_transition_callback():
-    auto = ba(set(SIGMA), {("q", "a"): {"q"}}, ["q"], ["q"])
-    seen = []
-    remove_useless(auto, on_transition=lambda s, a, t: seen.append((s, a, t)))
-    assert ("q", "a", "q") in seen
+def test_explored_edges_counts_every_edge():
+    # q -a-> q, q -b-> r, r -a-> r: every edge is explored once, the
+    # useless r's self-loop included.
+    auto = ba(set(SIGMA), {("q", "a"): {"q"}, ("q", "b"): {"r"},
+                           ("r", "a"): {"r"}}, ["q"], ["q"])
+    useful, stats = remove_useless(auto)
+    assert stats.explored_edges == 3
+    assert stats.retained_edges == useful.num_transitions() == 1
 
 
 def test_deep_chain_no_recursion_error():

@@ -174,20 +174,22 @@ class _RelationAntichain:
 
 @pytest.mark.parametrize("relation", [subsumes, subsumes_b])
 def test_bitset_oracle_agrees_with_generic_path(relation):
+    # One oracle holds one shape of state: (qA, macro) pairs, or bare
+    # macro-states (grouped under None).
     universe = [f"q{i}" for i in range(8)]
     rng = random.Random(2018)
-    fast = SubsumptionOracle(relation)
-    slow = _RelationAntichain(relation)
     macros = [_random_macro(rng, universe) for _ in range(120)]
-    keys = ["qa", "qb", None]
-    for i, macro in enumerate(macros):
-        key = keys[i % len(keys)]
-        state = macro if key is None else (key, macro)
-        if i % 3 == 0:
-            fast.add(state)
-            slow.add(state)
-        assert fast.contains(state) == slow.contains(state), str(macro)
-        assert len(fast) == len(slow)
+    for keys in (["qa", "qb"], [None]):
+        fast = SubsumptionOracle(relation)
+        slow = _RelationAntichain(relation)
+        for i, macro in enumerate(macros):
+            key = keys[i % len(keys)]
+            state = macro if key is None else (key, macro)
+            if i % 3 == 0:
+                fast.add(state)
+                slow.add(state)
+            assert fast.contains(state) == slow.contains(state), str(macro)
+            assert len(fast) == len(slow)
 
 
 class _PairwiseOracle(SubsumptionOracle):
@@ -214,6 +216,8 @@ def test_one_loop_antichain_scan_matches_pairwise_scan(relation, coarsened):
     reference = _PairwiseOracle(relation, simulation=simulation,
                                 complement=numbering)
     assert (scanned._down is not None) == coarsened
+    # Both oracles remember answers alike, so they scan at the same
+    # queries and their scan counts match.
     for i in range(400):
         state = ("qa" if i % 2 else "qb", _random_macro(rng, universe))
         if i % 4 == 0:
@@ -268,7 +272,8 @@ def test_difference_configurations_agree_with_naive_reference(seed):
             assert not accepts(subtrahend, witness), config
 
     # cache on/off is pure memoization: identical automata and counters,
-    # the antichain's among them (the cached path keys it by product id)
+    # the antichain's scan counts among them (both paths ask it by id,
+    # and its memo skips the same scans)
     for subsumption in (True, False):
         on, off = results[(subsumption, True)], results[(subsumption, False)]
         assert on.automaton.states == off.automaton.states
@@ -362,14 +367,17 @@ def test_oracle_over_product_ids_matches_oracle_over_pairs(relation):
     rng = random.Random(1110)
     pairs = [(rng.choice(["qa", "qb"]), _random_macro(rng, universe))
              for _ in range(150)]
-    numbered = SubsumptionOracle(relation, pairs=pairs)
+    # One oracle asked by id through Algorithm 1's view, one by pair;
+    # both remember answers per id, so they scan alike.
+    numbered = SubsumptionOracle(relation)
+    contains, add = numbered.bind(pairs)
     plain = SubsumptionOracle(relation)
     for i in range(300):
         state = rng.randrange(len(pairs))
         if i % 3 == 0:
-            numbered.add(state)
+            add(state)
             plain.add(pairs[state])
-        assert numbered.contains(state) == plain.contains(pairs[state])
+        assert contains(state) == plain.contains(pairs[state])
         assert len(numbered) == len(plain)
     assert numbered._groups == plain._groups
     assert numbered.prefilter_skips == plain.prefilter_skips
