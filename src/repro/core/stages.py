@@ -11,7 +11,11 @@ needs to make progress.
 
 Stages 2 and 3 are one powerset exploration (``_explore``) over the
 delta-wedge successors of ``M_uvw``; they differ only in the successor
-rule it is given.  ``generalize`` tries the sampled lasso first and
+rule it is given.  Called from ``generalize``, the exploration first
+decides whether the stage accepts the sampled word, by running the rule
+along ``u v^w`` only, and builds the module only when it does; the
+check and the build share one builder, so a kept stage pays no Hoare
+triple twice.  ``generalize`` tries the sampled lasso first and
 the proofs of its loop rotations only when every strong stage (finite,
 det, semi) of the sequence failed on it; a sequence without strong
 stages proves no rotation.
@@ -24,8 +28,10 @@ from collections import deque
 from typing import Callable, Iterable, Sequence
 
 from repro.automata.gba import State, ba
+from repro.automata.words import UPWord, accepts
 from repro.core.module import CertifiedModule
 from repro.logic.predicates import PRED_FALSE, PRED_TRUE, Pred
+from repro.obs import metrics as _metrics
 from repro.program.statements import Statement, hoare_valid
 from repro.ranking.certificate import RankCertificate, build_certificate
 from repro.ranking.lasso import Lasso
@@ -198,11 +204,61 @@ class _PowersetBuilder:
         return self.delta_wedge(states, stmt) - self._accepting
 
 
+_Rule = Callable[[_PowersetBuilder, State, Statement], Iterable[State]]
+_View = Callable[[State], tuple[frozenset, bool]]
+_FIRST_SET = frozenset({0})
+
+
+class _OverBudget(Exception):
+    """The on-word check found more states than a build may keep."""
+
+
+class _StageOnWord:
+    """A powerset stage as an implicit automaton, for :func:`accepts`.
+
+    Its successors are the stage's rule, computed only for the states
+    the word's run reaches; its accepting states are those of the built
+    module.  Raises :class:`_OverBudget` once it has found more than
+    ``STAGE_STATE_BUDGET + 1`` states: the build would return ``None``
+    by then.
+    """
+
+    acceptance_count = 1
+
+    def __init__(self, builder: _PowersetBuilder, start: State,
+                 rule: _Rule, view: _View):
+        self._builder = builder
+        self._start = start
+        self._rule = rule
+        self._view = view
+        self._seen: set[State] = {start}
+
+    def initial_states(self) -> tuple[State]:
+        return (self._start,)
+
+    def successors(self, state: State, stmt: Statement) -> Iterable[State]:
+        if stmt not in self._builder.alphabet:
+            return ()
+        targets = self._rule(self._builder, state, stmt)
+        self._seen.update(targets)
+        if len(self._seen) > STAGE_STATE_BUDGET + 1:
+            raise _OverBudget
+        return targets
+
+    def accepting_sets_of(self, state: State) -> frozenset[int]:
+        return _FIRST_SET if _accepting(self._builder, self._view,
+                                        state) else frozenset()
+
+
+def _accepting(builder: _PowersetBuilder, view: _View, state: State) -> bool:
+    """A state accepts when it may and its set of base states is in F_det."""
+    states, may_accept = view(state)
+    return may_accept and builder.is_accepting_state(states)
+
+
 def _explore(base: CertifiedModule, stage: Stage, start: State,
-             successors: Callable[[_PowersetBuilder, State, Statement],
-                                  Iterable[State]],
-             view: Callable[[State], tuple[frozenset, bool]],
-             ) -> CertifiedModule | None:
+             successors: _Rule, view: _View,
+             word: UPWord | None = None) -> CertifiedModule | None:
     """The powerset exploration of stages 2 and 3; ``successors`` is the
     stage's rule.
 
@@ -211,9 +267,19 @@ def _explore(base: CertifiedModule, stage: Stage, start: State,
     whether it may accept: it accepts when it may and that set is in
     F_det, and its certificate is the set's conjunction.  Returns
     ``None`` once more than :data:`STAGE_STATE_BUDGET` states beyond
-    ``start`` are found.
+    ``start`` are found.  With a ``word``, returns ``None`` without
+    building when the module would not accept it or would blow the
+    budget along its run (``stages.rejected_on_word``).
     """
     builder = _PowersetBuilder(base)
+    if word is not None:
+        try:
+            kept = accepts(_StageOnWord(builder, start, successors, view), word)
+        except _OverBudget:
+            kept = False
+        if not kept:
+            _metrics.inc("stages.rejected_on_word")
+            return None
     alphabet = sorted(builder.alphabet, key=str)
     transitions: dict[tuple[State, Statement], set[State]] = {}
     seen: set[State] = {start}
@@ -229,12 +295,10 @@ def _explore(base: CertifiedModule, stage: Stage, start: State,
                         return None
                     seen.add(target)
                     queue.append(target)
-    views = {q: view(q) for q in seen}
-    accepting = {q for q, (states, may_accept) in views.items()
-                 if may_accept and builder.is_accepting_state(states)}
+    accepting = {q for q in seen if _accepting(builder, view, q)}
     automaton = ba(builder.alphabet, transitions, [start], accepting,
                    states=seen)
-    certificate = {q: builder.conj(states) for q, (states, _) in views.items()}
+    certificate = {q: builder.conj(view(q)[0]) for q in seen}
     return CertifiedModule(automaton, base.ranking, certificate,
                            stage=stage.value, source_word=base.source_word)
 
@@ -258,21 +322,31 @@ def _semi_successors(builder: _PowersetBuilder, state: tuple[frozenset, str],
     return {(det_target, "n")}
 
 
+def _deterministic(base: CertifiedModule,
+                   word: UPWord | None) -> CertifiedModule | None:
+    start = frozenset(base.automaton.initial_states())
+    return _explore(base, Stage.DETERMINISTIC, start, _det_successors,
+                    lambda states: (states, True), word)
+
+
+def _semideterministic(base: CertifiedModule,
+                       word: UPWord | None) -> CertifiedModule | None:
+    start = (frozenset(base.automaton.initial_states()), "n")
+    return _explore(base, Stage.SEMIDET, start, _semi_successors,
+                    lambda state: (state[0], state[1] == "d"), word)
+
+
 def build_deterministic_module(base: CertifiedModule,
                                ) -> CertifiedModule | None:
     """``M_det`` (Definition 3.2): the deterministic powerset module."""
-    start = frozenset(base.automaton.initial_states())
-    return _explore(base, Stage.DETERMINISTIC, start, _det_successors,
-                    lambda states: (states, True))
+    return _deterministic(base, None)
 
 
 def build_semideterministic_module(base: CertifiedModule,
                                    ) -> CertifiedModule | None:
     """``M_semi`` (Section 3.1.4): ``M_det`` enriched with nondeterministic
     stay-in-the-stem successors; the result is a normalized SDBA."""
-    start = (frozenset(base.automaton.initial_states()), "n")
-    return _explore(base, Stage.SEMIDET, start, _semi_successors,
-                    lambda state: (state[0], state[1] == "d"))
+    return _semideterministic(base, None)
 
 
 # -- stage 4: nondeterministic module --------------------------------------------------
@@ -331,15 +405,17 @@ def _rotation_proofs(proof: LassoProof) -> Iterable[LassoProof]:
 def _build_stage(stage: Stage, proof: LassoProof,
                  lasso_module: CertifiedModule,
                  program_alphabet: Iterable[Statement],
-                 ) -> CertifiedModule | None:
+                 word: UPWord) -> CertifiedModule | None:
+    """The stage's module; ``None`` when it does not apply, or, for the
+    powerset stages, when it is decided not to accept ``word``."""
     if stage is Stage.LASSO:
         return lasso_module
     if stage is Stage.FINITE:
         return build_finite_module(proof, program_alphabet)
     if stage is Stage.DETERMINISTIC:
-        return build_deterministic_module(lasso_module)
+        return _deterministic(lasso_module, word)
     if stage is Stage.SEMIDET:
-        return build_semideterministic_module(lasso_module)
+        return _semideterministic(lasso_module, word)
     if stage is Stage.NONDET:
         return build_nondeterministic_module(lasso_module)
     raise ValueError(f"unknown stage {stage!r}")
@@ -356,7 +432,10 @@ def generalize(proof: LassoProof,
     ``sequence`` first, then the loop rotations (see
     :func:`_rotation_proofs`; a sequence without strong stages proves no
     rotation), then the weak stages; returns the first module whose
-    language contains the sampled word.  Falls back to the
+    language contains the sampled word.  A powerset stage (det, semi and
+    the interpolant semi) decides that membership on the word before it
+    builds anything, and is built only when the word is accepted; the
+    built module's ``language_contains`` is still asked.  Falls back to the
     lasso module itself (which accepts exactly that word) if every
     stage fails -- the refinement loop always makes progress.
 
@@ -373,7 +452,7 @@ def generalize(proof: LassoProof,
         # equal-interpolant positions merging into loops; an unmerged
         # chain only adds powerset cost, so fall through in that case.
         if len(base.automaton.states) < positions:
-            module = build_semideterministic_module(base)
+            module = _semideterministic(base, word)
             if module is not None and module.language_contains(word):
                 module.stage = INTERPOLANT_STAGE
                 return module
@@ -390,12 +469,13 @@ def generalize(proof: LassoProof,
             base_module = lasso_module
         for stage in strong:
             module = _build_stage(stage, candidate, lasso_module,
-                                  program_alphabet)
+                                  program_alphabet, word)
             if module is not None and module.language_contains(word):
                 return module
     assert base_module is not None
     for stage in weak:
-        module = _build_stage(stage, proof, base_module, program_alphabet)
+        module = _build_stage(stage, proof, base_module, program_alphabet,
+                              word)
         if module is not None and module.language_contains(word):
             return module
     return base_module

@@ -38,6 +38,7 @@ for name in sys.argv[1:]:
         "stages": [m.stage for m in result.modules],
         "words": [r.word for r in stats.rounds],
         "logic.fm.eliminations": stats.counter("logic.fm.eliminations"),
+        "stages.rejected_on_word": stats.counter("stages.rejected_on_word"),
         "difference.explored_states":
             stats.counter("difference.explored_states"),
     }
