@@ -1,50 +1,42 @@
 """Kernel successor-index / memoization layer: cached vs uncached.
 
-Ablation for the shared caching layer of the difference pipeline
-(``difference(..., cache=...)``): cached, the product is a
-``NumberedProduct`` that numbers each ``(state, macro-state)`` pair on
-discovery and builds each id's sorted edge list once (one cache miss
-per list built, one hit per re-read); uncached, Algorithm 1 explores
-the plain ``ProductGBA`` over pairs, which it numbers on discovery
+Ablation for ``difference(..., cache=...)``, which selects the product
+Algorithm 1 explores: cached, a ``NumberedProduct`` that numbers each
+``(state, macro-state)`` pair on discovery, asks the minuend once per
+state and symbol, and builds each id's sorted edge list once (one
+cache miss per list built, one hit per re-read); uncached, the plain
+``ProductGBA`` over pairs, which Algorithm 1 numbers on discovery
 itself.  Either way Algorithm 1 and the subsumption antichain run over
 ints, so the modes differ only in how the product's edges are built.
-An implicit minuend is wrapped in a ``CachedImplicitGBA``, which the
-product reads through ``successors``.
 
 Methodology: for each ``bench_scaling`` family at its largest
 configuration, one default-config analysis run harvests the
 certified-module chain (``conftest.harvest_chain``: it ends by verdict
 or by the round cap, so the chain does not depend on the host);
 the difference chain is then *replayed* with caching on and off.  The
-replay isolates the automata kernel from ranking synthesis, which is
-what the layer accelerates.  Verdicts and ``useful_states`` counts must
-be identical in both modes (caching is pure memoization).
+replay isolates the automata kernel from ranking synthesis.  Verdicts
+and ``useful_states`` counts must be identical in both modes (caching
+is pure memoization).
 
 A second sweep exercises the Figure-4 corpus: differences against the
 random SDBA corpus, cached vs uncached.
 
-Expected shape: >= 1.5x on the largest configuration (the nested
-family), smaller wins on the shallow families whose differences are
-tiny.  On the Fig. 4 corpus sweep (2-3 symbol alphabets) the cached
-path wins by building each id's edge list once.
-
-Measured on a 2-vCPU host with ``REPRO_BENCH_TIMEOUT=3`` and
-``REPRO_BENCH_RANDOM=5``, six runs: the nested chain has 60 modules
-and its headline was 0.93-1.26x, under the asserted 1.5x in every run
-(0.20-0.23 s cached against 0.20-0.29 s uncached).  It was 1.20-1.63x
-while only the cached path ran Algorithm 1 over ids, and the uncached
-path has caught up since the first measurement (0.49 s cached against
-1.75 s uncached, 3.6x): both modes now share the id loop, the
-antichain's memo and the per-module direct simulation, and differ only
-in the product.  The other families: interleaved 0.91-2.19x,
-sequential 1.19-1.67x, phases 0.77-1.39x; the corpus sweep
-0.07-0.09 s cached against 0.08-0.15 s uncached.  The record's
-``config.chains`` holds each family's chain length, so ``python -m
-repro trajectory`` only aligns runs that replayed chains of the same
-length.  Each remainder's states are Algorithm 1's DFS numbers, so a
-chain's products stay ``(int, MacroState)`` however long it is.  When remainders kept the product's nested pair names instead,
-the same harvest gave a 56-module chain at 1.59 s cached and 13.2 s
-uncached (8.3x): every uncached acceptance query hashed the whole nest.
+Expected shape: the two modes take about the same time, because both
+share Algorithm 1's id loop, the antichain's memo and the per-module
+direct simulation.  The headline (the nested family, 60 modules)
+asserts only that the cached path is at least half as fast as the
+uncached one, a guard against a step-change regression in the
+numbered product.  Measured on a 2-vCPU host with
+``REPRO_BENCH_TIMEOUT=3`` and ``REPRO_BENCH_RANDOM=5``, 24 runs:
+0.80-1.67x (median 1.19x; 0.14-0.39 s cached against 0.18-0.34 s
+uncached).  The record's ``config.chains`` holds each family's chain
+length, so ``python -m repro trajectory`` only aligns runs that
+replayed chains of the same length.  Each remainder's states are
+Algorithm 1's DFS numbers, so a chain's products stay
+``(int, MacroState)`` however long it is.  When remainders kept the
+product's nested pair names instead, the same harvest gave a 56-module
+chain at 1.59 s cached and 13.2 s uncached (8.3x): every uncached
+acceptance query hashed the whole nest.
 """
 
 from __future__ import annotations
@@ -58,6 +50,9 @@ from repro.automata.difference import difference
 from repro.automata.gba import ba
 
 HEADLINE_FAMILY = "nested"
+#: Cached over uncached time on the headline family: the modes are at
+#: parity, so this only catches a cached path gone twice as slow.
+HEADLINE_FLOOR = 0.5
 
 
 def replay_chain(program_gba, modules, *, cache: bool):
@@ -108,8 +103,9 @@ def test_kernel_cache_report():
         "headline_speedup": headline,
     }, config={"chains": {family: data["modules"]
                           for family, data in families.items()}})
-    assert headline >= 1.5, (
-        f"expected >= 1.5x on the largest configuration, got {headline:.2f}x")
+    assert headline >= HEADLINE_FLOOR, (
+        f"expected >= {HEADLINE_FLOOR}x on the largest configuration, "
+        f"got {headline:.2f}x")
 
 
 # -- Figure-4 corpus sweep ---------------------------------------------------------

@@ -8,8 +8,7 @@ lazily, and only the useful part is ever materialized.
 Modules:
 
 - :mod:`repro.automata.gba` -- explicit GBA/BA structures + materialize,
-- :mod:`repro.automata.ops` -- completion, union and the on-the-fly
-  product,
+- :mod:`repro.automata.ops` -- completion and the on-the-fly product,
 - :mod:`repro.automata.classify` -- finite-trace / DBA / SDBA detection
   and SDBA normalization (Section 2),
 - :mod:`repro.automata.words` -- ultimately periodic words ``u v^w`` and
@@ -20,16 +19,17 @@ Modules:
 - :mod:`repro.automata.complement` -- the four complementation
   procedures of the multi-stage approach,
 - :mod:`repro.automata.difference` -- the on-the-fly difference of a GBA
-  and a BA with subsumption pruning (Sections 4 and 6),
+  and a BA with subsumption pruning (Sections 4 and 6); ``cache``
+  selects its product: numbered on the fly with memoized edge lists, or
+  the plain pair product that Algorithm 1 numbers,
 - :mod:`repro.automata.simulation` -- direct simulation and
   simulation quotienting (Section 6.1),
-- :mod:`repro.automata.semidet` -- semi-determinization (BA -> SDBA),
-- :mod:`repro.automata.io` -- HOA and Graphviz DOT serialization.
+- :mod:`repro.automata.semidet` -- semi-determinization (BA -> SDBA).
 """
 
 from repro.automata.gba import GBA, ImplicitGBA, materialize
 from repro.automata.words import UPWord
-from repro.automata.ops import complete, union
+from repro.automata.ops import complete
 from repro.automata.classify import (is_complete, is_deterministic,
                                      is_finite_trace, is_semideterministic,
                                      normalize_sdba, sdba_parts)
@@ -38,17 +38,15 @@ from repro.automata.emptiness import (find_accepting_lasso, is_empty,
 from repro.automata.difference import difference
 from repro.automata.simulation import direct_simulation, quotient
 from repro.automata.semidet import semi_determinize
-from repro.automata.io import from_hoa, to_dot, to_hoa
 
 __all__ = [
     "GBA", "ImplicitGBA", "materialize",
     "UPWord",
-    "complete", "union",
+    "complete",
     "is_complete", "is_deterministic", "is_finite_trace",
     "is_semideterministic", "normalize_sdba", "sdba_parts",
     "find_accepting_lasso", "is_empty", "remove_useless",
     "difference",
     "direct_simulation", "quotient",
     "semi_determinize",
-    "from_hoa", "to_dot", "to_hoa",
 ]

@@ -69,10 +69,6 @@ class ModularComplement:
         self._expansions = 0
 
     @property
-    def condensation(self) -> Condensation:
-        return self._cond
-
-    @property
     def component_counts(self) -> dict[str, int]:
         """Accepting components per partial kind, plus the inert rest.
 

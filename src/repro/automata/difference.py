@@ -52,7 +52,7 @@ from repro.automata.complement.ncsb import (MacroState, image, subsumes,
                                             subsumes_b)
 import repro.faults as _faults
 from repro.automata.emptiness import EmptyOracle, RemovalStats, remove_useless
-from repro.automata.gba import CachedImplicitGBA, GBA, ImplicitGBA, State
+from repro.automata.gba import GBA, ImplicitGBA, State
 from repro.automata.ops import NumberedProduct, ProductGBA
 from repro.automata.simulation import direct_simulation, quotient
 from repro.core.budget import DeadlineExceeded, ResourceExhausted
@@ -72,10 +72,6 @@ def _paired(state: State) -> tuple[State, MacroState]:
 
 def _bare(state: MacroState) -> tuple[None, MacroState]:
     return None, state
-
-
-def _plain(state: State) -> tuple[State, None]:
-    return state, None
 
 
 class SubsumptionOracle(EmptyOracle):
@@ -101,10 +97,10 @@ class SubsumptionOracle(EmptyOracle):
     Algorithm 1 asks by id (:meth:`bind`); :meth:`add` and
     :meth:`contains` take states and number them here.  Each id's row
     ``[qA, entry, answer]`` is filled on its first query.  The shape of
-    the states -- ``(qA, MacroState)`` pairs, bare macro-states (from
-    standalone complementation, as in the Figure 4 experiments; one
-    group), or anything else (the exact ``emp``) -- is read off the
-    first one and fixed for the oracle.
+    the states -- ``(qA, MacroState)`` pairs (an NCSB product) or bare
+    macro-states (from standalone complementation, as in the Figure 4
+    experiments; one group) -- is read off the first one and fixed for
+    the oracle; any other shape is a ``ValueError``.
 
     ``answer`` remembers a scan's result for as long as it provably
     holds.  "Covered" is final: :meth:`add` drops only entries the new
@@ -209,8 +205,7 @@ class SubsumptionOracle(EmptyOracle):
         return macro, raw, (cn, cc, cs, cb, cln, clc, cls, clb)
 
     def _fill(self, i: int) -> list:
-        """Fill id ``i``'s row: group key, entry (None for a plain
-        state) and no answer yet."""
+        """Fill id ``i``'s row: group key, entry and no answer yet."""
         names, rows = self._names, self._rows
         if len(rows) < len(names):
             rows.extend([None] * (len(names) - len(rows)))
@@ -223,14 +218,14 @@ class SubsumptionOracle(EmptyOracle):
                   and isinstance(state[1], MacroState)):
                 split = _paired
             else:
-                split = _plain
+                raise ValueError("the antichain holds NCSB states: "
+                                 f"(qA, MacroState) pairs or macro-states, "
+                                 f"not {state!r}")
             self._split = split
         q_a, macro = split(state)
-        entry = None
-        if macro is not None:
-            entry = self._entries.get(macro)
-            if entry is None:
-                entry = self._entries[macro] = self._entry(macro)
+        entry = self._entries.get(macro)
+        if entry is None:
+            entry = self._entries[macro] = self._entry(macro)
         row = rows[i] = [q_a, entry, None]
         return row
 
@@ -301,9 +296,6 @@ class SubsumptionOracle(EmptyOracle):
         if answer is True:
             return  # already covered
         row[2] = True
-        if entry is None:
-            self._emp.add(q_a)
-            return
         group = self._groups.get(q_a)
         if group is None:
             survivors = [entry]
@@ -324,8 +316,6 @@ class SubsumptionOracle(EmptyOracle):
         q_a, entry, answer = row
         if answer is True:
             return True
-        if entry is None:
-            return q_a in self._emp
         group = self._groups.get(q_a)
         if group is None or answer is group:
             return False
@@ -336,7 +326,7 @@ class SubsumptionOracle(EmptyOracle):
         return False
 
     def __len__(self) -> int:
-        return self._size + super().__len__()
+        return self._size
 
 
 #: Shape guards for forced/pinned kinds (see dispatch.KIND_GUARDS; kinds
@@ -448,15 +438,14 @@ def difference(minuend: ImplicitGBA, subtrahend: GBA, *,
     bet, and the established construction stays the backstop.  A pinned
     ``kind=MODULAR`` never falls back.
 
-    ``cache`` (default on) installs the shared successor-index /
-    memoization layer: an implicit minuend is wrapped in a
-    :class:`~repro.automata.gba.CachedImplicitGBA` (explicit GBAs
-    already carry their own lazily built edge index), and the product
-    is a :class:`~repro.automata.ops.NumberedProduct`, whose sorted
-    edge list per id is built once.  ``cache=False`` explores the plain
-    :class:`~repro.automata.ops.ProductGBA` over pairs, which
-    Algorithm 1 numbers as it discovers them; both give the same
-    automaton and counts but the cache's own.
+    ``cache`` (default on) selects the product.  On, it is a
+    :class:`~repro.automata.ops.NumberedProduct`, the one memoization
+    layer: it asks the minuend once per state and symbol and builds
+    each id's sorted edge list once (``cache_hits``/``cache_misses``).
+    Off, it is the plain :class:`~repro.automata.ops.ProductGBA` over
+    pairs, which Algorithm 1 numbers as it discovers them.  Both give
+    the same automaton and counts but the cache's own, which stay 0
+    with the cache off.
 
     ``simulation_reduction`` (default on) quotients the subtrahend by
     direct-simulation equivalence before complementation and coarsens
@@ -484,14 +473,8 @@ def difference(minuend: ImplicitGBA, subtrahend: GBA, *,
                               reduced_from=module_states)
             heuristic_modular = (kind is None
                                  and used_kind is ComplementKind.MODULAR)
-            caches: list[CachedImplicitGBA | NumberedProduct] = []
-            left = minuend
-            if cache and not isinstance(left, (GBA, CachedImplicitGBA)):
-                left = CachedImplicitGBA(left)
-                caches.append(left)
-            product = (NumberedProduct if cache else ProductGBA)(left, comp)
-            if cache:
-                caches.append(product)
+            product = (NumberedProduct if cache else ProductGBA)(minuend,
+                                                                 comp)
             oracle: EmptyOracle | None = None
             ncsb_kinds = (ComplementKind.SDBA_ORIGINAL,
                           ComplementKind.SDBA_LAZY,
@@ -507,9 +490,9 @@ def difference(minuend: ImplicitGBA, subtrahend: GBA, *,
             def register(stats: RemovalStats) -> None:
                 """Fold the cache/oracle counters into ``stats`` and
                 account the attempt in the metrics registry."""
-                for layer in caches:
-                    stats.cache_hits += layer.cache_hits
-                    stats.cache_misses += layer.cache_misses
+                if cache:
+                    stats.cache_hits = product.cache_hits
+                    stats.cache_misses = product.cache_misses
                 if isinstance(oracle, SubsumptionOracle):
                     stats.prefilter_skips = oracle.prefilter_skips
                     stats.sim_subsumption_hits = oracle.sim_subsumption_hits

@@ -89,9 +89,8 @@ class RemovalStats:
     #: under-report pruning).
     useless_states: int = 0
     subsumption_hits: int = 0
-    #: Successor-cache hits/misses of the memoization layer (filled in by
-    #: ``difference`` on its cached path: the numbered product's edge
-    #: lists and any :class:`~repro.automata.gba.CachedImplicitGBA`).
+    #: Re-reads and builds of the numbered product's edge lists, filled
+    #: in by ``difference`` with ``cache=True`` (0 otherwise).
     cache_hits: int = 0
     cache_misses: int = 0
     #: Peak number of explored edges not yet retired.  A state's edges

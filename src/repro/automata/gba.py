@@ -227,89 +227,9 @@ class GBA:
             raise ValueError(f"expected a BA (k=1), found k={len(self._acc)}")
         return self._acc[0]
 
-    # -- construction helpers --------------------------------------------------
-
-    def map_states(self, fn) -> "GBA":
-        """Apply a state-renaming bijection."""
-        trans = {(fn(q), a): [fn(t) for t in targets]
-                 for (q, a), targets in self._trans.items()}
-        return GBA(self._alphabet, trans, [fn(q) for q in self._initial],
-                   [[fn(q) for q in f] for f in self._acc],
-                   states=[fn(q) for q in self._states])
-
     def __repr__(self) -> str:
         return (f"GBA(|Q|={len(self._states)}, |Sigma|={len(self._alphabet)}, "
                 f"|delta|={self.num_transitions()}, k={len(self._acc)})")
-
-
-class CachedImplicitGBA:
-    """Memoizing view of an :class:`ImplicitGBA` (shared successor cache).
-
-    Generalizes the memoization hand-rolled in the NCSB constructions
-    (``_NCSBBase.successors``): every protocol query is answered once
-    from the wrapped automaton and then served from per-state caches.
-    ``difference`` wraps an implicit minuend in it; the product itself
-    is a :class:`~repro.automata.ops.NumberedProduct`, which keeps its
-    own edge lists and reads the wrapper through :meth:`successors`.
-
-    Invariants: caches are filled lazily and never invalidated -- the
-    wrapped automaton must be immutable after construction (true for
-    every automaton in this codebase).  ``cache_hits``/``cache_misses``
-    count :meth:`successors` lookups (a miss fills the entry, a hit
-    re-reads it), and are threaded into
-    :class:`~repro.automata.emptiness.RemovalStats` by ``difference``.
-    """
-
-    def __init__(self, inner: ImplicitGBA):
-        self._inner = inner
-        self._alphabet = frozenset(inner.alphabet)
-        self._acceptance_count = inner.acceptance_count
-        self._initial: tuple[State, ...] | None = None
-        self._succ: dict[tuple[State, Symbol], tuple[State, ...]] = {}
-        self._acc_of: dict[State, frozenset[int]] = {}
-        self.cache_hits = 0
-        self.cache_misses = 0
-
-    @property
-    def inner(self) -> ImplicitGBA:
-        return self._inner
-
-    # -- ImplicitGBA protocol -----------------------------------------------
-
-    @property
-    def alphabet(self) -> frozenset:
-        return self._alphabet
-
-    @property
-    def acceptance_count(self) -> int:
-        return self._acceptance_count
-
-    def initial_states(self) -> tuple[State, ...]:
-        if self._initial is None:
-            self._initial = tuple(self._inner.initial_states())
-        return self._initial
-
-    def successors(self, state: State, symbol: Symbol) -> tuple[State, ...]:
-        key = (state, symbol)
-        cached = self._succ.get(key)
-        if cached is None:
-            self.cache_misses += 1
-            cached = tuple(self._inner.successors(state, symbol))
-            self._succ[key] = cached
-        else:
-            self.cache_hits += 1
-        return cached
-
-    def accepting_sets_of(self, state: State) -> frozenset[int]:
-        cached = self._acc_of.get(state)
-        if cached is None:
-            cached = frozenset(self._inner.accepting_sets_of(state))
-            self._acc_of[state] = cached
-        return cached
-
-    def __repr__(self) -> str:
-        return (f"CachedImplicitGBA({self._inner!r}, "
-                f"hits={self.cache_hits}, misses={self.cache_misses})")
 
 
 def ba(alphabet: Iterable[Symbol],

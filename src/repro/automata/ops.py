@@ -1,7 +1,7 @@
 """Basic operations on (generalized) Buechi automata.
 
-Completion, disjoint union and the on-the-fly GBA intersection, over
-pairs or over ints numbered on discovery.
+Completion and the on-the-fly GBA intersection, over pairs or over
+ints numbered on discovery.
 """
 
 from __future__ import annotations
@@ -51,28 +51,6 @@ def complete(auto: GBA, alphabet: Iterable[Symbol] | None = None,
                states=set(auto.states) | {sink})
 
 
-def union(left: GBA, right: GBA) -> GBA:
-    """Disjoint union; the result accepts ``L(left) | L(right)``.
-
-    Both operands must be BAs or have the same number of acceptance
-    sets; set ``j`` of the result is the union of the operands' sets
-    ``j``.  States are tagged to guarantee disjointness.
-    """
-    if left.acceptance_count != right.acceptance_count:
-        raise ValueError("operands must have the same number of acceptance sets")
-    tag_left = left.map_states(lambda q: (0, q))
-    tag_right = right.map_states(lambda q: (1, q))
-    # Copy before merging: ``transitions`` is a read-only view of the
-    # operand's internal map, and extending it in place would silently
-    # graft the right operand's transitions onto ``tag_left``.
-    transitions = dict(tag_left.transitions)
-    transitions.update(tag_right.transitions)
-    acc = [l | r for l, r in zip(tag_left.acc_sets, tag_right.acc_sets)]
-    return GBA(left.alphabet | right.alphabet, transitions,
-               tag_left.initial_states() | tag_right.initial_states(), acc,
-               states=tag_left.states | tag_right.states)
-
-
 class ProductGBA:
     """On-the-fly intersection of two implicit GBAs.
 
@@ -120,7 +98,9 @@ class NumberedProduct(ProductGBA):
     targets in their iteration order): the left side is asked once per
     left state and symbol, the right side once per id and symbol, and
     only when the left side has a successor.  ``cache_misses`` counts
-    the lists built and ``cache_hits`` their re-reads.
+    the lists built and ``cache_hits`` their re-reads.  The left side's
+    successor collections are kept and re-read, so they must not be
+    one-shot iterators; those of every automaton here are collections.
     """
 
     def __init__(self, left: ImplicitGBA, right: ImplicitGBA):

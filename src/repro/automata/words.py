@@ -8,7 +8,7 @@ membership against candidate modules.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.automata.gba import ImplicitGBA, Symbol
 
@@ -23,10 +23,6 @@ class UPWord:
     def __post_init__(self) -> None:
         if not self.period:
             raise ValueError("the period of an ultimately periodic word is empty")
-
-    @staticmethod
-    def of(prefix: Iterable[Symbol], period: Iterable[Symbol]) -> "UPWord":
-        return UPWord(tuple(prefix), tuple(period))
 
     def symbols(self) -> Iterator[Symbol]:
         """Infinite iterator over the word's symbols."""

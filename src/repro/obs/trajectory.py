@@ -294,10 +294,6 @@ class Comparison:
     def regressions(self) -> list:
         return [d for d in self.deltas if d.regression]
 
-    @property
-    def improvements(self) -> list:
-        return [d for d in self.deltas if d.gated and d.rel < -1e-9]
-
     def to_dict(self) -> dict:
         return {"baseline": self.baseline, "candidate": self.candidate,
                 "aligned": self.aligned, "unaligned": self.unaligned,

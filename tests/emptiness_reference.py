@@ -83,8 +83,8 @@ def remove_useless(auto: ImplicitGBA, *,
 
     edge_index = getattr(auto, "edges_from", None)
     if edge_index is not None:
-        # Indexed path (explicit GBAs, CachedImplicitGBA wrappers and
-        # numbered products): one sorted (symbol, target) list per state.
+        # Indexed path (explicit GBAs and numbered products): one sorted
+        # (symbol, target) list per state.
         def edge_iter(state: State) -> Iterator[tuple[Symbol, State]]:
             return iter(edge_index(state))
     else:

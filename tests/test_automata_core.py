@@ -3,7 +3,7 @@
 import pytest
 
 from repro.automata.gba import GBA, StateLimitExceeded, ba, materialize
-from repro.automata.ops import SINK, ProductGBA, complete, union
+from repro.automata.ops import SINK, ProductGBA, complete
 from repro.automata.words import UPWord, accepts
 
 SIGMA = frozenset({"a", "b"})
@@ -83,13 +83,6 @@ def test_derived_facts_are_computed_once():
 
     assert auto.derive(fact) == auto.derive(fact) == 2
     assert calls == [auto]
-
-
-def test_map_states():
-    auto = simple_ba()
-    mapped = auto.map_states(lambda q: q.upper())
-    assert mapped.states == {"Q0", "Q1"}
-    assert mapped.successors("Q0", "a") == {"Q1"}
 
 
 def test_materialize_equals_explicit():
@@ -191,28 +184,6 @@ def test_complete_rejects_shrinking_alphabet():
         complete(simple_ba(), {"a"})
 
 
-def test_union_language():
-    only_a = ba(SIGMA, {("p", "a"): {"p"}}, ["p"], ["p"])
-    only_b = ba(SIGMA, {("r", "b"): {"r"}}, ["r"], ["r"])
-    both = union(only_a, only_b)
-    assert accepts(both, UPWord((), ("a",)))
-    assert accepts(both, UPWord((), ("b",)))
-    assert not accepts(both, UPWord((), ("a", "b")))
-
-
-def test_union_leaves_operands_untouched():
-    only_a = ba(SIGMA, {("p", "a"): {"p"}}, ["p"], ["p"])
-    only_b = ba(SIGMA, {("r", "b"): {"r"}}, ["r"], ["r"])
-    before_a = dict(only_a.transitions)
-    before_b = dict(only_b.transitions)
-    union(only_a, only_b)
-    # regression: union used to extend the left operand's transition map
-    assert dict(only_a.transitions) == before_a
-    assert dict(only_b.transitions) == before_b
-    assert only_a.num_transitions() == 1
-    assert not accepts(only_a, UPWord((), ("b",)))
-
-
 def test_prepare_sdba_returns_defensive_copy():
     from repro.automata.complement.ncsb import prepare_sdba
     # already complete + normalized: nothing to do, but the result must
@@ -224,13 +195,6 @@ def test_prepare_sdba_returns_defensive_copy():
     assert prepared is not auto
     assert complete(auto) is not auto
     assert dict(prepared.transitions) == dict(auto.transitions)
-
-
-def test_union_requires_same_acceptance_count():
-    one = simple_ba()
-    two = GBA(SIGMA, {("q", "a"): {"q"}}, ["q"], [["q"], ["q"]])
-    with pytest.raises(ValueError):
-        union(one, two)
 
 
 def test_intersection_language():

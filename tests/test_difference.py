@@ -204,11 +204,14 @@ def test_oracle_b_relation_distinguishes():
     assert not oracle2.contains(("qa", without_b))
 
 
-def test_oracle_non_macro_states_fall_back_to_exact():
-    oracle = SubsumptionOracle(subsumes)
-    oracle.add(("qa", "plain-state"))
-    assert oracle.contains(("qa", "plain-state"))
-    assert not oracle.contains(("qa", "other"))
+def test_oracle_rejects_states_that_are_not_ncsb_shaped():
+    # difference() builds the antichain only over NCSB products
+    for state in (("qa", "plain-state"), "plain-state",
+                  ("qa", _macro(), "extra")):
+        for ask in ("add", "contains"):
+            oracle = SubsumptionOracle(subsumes)
+            with pytest.raises(ValueError, match="NCSB"):
+                getattr(oracle, ask)(state)
 
 
 def test_blown_state_limit_still_registers_partial_effort():

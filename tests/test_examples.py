@@ -12,7 +12,7 @@ EXAMPLES = sorted((pathlib.Path(__file__).parent.parent / "examples").glob("*.py
 def test_examples_exist():
     names = {p.name for p in EXAMPLES}
     assert {"quickstart.py", "nonterminating.py",
-            "automata_playground.py", "portfolio_and_export.py"} <= names
+            "automata_playground.py", "portfolio.py"} <= names
 
 
 @pytest.mark.slow

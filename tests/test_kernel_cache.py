@@ -1,9 +1,9 @@
 """Tests for the successor-index / memoization layer of the kernel.
 
-Covers the CachedImplicitGBA wrapper, the lazily built GBA edge index,
-the numbered product, the streaming of Algorithm 1's edges (bounded
-auxiliary memory), the bitset-encoded subsumption antichain, and a
-corpus-level cross-check of ``difference`` under every (subsumption,
+Covers the lazily built GBA edge index, the numbered product (over
+explicit and implicit minuends), the streaming of Algorithm 1's edges
+(bounded auxiliary memory), the bitset-encoded subsumption antichain,
+and a corpus-level cross-check of ``difference`` under every (subsumption,
 cache) combination against the naive materialized-product emptiness
 reference.
 """
@@ -21,7 +21,7 @@ from repro.automata.complement.ncsb import MacroState, subsumes, subsumes_b
 from repro.automata.difference import SubsumptionOracle, difference
 from repro.automata.emptiness import (RemovalStats, find_accepting_lasso,
                                       is_empty_naive, remove_useless)
-from repro.automata.gba import CachedImplicitGBA, GBA, ba, materialize
+from repro.automata.gba import GBA, ba, materialize
 from repro.automata.ops import NumberedProduct, ProductGBA
 from repro.automata.words import accepts
 from repro.benchgen.sdba_corpus import random_sdba
@@ -40,28 +40,6 @@ def random_minuend(seed: int, alphabet, n: int = 4) -> GBA:
             if targets:
                 transitions[(q, s)] = targets
     return ba(alphabet, transitions, [0], states, states=states)
-
-
-# -- CachedImplicitGBA -----------------------------------------------------------
-
-
-def test_cached_wrapper_is_equivalent_and_counts_hits():
-    sdba = random_sdba(7)
-    comp, _ = implicit_complement(sdba)
-    cached = CachedImplicitGBA(comp)
-    assert cached.alphabet == comp.alphabet
-    assert cached.acceptance_count == comp.acceptance_count
-    assert tuple(cached.initial_states()) == tuple(comp.initial_states())
-    state = next(iter(comp.initial_states()))
-    symbol = sorted(cached.alphabet, key=str)[0]
-    first = cached.successors(state, symbol)
-    assert cached.cache_misses == 1 and cached.cache_hits == 0
-    again = cached.successors(state, symbol)
-    assert again is first  # served from the cache, not recomputed
-    assert cached.cache_hits == 1
-    assert set(first) == set(comp.successors(state, symbol))
-    assert cached.accepting_sets_of(state) == frozenset(
-        comp.accepting_sets_of(state))
 
 
 def test_gba_edge_index_matches_transitions():
@@ -318,6 +296,41 @@ def test_many_initial_states_keep_the_plain_root_order():
             assert (getattr(on.stats, field.name)
                     == getattr(off.stats, field.name)), field.name
     assert on.stats.cache_misses == on.stats.explored_states
+
+
+def _implicit_minuend(shape: str, seed: int, alphabet):
+    """An implicit minuend over ``alphabet``: a pair product of two
+    random BAs (two acceptance sets), or a bare NCSB complement."""
+    if shape == "product":
+        return ProductGBA(random_minuend(seed, alphabet),
+                          random_minuend(seed + 1, alphabet, n=3))
+    comp, _ = implicit_complement(random_sdba(seed + 2000, n_nondet=2,
+                                              n_det=3), alphabet)
+    return comp
+
+
+@pytest.mark.parametrize("shape", ["product", "ncsb"])
+@pytest.mark.parametrize("seed", range(4))
+def test_implicit_minuend_gives_the_same_result_cached_or_not(shape, seed):
+    subtrahend = random_sdba(seed, n_nondet=3, n_det=4)
+    minuend = _implicit_minuend(shape, seed, subtrahend.alphabet)
+    assert not isinstance(minuend, GBA)
+    for subsumption in (True, False):
+        on = difference(minuend, subtrahend, subsumption=subsumption,
+                        cache=True)
+        off = difference(minuend, subtrahend, subsumption=subsumption,
+                         cache=False)
+        assert on.automaton.states == off.automaton.states
+        assert dict(on.automaton.transitions) == dict(off.automaton.transitions)
+        assert on.automaton.initial_states() == off.automaton.initial_states()
+        assert on.automaton.acc_sets == off.automaton.acc_sets
+        for name in ("explored_states", "explored_edges", "useful_states",
+                     "useless_states", "subsumption_hits"):
+            assert (getattr(on.stats, name)
+                    == getattr(off.stats, name)), (subsumption, name)
+        # the numbered product is the only cache layer, built once per id
+        assert on.stats.cache_misses == on.stats.explored_states > 0
+        assert off.stats.cache_hits == off.stats.cache_misses == 0
 
 
 # -- numbered product ------------------------------------------------------------
