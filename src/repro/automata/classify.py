@@ -15,7 +15,7 @@ constructions assume:
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable
+from typing import Callable, Iterable
 
 from repro.automata.gba import GBA, State, Symbol
 
@@ -96,6 +96,23 @@ def sdba_parts(auto: GBA) -> tuple[frozenset[State], frozenset[State]] | None:
     normalization, quotienting and NCSB all ask for it.
     """
     return auto.derive(_sdba_parts)
+
+
+def carry_sdba_parts(source: GBA, target: GBA,
+                     convert: Callable[[frozenset[State], frozenset[State]],
+                                       tuple[frozenset[State],
+                                             frozenset[State]] | None],
+                     ) -> None:
+    """Give ``target``, an automaton built from ``source``, the split
+    ``convert(Q1, Q2)`` of ``source``'s known split, so that
+    :func:`sdba_parts` need not search ``target``.  Nothing is recorded
+    when ``source``'s split is not known (or ``source`` is not
+    semideterministic), nor when ``convert`` returns None."""
+    parts = source.known(_sdba_parts)
+    if parts is not None:
+        parts = convert(*parts)
+        if parts is not None:
+            target.settle(_sdba_parts, parts)
 
 
 def _sdba_parts(auto: GBA) -> tuple[frozenset[State], frozenset[State]] | None:
@@ -192,4 +209,11 @@ def normalize_sdba(auto: GBA) -> GBA:
     initial = {dup(q) if q in bad_entries else q for q in auto.initial_states()}
     new_accepting = accepting | {dup(q) for q in bad_entries}
     states = set(auto.states) | {dup(q) for q in bad_entries}
-    return GBA(auto.alphabet, transitions, initial, [new_accepting], states=states)
+    result = GBA(auto.alphabet, transitions, initial, [new_accepting],
+                 states=states)
+    # The duplicates are accepting and lead into Q2, and no Q2 state
+    # leads out of it, so they join Q2 and Q1 stays.
+    dups = frozenset(dup(q) for q in bad_entries)
+    if dups.isdisjoint(auto.states):
+        carry_sdba_parts(auto, result, lambda q1, q2: (q1, q2 | dups))
+    return result

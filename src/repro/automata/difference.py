@@ -11,9 +11,21 @@
 
 By default (``cache=True``) the product is a
 :class:`~repro.automata.ops.NumberedProduct`, which numbers each
-``(qA, qhat)`` pair when first reached; Algorithm 1 and the antichain
-below run over those ints (any other product is numbered on discovery
-by Algorithm 1 itself).
+``(qA, qhat)`` pair when first reached, and each complement state too;
+Algorithm 1 and the antichain below run over those ints (any other
+product is numbered on discovery by Algorithm 1 itself).
+
+A call runs with Python's cyclic garbage collector paused.  The build
+allocates hundreds of thousands of containers -- edge tuples, id rows,
+antichain entries, the complement's memo -- and all of them but the
+result die by refcount when the call returns, for none of them is in a
+reference cycle.  Left running, the collector rescans them while they
+live: on the ``automata`` e2e workload that was about a fifth of the
+job time.  The pause spans the whole call, not just Algorithm 1:
+paused inside :func:`~repro.automata.emptiness.remove_useless` alone,
+the first collection after it scans the whole build, which is still
+alive then.  The caller's ``gc.isenabled()`` is restored on every exit,
+exceptions included.
 
 When ``B`` is complemented through NCSB, the ``emp`` set of Algorithm 1
 is maintained as the subsumption antichain ``ceil(emp)`` of Eq. 10:
@@ -40,6 +52,8 @@ NCSB-Original and Eq. 5 for NCSB-Lazy (Theorem 6.3 / 6.4).
 
 from __future__ import annotations
 
+import functools
+import gc
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -53,7 +67,7 @@ from repro.automata.complement.ncsb import (MacroState, image, subsumes,
 import repro.faults as _faults
 from repro.automata.emptiness import EmptyOracle, RemovalStats, remove_useless
 from repro.automata.gba import GBA, ImplicitGBA, State
-from repro.automata.ops import NumberedProduct, ProductGBA
+from repro.automata.ops import NumberedProduct, ProductGBA, ProductPairs
 from repro.automata.simulation import direct_simulation, quotient
 from repro.core.budget import DeadlineExceeded, ResourceExhausted
 from repro.obs import metrics as _metrics
@@ -96,11 +110,15 @@ class SubsumptionOracle(EmptyOracle):
 
     Algorithm 1 asks by id (:meth:`bind`); :meth:`add` and
     :meth:`contains` take states and number them here.  Each id's row
-    ``[qA, entry, answer]`` is filled on its first query.  The shape of
-    the states -- ``(qA, MacroState)`` pairs (an NCSB product) or bare
-    macro-states (from standalone complementation, as in the Figure 4
-    experiments; one group) -- is read off the first one and fixed for
-    the oracle; any other shape is a ``ValueError``.
+    ``[qA, entry, answer]`` is filled on its first query.  Bound to a
+    :class:`~repro.automata.ops.NumberedProduct`'s pairs, the row reads
+    ``qA`` and the macro-state's number off the product's per-id
+    arrays, and keeps one entry per macro-state number.  Otherwise the
+    shape of the states -- ``(qA, MacroState)`` pairs (an NCSB product)
+    or bare macro-states (from standalone complementation, as in the
+    Figure 4 experiments; one group) -- is read off the first one and
+    fixed for the oracle; any other shape (or a product whose right
+    side is not NCSB) is a ``ValueError``.
 
     ``answer`` remembers a scan's result for as long as it provably
     holds.  "Covered" is final: :meth:`add` drops only entries the new
@@ -116,6 +134,10 @@ class SubsumptionOracle(EmptyOracle):
         super().__init__()
         self._names: Sequence[State] = ()
         self._rows: list[list | None] = []
+        #: the bound product's per-id lists and the entries by
+        #: macro-state number; None when bound to plain states
+        self._pairs: ProductPairs | None = None
+        self._macro_entries: list[tuple | None] = []
         #: state -> id, for the state-keyed :meth:`add`/:meth:`contains`
         self._own: dict[State, int] | None = None
         self._split: Callable[[State], tuple] | None = None
@@ -206,7 +228,23 @@ class SubsumptionOracle(EmptyOracle):
 
     def _fill(self, i: int) -> list:
         """Fill id ``i``'s row: group key, entry and no answer yet."""
-        names, rows = self._names, self._rows
+        rows, pairs = self._rows, self._pairs
+        if pairs is not None:
+            if len(rows) < len(pairs.lefts):
+                rows.extend([None] * (len(pairs.lefts) - len(rows)))
+            r, entries = pairs.right_ids[i], self._macro_entries
+            if r >= len(entries):
+                entries.extend([None] * (len(pairs.rights) - len(entries)))
+            entry = entries[r]
+            if entry is None:
+                macro = pairs.rights[r]
+                if not isinstance(macro, MacroState):
+                    raise ValueError("the antichain holds NCSB states, "
+                                     f"not {macro!r}")
+                entry = entries[r] = self._entry(macro)
+            row = rows[i] = [pairs.lefts[i], entry, None]
+            return row
+        names = self._names
         if len(rows) < len(names):
             rows.extend([None] * (len(names) - len(rows)))
         state = names[i]
@@ -268,6 +306,8 @@ class SubsumptionOracle(EmptyOracle):
         """Ask by id into ``names`` (id -> state) from now on.  The rows
         start empty; the recorded antichain is kept."""
         self._names, self._rows, self._own = names, [], None
+        self._pairs = names if isinstance(names, ProductPairs) else None
+        self._macro_entries = []
         return self._contains_id, self._add_id
 
     def _id(self, state: State) -> int:
@@ -395,6 +435,23 @@ def _subtrahend_simulation(comp) -> set[tuple[State, State]] | None:
     return relation
 
 
+def _collector_paused(fn):
+    """Run ``fn`` with the cyclic garbage collector paused, and give
+    the caller back the collector as it found it on every exit.  The
+    switch is process-wide, so this holds only while no other thread
+    flips it meanwhile; differences run on one thread per process."""
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
+
+
 @dataclass
 class DifferenceResult:
     """Outcome of a difference computation."""
@@ -408,6 +465,7 @@ class DifferenceResult:
         return not self.automaton.initial_states()
 
 
+@_collector_paused
 def difference(minuend: ImplicitGBA, subtrahend: GBA, *,
                lazy: bool = True,
                subsumption: bool = True,
@@ -440,12 +498,17 @@ def difference(minuend: ImplicitGBA, subtrahend: GBA, *,
 
     ``cache`` (default on) selects the product.  On, it is a
     :class:`~repro.automata.ops.NumberedProduct`, the one memoization
-    layer: it asks the minuend once per state and symbol and builds
-    each id's sorted edge list once (``cache_hits``/``cache_misses``).
+    layer: it asks the minuend once per state and symbol and the
+    complement once per complement state and symbol, and builds each
+    id's sorted edge list once (``cache_hits``/``cache_misses``).
     Off, it is the plain :class:`~repro.automata.ops.ProductGBA` over
     pairs, which Algorithm 1 numbers as it discovers them.  Both give
     the same automaton and counts but the cache's own, which stay 0
-    with the cache off.
+    with the cache off.  Either way the call runs with the cyclic
+    garbage collector paused, so that nothing the build allocates is
+    scanned while it lives; what dies with the call is freed by
+    refcount, and only the result is left for the collector (see the
+    module docstring for why the pause spans the whole call).
 
     ``simulation_reduction`` (default on) quotients the subtrahend by
     direct-simulation equivalence before complementation and coarsens

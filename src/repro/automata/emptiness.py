@@ -161,6 +161,8 @@ class _Numbering:
 
 #: Per-id states of Algorithm 1.
 _UNSEEN, _ACTIVE, _USEFUL, _USELESS = 0, 1, 2, 3
+#: Stands for "no symbol run yet" while committing a member's edges.
+_NO_SYMBOL = object()
 
 
 def remove_useless(auto: ImplicitGBA, *,
@@ -184,11 +186,13 @@ def remove_useless(auto: ImplicitGBA, *,
     ``stats`` and, via :func:`repro.automata.difference.difference`,
     in the metrics registry.
     """
+    # ``ids`` grows by one entry per numbered id; ``names`` maps an id
+    # back to its state.
     if isinstance(auto, NumberedProduct):
-        numbered, names = auto, auto.pairs
+        numbered, ids, names = auto, auto.lefts, auto.pairs
     else:
         numbered = _Numbering(auto)
-        names = numbered.states
+        ids = names = numbered.states
     contains = add = None
     if oracle is not None:
         contains, add = oracle.bind(names)
@@ -208,7 +212,7 @@ def remove_useless(auto: ImplicitGBA, *,
     # acceptance lists and commits its useful -> useful edges.
     act_stack: list[tuple[int, frozenset[int], tuple]] = []
     acc: list[list[int]] = [[] for _ in range(k)]
-    transitions: dict[tuple[int, Symbol], set[int]] = {}
+    transitions: dict[tuple[int, Symbol], list[int]] = {}
     useful: list[int] = []  # DFS numbers, in retirement order
     counter = explored_states = explored_edges = hits = useless = 0
     retained = retired = peak = 0
@@ -216,8 +220,8 @@ def remove_useless(auto: ImplicitGBA, *,
     with get_tracer().span("emptiness"):
         try:
             roots = numbered.initial_states()
-            status.extend(bytes(len(names)))
-            dfsnum.extend([0] * len(names))
+            status.extend(bytes(len(ids)))
+            dfsnum.extend([0] * len(ids))
             # Roots in ``repr`` order of their states (the ids' own
             # order would put 10 before 2).
             for root in sorted(roots, key=numbered.root_key):
@@ -242,7 +246,7 @@ def remove_useless(auto: ImplicitGBA, *,
                         edges = edges_from(child)
                         act_stack.append((child, conditions, edges))
                         status[child] = _ACTIVE
-                        grow = len(names) - len(status)
+                        grow = len(ids) - len(status)
                         if grow:
                             status.extend(bytes(grow))
                             dfsnum.extend([0] * grow)
@@ -308,15 +312,19 @@ def remove_useless(auto: ImplicitGBA, *,
                             # Every target is classified by now (a back
                             # edge to a still-active state would have
                             # merged the SCCs), so the useful -> useful
-                            # edges are committed under DFS numbers.
+                            # edges are committed under DFS numbers, one
+                            # target list per run of equal symbols.
                             for member, _, member_edges in members:
                                 retired += len(member_edges)
                                 source = dfsnum[member]
+                                last, targets = _NO_SYMBOL, None
                                 for symbol, target in member_edges:
                                     if status[target] == _USEFUL:
-                                        transitions.setdefault(
-                                            (source, symbol), set()).add(
-                                                dfsnum[target])
+                                        if symbol is not last:
+                                            last = symbol
+                                            targets = transitions.setdefault(
+                                                (source, symbol), [])
+                                        targets.append(dfsnum[target])
                                         retained += 1
                         else:
                             for member, _, member_edges in members:

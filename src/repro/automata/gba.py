@@ -87,18 +87,25 @@ class GBA:
 
     @classmethod
     def _trusted(cls, alphabet: frozenset,
-                 transitions: Mapping[tuple[State, Symbol], Iterable[State]],
+                 transitions: Mapping[tuple[State, Symbol], list[State]],
                  initial: Iterable[State],
                  acc_sets: Iterable[Iterable[State]],
                  states: Iterable[State]) -> "GBA":
         """A GBA from parts already known to be consistent, frozen as
-        given: every symbol in ``alphabet``, every target set nonempty,
+        given: every symbol in ``alphabet``, every target list nonempty,
         and every state -- initial, source, target, accepting -- listed
         in ``states``.  Algorithm 1 builds its result this way; anything
-        else goes through the validating constructor."""
+        else goes through the validating constructor.
+
+        Each target list is frozen once, into the iteration order that
+        copying a set filled from the list in turn gives: the order the
+        next difference's product reads the targets in.  A frozenset
+        built from a list of 5 or more elements sizes its table
+        differently, so those go through a set first."""
         auto = cls.__new__(cls)
         auto._set(alphabet,
-                  {key: frozenset(targets)
+                  {key: frozenset(targets if len(targets) < 5
+                                  else set(targets))
                    for key, targets in transitions.items()},
                   frozenset(initial), tuple(frozenset(f) for f in acc_sets),
                   frozenset(states))
@@ -216,6 +223,16 @@ class GBA:
         if fn not in derived:
             derived[fn] = fn(self)
         return derived[fn]
+
+    def known(self, fn: Callable[["GBA"], T]) -> T | None:
+        """``fn(self)`` if :meth:`derive` already holds it, else None."""
+        return self._derived.get(fn)
+
+    def settle(self, fn: Callable[["GBA"], T], value: T) -> None:
+        """Record ``value`` as ``fn(self)`` for :meth:`derive`, when the
+        code that built this automaton from another knows the fact from
+        that one."""
+        self._derived[fn] = value
 
     def is_ba(self) -> bool:
         return len(self._acc) == 1

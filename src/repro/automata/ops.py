@@ -6,8 +6,10 @@ ints numbered on discovery.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import Iterable
 
+from repro.automata.classify import carry_sdba_parts
 from repro.automata.gba import GBA, ImplicitGBA, State, Symbol
 
 #: Canonical sink state used by :func:`complete`.
@@ -32,23 +34,31 @@ def complete(auto: GBA, alphabet: Iterable[Symbol] | None = None,
         fresh += 1
     transitions: dict[tuple[State, Symbol], set[State]] = {
         key: set(targets) for key, targets in auto.transitions.items()}
-    need_sink = False
+    to_sink: set[State] = set()
     for state in auto.states:
         for symbol in sigma:
             if not transitions.get((state, symbol)):
                 transitions[(state, symbol)] = {sink}
-                need_sink = True
-    if not need_sink:
+                to_sink.add(state)
+    if not to_sink:
         # Even when nothing is missing, return a fresh automaton: callers
         # treat the result as their own copy, and handing back the input
         # object would let mutations of the "completed" automaton corrupt
         # the original.
-        return GBA(sigma, transitions, auto.initial_states(), auto.acc_sets,
-                   states=auto.states)
+        result = GBA(sigma, transitions, auto.initial_states(),
+                     auto.acc_sets, states=auto.states)
+        carry_sdba_parts(auto, result, lambda q1, q2: (q1, q2))
+        return result
     for symbol in sigma:
         transitions[(sink, symbol)] = {sink}
-    return GBA(sigma, transitions, auto.initial_states(), auto.acc_sets,
-               states=set(auto.states) | {sink})
+    result = GBA(sigma, transitions, auto.initial_states(), auto.acc_sets,
+                 states=set(auto.states) | {sink})
+    # The sink only loops, so it joins Q2 exactly when a Q2 state (one
+    # reachable from an accepting state) gained an edge to it.
+    sink_set = frozenset((sink,))
+    carry_sdba_parts(auto, result, lambda q1, q2: (
+        (q1 | sink_set, q2) if q2.isdisjoint(to_sink) else (q1, q2 | sink_set)))
+    return result
 
 
 class ProductGBA:
@@ -90,43 +100,95 @@ class ProductGBA:
                 | frozenset(j + shift for j in self._right.accepting_sets_of(q)))
 
 
+class ProductPairs(Sequence):
+    """The pair behind each id of a :class:`NumberedProduct`, as a
+    read-only sequence over the product's per-id lists: ``pairs[i]`` is
+    built when asked for.  It holds the lists, not the product, so the
+    product holds no reference cycle and is freed by refcount."""
+
+    def __init__(self, lefts: list[State], right_ids: list[int],
+                 rights: list[State]):
+        self.lefts, self.right_ids, self.rights = lefts, right_ids, rights
+
+    def __len__(self) -> int:
+        return len(self.lefts)
+
+    def __getitem__(self, i: int) -> tuple[State, State]:
+        return self.lefts[i], self.rights[self.right_ids[i]]
+
+
 class NumberedProduct(ProductGBA):
     """:class:`ProductGBA` over dense ints, numbered on discovery.
 
-    :attr:`pairs` maps an id back to its pair.  Each id's edge list is
-    built once, in :class:`ProductGBA`'s order (symbols by ``str``, left
-    targets in their iteration order): the left side is asked once per
-    left state and symbol, the right side once per id and symbol, and
-    only when the left side has a successor.  ``cache_misses`` counts
-    the lists built and ``cache_hits`` their re-reads.  The left side's
-    successor collections are kept and re-read, so they must not be
-    one-shot iterators; those of every automaton here are collections.
+    Both sides are kept as ints.  The right side's states (the
+    complement's macro-states, in a difference) are numbered when first
+    reached, in :attr:`rights`; an id is its left state
+    (:attr:`lefts`) and its right state's number (:attr:`right_ids`),
+    and :attr:`pairs` gives its pair back.  A target id is found in a
+    per-left-state table keyed by the right number, so no pair is built
+    or hashed per edge.
+
+    Each id's edge list is built once, in :class:`ProductGBA`'s order
+    (symbols by ``str``, left targets in their iteration order).  The
+    left side is asked once per left state and symbol.  The right side
+    is asked once per right state and symbol, for every left state
+    alike, and only when some left state paired with it has a successor
+    on that symbol; its answer is kept as a row of right numbers.
+    ``cache_misses`` counts the edge lists built and ``cache_hits``
+    their re-reads.  The left side's successor collections are read
+    once, when their row is built.
     """
 
     def __init__(self, left: ImplicitGBA, right: ImplicitGBA):
         super().__init__(left, right)
         self._symbols = tuple(sorted(left.alphabet, key=str))
-        self.pairs: list[tuple[State, State]] = []
-        self._ids: dict[tuple[State, State], int] = {}
+        #: per id: its left state and its right state's number
+        self.lefts: list[State] = []
+        self.right_ids: list[int] = []
+        #: right number -> right state
+        self.rights: list[State] = []
+        self._right_number: dict[State, int] = {}
+        #: right number -> per symbol index, its successors' numbers
+        #: (None until asked)
+        self._right_rows: list[list[tuple[int, ...] | None]] = []
+        #: left state -> {right number: id}
+        self._tables: dict[State, dict[int, int]] = {}
         self._edges: list[tuple[tuple[Symbol, int], ...] | None] = []
-        #: left state -> its nonempty ``(symbol, left targets)`` rows
-        self._rows: dict[State, tuple[tuple[Symbol, Iterable[State]], ...]] = {}
+        #: left state -> its nonempty ``(symbol index, symbol, ((left
+        #: target, its table), ...))`` rows
+        self._rows: dict[State, tuple[tuple[int, Symbol,
+                                            tuple[tuple[State, dict], ...]],
+                                      ...]] = {}
         #: ``F(q)`` by the two sides' answers: equal unions are shared
         self._joined: dict[tuple[frozenset, frozenset], frozenset[int]] = {}
         self._initial: list[int] | None = None
+        self.pairs = ProductPairs(self.lefts, self.right_ids, self.rights)
         self.cache_hits = 0
         self.cache_misses = 0
 
-    def _number(self, pair: tuple[State, State]) -> int:
-        state = self._ids[pair] = len(self.pairs)
-        self.pairs.append(pair)
+    def _number_right(self, state: State) -> int:
+        r = self._right_number.get(state)
+        if r is None:
+            r = self._right_number[state] = len(self.rights)
+            self.rights.append(state)
+            self._right_rows.append([None] * len(self._symbols))
+        return r
+
+    def _number(self, left: State, table: dict[int, int], r: int) -> int:
+        state = table[r] = len(self.lefts)
+        self.lefts.append(left)
+        self.right_ids.append(r)
         self._edges.append(None)
         return state
 
     def initial_states(self) -> list[int]:
         if self._initial is None:
-            self._initial = [self._number(pair)
-                             for pair in super().initial_states()]
+            rights = [self._number_right(q)
+                      for q in self._right.initial_states()]
+            tables = self._tables
+            self._initial = [self._number(p, tables.setdefault(p, {}), r)
+                             for p in self._left.initial_states()
+                             for r in rights]
         return self._initial
 
     def root_key(self, state: int) -> str:
@@ -138,13 +200,29 @@ class NumberedProduct(ProductGBA):
         return [target for a, target in self.edges_from(state) if a == symbol]
 
     def accepting_sets_of(self, state: int) -> frozenset[int]:
-        p, q = pair = self.pairs[state]
+        p, q = self.lefts[state], self.rights[self.right_ids[state]]
         key = (self._left.accepting_sets_of(p),
                self._right.accepting_sets_of(q))
         joined = self._joined.get(key)
         if joined is None:
-            joined = self._joined[key] = super().accepting_sets_of(pair)
+            joined = self._joined[key] = super().accepting_sets_of((p, q))
         return joined
+
+    def _left_rows(self, p: State) -> tuple:
+        left, tables = self._left.successors, self._tables
+        rows = self._rows[p] = tuple(
+            (index, symbol, tuple((p2, tables.setdefault(p2, {}))
+                                  for p2 in lefts))
+            for index, symbol in enumerate(self._symbols)
+            if (lefts := left(p, symbol)))
+        return rows
+
+    def _right_row(self, r: int, index: int) -> tuple[int, ...]:
+        number = self._number_right
+        row = tuple(number(q2) for q2 in self._right.successors(
+            self.rights[r], self._symbols[index]))
+        self._right_rows[r][index] = row
+        return row
 
     def edges_from(self, state: int) -> tuple[tuple[Symbol, int], ...]:
         """Outgoing ``(symbol, target id)`` edges, symbols in sorted order."""
@@ -153,21 +231,21 @@ class NumberedProduct(ProductGBA):
             self.cache_hits += 1
             return edges
         self.cache_misses += 1
-        p, q = self.pairs[state]
+        p, r = self.lefts[state], self.right_ids[state]
         rows = self._rows.get(p)
         if rows is None:
-            left = self._left.successors
-            rows = self._rows[p] = tuple(
-                (symbol, lefts) for symbol in self._symbols
-                if (lefts := left(p, symbol)))
-        right, ids, out = self._right.successors, self._ids, []
-        for symbol, lefts in rows:
-            rights = right(q, symbol)
-            for p2 in lefts:
-                for q2 in rights:
-                    target = ids.get((p2, q2))
+            rows = self._left_rows(p)
+        right_row, number, out = self._right_rows[r], self._number, []
+        append = out.append
+        for index, symbol, lefts in rows:
+            rights = right_row[index]
+            if rights is None:
+                rights = self._right_row(r, index)
+            for p2, table in lefts:
+                for r2 in rights:
+                    target = table.get(r2)
                     if target is None:
-                        target = self._number((p2, q2))
-                    out.append((symbol, target))
+                        target = number(p2, table, r2)
+                    append((symbol, target))
         edges = self._edges[state] = tuple(out)
         return edges

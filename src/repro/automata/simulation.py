@@ -33,8 +33,10 @@ solver of the early games and against the actual complement automata.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable
 
+from repro.automata.classify import carry_sdba_parts
 from repro.automata.gba import GBA, State
 from repro.core.budget import current_budget
 from repro.obs import metrics as _metrics
@@ -200,5 +202,20 @@ def quotient(auto: GBA,
     accepting = {number[q] for q in auto.accepting}
     initial = {number[q] for q in auto.initial_states()}
     from repro.automata.gba import ba
-    return ba(auto.alphabet, transitions, initial, accepting,
-              states=set(cls))
+    result = ba(auto.alphabet, transitions, initial, accepting,
+                states=set(cls))
+    carry_sdba_parts(auto, result, partial(_class_parts, number))
+    return result
+
+
+def _class_parts(number: dict[State, int], q1: frozenset[State],
+                 q2: frozenset[State]
+                 ) -> tuple[frozenset[int], frozenset[int]] | None:
+    """The quotient's ``(Q1, Q2)`` split from its input's, when no class
+    mixes the two parts (else None).  Mutually similar states of the
+    deterministic ``Q2`` have mutually similar successors, so ``Q2``'s
+    classes stay deterministic, and they are the classes reachable from
+    an accepting one."""
+    c1 = frozenset(number[q] for q in q1)
+    c2 = frozenset(number[q] for q in q2)
+    return (c1, c2) if c1.isdisjoint(c2) else None

@@ -133,3 +133,72 @@ def test_normalize_rejects_general_ba():
                  ["f"], ["f"])
     with pytest.raises(ValueError):
         normalize_sdba(general)
+
+
+def _raw_sdba(seed):
+    """A random SDBA, possibly incomplete and unnormalized, with an
+    initial state in Q1 or Q2."""
+    rng = random.Random(seed)
+    q1 = [f"n{i}" for i in range(3)]
+    q2 = [f"d{i}" for i in range(4)]
+    accepting = [q for q in q2 if rng.random() < 0.5] or [q2[0]]
+    transitions = {}
+    for q in q1:
+        for s in SIGMA:
+            targets = {t for t in q1 if rng.random() < 0.4}
+            if rng.random() < 0.5:
+                targets.add(rng.choice(q2))
+            if targets:
+                transitions[(q, s)] = targets
+    for q in q2:
+        for s in SIGMA:
+            if rng.random() < 0.8:
+                transitions[(q, s)] = {rng.choice(q2)}
+    return ba(SIGMA, transitions, [rng.choice(q1 + q2)], accepting,
+              states=q1 + q2)
+
+
+def test_carried_sdba_parts_equal_a_fresh_search():
+    # complete, normalize_sdba and quotient hand their output the split
+    # that follows from their input's; it must be the one a search of
+    # the output finds.
+    from repro.automata.classify import _sdba_parts
+    from repro.automata.ops import complete
+    from repro.automata.simulation import direct_simulation, quotient
+
+    def carried(auto):
+        known = auto.known(_sdba_parts)
+        assert known is not None
+        assert known == _sdba_parts(auto)
+
+    seen = {"sink in Q1": 0, "sink in Q2": 0, "duplicates": 0,
+            "quotient": 0}
+    for seed in range(60):
+        auto = _raw_sdba(seed)
+        assert sdba_parts(auto) is not None
+        for sigma in (SIGMA, SIGMA | {"c"}):
+            completed = complete(auto, sigma)
+            carried(completed)
+            if completed.states != auto.states:
+                q2 = sdba_parts(completed)[1]
+                seen["sink in Q2" if q2 - auto.states else "sink in Q1"] += 1
+        normalized = normalize_sdba(completed)
+        carried(normalized)
+        seen["duplicates"] += normalized is not completed
+        related = direct_simulation(normalized, parts=sdba_parts(normalized))
+        reduced = quotient(normalized, related=related)
+        if reduced is not normalized:
+            carried(reduced)
+            seen["quotient"] += 1
+    assert all(seen.values()), seen
+
+    # A simulation that ignores the split may merge a Q1 state into a
+    # Q2 class; then nothing is carried.
+    mixed = ba(SIGMA, {("n", "a"): {"n"}, ("n", "b"): {"n"},
+                       ("f", "a"): {"d"}, ("f", "b"): {"f"},
+                       ("d", "a"): {"d"}, ("d", "b"): {"d"}},
+               ["n", "f"], ["f"])
+    assert sdba_parts(mixed) == ({"n"}, {"f", "d"})
+    merged = quotient(mixed, related=direct_simulation(mixed))
+    assert len(merged.states) == 2
+    assert merged.known(_sdba_parts) is None

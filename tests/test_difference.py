@@ -247,3 +247,88 @@ def test_expired_deadline_still_registers_partial_effort():
                        deadline=time.perf_counter() - 1.0)
         counters = registry.snapshot()["counters"]
     assert counters.get("difference.aborted", 0) == 1
+
+
+# -- the collector is paused for the call ------------------------------------
+
+
+@pytest.fixture
+def collector():
+    """Give the test the collector as enabled, and the rest of the run
+    the collector's state back afterwards."""
+    import gc
+
+    enabled = gc.isenabled()
+    gc.enable()
+    yield gc
+    (gc.enable if enabled else gc.disable)()
+
+
+def _raising_call(kind):
+    """A ``difference`` call that ends in an exception of ``kind``."""
+    import time
+
+    import repro.faults as faults
+    from repro.core.budget import DeadlineExceeded, ResourceExhausted
+
+    minuend, subtrahend = random_ba(5, n=5), random_ba(6, n=4)
+    if kind == "state_limit":
+        return ResourceExhausted, lambda: difference(minuend, subtrahend,
+                                                     state_limit=1)
+    if kind == "deadline":
+        return DeadlineExceeded, lambda: difference(
+            minuend, subtrahend, deadline=time.perf_counter() - 1.0)
+
+    def injected():
+        with faults.use_plan(faults.FaultPlan(seed=0, crash_rate=1.0,
+                                              sites=("difference",))):
+            difference(minuend, subtrahend)
+    return faults.InjectedFault, injected
+
+
+def test_difference_pauses_the_collector_and_restores_it(collector,
+                                                          monkeypatch):
+    import importlib
+
+    # the package attribute ``repro.automata.difference`` is the function
+    module = importlib.import_module("repro.automata.difference")
+    seen = []
+    real = module.remove_useless
+
+    def spy(*args, **kwargs):
+        seen.append(collector.isenabled())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, "remove_useless", spy)
+    difference(sdba(1), sdba(2))
+    assert seen == [False]
+    assert collector.isenabled()
+
+
+@pytest.mark.parametrize("kind", ["state_limit", "deadline", "fault"])
+def test_difference_restores_the_collector_when_it_raises(collector, kind):
+    error, call = _raising_call(kind)
+    with pytest.raises(error):
+        call()
+    assert collector.isenabled()
+
+
+@pytest.mark.parametrize("kind", [None, "state_limit", "deadline", "fault"])
+def test_difference_leaves_a_paused_collector_paused(collector, kind):
+    collector.disable()
+    if kind is None:
+        difference(sdba(3), sdba(4))
+    else:
+        error, call = _raising_call(kind)
+        with pytest.raises(error):
+            call()
+    assert not collector.isenabled()
+
+
+def test_difference_leaves_no_cyclic_garbage(collector):
+    # Everything a call builds but its result dies by refcount, so the
+    # collector, resumed, has nothing of the call's to collect.
+    collector.collect()
+    collector.disable()
+    difference(sdba(5), sdba(6))
+    assert collector.collect() == 0

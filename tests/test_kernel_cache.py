@@ -11,6 +11,7 @@ reference.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import fields
 from types import SimpleNamespace
 
@@ -372,6 +373,52 @@ def test_numbered_product_mirrors_the_pair_product():
     state = numbered.initial_states()[0]
     assert numbered.edges_from(state) is numbered.edges_from(state)
     assert numbered.cache_hits == hits + 2
+
+
+class CountedComplement:
+    """An implicit automaton that counts the ``successors`` questions
+    asked of the one it wraps, per (state, symbol)."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.asked = Counter()
+        self.alphabet = inner.alphabet
+        self.acceptance_count = inner.acceptance_count
+
+    def initial_states(self):
+        return self.inner.initial_states()
+
+    def accepting_sets_of(self, state):
+        return self.inner.accepting_sets_of(state)
+
+    def successors(self, state, symbol):
+        self.asked[state, symbol] += 1
+        return self.inner.successors(state, symbol)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_numbered_product_asks_the_complement_once_per_row(seed):
+    subtrahend = random_sdba(seed)
+    minuend = random_minuend(seed, subtrahend.alphabet, n=5)
+    comp, _ = implicit_complement(subtrahend, minuend.alphabet)
+    counted = CountedComplement(comp)
+    numbered = NumberedProduct(minuend, counted)
+    frontier = list(numbered.initial_states())
+    seen = set(frontier)
+    product_rows = 0  # (id, symbol) pairs with a left successor
+    while frontier:
+        state = frontier.pop()
+        p = numbered.pairs[state][0]
+        product_rows += sum(1 for symbol in minuend.alphabet
+                            if minuend.successors(p, symbol))
+        for _, target in numbered.edges_from(state):
+            if target not in seen:
+                seen.add(target)
+                frontier.append(target)
+    assert all(isinstance(q, MacroState) for q, _ in counted.asked)
+    assert max(counted.asked.values()) == 1
+    # left states share the macro-states' rows
+    assert len(counted.asked) < product_rows
 
 
 @pytest.mark.parametrize("relation", [subsumes, subsumes_b])
