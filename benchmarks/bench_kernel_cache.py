@@ -2,12 +2,14 @@
 
 Ablation for ``difference(..., cache=...)``, which selects the product
 Algorithm 1 explores: cached, a ``NumberedProduct`` that numbers each
-``(state, macro-state)`` pair on discovery, asks the minuend once per
-state and symbol, and builds each id's sorted edge list once (one
-cache miss per list built, one hit per re-read); uncached, the plain
-``ProductGBA`` over pairs, which Algorithm 1 numbers on discovery
-itself.  Either way Algorithm 1 and the subsumption antichain run over
-ints, so the modes differ only in how the product's edges are built.
+``(state, macro-state)`` pair on discovery and asks the minuend once
+per state and symbol and the complement once per macro-state and
+symbol -- the difference's only memo; uncached, the plain
+``ProductGBA`` over pairs with no memo anywhere: it asks the minuend
+and the complement once per product state and symbol, and Algorithm 1
+numbers the pairs on discovery itself.  Either way Algorithm 1 and the
+subsumption antichain run over ints, so the modes differ only in how
+often each side is asked and how the product's edges are built.
 
 Methodology: for each ``bench_scaling`` family at its largest
 configuration, one default-config analysis run harvests the
@@ -21,15 +23,19 @@ is pure memoization).
 A second sweep exercises the Figure-4 corpus: differences against the
 random SDBA corpus, cached vs uncached.
 
-Expected shape: the two modes take about the same time, because both
-share Algorithm 1's id loop, the antichain's memo and the per-module
-direct simulation.  The headline (the nested family, 60 modules)
-asserts only that the cached path is at least half as fast as the
-uncached one, a guard against a step-change regression in the
-numbered product.  Measured on a 2-vCPU host with
-``REPRO_BENCH_TIMEOUT=3`` and ``REPRO_BENCH_RANDOM=5``, 24 runs:
-0.80-1.67x (median 1.19x; 0.14-0.39 s cached against 0.18-0.34 s
-uncached).  The record's ``config.chains`` holds each family's chain
+Expected shape: on the chains the two modes take about the same time,
+because both share Algorithm 1's id loop, the antichain's memo and the
+per-module direct simulation; on the corpus sweep the uncached path,
+which asks the complement once per product state and symbol, is about
+twice as slow.  The headline (the nested family, 60 modules) asserts
+only that the cached path is at least half as fast as the uncached
+one, a guard against a step-change regression in the numbered product.
+Measured on a 2-vCPU host with ``REPRO_BENCH_TIMEOUT=3`` and
+``REPRO_BENCH_RANDOM=5``, 6 runs: 1.05-1.22x (median 1.18x; 0.14-0.23 s
+cached against 0.16-0.28 s uncached); the corpus sweep took 42-56 ms
+cached and 93-114 ms uncached.  While the complements kept successor
+memos of their own, the uncached path reused them, and 24 runs read
+0.80-1.67x.  The record's ``config.chains`` holds each family's chain
 length, so ``python -m repro trajectory`` only aligns runs that
 replayed chains of the same length.  Each remainder's states are
 Algorithm 1's DFS numbers, so a chain's products stay

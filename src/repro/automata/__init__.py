@@ -20,8 +20,9 @@ Modules:
   procedures of the multi-stage approach,
 - :mod:`repro.automata.difference` -- the on-the-fly difference of a GBA
   and a BA with subsumption pruning (Sections 4 and 6); ``cache``
-  selects its product: numbered on the fly with memoized edge lists, or
-  the plain pair product that Algorithm 1 numbers,
+  selects its product: numbered on the fly, the one memo that asks each
+  side once per state and symbol, or the plain pair product with no
+  memo, which Algorithm 1 numbers,
 - :mod:`repro.automata.simulation` -- direct simulation and
   simulation quotienting (Section 6.1),
 - :mod:`repro.automata.semidet` -- semi-determinization (BA -> SDBA).

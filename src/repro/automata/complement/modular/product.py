@@ -30,9 +30,8 @@ from repro.automata.complement.modular.analyze import (Condensation, SCCClass,
 from repro.automata.complement.modular.partials import build_partials
 from repro.automata.gba import GBA, State, Symbol
 from repro.core.budget import current_budget
-from repro.obs import metrics as _metrics
 
-#: Poll the deadline every this many fresh macro-state expansions.
+#: Poll the deadline every this many macro-state expansions.
 _DEADLINE_STRIDE = 64
 
 
@@ -64,9 +63,10 @@ class ModularComplement:
         self._auto = auto
         self._cond = cond if cond is not None else condensation(auto)
         self._partials = build_partials(auto, self._cond)
-        self._succ_cache: dict[tuple[ModularState, Symbol],
-                               tuple[ModularState, ...]] = {}
-        self._expansions = 0
+        #: successor computations and the macro-states they returned;
+        #: ``difference`` adds them to ``complement.modular.*`` per call
+        self.expansions = 0
+        self.macrostates = 0
 
     @property
     def component_counts(self) -> dict[str, int]:
@@ -116,23 +116,19 @@ class ModularComplement:
 
     def successors(self, state: ModularState,
                    symbol: Symbol) -> tuple[ModularState, ...]:
-        """Memoized: the difference product asks for the same complement
-        state from many product states."""
-        key = (state, symbol)
-        cached = self._succ_cache.get(key)
-        if cached is None:
-            if _faults._ACTIVE is not None:
-                _faults.perturb("complement.modular")
-            cached = self._compute_successors(state, symbol)
-            self._succ_cache[key] = cached
-            _metrics.inc("complement.modular.expansions")
-            _metrics.inc("complement.modular.macrostates", len(cached))
+        """Computed on every call, with no memo: the difference's
+        numbered product asks once per macro-state and symbol and keeps
+        the answer."""
+        if _faults._ACTIVE is not None:
+            _faults.perturb("complement.modular")
+        out = self._compute_successors(state, symbol)
+        self.expansions += 1
+        self.macrostates += len(out)
+        if self.expansions % _DEADLINE_STRIDE == 0:
             budget = current_budget()
             if budget is not None:
-                self._expansions += 1
-                if self._expansions % _DEADLINE_STRIDE == 0:
-                    budget.check_deadline("modular-complement")
-        return cached
+                budget.check_deadline("modular-complement")
+        return out
 
     def _compute_successors(self, state: ModularState,
                             symbol: Symbol) -> tuple[ModularState, ...]:

@@ -45,7 +45,6 @@ from repro.automata.classify import (entries_accepting, is_complete,
                                      normalize_sdba, sdba_parts)
 from repro.automata.gba import GBA, State, Symbol
 from repro.automata.ops import complete
-from repro.obs import metrics as _metrics
 
 
 class MacroState(NamedTuple):
@@ -120,9 +119,10 @@ class _NCSBBase:
         self._f = self.mask(auto.accepting)
         #: symbol -> successor mask of each state, in bit order
         self._rows: dict[Symbol, list[int]] = {}
-        self._succ_cache: dict[tuple[MacroState, Symbol], list[MacroState]] = {}
-        self._metric_expansions = f"complement.{self.KIND}.expansions"
-        self._metric_macrostates = f"complement.{self.KIND}.macrostates"
+        #: successor computations and the macro-states they returned;
+        #: ``difference`` adds them to ``complement.<KIND>.*`` per call
+        self.expansions = 0
+        self.macrostates = 0
 
     @property
     def sdba(self) -> GBA:
@@ -181,18 +181,15 @@ class _NCSBBase:
         return frozenset([0]) if state.is_accepting() else frozenset()
 
     def successors(self, state: MacroState, symbol: Symbol) -> list[MacroState]:
-        """Memoized: the difference product asks for the same complement
-        state from many product states."""
-        key = (state, symbol)
-        cached = self._succ_cache.get(key)
-        if cached is None:
-            if _faults._ACTIVE is not None:
-                _faults.perturb("complement.ncsb")
-            cached = self._compute_successors(state, self._row(symbol))
-            self._succ_cache[key] = cached
-            _metrics.inc(self._metric_expansions)
-            _metrics.inc(self._metric_macrostates, len(cached))
-        return cached
+        """Computed on every call, with no memo: the difference's
+        numbered product asks once per macro-state and symbol and keeps
+        the answer."""
+        if _faults._ACTIVE is not None:
+            _faults.perturb("complement.ncsb")
+        out = self._compute_successors(state, self._row(symbol))
+        self.expansions += 1
+        self.macrostates += len(out)
+        return out
 
 
 class NCSBOriginal(_NCSBBase):

@@ -67,7 +67,6 @@ class RankComplement:
             self._max_rank = elevator_rank_bound(auto)
         else:
             self._max_rank = max_rank
-        self._succ_cache: dict[tuple[RankState, Symbol], tuple[RankState, ...]] = {}
 
     @property
     def alphabet(self) -> frozenset:
@@ -85,12 +84,10 @@ class RankComplement:
         return frozenset([0]) if not state.owing else frozenset()
 
     def successors(self, state: RankState, symbol: Symbol) -> tuple[RankState, ...]:
-        key = (state, symbol)
-        cached = self._succ_cache.get(key)
-        if cached is None:
-            cached = tuple(self._compute_successors(state, symbol))
-            self._succ_cache[key] = cached
-        return cached
+        """Computed on every call, with no memo: the difference's
+        numbered product asks once per ranking and symbol and keeps the
+        answer."""
+        return tuple(self._compute_successors(state, symbol))
 
     def _compute_successors(self, state: RankState, symbol: Symbol) -> Iterator[RankState]:
         ranks = state.rank_map()

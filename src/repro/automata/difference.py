@@ -13,11 +13,15 @@ By default (``cache=True``) the product is a
 :class:`~repro.automata.ops.NumberedProduct`, which numbers each
 ``(qA, qhat)`` pair when first reached, and each complement state too;
 Algorithm 1 and the antichain below run over those ints (any other
-product is numbered on discovery by Algorithm 1 itself).
+product is numbered on discovery by Algorithm 1 itself).  It is the
+difference's only memo: it asks each side once per state and symbol,
+so the complements keep no successor memo, and Algorithm 1's stack
+holds an id's edges until its SCC retires.  The call adds the
+complement's tallies to the ``complement.<kind>.*`` counters.
 
 A call runs with Python's cyclic garbage collector paused.  The build
 allocates hundreds of thousands of containers -- edge tuples, id rows,
-antichain entries, the complement's memo -- and all of them but the
+antichain entries, complement macro-states -- and all of them but the
 result die by refcount when the call returns, for none of them is in a
 reference cycle.  Left running, the collector rescans them while they
 live: on the ``automata`` e2e workload that was about a fifth of the
@@ -369,10 +373,6 @@ class SubsumptionOracle(EmptyOracle):
         return self._size
 
 
-#: Shape guards for forced/pinned kinds (see dispatch.KIND_GUARDS; kinds
-#: absent there -- RANK, VIA_SEMIDET, MODULAR -- apply to any BA).
-_KIND_GUARDS = KIND_GUARDS
-
 #: Complementation cost levels (finite-trace < DBA < NCSB < general).
 _KIND_COST = {ComplementKind.FINITE_TRACE: 0, ComplementKind.DBA: 1,
               ComplementKind.SDBA_ORIGINAL: 2, ComplementKind.SDBA_LAZY: 2,
@@ -406,7 +406,7 @@ def _reduced_subtrahend(subtrahend: GBA,
     if removed <= 0:
         return subtrahend
     if kind is not None:
-        guard = _KIND_GUARDS.get(kind)
+        guard = KIND_GUARDS.get(kind)
         if guard is not None and not guard(reduced):
             return subtrahend
     elif _KIND_COST[classify_kind(reduced)] > _KIND_COST[classify_kind(subtrahend)]:
@@ -497,14 +497,15 @@ def difference(minuend: ImplicitGBA, subtrahend: GBA, *,
     ``kind=MODULAR`` never falls back.
 
     ``cache`` (default on) selects the product.  On, it is a
-    :class:`~repro.automata.ops.NumberedProduct`, the one memoization
-    layer: it asks the minuend once per state and symbol and the
-    complement once per complement state and symbol, and builds each
-    id's sorted edge list once (``cache_hits``/``cache_misses``).
-    Off, it is the plain :class:`~repro.automata.ops.ProductGBA` over
-    pairs, which Algorithm 1 numbers as it discovers them.  Both give
-    the same automaton and counts but the cache's own, which stay 0
-    with the cache off.  Either way the call runs with the cyclic
+    :class:`~repro.automata.ops.NumberedProduct`, the one memo of the
+    call: it asks the minuend once per state and symbol and the
+    complement once per complement state and symbol.  Off, it is the
+    plain :class:`~repro.automata.ops.ProductGBA` over pairs, with no
+    memo anywhere: it asks both sides once per product state and
+    symbol, and Algorithm 1 numbers the pairs as it discovers them.
+    Both give the same automaton and exploration counts; only the
+    ``complement.<kind>.*`` counts, which tally the questions asked,
+    are higher with the cache off.  Either way the call runs with the cyclic
     garbage collector paused, so that nothing the build allocates is
     scanned while it lives; what dies with the call is freed by
     refcount, and only the result is left for the collector (see the
@@ -551,11 +552,9 @@ def difference(minuend: ImplicitGBA, subtrahend: GBA, *,
                 oracle = SubsumptionOracle(relation, simulation=simulation,
                                            complement=comp)
             def register(stats: RemovalStats) -> None:
-                """Fold the cache/oracle counters into ``stats`` and
-                account the attempt in the metrics registry."""
-                if cache:
-                    stats.cache_hits = product.cache_hits
-                    stats.cache_misses = product.cache_misses
+                """Fold the oracle counters into ``stats`` and account
+                the attempt, the complement's counts included, in the
+                metrics registry."""
                 if isinstance(oracle, SubsumptionOracle):
                     stats.prefilter_skips = oracle.prefilter_skips
                     stats.sim_subsumption_hits = oracle.sim_subsumption_hits
@@ -568,12 +567,16 @@ def difference(minuend: ImplicitGBA, subtrahend: GBA, *,
                     for key in ("weak", "det", "rank"):
                         registry.counter(
                             f"complement.modular.components.{key}").inc(counts[key])
+                expansions = getattr(comp, "expansions", 0)
+                if expansions:
+                    registry.counter(
+                        f"complement.{comp.KIND}.expansions").inc(expansions)
+                    registry.counter(
+                        f"complement.{comp.KIND}.macrostates").inc(comp.macrostates)
                 registry.counter("difference.calls").inc()
                 registry.counter("difference.explored_states").inc(stats.explored_states)
                 registry.counter("difference.explored_edges").inc(stats.explored_edges)
                 registry.counter("difference.subsumption_hits").inc(stats.subsumption_hits)
-                registry.counter("difference.cache.hits").inc(stats.cache_hits)
-                registry.counter("difference.cache.misses").inc(stats.cache_misses)
                 registry.counter(f"difference.by_kind.{used_kind.value}").inc()
                 registry.counter(
                     f"difference.by_kind.{used_kind.value}.explored_states").inc(

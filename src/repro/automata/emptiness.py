@@ -78,7 +78,9 @@ class EmptyOracle:
 
 @dataclass
 class RemovalStats:
-    """Exploration counters reported by :func:`remove_useless`."""
+    """Exploration counters reported by :func:`remove_useless`;
+    ``difference`` adds the oracle's counts and the modular split.  The
+    complement's counts go to the metrics registry only."""
 
     explored_states: int = 0
     explored_edges: int = 0
@@ -89,10 +91,6 @@ class RemovalStats:
     #: under-report pruning).
     useless_states: int = 0
     subsumption_hits: int = 0
-    #: Re-reads and builds of the numbered product's edge lists, filled
-    #: in by ``difference`` with ``cache=True`` (0 otherwise).
-    cache_hits: int = 0
-    cache_misses: int = 0
     #: Peak number of explored edges not yet retired.  A state's edges
     #: are held only until its SCC is classified, so this is
     #: proportional to the active part -- not to the whole exploration.

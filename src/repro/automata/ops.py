@@ -128,15 +128,17 @@ class NumberedProduct(ProductGBA):
     per-left-state table keyed by the right number, so no pair is built
     or hashed per edge.
 
-    Each id's edge list is built once, in :class:`ProductGBA`'s order
-    (symbols by ``str``, left targets in their iteration order).  The
-    left side is asked once per left state and symbol.  The right side
-    is asked once per right state and symbol, for every left state
-    alike, and only when some left state paired with it has a successor
-    on that symbol; its answer is kept as a row of right numbers.
-    ``cache_misses`` counts the edge lists built and ``cache_hits``
-    their re-reads.  The left side's successor collections are read
-    once, when their row is built.
+    This is the difference's one memo.  The left side is asked once per
+    left state and symbol, and its successor collections are read once,
+    when their row is built.  The right side is asked once per right
+    state and symbol, for every left state alike, and only when some
+    left state paired with it has a successor on that symbol; its
+    answer is kept as a row of right numbers.  An id's edge list is
+    built from those rows each time it is asked for, in
+    :class:`ProductGBA`'s order (symbols by ``str``, left targets in
+    their iteration order), and is not kept: Algorithm 1 asks once per
+    id and holds the list on its own stack until the id's SCC retires.
+    A repeated ask gives an equal list, for the ids are numbered once.
     """
 
     def __init__(self, left: ImplicitGBA, right: ImplicitGBA):
@@ -153,7 +155,6 @@ class NumberedProduct(ProductGBA):
         self._right_rows: list[list[tuple[int, ...] | None]] = []
         #: left state -> {right number: id}
         self._tables: dict[State, dict[int, int]] = {}
-        self._edges: list[tuple[tuple[Symbol, int], ...] | None] = []
         #: left state -> its nonempty ``(symbol index, symbol, ((left
         #: target, its table), ...))`` rows
         self._rows: dict[State, tuple[tuple[int, Symbol,
@@ -163,8 +164,6 @@ class NumberedProduct(ProductGBA):
         self._joined: dict[tuple[frozenset, frozenset], frozenset[int]] = {}
         self._initial: list[int] | None = None
         self.pairs = ProductPairs(self.lefts, self.right_ids, self.rights)
-        self.cache_hits = 0
-        self.cache_misses = 0
 
     def _number_right(self, state: State) -> int:
         r = self._right_number.get(state)
@@ -178,7 +177,6 @@ class NumberedProduct(ProductGBA):
         state = table[r] = len(self.lefts)
         self.lefts.append(left)
         self.right_ids.append(r)
-        self._edges.append(None)
         return state
 
     def initial_states(self) -> list[int]:
@@ -226,11 +224,6 @@ class NumberedProduct(ProductGBA):
 
     def edges_from(self, state: int) -> tuple[tuple[Symbol, int], ...]:
         """Outgoing ``(symbol, target id)`` edges, symbols in sorted order."""
-        edges = self._edges[state]
-        if edges is not None:
-            self.cache_hits += 1
-            return edges
-        self.cache_misses += 1
         p, r = self.lefts[state], self.right_ids[state]
         rows = self._rows.get(p)
         if rows is None:
@@ -247,5 +240,4 @@ class NumberedProduct(ProductGBA):
                     if target is None:
                         target = number(p2, table, r2)
                     append((symbol, target))
-        edges = self._edges[state] = tuple(out)
-        return edges
+        return tuple(out)

@@ -10,6 +10,7 @@ reference.
 
 from __future__ import annotations
 
+import importlib
 import random
 from collections import Counter
 from dataclasses import fields
@@ -17,8 +18,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.automata.complement.dispatch import implicit_complement
+from repro.automata.complement.dispatch import (ComplementKind,
+                                                implicit_complement)
 from repro.automata.complement.ncsb import MacroState, subsumes, subsumes_b
+from repro.automata.complement.rank_based import RankComplement
 from repro.automata.difference import SubsumptionOracle, difference
 from repro.automata.emptiness import (RemovalStats, find_accepting_lasso,
                                       is_empty_naive, remove_useless)
@@ -26,7 +29,26 @@ from repro.automata.gba import GBA, ba, materialize
 from repro.automata.ops import NumberedProduct, ProductGBA
 from repro.automata.words import accepts
 from repro.benchgen.sdba_corpus import random_sdba
+from repro.obs.metrics import MetricsRegistry, use_registry
 from tests.shapes import isomorphic
+
+#: The module behind the package attribute ``repro.automata.difference``,
+#: which is the function.
+DIFFERENCE = importlib.import_module("repro.automata.difference")
+
+
+@pytest.fixture
+def edge_asks(monkeypatch) -> Counter:
+    """Counts the ``NumberedProduct.edges_from`` calls per (product, id)."""
+    asks = Counter()
+    edges_from = NumberedProduct.edges_from
+
+    def counted(self, state):
+        asks[id(self), state] += 1
+        return edges_from(self, state)
+
+    monkeypatch.setattr(NumberedProduct, "edges_from", counted)
+    return asks
 
 
 def random_minuend(seed: int, alphabet, n: int = 4) -> GBA:
@@ -223,19 +245,28 @@ def test_oracle_prefilter_counts_skips():
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_difference_configurations_agree_with_naive_reference(seed):
+def test_difference_configurations_agree_with_naive_reference(seed,
+                                                              monkeypatch):
     """difference(subsumption=T/F, cache=T/F) vs is_empty_naive on the
     materialized product, plus accepted-word agreement, over the random
     SDBA corpus generators."""
     subtrahend = random_sdba(seed, n_nondet=3, n_det=4)
     minuend = random_minuend(seed + 1000, subtrahend.alphabet)
+    explored = []
+    remove = DIFFERENCE.remove_useless
 
-    results = {
-        (subsumption, cache): difference(minuend, subtrahend,
-                                         subsumption=subsumption, cache=cache)
-        for subsumption in (True, False)
-        for cache in (True, False)
-    }
+    def recorded(product, **kwargs):
+        explored.append(type(product))
+        return remove(product, **kwargs)
+
+    monkeypatch.setattr(DIFFERENCE, "remove_useless", recorded)
+    results, products = {}, {}
+    for subsumption in (True, False):
+        for cache in (True, False):
+            explored.clear()
+            results[subsumption, cache] = difference(
+                minuend, subtrahend, subsumption=subsumption, cache=cache)
+            products[subsumption, cache] = explored[:]
 
     # naive reference: materialize the whole product, Tarjan-based check
     comp, _ = implicit_complement(subtrahend, minuend.alphabet)
@@ -265,11 +296,14 @@ def test_difference_configurations_agree_with_naive_reference(seed):
         assert on.stats.prefilter_skips == off.stats.prefilter_skips
         assert (on.stats.sim_subsumption_hits
                 == off.stats.sim_subsumption_hits)
-    # caching actually engaged on the cached runs
-    assert results[(True, True)].stats.cache_misses > 0
+    # the cached runs explored the numbered product, the others the
+    # plain pair product
+    for (subsumption, cache), kinds in products.items():
+        assert kinds == [NumberedProduct if cache else ProductGBA], \
+            (subsumption, cache)
 
 
-def test_many_initial_states_keep_the_plain_root_order():
+def test_many_initial_states_keep_the_plain_root_order(edge_asks):
     """Twelve initial states 12..23, each on its own cycle of a distinct
     length: the roots' order fixes every DFS number.  Product ids
     0..11 sorted by their own ``repr`` would run 0, 1, 10, 11, 2, ...;
@@ -286,17 +320,16 @@ def test_many_initial_states_keep_the_plain_root_order():
                  {q for q, _ in transitions})
     assert len(minuend.initial_states()) == 12
     on = difference(minuend, subtrahend, cache=True)
+    built = sum(edge_asks.values())
+    assert built == len(edge_asks) == on.stats.explored_states
     off = difference(minuend, subtrahend, cache=False)
+    assert sum(edge_asks.values()) == built
     assert on.automaton.states == off.automaton.states
     assert dict(on.automaton.transitions) == dict(off.automaton.transitions)
     assert on.automaton.initial_states() == off.automaton.initial_states()
-    # every counter but the cache's own, which only the cached run keeps
-    cache_fields = {"cache_hits", "cache_misses"}
     for field in fields(RemovalStats):
-        if field.name not in cache_fields:
-            assert (getattr(on.stats, field.name)
-                    == getattr(off.stats, field.name)), field.name
-    assert on.stats.cache_misses == on.stats.explored_states
+        assert (getattr(on.stats, field.name)
+                == getattr(off.stats, field.name)), field.name
 
 
 def _implicit_minuend(shape: str, seed: int, alphabet):
@@ -312,15 +345,23 @@ def _implicit_minuend(shape: str, seed: int, alphabet):
 
 @pytest.mark.parametrize("shape", ["product", "ncsb"])
 @pytest.mark.parametrize("seed", range(4))
-def test_implicit_minuend_gives_the_same_result_cached_or_not(shape, seed):
+def test_implicit_minuend_gives_the_same_result_cached_or_not(shape, seed,
+                                                             edge_asks):
     subtrahend = random_sdba(seed, n_nondet=3, n_det=4)
     minuend = _implicit_minuend(shape, seed, subtrahend.alphabet)
     assert not isinstance(minuend, GBA)
     for subsumption in (True, False):
+        edge_asks.clear()
         on = difference(minuend, subtrahend, subsumption=subsumption,
                         cache=True)
+        # the numbered product is asked for each explored id's edges
+        # exactly once
+        assert (sum(edge_asks.values()) == len(edge_asks)
+                == on.stats.explored_states > 0)
+        edge_asks.clear()
         off = difference(minuend, subtrahend, subsumption=subsumption,
                          cache=False)
+        assert not edge_asks
         assert on.automaton.states == off.automaton.states
         assert dict(on.automaton.transitions) == dict(off.automaton.transitions)
         assert on.automaton.initial_states() == off.automaton.initial_states()
@@ -329,9 +370,6 @@ def test_implicit_minuend_gives_the_same_result_cached_or_not(shape, seed):
                      "useless_states", "subsumption_hits"):
             assert (getattr(on.stats, name)
                     == getattr(off.stats, name)), (subsumption, name)
-        # the numbered product is the only cache layer, built once per id
-        assert on.stats.cache_misses == on.stats.explored_states > 0
-        assert off.stats.cache_hits == off.stats.cache_misses == 0
 
 
 # -- numbered product ------------------------------------------------------------
@@ -348,10 +386,11 @@ def test_numbered_product_mirrors_the_pair_product():
         == plain.initial_states()
     frontier = list(numbered.initial_states())
     seen = set(frontier)
+    first = {}
     while frontier:
         state = frontier.pop()
         pair = numbered.pairs[state]
-        edges = numbered.edges_from(state)
+        edges = first[state] = numbered.edges_from(state)
         assert [(symbol, numbered.pairs[target]) for symbol, target in edges] \
             == [(symbol, target)
                 for symbol in sorted(plain.alphabet, key=str)
@@ -366,24 +405,29 @@ def test_numbered_product_mirrors_the_pair_product():
             if target not in seen:
                 seen.add(target)
                 frontier.append(target)
-    # one edge list per id, each built once and re-read after; the ids
-    # are dense
-    assert numbered.cache_misses == len(seen) == len(numbered.pairs)
-    hits = numbered.cache_hits
-    state = numbered.initial_states()[0]
-    assert numbered.edges_from(state) is numbered.edges_from(state)
-    assert numbered.cache_hits == hits + 2
+    # the ids are dense, and asking again gives equal edge lists over
+    # the same ids, numbering nothing new
+    assert len(seen) == len(numbered.pairs)
+    pairs = [numbered.pairs[i] for i in range(len(numbered.pairs))]
+    for state, edges in first.items():
+        assert numbered.edges_from(state) == edges
+    assert [numbered.pairs[i] for i in range(len(numbered.pairs))] == pairs
 
 
 class CountedComplement:
     """An implicit automaton that counts the ``successors`` questions
-    asked of the one it wraps, per (state, symbol)."""
+    asked of the one it wraps, per (state, symbol), and the states its
+    answers held.  Any other attribute is the wrapped one's."""
 
     def __init__(self, inner):
         self.inner = inner
         self.asked = Counter()
+        self.answered = 0
         self.alphabet = inner.alphabet
         self.acceptance_count = inner.acceptance_count
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
 
     def initial_states(self):
         return self.inner.initial_states()
@@ -393,14 +437,28 @@ class CountedComplement:
 
     def successors(self, state, symbol):
         self.asked[state, symbol] += 1
-        return self.inner.successors(state, symbol)
+        out = self.inner.successors(state, symbol)
+        self.answered += len(out)
+        return out
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_numbered_product_asks_the_complement_once_per_row(seed):
-    subtrahend = random_sdba(seed)
-    minuend = random_minuend(seed, subtrahend.alphabet, n=5)
-    comp, _ = implicit_complement(subtrahend, minuend.alphabet)
+@pytest.mark.parametrize("seed, kind", [
+    pytest.param(seed, kind,
+                 id=str(seed) if kind is None else f"{seed}-{kind.value}")
+    for kind in (None, ComplementKind.RANK, ComplementKind.MODULAR)
+    for seed in range(4)])
+def test_numbered_product_asks_the_complement_once_per_row(seed, kind,
+                                                           monkeypatch):
+    # None lets the dispatch pick NCSB; the rank-based and modular
+    # complements are explored whole only on small subtrahends.
+    if kind is None:
+        subtrahend = random_sdba(seed)
+        minuend = random_minuend(seed, subtrahend.alphabet, n=5)
+    else:
+        subtrahend = random_sdba(seed, n_nondet=2, n_det=2)
+        minuend = random_minuend(seed, subtrahend.alphabet, n=3)
+    comp, used = implicit_complement(subtrahend, minuend.alphabet, kind=kind)
+    assert used is (kind or ComplementKind.SDBA_LAZY)
     counted = CountedComplement(comp)
     numbered = NumberedProduct(minuend, counted)
     frontier = list(numbered.initial_states())
@@ -415,10 +473,35 @@ def test_numbered_product_asks_the_complement_once_per_row(seed):
             if target not in seen:
                 seen.add(target)
                 frontier.append(target)
-    assert all(isinstance(q, MacroState) for q, _ in counted.asked)
     assert max(counted.asked.values()) == 1
-    # left states share the macro-states' rows
+    # left states share the complement states' rows
     assert len(counted.asked) < product_rows
+
+    # Through ``difference``, the complement's own tallies reach the
+    # registry once per call, as the rows asked and the states answered.
+    asked = []
+
+    def wrapped(*args, **kwargs):
+        comp, used = implicit_complement(*args, **kwargs)
+        asked.append(CountedComplement(comp))
+        return asked[-1], used
+
+    monkeypatch.setattr(DIFFERENCE, "implicit_complement", wrapped)
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        difference(minuend, subtrahend, kind=kind)
+    (counted,) = asked
+    assert max(counted.asked.values()) == 1
+    counters = registry.snapshot()["counters"]
+    tallied = {name: value for name, value in counters.items()
+               if name.startswith("complement.")
+               and name.endswith((".expansions", ".macrostates"))}
+    if isinstance(counted.inner, RankComplement):
+        assert tallied == {}  # the rank construction keeps no tally
+    else:
+        name = f"complement.{counted.inner.KIND}"
+        assert tallied == {f"{name}.expansions": len(counted.asked),
+                           f"{name}.macrostates": counted.answered}
 
 
 @pytest.mark.parametrize("relation", [subsumes, subsumes_b])
