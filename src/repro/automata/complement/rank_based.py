@@ -51,6 +51,8 @@ def _make(ranks: dict[State, int], owing: Iterable[State]) -> RankState:
 class RankComplement:
     """On-the-fly rank-based complement of a complete BA."""
 
+    KIND = "rank-based"
+
     def __init__(self, auto: GBA, max_rank: int | None = None):
         if not auto.is_ba():
             raise ValueError("rank-based complementation expects a BA")
@@ -67,6 +69,10 @@ class RankComplement:
             self._max_rank = elevator_rank_bound(auto)
         else:
             self._max_rank = max_rank
+        #: successor computations and the rankings they returned;
+        #: ``difference`` adds them to ``complement.<KIND>.*`` per call
+        self.expansions = 0
+        self.macrostates = 0
 
     @property
     def alphabet(self) -> frozenset:
@@ -87,7 +93,10 @@ class RankComplement:
         """Computed on every call, with no memo: the difference's
         numbered product asks once per ranking and symbol and keeps the
         answer."""
-        return tuple(self._compute_successors(state, symbol))
+        out = tuple(self._compute_successors(state, symbol))
+        self.expansions += 1
+        self.macrostates += len(out)
+        return out
 
     def _compute_successors(self, state: RankState, symbol: Symbol) -> Iterator[RankState]:
         ranks = state.rank_map()

@@ -19,13 +19,11 @@ from repro.core.config import AnalysisConfig
 from repro.core.firewall import screen
 from repro.core.refinement import RefinementEngine, TerminationResult, Verdict
 from repro.core.stats import AnalysisStats, StatsCollector
-from repro.logic import fourier_motzkin as fm
+from repro.logic.memo import use_memo
 from repro.obs import metrics as obs_metrics
-from repro.program import statements
 from repro.program.ast import Program
 from repro.program.cfg import build_cfg
 from repro.program.parser import parse_program
-from repro.ranking import synthesis
 
 
 def prove_termination(program: Program,
@@ -60,11 +58,9 @@ def prove_termination(program: Program,
     One fresh metrics registry spans the whole run -- building the
     control-flow graph, the engine and the firewall's re-check alike --
     so its snapshot, ``result.stats.metrics``, holds every count.  One
-    Fourier--Motzkin memo (:func:`repro.logic.fourier_motzkin.use_memo`),
-    one postcondition and Hoare-triple memo
-    (:func:`repro.program.statements.use_memo`) and one Farkas-LP memo
-    (:func:`repro.ranking.synthesis.use_memo`) span the CFG build and
-    the engine; the firewall opens its own solver memos.
+    solver memo (:func:`repro.logic.memo.use_memo`: Fourier--Motzkin,
+    postconditions, Hoare triples and Farkas LPs) spans the CFG build and
+    the engine; the firewall opens a fresh one of its own.
     """
     config = config or AnalysisConfig()
     if library is not None and not hasattr(library, "match"):
@@ -73,7 +69,7 @@ def prove_termination(program: Program,
     plan = faults.resolve_plan(config.fault_plan)
     registry = obs_metrics.MetricsRegistry()
     with obs_metrics.use_registry(registry):
-        with fm.use_memo(), statements.use_memo(), synthesis.use_memo():
+        with use_memo():
             engine = RefinementEngine(build_cfg(program), config, collector,
                                       checkpoint=checkpoint, library=library)
             if plan is not None:

@@ -24,10 +24,10 @@ injected adversarial solver answer, see :mod:`repro.faults`) is a lost
 answer, not a wrong one.
 
 The screen runs with fault injection suspended, the resource budget
-cleared and fresh Fourier--Motzkin and Hoare-triple memos: its solver
-calls must see honest answers, never one the engine computed, and a
-budget that ended the analysis must not also starve the validation of
-the result.
+cleared and a fresh solver memo (:func:`repro.logic.memo.use_memo`):
+its solver calls must see honest answers, never one the engine
+computed, and a budget that ended the analysis must not also starve the
+validation of the result.
 """
 
 from __future__ import annotations
@@ -41,10 +41,9 @@ from repro.core.budget import use_budget
 from repro.core.module import recheck
 from repro.core.refinement import TerminationResult, Verdict
 from repro.core.stats import Incident
-from repro.logic import fourier_motzkin as fm
+from repro.logic.memo import use_memo
 from repro.logic.terms import var
 from repro.obs import metrics as _metrics
-from repro.program import statements
 from repro.program.interp import run_word
 from repro.program.statements import Havoc
 from repro.ranking.lasso import Lasso, primed
@@ -80,8 +79,7 @@ def screen(result: TerminationResult, timeout: float | None = None,
         return result
     _metrics.inc("firewall.screens")
     deadline = time.perf_counter() + allowance(timeout)
-    with faults.suspended(), use_budget(None), fm.use_memo(), \
-            statements.use_memo():
+    with faults.suspended(), use_budget(None), use_memo():
         if result.verdict is Verdict.TERMINATING:
             problems = _check_terminating(result, deadline)
         else:

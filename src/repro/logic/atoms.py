@@ -2,25 +2,23 @@
 
 An :class:`Atom` is a constraint of the form ``term REL 0`` where ``REL``
 is one of ``<=``, ``<`` or ``=``.  Constructors normalize arbitrary
-comparisons (``lhs <= rhs`` etc.) to this form.  Atoms over
-integer-valued variables additionally admit *integral tightening*
-(``t < 0`` becomes ``t <= -1`` when all coefficients are integral),
-which improves the precision of the rational decision procedure.
+comparisons (``lhs <= rhs`` etc.) to this form.  An atom's term stores
+ints where integral, ``Fraction`` otherwise, floats never (see
+:mod:`repro.logic.terms`).
 
-An atom's term stores ints where integral, ``Fraction`` otherwise,
-floats never (see :mod:`repro.logic.terms`); tightening scales and
-rounds on ints and builds a ``Fraction`` only for the non-integral
-constant of a scaled atom over a rational-valued variable.
+:meth:`Atom.tighten_integral` is *integral tightening* (``t < 0``
+becomes ``t <= -1`` over integer-valued variables), which improves the
+precision of the rational decision procedure.  It is the
+Fourier--Motzkin row kernel run on the one atom; the module docstring
+of :mod:`repro.logic.fourier_motzkin` defines it.
 """
 
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
-from math import gcd as _gcd, lcm as _lcm
 from typing import Mapping
 
-from repro.logic.terms import Coeff, LinTerm, _as_term, _frac
+from repro.logic.terms import Coeff, LinTerm, _as_term
 
 #: Names of rational-valued variables.  Program variables are
 #: integer-valued, but the auxiliary rank variable of the certificates
@@ -85,10 +83,6 @@ class Atom:
             return c < 0
         return c == 0
 
-    def is_trivially_false(self) -> bool:
-        """Constant atom that never holds."""
-        return self.term.is_constant() and not self.is_trivially_true()
-
     def negate(self) -> Atom:
         """Negation of this atom, when expressible as a single atom.
 
@@ -117,62 +111,14 @@ class Atom:
         return value == 0
 
     def tighten_integral(self) -> Atom:
-        """Normalize and tighten the atom over integer-valued variables.
-
-        The atom is first scaled so every variable coefficient is an
-        integer and their gcd is 1 (positive scaling preserves the
-        relation exactly); then ``t + d < 0`` becomes
-        ``t + floor(d) + 1 <= 0`` and a fractional constant of a
-        non-strict atom is ceiling-normalized.  Equalities are scaled
-        but otherwise unchanged.  All steps are equivalences over the
-        integers, so callers may freely mix tightened and raw atoms.
-
-        Atoms mentioning a rational-valued variable (:data:`RATIONAL_VARS`,
-        i.e. ``oldrnk``) are only scaled, never rounded: rounding bounds
-        on ``oldrnk`` manufactures contradictions — e.g.
-        ``6*oldrnk - y - 5 = 0 and 3 <= y <= 5`` is satisfiable (at
-        ``oldrnk = 5/3``) but has no solution with integral ``oldrnk``,
-        and an unsound "unsat" here becomes an unsound accepting state
-        in the powerset modules.
-        """
-        items = self.term._coeffs
-        if not items:
-            return self
-        # Scale by den/g: den clears the coefficients' denominators, g is
-        # the gcd of the cleared coefficients.  All of it on ints.
-        den = 1
-        for _, c in items:
-            if type(c) is not int:
-                den = _lcm(den, c.denominator)
-        if den != 1:
-            items = tuple((n, c.numerator * (den // c.denominator))
-                          for n, c in items)
-        g = _gcd(*(c for _, c in items))
-        if g != 1:
-            items = tuple((n, c // g) for n, c in items)
-        # the scaled constant num/dnm = constant * den / g, dnm > 0
-        d = self.term._constant
-        num, dnm = d.numerator * den, d.denominator * g
-        scaled = den != 1 or g != 1
-        if any(name in RATIONAL_VARS for name, _ in items):
-            # scaling is exact over the rationals; the integral rounding
-            # below is not, and oldrnk takes fractional values
-            if not scaled:
-                return self
-            return Atom(LinTerm._from_sorted(items, _frac(Fraction(num, dnm))),
-                        self.rel)
-        if self.rel is Rel.LT:
-            # linear + d < 0  over ints  <=>  linear <= -floor(d) - 1
-            return Atom(LinTerm._from_sorted(items, num // dnm + 1), Rel.LE)
-        if num % dnm:
-            if self.rel is Rel.LE:
-                # linear <= -d  <=>  linear <= floor(-d)  <=>  linear + ceil(d) <= 0
-                return Atom(LinTerm._from_sorted(items, -(-num // dnm)), Rel.LE)
-            # coprime integer coefficients cannot sum to a fraction
-            return Atom(LinTerm({}, 1), Rel.EQ)  # trivially false
-        if not scaled:
-            return self
-        return Atom(LinTerm._from_sorted(items, num // dnm), self.rel)
+        """This atom tightened over integer-valued variables, by
+        :func:`repro.logic.fourier_motzkin.tighten`: scaled to coprime
+        integer coefficients, the constant rounded, never rounded with
+        a rational-valued variable (:data:`RATIONAL_VARS`).  An
+        equivalence over the integers, so callers may freely mix
+        tightened and raw atoms."""
+        from repro.logic.fourier_motzkin import tighten
+        return tighten(self)
 
     def __str__(self) -> str:
         return f"{self.term} {self.rel} 0"

@@ -8,18 +8,18 @@ objects -- coefficients and constants are ints where integral,
 - :func:`satisfiable` -- exact rational satisfiability of a conjunction,
 - :func:`find_model` -- a satisfying rational valuation (integral where
   an integer fits the bounds),
-- :func:`use_memo` -- scope a per-run memo of :func:`eliminate` answers.
+- :func:`tighten` -- integral tightening of one atom, the kernel behind
+  :meth:`Atom.tighten_integral <repro.logic.atoms.Atom.tighten_integral>`.
 
 One elimination converts its atoms once into *rows* and converts back
 only at the end.  A row is a tuple of Python ints: one coefficient per
 variable of a call-local sorted index, then the constant, then a
-relation code; it is divided by the gcd of its entries.  An atom whose
-term holds only ints is copied into its row as is; one with a
-``Fraction`` entry is scaled by the lcm of its denominators first.
-Over the rationals an atom is equivalent to each of its positive
-scalings, so no ``Fraction`` is built inside the loop, and converting
-back builds one only for a non-integral constant of a row of a
-rational-valued variable.  Equalities are eliminated by
+relation code.  An atom whose term holds only ints is copied into its
+row as is; one with a ``Fraction`` entry is scaled by the lcm of its
+denominators first.  Over the rationals an atom is equivalent to each
+of its positive scalings, so no ``Fraction`` is built inside the loop,
+and converting back builds one only for a non-integral constant of a
+row of a rational-valued variable.  Equalities are eliminated by
 pivoting: the first equality ``e`` with coefficient ``c`` of the
 variable turns a row ``r`` with coefficient ``a`` into
 ``|c|*r - sign(c)*a*e``.  Inequalities are eliminated by pairwise
@@ -32,57 +32,41 @@ it is sound in the UNSAT direction (rational-UNSAT implies
 integer-UNSAT), which is the direction every soundness-critical caller
 relies on.
 
-Each new row is also tightened over the integers, exactly as
-:meth:`Atom.tighten_integral` tightens an atom: divide by the gcd ``g``
-of the variable coefficients and round the constant ``d`` by floor
-division (``t + d < 0`` becomes ``t/g + d//g + 1 <= 0``, ``t + d <= 0``
-becomes ``t/g + ceil(d/g) <= 0``, and an equality with ``g`` not
-dividing ``d`` is a contradiction).  A row with a nonzero coefficient
-of a rational-valued variable (:data:`~repro.logic.atoms.RATIONAL_VARS`,
-i.e. ``oldrnk``) is only scaled, never rounded.  So every atom returned
-is the tightened atom of its row, and the output is atom for atom what
-the textbook procedure on ``Fraction`` atoms gives.
+*Integral tightening*, the one definition of it in the package: every
+row, the input's and each new one, is divided by the gcd ``g`` of its
+variable coefficients and its constant ``d`` rounded by floor division
+(``t + d < 0`` becomes ``t/g + d//g + 1 <= 0``, ``t + d <= 0`` becomes
+``t/g + ceil(d/g) <= 0``, and an equality with ``g`` not dividing ``d``
+is a contradiction, returned by :func:`tighten` as ``1 = 0``).  Each
+step is an equivalence over integer-valued variables.  A row with a
+nonzero coefficient of a rational-valued variable
+(:data:`~repro.logic.atoms.RATIONAL_VARS`, i.e. ``oldrnk``) is only
+scaled, never rounded: ``oldrnk`` holds ranking-function values, and
+``6*oldrnk - y - 5 = 0 and 3 <= y <= 5`` is satisfiable (at
+``oldrnk = 5/3``) but has no integral ``oldrnk``, so rounding it would
+turn a satisfiable state of a powerset module into an unsound
+accepting one.  Every atom returned is the tightened atom of its row,
+and the output is atom for atom what the textbook procedure on
+``Fraction`` atoms gives.
 
-Inside :func:`use_memo` (one analysis run, see
-:func:`repro.core.api.prove_termination`) :func:`eliminate` answers a
-repeated query from its first answer.  The key is the atoms and the
-elimination order exactly as given: FM's output form depends on both,
-and an order-insensitive key could hand back an equivalent but
-syntactically different projection.  A query that raises (budget cap,
-deadline, injected fault) is never stored, and a hit returns a fresh
-list.  ``logic.fm.eliminations`` counts computed eliminations only;
+:func:`eliminate` asks the one per-run memo (:mod:`repro.logic.memo`)
+with the key ``("fm", atoms, names)``, atoms and elimination order
+exactly as given.  A hit returns a fresh list.
+``logic.fm.eliminations`` counts computed eliminations only;
 ``logic.fm.memo_hits`` counts the answers served from the memo.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from repro.core.budget import current_budget
+from repro.logic import memo as _memo
 from repro.logic.atoms import RATIONAL_VARS, Atom, Rel
 from repro.logic.terms import LinTerm
 from repro.obs import metrics as _metrics
-
-
-#: The active per-run memo: query key -> projected atoms, ``None`` for
-#: UNSAT.  ``None`` outside :func:`use_memo`.
-_MEMO: dict[tuple, tuple[Atom, ...] | None] | None = None
-_MISS = object()
-
-
-@contextmanager
-def use_memo() -> Iterator[dict]:
-    """Scope a fresh, empty elimination memo; yields it."""
-    global _MEMO
-    previous = _MEMO
-    _MEMO = {}
-    try:
-        yield _MEMO
-    finally:
-        _MEMO = previous
 
 
 class _Contradiction(Exception):
@@ -98,11 +82,12 @@ Row = tuple[int, ...]
 
 
 def _row(vals: list[int], rel: int, rational: tuple[int, ...]) -> Row | None:
-    """The normalized row of ``vals[:-1]·v + vals[-1] REL 0``.
+    """The tightened row of ``vals[:-1]·v + vals[-1] REL 0``.
 
     ``None`` if it is trivially true; raises :class:`_Contradiction` if
     it is trivially false.  ``rational`` lists the columns of
-    rational-valued variables, whose rows are never rounded.
+    rational-valued variables, whose rows are never rounded; such a row
+    is divided by the gcd of all its entries, constant included.
     """
     d = vals.pop()
     g = gcd(*vals)
@@ -159,6 +144,61 @@ def _step(rows: list[Row], k: int, rational: tuple[int, ...]) -> list[Row]:
     return _dedupe(out)
 
 
+def _vals(atom: Atom, index: dict[str, int]) -> list[int]:
+    """``atom``'s coefficients in ``index``'s columns, then its constant.
+
+    An atom with a ``Fraction`` entry is scaled to integers by the lcm
+    of its denominators (int entries have denominator 1).
+    """
+    term = atom.term
+    vals = [0] * (len(index) + 1)
+    const = term._constant
+    integral = type(const) is int
+    for n, c in term._coeffs:
+        vals[index[n]] = c
+        if type(c) is not int:
+            integral = False
+    vals[-1] = const
+    if not integral:
+        den = lcm(*(v.denominator for v in vals))
+        vals = [v.numerator * (den // v.denominator) for v in vals]
+    return vals
+
+
+def _atom(r: Row, variables: Sequence[str]) -> Atom:
+    """The atom of row ``r`` over ``variables``."""
+    # g > 1 only on a row of a rational-valued variable, which ``_row``
+    # divides by the gcd of all its entries, constant included: only
+    # there can the constant come back a Fraction
+    g = gcd(*r[:-2])
+    items = tuple((variables[k], c // g) for k, c in enumerate(r[:-2]) if c)
+    d = r[-2]
+    d = d // g if d % g == 0 else Fraction(d, g)
+    return Atom(LinTerm._from_sorted(items, d), _RELS[r[-1]])
+
+
+def _index(variables: Sequence[str]) -> tuple[dict[str, int], tuple[int, ...]]:
+    """The column of each of ``variables`` and the rational-valued columns."""
+    index = {n: k for k, n in enumerate(variables)}
+    return index, tuple(index[n] for n in RATIONAL_VARS if n in index)
+
+
+def tighten(atom: Atom) -> Atom:
+    """``atom`` tightened over the integers: the one-atom system's row
+    with nothing eliminated, as an atom (``1 = 0`` if it is a
+    contradiction).  An atom without variables is returned as it is.
+    Ticks no counter."""
+    variables = [n for n, _ in atom.term._coeffs]
+    if not variables:
+        return atom
+    index, rational = _index(variables)
+    try:
+        row = _row(_vals(atom, index), _RELS.index(atom.rel), rational)
+    except _Contradiction:
+        return Atom(LinTerm({}, 1), Rel.EQ)
+    return _atom(row, variables)
+
+
 def _rows(atoms: Sequence[Atom], names: Iterable[str] | None,
           systems: list[tuple[int, list[Row]]] | None = None
           ) -> tuple[list[str], list[Row]]:
@@ -172,26 +212,9 @@ def _rows(atoms: Sequence[Atom], names: Iterable[str] | None,
     :class:`_Contradiction` on UNSAT.
     """
     variables = sorted({n for a in atoms for n, _ in a.term._coeffs})
-    index = {n: k for k, n in enumerate(variables)}
-    rational = tuple(index[n] for n in RATIONAL_VARS if n in index)
-    rows: list[Row | None] = []
-    for atom in atoms:
-        term = atom.term
-        vals = [0] * (len(variables) + 1)
-        const = term._constant
-        integral = type(const) is int
-        for n, c in term._coeffs:
-            vals[index[n]] = c
-            if type(c) is not int:
-                integral = False
-        vals[-1] = const
-        if not integral:
-            # a Fraction entry: scale the row to integers by the lcm of
-            # the denominators (int entries have denominator 1)
-            den = lcm(*(v.denominator for v in vals))
-            vals = [v.numerator * (den // v.denominator) for v in vals]
-        rows.append(_row(vals, _RELS.index(atom.rel), rational))
-    current = _dedupe(rows)
+    index, rational = _index(variables)
+    current = _dedupe([_row(_vals(atom, index), _RELS.index(atom.rel),
+                            rational) for atom in atoms])
     budget = current_budget()
     for name in variables if names is None else names:
         if budget is not None:
@@ -214,41 +237,24 @@ def eliminate(atoms: Sequence[Atom], names: Iterable[str]) -> list[Atom] | None:
     (rationally) unsatisfiable.  The projection is exact over the
     rationals: a valuation of the remaining variables satisfies the
     result iff it extends to a valuation of all variables satisfying the
-    input.  Inside :func:`use_memo` a repeated query is answered from
-    the memo.
+    input.  Inside :func:`repro.logic.memo.use_memo` a repeated query is
+    answered from the memo.
     """
-    if _MEMO is None:
-        return _eliminate(atoms, names)
-    key = (tuple(atoms), tuple(names))
-    hit = _MEMO.get(key, _MISS)
-    if hit is _MISS:
-        result = _eliminate(*key)
-        _MEMO[key] = None if result is None else tuple(result)
-        return result
-    _metrics.inc("logic.fm.memo_hits")
-    return None if hit is None else list(hit)
+    key = ("fm", tuple(atoms), tuple(names))
+    answer = _memo.ask(key, "logic.fm.memo_hits",
+                       lambda: _eliminate(key[1], key[2]), faults=False)
+    return None if answer is None else list(answer)
 
 
 def _eliminate(atoms: Sequence[Atom],
-               names: Iterable[str]) -> list[Atom] | None:
+               names: Iterable[str]) -> tuple[Atom, ...] | None:
     """The uncached elimination behind :func:`eliminate`."""
     _metrics.inc("logic.fm.eliminations")
     try:
         variables, rows = _rows(atoms, names)
     except _Contradiction:
         return None
-    out = []
-    for r in rows:
-        # g > 1 only on a row of a rational-valued variable, which
-        # ``_row`` divides by the gcd of all its entries, constant
-        # included: only there can the constant come back a Fraction
-        g = gcd(*r[:-2])
-        items = tuple((variables[k], c // g)
-                      for k, c in enumerate(r[:-2]) if c)
-        d = r[-2]
-        d = d // g if d % g == 0 else Fraction(d, g)
-        out.append(Atom(LinTerm._from_sorted(items, d), _RELS[r[-1]]))
-    return out
+    return tuple(_atom(r, variables) for r in rows)
 
 
 def satisfiable(atoms: Sequence[Atom]) -> bool:

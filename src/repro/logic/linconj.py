@@ -45,10 +45,6 @@ class LinConj:
     def atoms(self) -> tuple[Atom, ...]:
         return self._atoms
 
-    def is_true(self) -> bool:
-        """Syntactically the empty conjunction."""
-        return not self._atoms
-
     def variables(self) -> frozenset[str]:
         names: set[str] = set()
         for atom in self._atoms:

@@ -118,11 +118,6 @@ class Pred:
         """``oldrnk = oo AND conj`` (conj over program variables)."""
         return Pred(_prune([conj]), ())
 
-    @staticmethod
-    def of_fin(conj: LinConj = TRUE) -> "Pred":
-        """``oldrnk finite AND conj`` (conj may mention oldrnk)."""
-        return Pred((), _prune([conj]))
-
     # -- logical structure ------------------------------------------------------
 
     def is_sat(self) -> bool:

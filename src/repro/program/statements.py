@@ -18,76 +18,29 @@ Hoare-triple validity ``{P} stmt {Q}`` -- the engine behind Definitions
 3.1 and 3.2 -- is ``stmt.sp_pred(P).entails(Q)``; soundness follows from
 ``sp_conj`` being the exact (rational) strongest postcondition.
 
-Inside :func:`use_memo` (one analysis run, see
-:func:`repro.core.api.prove_termination`) three kinds of question are
-answered from their first answer: a strongest postcondition on a
-conjunction, ``(stmt, pre)``; one on a predicate after the optional
-``oldrnk := rank`` update, ``(pre, stmt, oldrnk_update)``; and a Hoare
-triple, ``(pre, stmt, post, oldrnk_update)``.  Conjunctions and
-predicates are keyed on their atoms in order, as in the
-Fourier--Motzkin memo: a ``LinConj`` compares as a set of atoms, but
-the form of the projection ``sp`` returns depends on their order, so a
-value key could hand back an equivalent but syntactically different
-postcondition.  A hit returns the first answer itself; a question that
-raises (budget cap, deadline, injected fault) is never stored.  The
-``solver.entailment`` fault site sits *below* this memo (in ``Pred``'s
-pruning and entailment), so while a fault plan is active every question
-is computed and nothing is stored or served.  ``logic.sp.memo_hits``
-and ``logic.hoare.memo_hits`` count the answers served from the memo.
+Strongest postconditions and Hoare triples ask the one per-run memo
+(:mod:`repro.logic.memo`), keyed on conjunctions and predicates by
+their atoms in order; they reach the ``solver.entailment`` fault site.
+``logic.sp.memo_hits`` and ``logic.hoare.memo_hits`` count the answers
+served from the memo.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Callable, Iterator, TypeVar
 
-import repro.faults as _faults
 from repro.logic.atoms import atom_eq
 from repro.logic.linconj import LinConj
+from repro.logic.memo import ask
 from repro.logic.predicates import OLDRNK, Pred
 from repro.logic.terms import LinTerm, var as mkvar
-from repro.obs import metrics as _metrics
-
-_T = TypeVar("_T")
-
-#: The active per-run memo: question key -> first answer.  ``None``
-#: outside :func:`use_memo`.  Keys of the three kinds are tuples of
-#: lengths 2, 3 and 4, so they never collide.
-_MEMO: dict[tuple, object] | None = None
-_MISS = object()
-
-
-@contextmanager
-def use_memo() -> Iterator[dict]:
-    """Scope a fresh, empty postcondition and Hoare-triple memo; yields it."""
-    global _MEMO
-    previous = _MEMO
-    _MEMO = {}
-    try:
-        yield _MEMO
-    finally:
-        _MEMO = previous
 
 
 def _pred_key(pred: Pred) -> tuple:
     """``pred``'s disjuncts as atom tuples, in order."""
     return (tuple(d.atoms for d in pred.inf_disjuncts),
             tuple(d.atoms for d in pred.fin_disjuncts))
-
-
-def _ask(key: tuple, counter: str, compute: Callable[[], _T]) -> _T:
-    """The memo's answer to ``key``, computing and storing it on a miss."""
-    memo = _MEMO
-    if memo is None or _faults._ACTIVE is not None:
-        return compute()
-    hit = memo.get(key, _MISS)
-    if hit is _MISS:
-        hit = memo[key] = compute()
-    else:
-        _metrics.inc(counter)
-    return hit  # type: ignore[return-value]
 
 
 #: Valuations map variable names to exact rationals (integer-valued in
@@ -107,7 +60,7 @@ class Statement:
     """Base class of atomic statements.  Value identity = semantics.
 
     Statements are every automaton's symbols, so they key the product
-    states, successor memos and Hoare-triple memos of the whole
+    states, successor memos and the solver memo's keys of the whole
     analysis.  Each one computes its hash once, at construction, from
     its fields; equality checks identity, then the class and the hash,
     and only then compares the fields.
@@ -131,8 +84,8 @@ class Statement:
 
     def sp_conj(self, pre: LinConj) -> LinConj:
         """Strongest postcondition on a single conjunction."""
-        return _ask((self, pre.atoms), "logic.sp.memo_hits",
-                    lambda: self._sp_conj(pre))
+        return ask(("sp", self, pre.atoms), "logic.sp.memo_hits",
+                   lambda: self._sp_conj(pre))
 
     def _sp_conj(self, pre: LinConj) -> LinConj:
         """The uncached transformer behind :meth:`sp_conj`."""
@@ -155,8 +108,8 @@ class Statement:
                 current = current.assign_oldrnk(oldrnk_update)
             return current.map_cases(self.sp_conj)
 
-        return _ask((_pred_key(pre), self, oldrnk_update),
-                    "logic.sp.memo_hits", compute)
+        return ask(("sp-pred", _pred_key(pre), self, oldrnk_update),
+                   "logic.sp.memo_hits", compute)
 
     def execute(self, valuation: Valuation) -> Valuation | None:
         """Concrete semantics; ``None`` when an assume is violated.
@@ -287,6 +240,6 @@ def hoare_valid(pre: Pred, stmt: Statement, post: Pred, *,
     """Validity of ``{pre} stmt {post}``, optionally with the implicit
     ``oldrnk := rank`` prefix of Definition 3.1 (outgoing edges of the
     accepting state)."""
-    return _ask((_pred_key(pre), stmt, _pred_key(post), oldrnk_update),
-                "logic.hoare.memo_hits",
-                lambda: stmt.sp_pred(pre, oldrnk_update).entails(post))
+    return ask(("hoare", _pred_key(pre), stmt, _pred_key(post),
+                oldrnk_update), "logic.hoare.memo_hits",
+               lambda: stmt.sp_pred(pre, oldrnk_update).entails(post))

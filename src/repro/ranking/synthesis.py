@@ -14,56 +14,32 @@ classifies a sampled lasso as stem-infeasible, loop-infeasible, ranked,
 nonterminating, or unknown, and packages everything the generalization
 stages need.
 
-Inside :func:`use_memo` (one analysis run, see
-:func:`repro.core.api.prove_termination`) the Farkas LP answers a
-repeated question from its first answer.  The key is the relation's
-atoms in order and the variables in order, from which the LP is built
-exactly.  A question that raises (deadline, injected fault) is never
-stored, and while a fault plan is active (``solver.lp`` is a fault
-site) every LP is solved and nothing is stored or served.
-``ranking.lp_syntheses`` counts the questions that reach the LP stage;
-``ranking.lp_memo_hits`` counts the answers served from the memo.
+The Farkas LP asks the one per-run memo (:mod:`repro.logic.memo`) with
+the key ``("lp", atoms, variables)``, the relation's atoms and the
+variables in order, from which the LP is built exactly; it reaches the
+``solver.lp`` fault site.  ``ranking.lp_syntheses`` counts the
+questions that reach the LP stage; ``ranking.lp_memo_hits`` counts the
+answers served from the memo.
 """
 
 from __future__ import annotations
 
 import enum
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
-import repro.faults as _faults
 from repro.core.budget import current_budget
 from repro.logic.interpolation import (add_farkas_implication, farkas_rows,
                                        relation_matrix)
 from repro.logic.linconj import TRUE, LinConj
 from repro.logic.lp import LinearProgram
+from repro.logic.memo import ask
 from repro.logic.terms import LinTerm
 from repro.obs import metrics as _metrics
 from repro.obs.trace import get_tracer
 from repro.ranking.lasso import Lasso, LoopRelation, primed
 from repro.ranking.nontermination import (NontermWitness,
                                           find_nontermination_witness)
-
-
-#: The active per-run memo: ``(atoms, variables)`` -> the Farkas LP's
-#: ranking function, ``None`` when it has none.  ``None`` outside
-#: :func:`use_memo`.
-_MEMO: dict[tuple, RankingFunction | None] | None = None
-_MISS = object()
-
-
-@contextmanager
-def use_memo() -> Iterator[dict]:
-    """Scope a fresh, empty Farkas-LP memo; yields it."""
-    global _MEMO
-    previous = _MEMO
-    _MEMO = {}
-    try:
-        yield _MEMO
-    finally:
-        _MEMO = previous
 
 
 @dataclass(frozen=True)
@@ -139,18 +115,10 @@ def _synthesize_ranking(relation: LoopRelation, invariant: LinConj,
     _metrics.inc("ranking.candidates_tried",
                  len(_candidate_rankings(variables)))
     _metrics.inc("ranking.lp_syntheses")
-    memo = _MEMO
-    if memo is None or _faults._ACTIVE is not None:
-        ranking = _farkas_ranking(rel, variables)
-    else:
-        key = (rel.atoms, tuple(variables))
-        ranking = memo.get(key, _MISS)
-        if ranking is _MISS:
-            ranking = memo[key] = _farkas_ranking(rel, variables)
-        else:
-            _metrics.inc("ranking.lp_memo_hits")
+    ranking = ask(("lp", rel.atoms, tuple(variables)), "ranking.lp_memo_hits",
+                  lambda: _farkas_ranking(rel, variables))
     span.set(method="farkas", found=ranking is not None)
-    return ranking  # type: ignore[return-value]
+    return ranking
 
 
 def _farkas_ranking(rel: LinConj, variables) -> RankingFunction | None:

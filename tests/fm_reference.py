@@ -4,26 +4,77 @@ A test-only oracle for :mod:`repro.logic.fourier_motzkin`.  It is the
 straightforward textbook procedure on :class:`~repro.logic.atoms.Atom`
 objects: every intermediate atom is a ``LinTerm`` with ``Fraction``
 coefficients, equalities are eliminated by substitution, inequalities
-by pairwise combination, and :meth:`Atom.tighten_integral` tightens
-each atom.  The production kernel must return exactly what this module
-returns (same atoms, same order) under integral tightening, and the
-same models; the differential tests in ``test_logic_solver.py`` hold it
-to that.
+by pairwise combination, and :func:`tighten_atom` tightens each atom.  The
+production kernel must return exactly what this module returns (same
+atoms, same order) under integral tightening, and the same models; the
+differential tests in ``test_logic_solver.py`` hold it to that.
+:func:`tighten_atom` is this module's own, so the oracle shares no rounding
+code with the kernel (:meth:`Atom.tighten_integral` runs the kernel's
+row code); ``test_logic_solver.py`` checks the two agree atom for atom.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from repro.core.budget import Budget, current_budget
-from repro.logic.atoms import Atom, Rel
+from repro.logic.atoms import RATIONAL_VARS, Atom, Rel
 from repro.logic.fourier_motzkin import _pick_value
-from repro.logic.terms import LinTerm
+from repro.logic.terms import LinTerm, _frac
 
 
 class _Contradiction(Exception):
     """Raised internally when a trivially false atom appears."""
+
+
+def tighten_atom(atom: Atom) -> Atom:
+    """Normalize and tighten ``atom`` over integer-valued variables.
+
+    The atom is first scaled so every variable coefficient is an
+    integer and their gcd is 1; then ``t + d < 0`` becomes
+    ``t + floor(d) + 1 <= 0``, a fractional constant of a non-strict
+    atom is ceiling-normalized, and an equality with a fractional
+    constant is the contradiction ``1 = 0``.  An atom mentioning a
+    rational-valued variable (``oldrnk``) is only scaled, never rounded.
+    """
+    items = atom.term._coeffs
+    if not items:
+        return atom
+    # Scale by den/g: den clears the coefficients' denominators, g is
+    # the gcd of the cleared coefficients.  All of it on ints.
+    den = 1
+    for _, c in items:
+        if type(c) is not int:
+            den = lcm(den, c.denominator)
+    if den != 1:
+        items = tuple((n, c.numerator * (den // c.denominator))
+                      for n, c in items)
+    g = gcd(*(c for _, c in items))
+    if g != 1:
+        items = tuple((n, c // g) for n, c in items)
+    # the scaled constant num/dnm = constant * den / g, dnm > 0
+    d = atom.term._constant
+    num, dnm = d.numerator * den, d.denominator * g
+    scaled = den != 1 or g != 1
+    if any(name in RATIONAL_VARS for name, _ in items):
+        if not scaled:
+            return atom
+        return Atom(LinTerm._from_sorted(items, _frac(Fraction(num, dnm))),
+                    atom.rel)
+    if atom.rel is Rel.LT:
+        # linear + d < 0  over ints  <=>  linear <= -floor(d) - 1
+        return Atom(LinTerm._from_sorted(items, num // dnm + 1), Rel.LE)
+    if num % dnm:
+        if atom.rel is Rel.LE:
+            # linear <= -d  <=>  linear + ceil(d) <= 0
+            return Atom(LinTerm._from_sorted(items, -(-num // dnm)), Rel.LE)
+        # coprime integer coefficients cannot sum to a fraction
+        return Atom(LinTerm({}, 1), Rel.EQ)
+    if not scaled:
+        return atom
+    return Atom(LinTerm._from_sorted(items, num // dnm), atom.rel)
 
 
 def _simplify(atoms: Iterable[Atom], tighten: bool) -> list[Atom]:
@@ -32,10 +83,10 @@ def _simplify(atoms: Iterable[Atom], tighten: bool) -> list[Atom]:
     out: list[Atom] = []
     for atom in atoms:
         if tighten:
-            atom = atom.tighten_integral()
+            atom = tighten_atom(atom)
         if atom.is_trivially_true():
             continue
-        if atom.is_trivially_false():
+        if atom.term.is_constant():
             raise _Contradiction()
         if atom not in seen:
             seen.add(atom)

@@ -85,7 +85,7 @@ def test_validator_catches_bad_certificates():
     proof, cert = certify([GUARD], [GUARD, DEC])
     # sabotage: claim the loop keeps x unchanged
     bad = cert.loop_preds.copy()
-    bad[1] = Pred.of_fin(conj(atom_gt(x, 99)))
+    bad[1] = Pred((), (conj(atom_gt(x, 99)),))
     broken = RankCertificate(cert.stem_preds, bad, cert.ranking)
     problems = validate_module(build_lasso_module(proof, broken))
     assert problems
@@ -93,7 +93,7 @@ def test_validator_catches_bad_certificates():
 
 def test_validator_checks_initial_shape():
     proof, cert = certify([GUARD], [GUARD, DEC])
-    bad_init = [Pred.of_fin(TRUE)] + cert.stem_preds[1:]
+    bad_init = [Pred((), (TRUE,))] + cert.stem_preds[1:]
     broken = RankCertificate(bad_init, cert.loop_preds, cert.ranking)
     problems = validate_module(build_lasso_module(proof, broken))
     assert any("oldrnk" in p for p in problems)

@@ -121,12 +121,13 @@ def test_flipped_entailments_never_enter_the_solver_memo(monkeypatch):
     from repro.core.config import AnalysisConfig
     from repro.core.refinement import RefinementEngine, Verdict
     from repro.logic import fourier_motzkin as fm
+    from repro.logic import memo as solver_memo
     runs = []
     run = RefinementEngine.run
 
     def run_and_keep_memo(self):
         result = run(self)
-        runs.append((fm._MEMO, faults.injected_counts()))
+        runs.append((solver_memo._MEMO, faults.injected_counts()))
         return result
 
     monkeypatch.setattr(RefinementEngine, "run", run_and_keep_memo)
@@ -144,7 +145,8 @@ def test_flipped_entailments_never_enter_the_solver_memo(monkeypatch):
         assert injected["solver.entailment"]["flip"] > 0
         assert memo
         # every stored answer is the honest uncached elimination
-        for (atoms, names), answer in memo.items():
+        for (kind, atoms, names), answer in memo.items():
+            assert kind == "fm"
             fresh = fm.eliminate(atoms, names)
             assert answer == (None if fresh is None else tuple(fresh))
 
@@ -155,13 +157,13 @@ def test_flipped_entailments_never_enter_the_hoare_memo(monkeypatch):
     from repro.core.api import prove_termination_source
     from repro.core.config import AnalysisConfig
     from repro.core.refinement import RefinementEngine, Verdict
-    from repro.program import statements
+    from repro.logic import memo as solver_memo
     runs = []
     run = RefinementEngine.run
 
     def run_and_keep_memo(self):
         result = run(self)
-        runs.append((statements._MEMO, faults.injected_counts()))
+        runs.append((solver_memo._MEMO, faults.injected_counts()))
         return result
 
     monkeypatch.setattr(RefinementEngine, "run", run_and_keep_memo)
@@ -179,7 +181,8 @@ def test_flipped_entailments_never_enter_the_hoare_memo(monkeypatch):
             result.stats.metrics["counters"]
     for memo, injected in runs:
         assert injected["solver.entailment"]["flip"] > 0
-        assert memo == {}  # the run's scope was open, and nothing entered
+        # the run's scope was open, and only honest FM answers entered
+        assert memo and all(key[0] == "fm" for key in memo)
 
 
 def test_an_active_plan_neither_reads_nor_writes_the_hoare_memo():
@@ -187,20 +190,23 @@ def test_an_active_plan_neither_reads_nor_writes_the_hoare_memo():
     from repro.logic.linconj import conj
     from repro.logic.predicates import PRED_FALSE, Pred
     from repro.logic.terms import var
-    from repro.program.statements import Assign, hoare_valid, use_memo
+    from repro.logic.memo import use_memo
+    from repro.program.statements import Assign, hoare_valid
     stmt = Assign("x", var("x") - 1)
     pre = Pred.of_inf(conj(atom_ge(var("x"), 1)))
     post = Pred.of_inf(conj(atom_ge(var("x"), 0)))
     with use_memo() as memo:
         assert hoare_valid(pre, stmt, post)
-        # poison every stored answer: serving one would show
-        for key, answer in memo.items():
-            memo[key] = (not answer if isinstance(answer, bool)
-                         else PRED_FALSE if isinstance(answer, Pred)
-                         else conj())
-        poisoned = dict(memo)
+        # poison every stored postcondition and triple: serving one would
+        # show.  FM answers reach no fault site and stay served.
+        poisoned = {key: (not answer if isinstance(answer, bool)
+                          else PRED_FALSE if isinstance(answer, Pred)
+                          else conj())
+                    for key, answer in memo.items() if key[0] != "fm"}
+        memo.update(poisoned)
         with faults.use_plan(FaultPlan(seed=0)):
             assert hoare_valid(pre, stmt, post)
             assert stmt.sp_pred(pre).is_sat()
             assert not hoare_valid(post, stmt, pre)
-        assert memo == poisoned
+        assert {key: answer for key, answer in memo.items()
+                if key[0] != "fm"} == poisoned

@@ -30,7 +30,7 @@ def test_interpolant_chain_shape():
     chain = sequence_interpolants(groups)
     assert chain is not None
     assert len(chain) == 4
-    assert chain[0].is_true()
+    assert not chain[0].atoms
     assert chain[-1].is_unsat()
 
 
@@ -105,7 +105,7 @@ def test_stem_interpolants_on_lasso():
     lasso = Lasso(stem, [Assign("x", x - 1)])
     chain = lasso.stem_interpolants()
     assert chain is not None
-    assert chain[0].is_true()
+    assert not chain[0].atoms
     assert chain[-1].is_unsat()
     # the middle interpolants talk about t only (x > 0 is irrelevant)
     assert chain[2].variables() <= {"t"}

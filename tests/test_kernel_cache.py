@@ -21,7 +21,6 @@ import pytest
 from repro.automata.complement.dispatch import (ComplementKind,
                                                 implicit_complement)
 from repro.automata.complement.ncsb import MacroState, subsumes, subsumes_b
-from repro.automata.complement.rank_based import RankComplement
 from repro.automata.difference import SubsumptionOracle, difference
 from repro.automata.emptiness import (RemovalStats, find_accepting_lasso,
                                       is_empty_naive, remove_useless)
@@ -496,12 +495,9 @@ def test_numbered_product_asks_the_complement_once_per_row(seed, kind,
     tallied = {name: value for name, value in counters.items()
                if name.startswith("complement.")
                and name.endswith((".expansions", ".macrostates"))}
-    if isinstance(counted.inner, RankComplement):
-        assert tallied == {}  # the rank construction keeps no tally
-    else:
-        name = f"complement.{counted.inner.KIND}"
-        assert tallied == {f"{name}.expansions": len(counted.asked),
-                           f"{name}.macrostates": counted.answered}
+    name = f"complement.{counted.inner.KIND}"
+    assert tallied == {f"{name}.expansions": len(counted.asked),
+                       f"{name}.macrostates": counted.answered}
 
 
 @pytest.mark.parametrize("relation", [subsumes, subsumes_b])

@@ -45,7 +45,7 @@ def test_and_prunes_unsat():
 
 def test_and_cross_case():
     p = Pred.of_inf()
-    q = Pred.of_fin()
+    q = Pred((), (TRUE,))
     assert p.and_(q).is_unsat()          # oldrnk cannot be both oo and finite
 
 
@@ -55,7 +55,7 @@ def test_entails_per_case():
     assert strong.entails(weak)
     assert not weak.entails(strong)
     # Inf-case never entails a fin-only predicate.
-    assert not strong.entails(Pred.of_fin(TRUE))
+    assert not strong.entails(Pred((), (TRUE,)))
     # Bottom entails everything; everything entails top.
     assert PRED_FALSE.entails(strong)
     assert strong.entails(PRED_TRUE)
@@ -86,7 +86,7 @@ def test_assign_oldrnk_moves_everything_to_fin():
 
 def test_assign_oldrnk_forgets_old_value():
     # Old constraint oldrnk = 7 must not survive the update.
-    p = Pred.of_fin(conj(atom_eq(var(OLDRNK), 7), atom_eq(i, 1)))
+    p = Pred((), (conj(atom_eq(var(OLDRNK), 7), atom_eq(i, 1)),))
     q = p.assign_oldrnk(i + 100)
     (d,) = q.fin_disjuncts
     assert d.entails_atom(atom_eq(var(OLDRNK), 101))

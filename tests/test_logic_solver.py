@@ -7,7 +7,7 @@ over a small integer grid (hypothesis generates random conjunctions).
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.budget import Budget, ResourceExhausted, use_budget
@@ -15,6 +15,7 @@ from repro.logic import fourier_motzkin as fm
 from repro.logic.atoms import (Atom, Rel, atom_eq, atom_ge, atom_gt, atom_le,
                                atom_lt, negate_atom)
 from repro.logic.fourier_motzkin import eliminate, find_model, satisfiable
+from repro.logic import memo as solver_memo
 from repro.logic.linconj import FALSE, TRUE, LinConj, conj
 from repro.logic.terms import term, var
 from repro.obs import metrics as obs_metrics
@@ -33,7 +34,8 @@ def test_atom_normalization():
 
 def test_atom_trivial():
     assert atom_le(0, 1).is_trivially_true()
-    assert atom_lt(1, 0).is_trivially_false()
+    assert atom_lt(1, 0).term.is_constant()
+    assert not atom_lt(1, 0).is_trivially_true()
     assert atom_eq(term({}, 2), 2).is_trivially_true()
     assert not atom_le(x, 0).is_trivially_true()
 
@@ -67,7 +69,7 @@ def test_integral_tightening():
     assert d.term == x - 2
     # integral equality with fractional constant is unsatisfiable
     e = atom_eq(2 * x, 5).tighten_integral()
-    assert e.is_trivially_false()
+    assert e.term.is_constant() and not e.is_trivially_true()
 
 
 def test_tightening_never_rounds_oldrnk():
@@ -77,7 +79,7 @@ def test_tightening_never_rounds_oldrnk():
     # unsound accepting states in the powerset modules.
     r = var("oldrnk")
     a = atom_eq(2 * r, 5).tighten_integral()
-    assert not a.is_trivially_false()
+    assert not a.term.is_constant()
     b = atom_le(r, Fraction(5, 3)).tighten_integral()
     assert b.evaluate({"oldrnk": Fraction(5, 3)})
     c = atom_lt(r, Fraction(5, 3)).tighten_integral()
@@ -98,7 +100,7 @@ def test_conj_basics():
     assert c.is_sat()
     assert c.entails_atom(atom_le(x, 10))
     assert not c.entails_atom(atom_le(x, 3))
-    assert TRUE.is_sat() and TRUE.is_true()
+    assert TRUE.is_sat() and not TRUE.atoms
     assert FALSE.is_unsat()
 
 
@@ -299,10 +301,10 @@ def elimination_orders(draw):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(memo_atoms(), min_size=1, max_size=5), elimination_orders())
 def test_memo_answers_exactly_as_the_uncached_solver(atoms, order):
-    assert fm._MEMO is None
+    assert solver_memo._MEMO is None
     reference = eliminate(atoms, order)
     registry = obs_metrics.MetricsRegistry()
-    with obs_metrics.use_registry(registry), fm.use_memo() as memo:
+    with obs_metrics.use_registry(registry), solver_memo.use_memo() as memo:
         # same atoms in the same order (or UNSAT) on every call, and what
         # a caller does to a returned list never reaches the memo
         first = eliminate(atoms, order)
@@ -315,7 +317,7 @@ def test_memo_answers_exactly_as_the_uncached_solver(atoms, order):
         if second is not None:
             second.clear()
         assert eliminate(atoms, order) == reference
-    assert fm._MEMO is None
+    assert solver_memo._MEMO is None
     assert len(memo) == 1
     counters = registry.snapshot()["counters"]
     assert counters["logic.fm.eliminations"] == 1
@@ -324,7 +326,7 @@ def test_memo_answers_exactly_as_the_uncached_solver(atoms, order):
 
 def test_memo_key_keeps_atom_and_elimination_order():
     atoms = [atom_le(x, y), atom_le(y, 3), atom_ge(x, z)]
-    with fm.use_memo() as memo:
+    with solver_memo.use_memo() as memo:
         eliminate(atoms, ["y", "x"])
         eliminate(list(reversed(atoms)), ["y", "x"])
         eliminate(atoms, ["x", "y"])
@@ -334,7 +336,7 @@ def test_memo_key_keeps_atom_and_elimination_order():
 def test_memo_never_stores_a_query_over_the_fm_cap():
     atoms = [atom_le(x, y), atom_le(y, 3), atom_ge(x, 0)]
     registry = obs_metrics.MetricsRegistry()
-    with obs_metrics.use_registry(registry), fm.use_memo() as memo:
+    with obs_metrics.use_registry(registry), solver_memo.use_memo() as memo:
         with use_budget(Budget(fm_constraint_cap=2)):
             for _ in range(2):
                 with pytest.raises(ResourceExhausted) as info:
@@ -349,13 +351,13 @@ def test_memo_never_stores_a_query_over_the_fm_cap():
 
 
 def test_memo_scopes_nest_and_restore():
-    assert fm._MEMO is None
-    with fm.use_memo() as outer:
+    assert solver_memo._MEMO is None
+    with solver_memo.use_memo() as outer:
         satisfiable([atom_le(x, 1)])
-        with fm.use_memo() as inner:
-            assert fm._MEMO is inner and inner == {}
-        assert fm._MEMO is outer and len(outer) == 1
-    assert fm._MEMO is None
+        with solver_memo.use_memo() as inner:
+            assert solver_memo._MEMO is inner and inner == {}
+        assert solver_memo._MEMO is outer and len(outer) == 1
+    assert solver_memo._MEMO is None
 
 
 # -- integer-row kernel against the Fraction oracle ------------------------------
@@ -454,3 +456,32 @@ def test_rows_whose_oldrnk_cancels_are_rounded():
     for atoms in (pivoted, combined):
         assert (eliminate(atoms, ["oldrnk"])
                 == fm_reference.eliminate(atoms, ["oldrnk"]))
+
+
+@st.composite
+def indivisible_equalities(draw):
+    """``g*t + d = 0`` with ``g`` not dividing ``d``: no integer solution,
+    unless ``t`` mentions the rational ``oldrnk``."""
+    g = draw(st.integers(2, 4))
+    names = draw(st.lists(st.sampled_from(ORACLE_VARS), min_size=1,
+                          max_size=3, unique=True))
+    coeffs = {n: g * draw(st.sampled_from([-2, -1, 1, 2])) for n in names}
+    constant = g * draw(st.integers(-3, 3)) + draw(st.integers(1, g - 1))
+    return Atom(term(coeffs, constant), Rel.EQ)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(oracle_atoms(), indivisible_equalities()))
+@example(atom_le(0, 1))                                 # no variables
+@example(atom_eq(6 * var("oldrnk") - y, 5))             # oldrnk soundness case
+@example(atom_lt(Fraction(1, 2) * x + Fraction(1, 3), 0))
+@example(atom_eq(2 * x, 5))
+def test_tighten_integral_matches_the_reference_tightening(atom):
+    registry = obs_metrics.MetricsRegistry()
+    with obs_metrics.use_registry(registry):
+        tightened = atom.tighten_integral()
+    expected = fm_reference.tighten_atom(atom)
+    assert tightened == expected and tightened.rel is expected.rel
+    assert str(tightened) == str(expected)
+    # the kernel runs on one atom with nothing eliminated: no FM work
+    assert registry.snapshot()["counters"] == {}

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from repro.logic.atoms import (Atom, Rel, atom_eq, atom_ge, atom_gt, atom_le,
                                atom_lt)
 from repro.logic.linconj import TRUE, LinConj, conj
+from repro.logic.memo import use_memo
 from repro.logic.predicates import OLDRNK, Pred
 from repro.logic.terms import LinTerm, var
 from repro.obs import metrics as obs_metrics
 from repro.program.statements import (Assign, Assume, Havoc,
-                                      NondeterminismError, hoare_valid,
-                                      use_memo)
+                                      NondeterminismError, hoare_valid)
 
 x, y = var("x"), var("y")
 
@@ -214,13 +214,13 @@ def test_memo_answers_exactly_as_the_uncached_checks(queries):
 
 
 def test_memo_scope_nests_and_restores():
-    from repro.program import statements
-    assert statements._MEMO is None
+    from repro.logic import memo
+    assert memo._MEMO is None
     with use_memo() as outer:
         with use_memo() as inner:
-            assert statements._MEMO is inner and inner is not outer
-        assert statements._MEMO is outer
-    assert statements._MEMO is None
+            assert memo._MEMO is inner and inner is not outer
+        assert memo._MEMO is outer
+    assert memo._MEMO is None
 
 
 def test_a_raising_check_is_never_stored(monkeypatch):
@@ -235,6 +235,8 @@ def test_a_raising_check_is_never_stored(monkeypatch):
         with pytest.raises(RuntimeError):
             hoare_valid(pre, stmt, pre)
         monkeypatch.undo()
-        stored = len(memo)  # the postcondition returned and is kept
+        # the postcondition returned and is kept; the triple is not
+        assert [key[0] for key in memo].count("hoare") == 0
+        assert any(key[0] == "sp-pred" for key in memo)
         assert hoare_valid(pre, stmt, pre) is False
-        assert len(memo) == stored + 1
+        assert [key[0] for key in memo].count("hoare") == 1

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from repro.logic import fourier_motzkin as fm
 from repro.logic.atoms import atom_eq, atom_ge, atom_gt, atom_le, atom_lt
 from repro.logic.linconj import TRUE, conj
+from repro.logic.memo import use_memo
 from repro.logic.terms import var
 from repro.automata.words import UPWord
 from repro.program.statements import Assign, Assume, Havoc
@@ -14,7 +16,6 @@ from repro.ranking.nontermination import find_nontermination_witness
 from repro import faults
 from repro.faults import FaultPlan
 from repro.obs import metrics as obs_metrics
-from repro.ranking import synthesis
 from repro.ranking.synthesis import (ProofKind, prove_lasso,
                                      synthesize_ranking)
 
@@ -54,7 +55,7 @@ def test_stem_posts_and_infeasibility():
     feasible = Lasso([GUARD_X], [DEC_X])
     assert feasible.stem_infeasible_at() is None
     posts = feasible.stem_posts()
-    assert posts[0].is_true()
+    assert not posts[0].atoms
     assert posts[1].entails_atom(atom_gt(x, 0))
 
 
@@ -244,11 +245,17 @@ def _synthesize_twice(relation):
     return first, second, registry.snapshot()["counters"]
 
 
+def _lp_keys(memo):
+    """The Farkas questions among the memo's keys; the one memo also
+    holds the FM questions the candidate checks ask."""
+    return [key for key in memo if key[0] == "lp"]
+
+
 def test_lp_memo_hit_returns_the_first_ranking():
     honest = synthesize_ranking(_lp_relation())
-    with synthesis.use_memo() as memo:
+    with use_memo() as memo:
         first, second, counters = _synthesize_twice(_lp_relation())
-        assert len(memo) == 1
+        assert len(_lp_keys(memo)) == 1
     assert first == second == honest
     assert counters["ranking.syntheses"] == 2
     assert counters["ranking.lp_syntheses"] == 2
@@ -257,7 +264,8 @@ def test_lp_memo_hit_returns_the_first_ranking():
 
 
 def test_lp_memo_is_off_outside_its_scope():
-    assert synthesis._MEMO is None
+    from repro.logic import memo
+    assert memo._MEMO is None
     first, second, counters = _synthesize_twice(_lp_relation())
     assert first == second
     assert "ranking.lp_memo_hits" not in counters
@@ -265,9 +273,9 @@ def test_lp_memo_is_off_outside_its_scope():
 
 
 def test_lp_memo_is_bypassed_under_a_fault_plan():
-    with synthesis.use_memo() as memo, faults.use_plan(FaultPlan(seed=1)):
+    with use_memo() as memo, faults.use_plan(FaultPlan(seed=1)):
         first, second, counters = _synthesize_twice(_lp_relation())
-        assert memo == {}
+        assert _lp_keys(memo) == []
     assert first == second
     assert "ranking.lp_memo_hits" not in counters
     assert counters["logic.lp.solves"] == 2
@@ -279,11 +287,29 @@ def test_lp_memo_never_stores_a_raising_question(monkeypatch):
     def fail(self):
         raise RuntimeError("deadline")
 
-    with synthesis.use_memo() as memo:
+    with use_memo() as memo:
         monkeypatch.setattr(LinearProgram, "check_feasible", fail)
         with pytest.raises(RuntimeError):
             synthesize_ranking(_lp_relation())
         monkeypatch.undo()
-        assert memo == {}
+        assert _lp_keys(memo) == []
         assert synthesize_ranking(_lp_relation()) is not None
-        assert len(memo) == 1
+        assert len(_lp_keys(memo)) == 1
+
+
+def test_fm_and_farkas_questions_of_one_shape_get_separate_answers():
+    # an FM query (atoms, names) and a Farkas query (atoms, variables)
+    # have the same shape; only the kind in the key keeps them apart
+    relation = _lp_relation()
+    atoms = relation.rel.and_(TRUE).atoms
+    names = tuple(relation.variables)
+    projection = fm.eliminate(atoms, names)
+    ranking = synthesize_ranking(relation)
+    assert projection is not None and ranking is not None
+    with use_memo() as memo:
+        assert fm.eliminate(atoms, names) == projection
+        assert synthesize_ranking(relation) == ranking
+        assert ("fm", atoms, names) in memo and ("lp", atoms, names) in memo
+    with use_memo():
+        assert synthesize_ranking(relation) == ranking
+        assert fm.eliminate(atoms, names) == projection

@@ -334,19 +334,18 @@ program two_phase(x, p):
     assert calls == len(remainders)
 
 
-def _engine_run(source: str, config: AnalysisConfig, scopes) -> tuple:
-    """One bare engine run inside ``scopes``: everything the memos must
-    leave unchanged."""
-    from contextlib import ExitStack
+def _engine_run(source: str, config: AnalysisConfig, memo: bool) -> tuple:
+    """One bare engine run, inside the solver memo or not: everything
+    the memo must leave unchanged, then the computed eliminations."""
+    from contextlib import nullcontext
 
     from repro.core.refinement import RefinementEngine
+    from repro.logic.memo import use_memo
     from repro.obs import metrics as obs_metrics
     from repro.program.cfg import build_cfg
     registry = obs_metrics.MetricsRegistry()
-    with ExitStack() as stack:
-        stack.enter_context(obs_metrics.use_registry(registry))
-        for scope in scopes:
-            stack.enter_context(scope())
+    with obs_metrics.use_registry(registry), \
+            (use_memo() if memo else nullcontext()):
         result = RefinementEngine(build_cfg(parse_program(source)),
                                   config).run()
     counters = registry.snapshot()["counters"]
@@ -354,18 +353,22 @@ def _engine_run(source: str, config: AnalysisConfig, scopes) -> tuple:
             [(m.stage, len(m.automaton.states), len(m.automaton.transitions))
              for m in result.modules],
             {name: value for name, value in counters.items()
-             if not name.startswith("logic.")},
+             if not name.startswith("logic.")
+             and not name.endswith("memo_hits")},
             counters.get("logic.fm.eliminations"))
 
 
-# gcd_like asks for the postcondition of set-equal preconditions in two
-# atom orders: a memo keyed on LinConj values computes 11 more
-# eliminations on it
-@pytest.mark.parametrize("name", ["sort", "two_phase", "count_up", "gcd_like"])
+# The eliminations each program computes inside the memo.  gcd_like
+# asks for the postcondition of set-equal preconditions in two atom
+# orders: a memo keyed on LinConj values computes 11 more eliminations
+# on it.
+MEMO_ELIMINATIONS = {"sort": 287, "two_phase": 303, "count_up": 14,
+                     "gcd_like": 482}
+
+
+@pytest.mark.parametrize("name", list(MEMO_ELIMINATIONS))
 def test_hoare_memo_changes_no_verdict_round_or_count(name):
     from repro.benchgen import program_suite
-    from repro.logic import fourier_motzkin as fm
-    from repro.program import statements
     config = AnalysisConfig(timeout=120.0)
     if name == "sort":
         source = SORT
@@ -373,11 +376,10 @@ def test_hoare_memo_changes_no_verdict_round_or_count(name):
         (source,) = [b.source for b in program_suite() if b.name == name]
         if name == "two_phase":
             config = config.with_(max_refinements=8)
-    bare = _engine_run(source, config, ())
-    fm_only = _engine_run(source, config, (fm.use_memo,))
-    both = _engine_run(source, config, (fm.use_memo, statements.use_memo))
+    bare = _engine_run(source, config, memo=False)
+    memoized = _engine_run(source, config, memo=True)
     assert bare[3]["refinement.rounds"] > 0
-    assert bare[:4] == fm_only[:4] == both[:4]
+    assert bare[:4] == memoized[:4]
     # the memo answers repeated questions; FM still computes every
     # distinct elimination the run asks for
-    assert fm_only[4] == both[4]
+    assert memoized[4] == MEMO_ELIMINATIONS[name]

@@ -286,7 +286,7 @@ def mixed_atoms(draw):
 @given(st.lists(mixed_atoms(), min_size=1, max_size=5),
        st.lists(st.sampled_from(NAMES), max_size=3))
 def test_eliminate_outputs_ints_where_integral(atoms, order):
-    projected = fm._eliminate(atoms, order)
+    projected = fm.eliminate(atoms, order)
     assert projected == fm_reference.eliminate(atoms, order)
     for atom in projected or ():
         assert_stored_form(atom.term)
