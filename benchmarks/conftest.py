@@ -7,11 +7,8 @@ the harness runs in minutes on a laptop while keeping the paper's
 - ``REPRO_BENCH_TIMEOUT``   per-program analysis budget in seconds (default 5)
 - ``REPRO_BENCH_RANDOM``    number of random SDBAs in the Fig. 4 corpus (default 30)
 - ``REPRO_BENCH_OUT``       directory for ``BENCH_*.json`` result files
+                            and the Section 7 store ``section7.jsonl``
                             (default: current directory)
-- ``REPRO_BENCH_WORKERS``   >1 dispatches suite sweeps through the
-                            :mod:`repro.runner` worker pool (hard
-                            per-program deadlines, crash isolation);
-                            default 0 keeps the historical in-process path
 
 Benches that track the perf trajectory call :func:`write_bench_json`,
 which stamps the run configuration and environment -- including the
@@ -39,7 +36,6 @@ from repro.runner.store import code_version
 TIMEOUT = float(os.environ.get("REPRO_BENCH_TIMEOUT", "5"))
 N_RANDOM = int(os.environ.get("REPRO_BENCH_RANDOM", "30"))
 BENCH_OUT = Path(os.environ.get("REPRO_BENCH_OUT", "."))
-WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "0"))
 
 #: The BENCH_*.json envelope version (see repro.obs.trajectory, which
 #: reads these files back; bump together).
@@ -127,70 +123,3 @@ def harvest_chain(family: str):
                     f"safety deadline after {len(result.modules)} modules")
     return build_cfg(program).to_gba(), [m.automaton for m in result.modules]
 
-
-def analysis_config(**kwargs) -> AnalysisConfig:
-    kwargs.setdefault("timeout", TIMEOUT)
-    return AnalysisConfig(**kwargs)
-
-
-CONFIGS = {
-    "single-stage": lambda: AnalysisConfig.single_stage(timeout=TIMEOUT),
-    "multi-stage": lambda: analysis_config(lazy_complement=False,
-                                           subsumption=False),
-    "multi+subsumption": lambda: analysis_config(lazy_complement=False,
-                                                 subsumption=True),
-    "multi+lazy": lambda: analysis_config(lazy_complement=True,
-                                          subsumption=False),
-    "multi+lazy+subsumption": lambda: analysis_config(lazy_complement=True,
-                                                      subsumption=True),
-}
-
-
-def run_suite(programs, config, workers: int | None = None):
-    """Analyze every program; returns (results, solved, unsolved).
-
-    With ``workers`` > 1 (default: ``REPRO_BENCH_WORKERS``) programs
-    are dispatched through the :mod:`repro.runner` worker pool --
-    hard deadlines and crash isolation, at the price of results being
-    reconstructed from the rows workers ship back (verdict and reason
-    only).
-    """
-    workers = WORKERS if workers is None else workers
-    if workers > 1:
-        return _run_suite_pooled(programs, config, workers)
-    from repro.core.api import prove_termination
-
-    results = {}
-    solved = unsolved = 0
-    for bench in programs:
-        result = prove_termination(bench.parse(), config)
-        results[bench.name] = result
-        if result.verdict.value == bench.expected:
-            solved += 1
-        else:
-            unsolved += 1
-    return results, solved, unsolved
-
-
-def _run_suite_pooled(programs, config, workers: int):
-    from repro.core.refinement import TerminationResult, Verdict
-    from repro.runner.pool import WorkerPool, analysis_task
-
-    payloads = [{"name": bench.name, "source": bench.source,
-                 "expected": bench.expected, "config": config.to_dict(),
-                 "timeout": config.timeout} for bench in programs]
-    pool = WorkerPool(workers=workers, task=analysis_task,
-                      task_timeout=config.timeout)
-    outcomes = pool.run(payloads)
-    results = {}
-    solved = unsolved = 0
-    for bench, outcome in zip(programs, outcomes):
-        row = outcome.result if outcome.status == "ok" and outcome.result else {}
-        verdict = Verdict(row.get("verdict", "unknown"))
-        results[bench.name] = TerminationResult(
-            verdict, reason=row.get("reason", outcome.status))
-        if verdict.value == bench.expected:
-            solved += 1
-        else:
-            unsolved += 1
-    return results, solved, unsolved

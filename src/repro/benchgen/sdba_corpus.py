@@ -3,10 +3,9 @@
 The paper complements 1159 SDBAs collected from Ultimate Automizer
 runs.  We reproduce the distribution in kind:
 
-- :func:`harvest_sdbas` runs the analysis over the program suite with
-  SDBA capture enabled and returns every semideterministic module
-  automaton the refinement produced (completed + normalized, exactly
-  what is fed to NCSB), and
+- :func:`harvest_sdbas` runs the analysis over the program suite and
+  returns every certified module that NCSB complements (completed +
+  normalized, exactly what is fed to NCSB), and
 - :func:`random_sdba` generates seeded random normalized SDBAs so the
   corpus can be scaled to stress sizes the tiny suite does not reach.
 
@@ -19,28 +18,30 @@ import random
 from typing import Iterable
 
 from repro.automata.classify import is_normalized_sdba
+from repro.automata.complement.dispatch import ComplementKind, classify_kind
 from repro.automata.complement.ncsb import prepare_sdba
 from repro.automata.gba import GBA, ba
 from repro.benchgen.programs import BenchProgram, program_suite
 from repro.core.api import prove_termination
 from repro.core.config import AnalysisConfig
-from repro.core.stats import StatsCollector
 
 
 def harvest_sdbas(programs: Iterable[BenchProgram] | None = None,
                   config: AnalysisConfig | None = None) -> list[GBA]:
-    """SDBAs produced by our own termination analysis over the suite."""
+    """SDBAs produced by our own termination analysis over the suite:
+    the modules of each run that :func:`classify_kind` sends to NCSB."""
     programs = list(programs) if programs is not None else program_suite()
     config = config or AnalysisConfig()
     harvested: list[GBA] = []
     for bench in programs:
-        collector = StatsCollector(capture_sdbas=True)
         try:
-            prove_termination(bench.parse(), config, collector)
+            result = prove_termination(bench.parse(), config)
         except Exception:
             continue  # a failing benchmark must not sink the harvest
-        for auto in collector.sdbas:
-            harvested.append(prepare_sdba(auto))
+        harvested.extend(prepare_sdba(module.automaton)
+                         for module in result.modules
+                         if classify_kind(module.automaton)
+                         is ComplementKind.SDBA_LAZY)
     return harvested
 
 

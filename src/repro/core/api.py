@@ -18,7 +18,7 @@ import repro.faults as faults
 from repro.core.config import AnalysisConfig
 from repro.core.firewall import screen
 from repro.core.refinement import RefinementEngine, TerminationResult, Verdict
-from repro.core.stats import AnalysisStats, StatsCollector
+from repro.core.stats import AnalysisStats
 from repro.logic.memo import use_memo
 from repro.obs import metrics as obs_metrics
 from repro.program.ast import Program
@@ -28,7 +28,6 @@ from repro.program.parser import parse_program
 
 def prove_termination(program: Program,
                       config: AnalysisConfig | None = None,
-                      collector: StatsCollector | None = None,
                       checkpoint=None,
                       library=None,
                       ) -> TerminationResult:
@@ -70,7 +69,7 @@ def prove_termination(program: Program,
     registry = obs_metrics.MetricsRegistry()
     with obs_metrics.use_registry(registry):
         with use_memo():
-            engine = RefinementEngine(build_cfg(program), config, collector,
+            engine = RefinementEngine(build_cfg(program), config,
                                       checkpoint=checkpoint, library=library)
             if plan is not None:
                 with faults.use_plan(plan):
@@ -84,12 +83,11 @@ def prove_termination(program: Program,
 
 def prove_termination_source(source: str,
                              config: AnalysisConfig | None = None,
-                             collector: StatsCollector | None = None,
                              checkpoint=None,
                              library=None,
                              ) -> TerminationResult:
     """Parse source text and run the termination analysis."""
-    return prove_termination(parse_program(source), config, collector,
+    return prove_termination(parse_program(source), config,
                              checkpoint=checkpoint, library=library)
 
 

@@ -36,8 +36,8 @@ incident.
 
 Every module joins the decomposition through one step, whichever of
 the three sources it came from -- a re-checked checkpoint record, a
-re-checked library hit, or fresh synthesis: subtract, observe, append,
-publish if fresh, save, and stop as TERMINATING on an empty remainder.
+re-checked library hit, or fresh synthesis: subtract, append, publish
+if fresh, save, and stop as TERMINATING on an empty remainder.
 
 Each run is observed end to end: an ``analysis`` span wraps the loop,
 every iteration gets a ``round`` span (with ``lasso-search``,
@@ -65,8 +65,7 @@ from repro.core.budget import (Budget, DeadlineExceeded, ResourceExhausted,
 from repro.core.config import AnalysisConfig
 from repro.core.module import CertifiedModule
 from repro.core.stages import Stage, build_finite_module, generalize
-from repro.core.stats import (AnalysisStats, Incident, RefinementRound,
-                              StatsCollector)
+from repro.core.stats import AnalysisStats, Incident, RefinementRound
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import get_tracer
 from repro.program.cfg import ControlFlowGraph
@@ -181,12 +180,13 @@ class RefinementEngine:
 
     def __init__(self, cfg: ControlFlowGraph,
                  config: AnalysisConfig | None = None,
-                 collector: StatsCollector | None = None,
                  checkpoint=None,
                  library=None):
         self._cfg = cfg
         self._config = config or AnalysisConfig()
-        self._collector = collector or StatsCollector()
+        self._stats = AnalysisStats(program=cfg.name,
+                                    config=self._config.describe())
+        self._start = time.perf_counter()
         #: Optional :class:`repro.core.checkpoint.Checkpointer`: every
         #: round's new modules are appended to the job's log, and
         #: re-checked modules seed the run before the first round.
@@ -220,7 +220,7 @@ class RefinementEngine:
         config = self._config
         deadline = budget.deadline
         registry = obs_metrics.registry()
-        collector = self._collector
+        stats = self._stats
         name = self._cfg.name
         program_gba: GBA = self._cfg.to_gba()
         alphabet = program_gba.alphabet
@@ -240,7 +240,7 @@ class RefinementEngine:
 
         def finish(verdict: Verdict, *, witness=None, word=None,
                    reason: str | None = None) -> TerminationResult:
-            stats = collector.finish(name, config.describe())
+            stats.total_seconds = time.perf_counter() - self._start
             result = TerminationResult(verdict, modules, witness, word,
                                        stats, reason)
             if verdict is Verdict.TERMINATING:
@@ -255,11 +255,11 @@ class RefinementEngine:
                 key: value - round_base.get(key, 0)
                 for key, value in registry.counts().items()
                 if value != round_base.get(key, 0)}
-            collector.stats.rounds.append(round_stats)
+            stats.rounds.append(round_stats)
 
         def note(kind: str, component: str, detail: str,
                  index: int | None) -> None:
-            collector.stats.record_incident(
+            stats.record_incident(
                 Incident(kind, component, detail, round=index))
 
         pinned_kind = (ComplementKind(config.complement_kind)
@@ -336,17 +336,13 @@ class RefinementEngine:
             whatever its source: a restored module (no ``round_stats``:
             no round of this run), a library hit, or a fresh module
             (with its same-round ``(companion, subtraction)``, if any).
-            ``result`` is its subtraction from the remainder.  Observe,
-            take the new remainder, append, publish if fresh, save;
-            True when the remainder is empty."""
+            ``result`` is its subtraction from the remainder.  Take the
+            new remainder, append, publish if fresh, save; True when the
+            remainder is empty."""
             nonlocal current
             current = result.automaton
             added = [module]
             if round_stats is not None:
-                if result.kind in (ComplementKind.SDBA_ORIGINAL,
-                                   ComplementKind.SDBA_LAZY):
-                    # the Figure 4 corpus: every SDBA sent to NCSB
-                    collector.observe_sdba(module.automaton)
                 if companion is not None:
                     extra_module, extra = companion
                     round_stats.companion_stage = extra_module.stage

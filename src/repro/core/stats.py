@@ -5,17 +5,13 @@ modules produced per stage, difference-automaton sizes, complement
 exploration effort, and wall-clock times.  Every count lives in the
 run's metrics registry (see :mod:`repro.obs.metrics`), whose snapshot
 is ``AnalysisStats.metrics``; a round keeps the registry's counter
-deltas over that round.  A :class:`StatsCollector` is threaded through
-the refinement engine for timing; SDBAs sent to complementation can be
-captured for the Figure 4 corpus.
+deltas over that round.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import asdict, dataclass, field
 
-from repro.automata.gba import GBA
 from repro.obs import metrics as _metrics
 
 
@@ -131,22 +127,3 @@ class AnalysisStats:
             "incidents": [i.to_dict() for i in self.incidents],
         }
 
-
-class StatsCollector:
-    """Collects rounds and (optionally) the SDBAs sent to complementation."""
-
-    def __init__(self, capture_sdbas: bool = False):
-        self.stats = AnalysisStats()
-        self.capture_sdbas = capture_sdbas
-        self.sdbas: list[GBA] = []
-        self._start = time.perf_counter()
-
-    def observe_sdba(self, automaton: GBA) -> None:
-        if self.capture_sdbas:
-            self.sdbas.append(automaton)
-
-    def finish(self, program: str, config: str) -> AnalysisStats:
-        self.stats.program = program
-        self.stats.config = config
-        self.stats.total_seconds = time.perf_counter() - self._start
-        return self.stats

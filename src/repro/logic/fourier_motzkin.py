@@ -240,9 +240,9 @@ def eliminate(atoms: Sequence[Atom], names: Iterable[str]) -> list[Atom] | None:
     input.  Inside :func:`repro.logic.memo.use_memo` a repeated query is
     answered from the memo.
     """
-    key = ("fm", tuple(atoms), tuple(names))
-    answer = _memo.ask(key, "logic.fm.memo_hits",
-                       lambda: _eliminate(key[1], key[2]), faults=False)
+    atoms, names = tuple(atoms), tuple(names)
+    answer = _memo.ask(("fm", atoms, names), "logic.fm.memo_hits",
+                       _eliminate, atoms, names, faults=False)
     return None if answer is None else list(answer)
 
 

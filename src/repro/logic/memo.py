@@ -68,19 +68,20 @@ def use_memo() -> Iterator[dict]:
         _MEMO = previous
 
 
-def ask(key: tuple, counter: str, compute: Callable[[], _T], *,
+def ask(key: tuple, counter: str, fn: Callable[..., _T], *args,
         faults: bool = True) -> _T:
-    """The memo's answer to ``key``, computing and storing it on a miss.
+    """The memo's answer to ``key``: ``fn(*args)``, called and stored
+    only on a miss.
 
-    ``faults`` says whether ``compute`` reaches a fault site; see the
-    fault rule above.
+    ``faults`` says whether ``fn`` reaches a fault site; see the fault
+    rule above.
     """
     memo = _MEMO
     if memo is None or (faults and _faults._ACTIVE is not None):
-        return compute()
+        return fn(*args)
     hit = memo.get(key, _MISS)
     if hit is _MISS:
-        hit = memo[key] = compute()
+        hit = memo[key] = fn(*args)
     else:
         _metrics.inc(counter)
     return hit  # type: ignore[return-value]

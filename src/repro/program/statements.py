@@ -85,7 +85,7 @@ class Statement:
     def sp_conj(self, pre: LinConj) -> LinConj:
         """Strongest postcondition on a single conjunction."""
         return ask(("sp", self, pre.atoms), "logic.sp.memo_hits",
-                   lambda: self._sp_conj(pre))
+                   self._sp_conj, pre)
 
     def _sp_conj(self, pre: LinConj) -> LinConj:
         """The uncached transformer behind :meth:`sp_conj`."""
@@ -101,15 +101,14 @@ class Statement:
         carried through untouched (the transformers below never
         eliminate it).
         """
-
-        def compute() -> Pred:
-            current = pre
-            if oldrnk_update is not None:
-                current = current.assign_oldrnk(oldrnk_update)
-            return current.map_cases(self.sp_conj)
-
         return ask(("sp-pred", _pred_key(pre), self, oldrnk_update),
-                   "logic.sp.memo_hits", compute)
+                   "logic.sp.memo_hits", self._sp_pred, pre, oldrnk_update)
+
+    def _sp_pred(self, pre: Pred, oldrnk_update: LinTerm | None) -> Pred:
+        """The uncached transformer behind :meth:`sp_pred`."""
+        if oldrnk_update is not None:
+            pre = pre.assign_oldrnk(oldrnk_update)
+        return pre.map_cases(self.sp_conj)
 
     def execute(self, valuation: Valuation) -> Valuation | None:
         """Concrete semantics; ``None`` when an assume is violated.
@@ -242,4 +241,10 @@ def hoare_valid(pre: Pred, stmt: Statement, post: Pred, *,
     accepting state)."""
     return ask(("hoare", _pred_key(pre), stmt, _pred_key(post),
                 oldrnk_update), "logic.hoare.memo_hits",
-               lambda: stmt.sp_pred(pre, oldrnk_update).entails(post))
+               _hoare_valid, pre, stmt, post, oldrnk_update)
+
+
+def _hoare_valid(pre: Pred, stmt: Statement, post: Pred,
+                 oldrnk_update: LinTerm | None) -> bool:
+    """The uncached check behind :func:`hoare_valid`."""
+    return stmt.sp_pred(pre, oldrnk_update).entails(post)

@@ -116,7 +116,7 @@ def _synthesize_ranking(relation: LoopRelation, invariant: LinConj,
                  len(_candidate_rankings(variables)))
     _metrics.inc("ranking.lp_syntheses")
     ranking = ask(("lp", rel.atoms, tuple(variables)), "ranking.lp_memo_hits",
-                  lambda: _farkas_ranking(rel, variables))
+                  _farkas_ranking, rel, variables)
     span.set(method="farkas", found=ranking is not None)
     return ranking
 

@@ -184,13 +184,20 @@ def _expand_programs(manifest: dict) -> list[BenchProgram]:
 
 
 def _expand_configs(manifest: dict) -> list[tuple[str, dict]]:
+    """The (label, settings) pairs of the manifest's configs.  Two
+    entries with equal settings would give their jobs one key, so the
+    store would keep one row under either label: that is an error."""
     entries = manifest.get("configs") or [{}]
     configs: list[tuple[str, dict]] = []
     for i, entry in enumerate(entries):
         config = AnalysisConfig.from_dict(entry)  # validates the knobs
-        label = entry.get("name")
-        configs.append((label or config.describe() or f"config{i}",
-                        config.to_dict()))
+        label = entry.get("name") or config.describe() or f"config{i}"
+        settings = config.to_dict()
+        for other, other_settings in configs:
+            if other_settings == settings:
+                raise ValueError(f"configs {other!r} and {label!r} have "
+                                 f"the same settings")
+        configs.append((label, settings))
     return configs
 
 

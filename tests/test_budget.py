@@ -286,11 +286,9 @@ def test_portfolio_stops_launching_after_budget_runs_out(monkeypatch):
     launched = []
     real = api.prove_termination
 
-    def spy(program, config=None, collector=None, checkpoint=None,
-            library=None):
+    def spy(program, config=None, checkpoint=None, library=None):
         launched.append(config.timeout)
-        return real(program, config, collector, checkpoint=checkpoint,
-                    library=library)
+        return real(program, config, checkpoint=checkpoint, library=library)
 
     monkeypatch.setattr(api, "prove_termination", spy)
     program = parse_program(COUNTDOWN)

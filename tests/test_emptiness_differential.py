@@ -187,7 +187,7 @@ def test_bare_complements_agree_with_the_reference(seed, construction):
 # -- Figure 4 counts ------------------------------------------------------------
 
 
-#: Explored (states, edges) totals of ``bench_fig4_states.py``'s three
+#: Explored (states, edges) totals of ``bench_fig4.py``'s three
 #: settings over the first six random SDBAs of the Figure 4 corpus, as
 #: the dict-keyed loop counted them.
 FIG4_TOTALS = {"original": (10641, 37298), "lazy": (8372, 26545),

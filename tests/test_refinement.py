@@ -2,10 +2,8 @@
 
 import pytest
 
-from repro import (AnalysisConfig, StageSequence, Verdict, prove_termination,
-                   prove_termination_source)
+from repro import AnalysisConfig, Verdict, prove_termination_source
 from repro.core.module import validate_module
-from repro.core.stats import StatsCollector
 from repro.program.parser import parse_program
 
 SORT = """
@@ -136,8 +134,7 @@ def test_portfolio_budget_flows_to_later_configs(monkeypatch):
 
     budgets = []
 
-    def fake_prove(program, config=None, collector=None, checkpoint=None,
-                   library=None):
+    def fake_prove(program, config=None, checkpoint=None, library=None):
         budgets.append(config.timeout)
         return TerminationResult(Verdict.UNKNOWN, stats=AnalysisStats())
 
@@ -174,15 +171,17 @@ def test_optimization_toggles_do_not_change_verdicts():
             assert result.verdict is Verdict.TERMINATING, (lazy, subsumption)
 
 
-def test_collector_captures_sdbas():
-    collector = StatsCollector(capture_sdbas=True)
-    program = parse_program(SORT)
-    result = prove_termination(program, AnalysisConfig(timeout=30.0), collector)
-    assert result.verdict is Verdict.TERMINATING
-    assert collector.sdbas, "sort produces semideterministic modules"
-    from repro.automata.classify import is_semideterministic
-    for auto in collector.sdbas:
-        assert is_semideterministic(auto)
+def test_harvest_sdbas_on_sort_are_normalized_sdbas():
+    """The Figure 4 harvest: every semideterministic module of the run,
+    prepared for NCSB."""
+    from repro.automata.classify import is_normalized_sdba
+    from repro.benchgen.programs import suite_by_name
+    from repro.benchgen.sdba_corpus import harvest_sdbas
+
+    sdbas = harvest_sdbas([suite_by_name()["sort"]],
+                          AnalysisConfig(timeout=30.0))
+    assert sdbas, "sort produces semideterministic modules"
+    assert all(is_normalized_sdba(auto) for auto in sdbas)
 
 
 def test_stats_summary_shape():

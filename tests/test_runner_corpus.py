@@ -102,6 +102,15 @@ def test_expand_rejects_unknown_entries():
                          "configs": [{"subsumptions": True}]})
 
 
+def test_expand_rejects_configs_with_equal_settings():
+    # sequence (i) is the default: one job key, so one row for both labels
+    manifest = {"programs": [{"suite": "gcd"}],
+                "configs": [{"name": "seq-i", "stages": "i"},
+                            {"name": "default"}]}
+    with pytest.raises(ValueError, match="'seq-i' and 'default'"):
+        expand_manifest(manifest, version="v")
+
+
 def test_load_manifest_resolves_relative_paths(tmp_path):
     (tmp_path / "prog.t").write_text(INLINE_TERMINATING)
     path = tmp_path / "m.json"

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.config import AnalysisConfig, StageSequence
 from repro.core.stages import Stage
-from repro.core.stats import AnalysisStats, RefinementRound, StatsCollector
+from repro.core.stats import AnalysisStats, RefinementRound
 
 
 def test_stage_sequences_well_formed():
@@ -64,25 +64,6 @@ def test_stats_round_without_stage_not_counted_as_module():
     assert result.stats.rounds[0].stage is None
     assert result.to_dict()["modules"] == []
     assert "modules: none" in result.summary()
-
-
-def test_collector_finish_stamps_metadata():
-    collector = StatsCollector()
-    stats = collector.finish("prog", "cfg")
-    assert stats.program == "prog"
-    assert stats.config == "cfg"
-    assert stats.total_seconds >= 0
-
-
-def test_collector_sdba_capture_flag():
-    from repro.automata.gba import ba
-    auto = ba({"a"}, {("q", "a"): {"q"}}, ["q"], ["q"])
-    off = StatsCollector(capture_sdbas=False)
-    off.observe_sdba(auto)
-    assert off.sdbas == []
-    on = StatsCollector(capture_sdbas=True)
-    on.observe_sdba(auto)
-    assert on.sdbas == [auto]
 
 
 def test_describe_mentions_nosim_only_when_reduction_off():
